@@ -337,33 +337,25 @@ class DurableCollection:
     def resolve_batch(self, encoded: Sequence[dict]) -> List[BatchOp]:
         """Re-materialize :class:`BatchOp`\\ s from an addressed batch.
 
-        Resolves every address in one preorder walk per referenced
-        document, against the current in-memory state — which, for a
-        retried batch, is the rolled-back state the addresses were encoded
-        against.
+        Resolves every address before any op applies, each by a descent
+        through subtree sizes (:meth:`XmlElement.node_at`), against the
+        current in-memory state — which, for a retried batch, is the
+        rolled-back state the addresses were encoded against.
         """
         roots = self.live.documents
-        needed: dict = {}
-        for entry in encoded:
-            needed.setdefault(entry["doc"], set()).add(entry["pos"])
-        nodes: dict = {}
-        for doc, positions in needed.items():
-            if not 0 <= doc < len(roots):
-                raise DurabilityError(
-                    f"batch references document {doc}; have {len(roots)}"
-                )
-            for position, node in enumerate(roots[doc].iter_preorder()):
-                if position in positions:
-                    nodes[(doc, position)] = node
         ops: List[BatchOp] = []
         for entry in encoded:
-            key = (entry["doc"], entry["pos"])
-            if key not in nodes:
+            doc, position = entry["doc"], entry["pos"]
+            if type(doc) is not int or not 0 <= doc < len(roots):
                 raise DurabilityError(
-                    f"batch references preorder position {key[1]} of "
-                    f"document {key[0]}, which does not exist"
+                    f"batch references document {doc!r}; have {len(roots)}"
                 )
-            node = nodes[key]
+            node = roots[doc].node_at(position)
+            if node is None:
+                raise DurabilityError(
+                    f"batch references preorder position {position!r} of "
+                    f"document {doc}, which does not exist"
+                )
             kind = entry["kind"]
             if kind == "insert_child":
                 ops.append(BatchOp.insert_child(node, entry["index"], tag=entry["tag"]))

@@ -291,15 +291,15 @@ class RecoveredState:
 
 def _node_at(collection: LiveCollection, doc: int, position: int) -> XmlElement:
     roots = collection.documents
-    if not 0 <= doc < len(roots):
-        raise DurabilityError(f"WAL references document {doc}; have {len(roots)}")
-    for index, node in enumerate(roots[doc].iter_preorder()):
-        if index == position:
-            return node
-    raise DurabilityError(
-        f"WAL references preorder position {position} of document {doc}, "
-        "which does not exist"
-    )
+    if type(doc) is not int or not 0 <= doc < len(roots):
+        raise DurabilityError(f"WAL references document {doc!r}; have {len(roots)}")
+    node = roots[doc].node_at(position)
+    if node is None:
+        raise DurabilityError(
+            f"WAL references preorder position {position!r} of document {doc}, "
+            "which does not exist"
+        )
+    return node
 
 
 def apply_operation(collection: LiveCollection, op: Dict[str, Any]) -> None:

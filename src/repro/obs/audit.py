@@ -9,6 +9,9 @@ subject, and what was expected.
 
 Invariants checked (the catalogue in ``docs/OBSERVABILITY.md``):
 
+``tree.subtree-size``
+    Every node's maintained subtree size equals the node count of a walk
+    of its subtree (preorder addressing trusts these sizes).
 ``label.self-divides``
     Every label's self-label divides its value (Section 3's product
     construction; a corrupted label breaks the modulo ancestor test).
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Any, Dict, List, Optional
 
 from repro.errors import AuditError
@@ -62,7 +66,7 @@ from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
 from repro.order.sc_table import SCTable
-from repro.primes.euclid import gcd
+from repro.xmlkit.tree import XmlElement
 
 __all__ = [
     "Violation",
@@ -154,6 +158,21 @@ def _sampled_pairs(
     return pairs
 
 
+def _audit_subtree_sizes(nodes: List[XmlElement], report: AuditReport) -> None:
+    """``tree.subtree-size`` over ``nodes``, a whole tree in preorder."""
+    counts: Dict[int, int] = {}
+    for node in reversed(nodes):
+        count = 1 + sum(counts[id(child)] for child in node)
+        counts[id(node)] = count
+        if node._size != count:
+            report.flag(
+                "tree.subtree-size",
+                f"subtree size {node._size} != walked count {count}",
+                node.path(),
+            )
+    report.checked("tree.subtree-size", len(nodes))
+
+
 def audit_scheme(
     scheme: LabelingScheme,
     ancestor_samples: int = 256,
@@ -161,13 +180,14 @@ def audit_scheme(
 ) -> AuditReport:
     """Audit a labeling scheme against its own tree (no SC table needed).
 
-    Runs the label-structure invariants (prime-specific checks only when
-    ``scheme`` is a :class:`PrimeScheme`) plus the sampled ancestor-test
-    agreement, which applies to every scheme.
+    Runs the tree's subtree-size invariant, the label-structure invariants
+    (prime-specific checks only when ``scheme`` is a :class:`PrimeScheme`)
+    plus the sampled ancestor-test agreement, which applies to every scheme.
     """
     report = AuditReport()
     root = scheme.root
     nodes = list(root.iter_preorder())
+    _audit_subtree_sizes(nodes, report)
 
     if isinstance(scheme, PrimeScheme):
         seen_self: Dict[object, str] = {}

@@ -28,9 +28,9 @@ system per batch, however many members changed.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from repro.primes.euclid import extended_gcd, gcd, modular_inverse
 from repro.primes.totient import totient
 
 __all__ = ["solve_congruences", "solve_congruences_euler", "CongruenceSystem"]
@@ -42,16 +42,20 @@ def _merge(
     """Merge two congruences into one; moduli need not be coprime.
 
     Returns ``(residue, lcm)`` satisfying both, or raises ``ValueError`` when
-    the congruences conflict.
+    the congruences conflict.  The arithmetic is the C-level ``math.gcd``
+    and ``pow(x, -1, m)``; :mod:`repro.primes.euclid` is the pure-Python
+    reference the tests compare against.
     """
-    g, p, _ = extended_gcd(modulus_a, modulus_b)
+    g = gcd(modulus_a, modulus_b)
     if (residue_b - residue_a) % g != 0:
         raise ValueError(
             f"incompatible congruences: x={residue_a} (mod {modulus_a}) "
             f"and x={residue_b} (mod {modulus_b})"
         )
     lcm = modulus_a // g * modulus_b
-    step = (residue_b - residue_a) // g * p % (modulus_b // g)
+    reduced_b = modulus_b // g
+    inverse = pow(modulus_a // g, -1, reduced_b)
+    step = (residue_b - residue_a) // g * inverse % reduced_b
     residue = (residue_a + modulus_a * step) % lcm
     return residue, lcm
 
@@ -239,7 +243,7 @@ class CongruenceSystem:
             old = self._congruences[modulus]
             if residue != old:
                 cofactor = product // modulus
-                basis = cofactor * modular_inverse(cofactor % modulus, modulus)
+                basis = cofactor * pow(cofactor % modulus, -1, modulus)
                 delta += (residue - old) * basis
                 self._congruences[modulus] = residue
         self._value = (self._value + delta) % product

@@ -173,21 +173,21 @@ class WorkerServer:
 
     def _document(self, local_doc: int) -> XmlElement:
         roots = self.collection.documents
-        if not 0 <= local_doc < len(roots):
+        if type(local_doc) is not int or not 0 <= local_doc < len(roots):
             raise ShardError(
                 f"shard {self.config.shard_id} has {len(roots)} documents, "
-                f"no local index {local_doc}"
+                f"no local index {local_doc!r}"
             )
         return roots[local_doc]
 
     def _node_at(self, local_doc: int, position: int) -> XmlElement:
-        for index, node in enumerate(self._document(local_doc).iter_preorder()):
-            if index == position:
-                return node
-        raise DurabilityError(
-            f"operation references preorder position {position} of local "
-            f"document {local_doc}, which does not exist"
-        )
+        node = self._document(local_doc).node_at(position)
+        if node is None:
+            raise DurabilityError(
+                f"operation references preorder position {position!r} of local "
+                f"document {local_doc}, which does not exist"
+            )
+        return node
 
     def _rows(self, rows: List[Any]) -> List[Tuple[int, str, int, str]]:
         """Flatten query rows to picklable ``(local doc, tag, depth, text)``.

@@ -8,7 +8,11 @@ the document order the SC table must preserve.
 
 :class:`XmlElement` is deliberately mutable (children can be inserted and
 removed) because the whole point of the paper is *dynamic* trees.
-Mutation helpers keep parent pointers consistent.
+Mutation helpers keep parent pointers consistent, and keep every node's
+``_size`` (the node count of its subtree) exact, so a preorder position
+converts to a node and back in O(depth x fanout) instead of a whole-document
+walk.  Nothing outside this module assigns ``_children``, ``parent`` or
+``_size``; ``insert``, ``detach`` and ``wrap_children`` keep them in step.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class XmlElement:
         across child boundaries — enough fidelity for the paper's workloads).
     """
 
-    __slots__ = ("tag", "attributes", "text", "parent", "_children")
+    __slots__ = ("tag", "attributes", "text", "parent", "_children", "_size")
 
     def __init__(
         self,
@@ -67,6 +71,7 @@ class XmlElement:
         self.text = text
         self.parent: Optional["XmlElement"] = None
         self._children: List["XmlElement"] = []
+        self._size = 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -137,8 +142,15 @@ class XmlElement:
         return "/" + "/".join(reversed(tags))
 
     # ------------------------------------------------------------------
-    # Mutation (keeps parent pointers consistent)
+    # Mutation (keeps parent pointers and subtree sizes consistent)
     # ------------------------------------------------------------------
+
+    def _grow_ancestry(self, delta: int) -> None:
+        """Add ``delta`` to the subtree size of this node and every ancestor."""
+        node: Optional[XmlElement] = self
+        while node is not None:
+            node._size += delta
+            node = node.parent
 
     def append(self, child: "XmlElement") -> "XmlElement":
         """Append ``child`` as the last child; returns the child."""
@@ -152,13 +164,16 @@ class XmlElement:
             raise ValueError("inserting a node under its own descendant")
         self._children.insert(index, child)
         child.parent = self
+        self._grow_ancestry(child._size)
         return child
 
     def detach(self) -> "XmlElement":
         """Remove this node (and its subtree) from its parent; returns self."""
-        if self.parent is not None:
-            self.parent._children.remove(self)
+        parent = self.parent
+        if parent is not None:
+            parent._children.remove(self)
             self.parent = None
+            parent._grow_ancestry(-self._size)
         return self
 
     def wrap_children(self, tag: str, start: int, end: int) -> "XmlElement":
@@ -176,9 +191,11 @@ class XmlElement:
         wrapper = XmlElement(tag)
         for node in moved:
             node.parent = wrapper
+            wrapper._size += node._size
         wrapper._children = list(moved)
         self._children[start:end] = [wrapper]
         wrapper.parent = self
+        self._grow_ancestry(1)
         return wrapper
 
     def _is_descendant_of(self, other: "XmlElement") -> bool:
@@ -234,11 +251,42 @@ class XmlElement:
         return other is not self and other._is_descendant_of(self)
 
     def document_position(self) -> int:
-        """0-based position of this node in the whole document's preorder."""
-        for index, node in enumerate(self.root.iter_preorder()):
-            if node is self:
-                return index
-        raise AssertionError("node not reachable from its own root")
+        """0-based position of this node in the whole document's preorder.
+
+        Climbs to the root, counting each ancestor plus the subtree sizes
+        of the siblings before the path: O(depth x fanout).
+        """
+        position = 0
+        node, parent = self, self.parent
+        while parent is not None:
+            position += 1
+            for sibling in parent._children:
+                if sibling is node:
+                    break
+                position += sibling._size
+            node, parent = parent, parent.parent
+        return position
+
+    def node_at(self, position: int) -> Optional["XmlElement"]:
+        """The node at 0-based ``position`` in this subtree's preorder.
+
+        On a root, the inverse of :meth:`document_position`: descends by
+        subtree sizes in O(depth x fanout).  Returns ``None`` when
+        ``position`` is out of range or is anything but a plain ``int``
+        (``bool`` and ``float`` included), so a malformed address reads as
+        a missing node instead of resolving to some other node.
+        """
+        if type(position) is not int or not 0 <= position < self._size:
+            return None
+        node = self
+        while position:
+            position -= 1
+            for child in node._children:
+                if position < child._size:
+                    node = child
+                    break
+                position -= child._size
+        return node
 
     # ------------------------------------------------------------------
     # Statistics

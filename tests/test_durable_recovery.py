@@ -22,9 +22,10 @@ from repro.durable import (
     collection_fingerprint,
     recover,
 )
-from repro.durable.recovery import snapshot_path
+from repro.durable.recovery import apply_operation, snapshot_path
 from repro.durable.faults import flip_bit, truncate_file
-from repro.errors import RecoveryError
+from repro.errors import DurabilityError, RecoveryError
+from repro.query.live import LiveCollection
 from repro.xmlkit.parser import parse_document
 
 BASE_DOC = "<r><a><a1/><a2/></a><b/><c><d/></c></r>"
@@ -255,3 +256,42 @@ class TestReplayFidelity:
         for query, count in expected.items():
             assert recovered.count(query) == count
         recovered.close()
+
+
+#: Addresses a JSON-decoded record could carry that are not node positions:
+#: ``True == 1`` and ``3.0 == 3``, so an equality-based lookup would have
+#: resolved the first two to real nodes.
+BAD_POSITIONS = [True, 3.0, "1", None]
+
+
+class TestBadAddresses:
+    @pytest.mark.parametrize("bad", BAD_POSITIONS)
+    def test_replayed_op_with_a_bad_position_is_a_durability_error(self, bad):
+        collection = LiveCollection([parse_document(BASE_DOC)])
+        with pytest.raises(DurabilityError, match="does not exist"):
+            apply_operation(collection, {"op": "delete", "doc": 0, "node": bad})
+
+    @pytest.mark.parametrize("bad", [True, 0.0, "0", None])
+    def test_replayed_op_with_a_bad_document_is_a_durability_error(self, bad):
+        collection = LiveCollection([parse_document(BASE_DOC)])
+        with pytest.raises(DurabilityError, match="references document"):
+            apply_operation(collection, {"op": "delete", "doc": bad, "node": 1})
+
+    @pytest.mark.parametrize("bad", BAD_POSITIONS)
+    def test_batch_with_a_bad_position_is_rejected_and_rolled_back(
+        self, tmp_path, bad
+    ):
+        collection = DurableCollection.create(
+            tmp_path / "col", [parse_document(BASE_DOC)], fsync="never"
+        )
+        before = collection_fingerprint(collection.live)
+        with pytest.raises(DurabilityError, match="does not exist"):
+            collection.apply_batch_addressed(
+                [
+                    {"kind": "delete", "doc": 0, "pos": 2},
+                    {"kind": "delete", "doc": 0, "pos": bad},
+                ]
+            )
+        assert collection_fingerprint(collection.live) == before
+        assert collection.last_seq == 0
+        collection.close()

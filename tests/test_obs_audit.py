@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import AuditError
+from repro.durable.recovery import _verify
+from repro.errors import AuditError, DurabilityError
 from repro.labeling.prime import PrimeScheme
 from repro.obs.audit import (
     AuditReport,
@@ -13,6 +14,7 @@ from repro.obs.audit import (
 )
 from repro.order.document import OrderedDocument
 from repro.order.sc_table import SCTable
+from repro.query.live import LiveCollection
 from repro.xmlkit.parser import parse_document
 
 # The quickstart example's document (examples/quickstart.py).
@@ -38,6 +40,7 @@ class TestHealthyDocuments:
         report = audit_ordered_document(OrderedDocument(library()))
         assert report.ok, report.summary()
         for invariant in (
+            "tree.subtree-size",
             "label.self-divides",
             "label.parent-chain",
             "label.distinct-self",
@@ -105,6 +108,19 @@ class TestCorruptionDetection:
         assert any(
             v.invariant == "label.distinct-self" for v in report.violations
         )
+
+    def test_drifted_subtree_size_is_flagged(self):
+        doc = OrderedDocument(library())
+        doc.root.children[1]._size += 1  # <science> claims a phantom node
+        report = audit_ordered_document(doc)
+        flagged = [v for v in report.violations if v.invariant == "tree.subtree-size"]
+        assert [v.subject for v in flagged] == ["/library/science"]
+
+    def test_recovery_verify_rejects_a_drifted_subtree_size(self):
+        collection = LiveCollection([library()])
+        collection.documents[0].children[0]._size -= 1
+        with pytest.raises(DurabilityError, match="tree.subtree-size"):
+            _verify(collection)
 
     def test_orphaned_sc_entry_is_flagged(self):
         doc = OrderedDocument(library())

@@ -1,8 +1,14 @@
 """Unit tests for repro.primes.crt — the SC table's algebraic core."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.primes.crt import CongruenceSystem, solve_congruences, solve_congruences_euler
+from repro.primes.euclid import extended_gcd
+from repro.primes.sieve import primes_first_n
 
 
 class TestSolveCongruences:
@@ -249,3 +255,87 @@ class TestIncrementalMaintenance:
         system.end_deferred()
         assert system.value % 3 == 2 and system.value % 5 == 4
         assert system.check()
+
+
+def reference_solve(moduli, residues):
+    """Pairwise CRT merging on the pure-Python ``extended_gcd``.
+
+    The production solver uses ``math.gcd`` and ``pow(x, -1, m)``; it must
+    agree with this reference exactly.
+    """
+    solution, combined = 0, 1
+    for modulus, residue in zip(moduli, residues):
+        g, p, _ = extended_gcd(combined, modulus)
+        if (residue - solution) % g:
+            raise ValueError("incompatible congruences")
+        lcm = combined // g * modulus
+        step = (residue - solution) // g * p % (modulus // g)
+        solution, combined = (solution + combined * step) % lcm, lcm
+    return solution
+
+
+REFERENCE_PRIMES = primes_first_n(60)
+
+
+@st.composite
+def coprime_systems(draw):
+    moduli = draw(st.lists(st.sampled_from(REFERENCE_PRIMES), max_size=8, unique=True))
+    return moduli, [draw(st.integers(0, m - 1)) for m in moduli]
+
+
+@st.composite
+def compatible_systems(draw):
+    """Arbitrary (often non-coprime) moduli, residues all taken from one x."""
+    moduli = draw(st.lists(st.integers(1, 120), max_size=6))
+    x = draw(st.integers(0, 10**12))
+    return moduli, [x % m for m in moduli]
+
+
+class TestAgainstEuclidReference:
+    @given(coprime_systems())
+    def test_coprime_solve_matches_reference(self, system):
+        moduli, residues = system
+        assert solve_congruences(moduli, residues) == reference_solve(moduli, residues)
+
+    @given(compatible_systems())
+    def test_compatible_non_coprime_solve_matches_reference(self, system):
+        moduli, residues = system
+        assert solve_congruences(moduli, residues) == reference_solve(moduli, residues)
+
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_conflicting_congruences_still_raise(self, g, ka, kb, x, data):
+        a, b = g * ka, g * kb
+        # Shifting b's residue by a non-multiple of gcd(a, b) leaves no x
+        # that satisfies both congruences.
+        shift = data.draw(st.integers(1, math.gcd(a, b) - 1))
+        moduli, residues = [a, b], [x % a, (x + shift) % b]
+        with pytest.raises(ValueError):
+            reference_solve(moduli, residues)
+        with pytest.raises(ValueError):
+            solve_congruences(moduli, residues)
+
+    @given(coprime_systems(), st.data())
+    def test_incremental_updates_match_reference(self, system, data):
+        moduli, residues = system
+        live = CongruenceSystem(moduli, residues)
+        live.value  # cache, so every mutation below takes the incremental path
+        for _ in range(data.draw(st.integers(1, 6))):
+            action = data.draw(st.sampled_from(["append", "set", "remove"]))
+            if action == "append" or not len(live):
+                absent = [p for p in REFERENCE_PRIMES if p not in live]
+                live.append(data.draw(st.sampled_from(absent)), data.draw(st.integers(0, 10**6)))
+            elif action == "set":
+                chosen = data.draw(st.sets(st.sampled_from(live.moduli), min_size=1))
+                live.set_residues({m: data.draw(st.integers(0, 10**6)) for m in chosen})
+            else:
+                live.remove(data.draw(st.sampled_from(live.moduli)))
+            expected = reference_solve(
+                list(live.moduli), [live.residue(m) for m in live.moduli]
+            )
+            assert live.value == expected

@@ -21,7 +21,7 @@ from repro.durable.snapshot import (
     restore_collection,
     write_snapshot,
 )
-from repro.errors import QuerySyntaxError, ShardError
+from repro.errors import DurabilityError, QuerySyntaxError, ShardError
 from repro.primes.gen import PrimeGenerator
 from repro.query.live import LiveCollection
 from repro.shard import (
@@ -175,6 +175,38 @@ def test_worker_survives_a_failed_request(worker):
     # the collection: the next request serves normally.
     pong = worker.handle(Request(id=2, kind="ping", payload={}))
     assert pong.ok and pong.value["last_seq"] == 0
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, "1", None])
+def test_worker_bad_positions_are_typed_missing_node_errors(worker, bad):
+    # True == 1 and 3.0 == 3: an equality lookup would resolve both to a
+    # real node.  A malformed position must read as a missing node instead.
+    single = worker.handle(
+        Request(id=1, kind="apply", payload={"op": {"op": "delete", "doc": 0, "node": bad}})
+    )
+    batch = worker.handle(
+        Request(
+            id=2,
+            kind="apply_batch",
+            payload={"entries": [{"kind": "delete", "doc": 0, "pos": bad}]},
+        )
+    )
+    for response in (single, batch):
+        assert not response.ok
+        error = rehydrate_error(response.error, shard=0)
+        assert isinstance(error, DurabilityError)
+        assert "does not exist" in str(error)
+    pong = worker.handle(Request(id=3, kind="ping", payload={}))
+    assert pong.ok and pong.value["last_seq"] == 0
+
+
+@pytest.mark.parametrize("bad", [True, 0.0, "0", None])
+def test_worker_bad_document_is_a_shard_error(worker, bad):
+    response = worker.handle(
+        Request(id=1, kind="apply", payload={"op": {"op": "delete", "doc": bad, "node": 1}})
+    )
+    assert not response.ok
+    assert isinstance(rehydrate_error(response.error, shard=0), ShardError)
 
 
 def test_fault_spec_parsing():

@@ -1,6 +1,8 @@
 """Unit tests for repro.xmlkit.tree.XmlElement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.xmlkit.builder import element
 from repro.xmlkit.tree import XmlElement
@@ -126,6 +128,19 @@ class TestTraversal:
         assert sample.document_position() == 0
         assert sample[1].document_position() == 5
 
+    def test_node_at_inverts_document_position(self, sample):
+        assert [sample.node_at(i).tag for i in range(6)] == [
+            "r", "a", "a1", "a2", "a2x", "b",
+        ]
+        assert sample.node_at(6) is None
+        assert sample.node_at(-1) is None
+        # Relative to the subtree it is called on.
+        assert sample[0].node_at(3).tag == "a2x"
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 3.0, "1", None, [1]])
+    def test_node_at_rejects_anything_but_int(self, sample, bad):
+        assert sample.node_at(bad) is None
+
 
 class TestStatsCopy:
     def test_stats(self, sample):
@@ -155,3 +170,49 @@ class TestStatsCopy:
         assert a.structurally_equal(b)
         b.text = "y"
         assert not a.structurally_equal(b)
+
+
+def assert_addressing_consistent(root):
+    """``_size``, ``document_position`` and ``node_at`` against a walk."""
+    nodes = list(root.iter_preorder())
+    for index, node in enumerate(nodes):
+        assert node._size == sum(1 for _ in node.iter_preorder())
+        assert node.document_position() == index
+        assert root.node_at(index) is node
+    assert root.node_at(len(nodes)) is None
+
+
+class TestSubtreeSizeProperties:
+    """Random mutation sequences over a forest keep addressing exact.
+
+    The forest holds every detached tree, so ``detach`` results and fresh
+    nodes get mutated (and grafted back) too.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 40))
+    def test_random_mutations_keep_sizes_positions_and_node_at(self, rng, steps):
+        forest = [element("r", element("a", element("a1")), element("b"))]
+        for step in range(steps):
+            tree = rng.choice(forest)
+            nodes = list(tree.iter_preorder())
+            target = rng.choice(nodes)
+            action = rng.choice(["insert", "append", "detach", "wrap", "graft"])
+            if action in ("insert", "append"):
+                child = XmlElement(f"n{step}")
+                if action == "insert":
+                    target.insert(rng.randint(0, len(target)), child)
+                else:
+                    target.append(child)
+            elif action == "detach" and target is not tree:
+                forest.append(target.detach())
+            elif action == "wrap":
+                start = rng.randint(0, len(target))
+                target.wrap_children(f"w{step}", start, rng.randint(start, len(target)))
+            elif action == "graft" and len(forest) > 1:
+                other = rng.choice([root for root in forest if root is not tree])
+                forest.remove(other)
+                target.insert(rng.randint(0, len(target)), other)
+            for root in forest:
+                assert root.parent is None
+                assert_addressing_consistent(root)
