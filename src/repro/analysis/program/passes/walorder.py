@@ -20,7 +20,7 @@ and what counts as an *apply*:
 
 A verb-named method that delegates to another verb-named ``self`` method is
 considered satisfied — responsibility transfers to the callee (this keeps
-``bulk_insert -> apply_batch -> apply_batch_addressed`` to a single
+``apply_batch -> apply_batch_addressed`` to a single
 decision point).  Comparison is by line number, which is sound for the
 straight-line mutation bodies this codebase uses; docs/ANALYSIS.md notes
 the limits.

@@ -436,7 +436,7 @@ class MutationMetricRule(Rule):
         """Whether the body forwards to another mutation-verb method.
 
         Such a callee is itself subject to this rule wherever it is
-        defined (``self.live.insert_child``, ``self.apply_batch_addressed``,
+        defined (``self.live.apply``, ``self.apply_batch_addressed``,
         ``wal.append`` ...), so the state transition is counted there and
         double-counting in the wrapper would skew the counters.
         """

@@ -68,7 +68,7 @@ def shard_table(
     it and the redo journal has drained.
     """
     # Lazy imports, matching the other systems exhibits' init-order care.
-    from repro.durable.recovery import apply_operation
+    from repro.durable.recovery import apply_operation, op_record
     from repro.query.live import LiveCollection
     from repro.resilient.policy import RetryPolicy
     from repro.shard import HealthPolicy, ShardedCollection
@@ -96,17 +96,9 @@ def shard_table(
             ) as service:
                 started = time.perf_counter()
                 for step in range(operations):
-                    op = {
-                        "op": "insert_child",
-                        "doc": step % len(DOCUMENTS),
-                        "parent": 0,
-                        "index": 0,
-                        "tag": f"n{step}",
-                    }
-                    service.insert_child(
-                        op["doc"], op["parent"], op["index"], op["tag"]
-                    )
-                    apply_operation(twin, op)
+                    doc, tag = step % len(DOCUMENTS), f"n{step}"
+                    service.insert_child(doc, 0, 0, tag)
+                    apply_operation(twin, op_record("insert_child", doc, 0, 0, tag))
                 mutate_elapsed = time.perf_counter() - started
 
                 latencies = []

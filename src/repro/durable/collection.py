@@ -19,6 +19,11 @@ The write protocol per mutation:
 3. append the record to the WAL (fsynced per policy),
 4. apply the operation to the live collection.
 
+Every named node mutation (``insert_child`` … ``delete``, inherited from
+:class:`~repro.query.live.NodeMutations`) reaches this protocol through
+:meth:`DurableCollection.apply`; the record it logs is built by
+:func:`repro.durable.recovery.op_record`, next to the resolver replay uses.
+
 A crash between 3 and 4 is harmless: replay applies the logged record to
 the snapshot state and reaches exactly where step 4 would have.  A crash
 between 1 and 3 loses the operation entirely, which is also consistent —
@@ -50,7 +55,10 @@ from repro.durable.faults import FaultInjector, InjectedCrash
 from repro.durable.recovery import (
     RecoveryInfo,
     WAL_NAME,
+    _node_at,
+    batch_op,
     list_generations,
+    op_record,
     recover,
     snapshot_path,
     write_pointer,
@@ -65,7 +73,7 @@ from repro.errors import (
 )
 from repro.obs import metrics
 from repro.order.document import OrderedUpdateReport
-from repro.query.live import BatchOp, BatchReport, LiveCollection
+from repro.query.live import BatchOp, BatchReport, LiveCollection, NodeMutations
 from repro.query.store import ElementRow
 from repro.xmlkit.serialize import serialize
 from repro.xmlkit.tree import XmlElement
@@ -84,7 +92,7 @@ RETAINED_GENERATIONS = 2
 _FORMAT_VERSIONS = {2: (2, 1), 3: (3, 3)}
 
 
-class DurableCollection:
+class DurableCollection(NodeMutations):
     """A live collection whose every update survives process death."""
 
     def __init__(
@@ -200,9 +208,27 @@ class DurableCollection:
     # Logged mutations
     # ------------------------------------------------------------------
 
-    def _address(self, node: XmlElement) -> Tuple[int, int]:
-        """``(document index, preorder position)`` — computed pre-mutation."""
-        return self.live.document_index_of(node), node.document_position()
+    def _validate(self, op: BatchOp, where: str = "") -> Tuple[int, int]:
+        """Check ``op`` will replay cleanly; return its target's address.
+
+        The address is ``(document index, preorder position)``, computed
+        pre-mutation.  Both :meth:`apply` and :meth:`encode_batch` run this
+        before anything is logged, so a logged record is never one replay
+        rejects.  ``where`` names the op inside a batch.
+        """
+        node = op.node
+        address = self.live.document_index_of(node), node.document_position()
+        if op.kind != "insert_child" and node.is_root:
+            raise OrderingError(
+                f"{where}{op.kind} targets the document root, which has no "
+                "siblings and cannot be deleted"
+            )
+        if op.kind == "insert_child" and not 0 <= op.index <= len(node.children):
+            raise OrderingError(
+                f"{where}insert index {op.index} out of range for a parent "
+                f"with {len(node.children)} children"
+            )
+        return address
 
     def _log(self, op: dict) -> int:
         if self._closed:
@@ -210,67 +236,15 @@ class DurableCollection:
         seq = self.wal.append(op)
         return seq
 
-    def insert_child(
-        self, parent: XmlElement, index: int, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Logged order-sensitive insertion under ``parent`` at ``index``."""
-        doc, position = self._address(parent)
-        if not 0 <= index <= len(parent.children):
-            raise OrderingError(
-                f"insert index {index} out of range for a parent with "
-                f"{len(parent.children)} children"
-            )
-        seq = self._log(
-            {
-                "op": "insert_child",
-                "doc": doc,
-                "parent": position,
-                "index": index,
-                "tag": tag,
-            }
-        )
-        report = self.live.insert_child(parent, index, tag=tag)
-        self.last_seq = seq
-        return report
+    def apply(self, op: BatchOp) -> OrderedUpdateReport:
+        """Logged single mutation: validate, log, then apply.
 
-    def insert_before(
-        self, reference: XmlElement, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Logged insertion of a sibling immediately before ``reference``."""
-        doc, position = self._address(reference)
-        if reference.is_root:
-            raise OrderingError("cannot insert a sibling of the root")
-        seq = self._log(
-            {"op": "insert_before", "doc": doc, "ref": position, "tag": tag}
-        )
-        report = self.live.insert_before(reference, tag=tag)
-        self.last_seq = seq
-        return report
-
-    def insert_after(
-        self, reference: XmlElement, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Logged insertion of a sibling immediately after ``reference``."""
-        doc, position = self._address(reference)
-        if reference.is_root:
-            raise OrderingError("cannot insert a sibling of the root")
-        seq = self._log(
-            {"op": "insert_after", "doc": doc, "ref": position, "tag": tag}
-        )
-        report = self.live.insert_after(reference, tag=tag)
-        self.last_seq = seq
-        return report
-
-    def delete(self, node: XmlElement) -> OrderedUpdateReport:
-        """Logged deletion of ``node`` and its subtree."""
-        doc, position = self._address(node)
-        if node.is_root:
-            raise OrderingError(
-                "cannot delete the document root; deleting every child "
-                "individually is the closest well-defined operation"
-            )
-        seq = self._log({"op": "delete", "doc": doc, "node": position})
-        report = self.live.delete(node)
+        Every named node mutation (:class:`~repro.query.live.NodeMutations`)
+        lands here.
+        """
+        doc, position = self._validate(op)
+        seq = self._log(op_record(op.kind, doc, position, op.index, op.tag))
+        report = self.live.apply(op)
         self.last_seq = seq
         return report
 
@@ -314,20 +288,9 @@ class DurableCollection:
         """
         encoded: List[dict] = []
         for position, op in enumerate(ops):
-            doc, node_position = self._address(op.node)
-            if op.kind != "insert_child" and op.node.is_root:
-                raise OrderingError(
-                    f"batch op #{position} ({op.kind}) targets the document "
-                    "root, which has no siblings and cannot be deleted"
-                )
+            doc, node_position = self._validate(op, f"batch op #{position}: ")
             entry = {"kind": op.kind, "doc": doc, "pos": node_position}
             if op.kind == "insert_child":
-                if not 0 <= op.index <= len(op.node.children):
-                    raise OrderingError(
-                        f"batch op #{position}: insert index {op.index} out "
-                        f"of range for a parent with {len(op.node.children)} "
-                        "children"
-                    )
                 entry["index"] = op.index
             if op.kind != "delete":
                 entry["tag"] = op.tag
@@ -343,27 +306,14 @@ class DurableCollection:
         rolled-back state the addresses were encoded against.
         """
         roots = self.live.documents
-        ops: List[BatchOp] = []
-        for entry in encoded:
-            doc, position = entry["doc"], entry["pos"]
-            if type(doc) is not int or not 0 <= doc < len(roots):
-                raise DurabilityError(
-                    f"batch references document {doc!r}; have {len(roots)}"
-                )
-            node = roots[doc].node_at(position)
-            if node is None:
-                raise DurabilityError(
-                    f"batch references preorder position {position!r} of "
-                    f"document {doc}, which does not exist"
-                )
-            kind = entry["kind"]
-            if kind == "insert_child":
-                ops.append(BatchOp.insert_child(node, entry["index"], tag=entry["tag"]))
-            elif kind == "delete":
-                ops.append(BatchOp.delete(node))
-            else:
-                ops.append(BatchOp(kind, node, tag=entry["tag"]))
-        return ops
+        return [
+            batch_op(
+                entry.get("kind"),
+                _node_at(roots, entry.get("doc"), entry.get("pos")),
+                entry,
+            )
+            for entry in encoded
+        ]
 
     def apply_batch(self, ops: Sequence[BatchOp]) -> BatchReport:
         """Apply N mutations as one atomic, group-committed unit.
@@ -401,23 +351,10 @@ class DurableCollection:
             # Called by the live layer immediately before each sub-op
             # applies: these coordinates are exactly what sequential replay
             # of the batch record will see.
-            doc, node_position = self._address(op.node)
-            if op.kind == "insert_child":
-                payload.append(
-                    {
-                        "op": "insert_child",
-                        "doc": doc,
-                        "parent": node_position,
-                        "index": op.index,
-                        "tag": op.tag,
-                    }
-                )
-            elif op.kind == "delete":
-                payload.append({"op": "delete", "doc": doc, "node": node_position})
-            else:
-                payload.append(
-                    {"op": op.kind, "doc": doc, "ref": node_position, "tag": op.tag}
-                )
+            doc = self.live.document_index_of(op.node)
+            payload.append(
+                op_record(op.kind, doc, op.node.document_position(), op.index, op.tag)
+            )
 
         try:
             resolved = self.resolve_batch(encoded)
@@ -435,18 +372,6 @@ class DurableCollection:
         metrics.incr("durable.group_commits")
         metrics.incr("durable.batched_ops", len(encoded))
         return report
-
-    def bulk_insert(
-        self, inserts: Sequence[Tuple[XmlElement, int, str]]
-    ) -> BatchReport:
-        """Group-committed insertions from (parent, index, tag) triples."""
-        return self.apply_batch(
-            [BatchOp.insert_child(parent, index, tag) for parent, index, tag in inserts]
-        )
-
-    def bulk_delete(self, nodes: Sequence[XmlElement]) -> BatchReport:
-        """Group-committed deletion of ``nodes`` (each with its subtree)."""
-        return self.apply_batch([BatchOp.delete(node) for node in nodes])
 
     def _rollback_batch(self) -> None:
         """Discard a half-applied batch: reload memory from durable state.

@@ -36,14 +36,14 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.durable.snapshot import SnapshotState, read_snapshot, restore_collection
-from repro.durable.wal import WalRecord, WalScan, scan_wal
+from repro.durable.wal import _OP_FIELDS, WalRecord, WalScan, scan_wal
 from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.obs import metrics
 from repro.obs.audit import audit_ordered_document
-from repro.query.live import LiveCollection
+from repro.query.live import BatchOp, LiveCollection
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.tree import XmlElement
 
@@ -52,11 +52,14 @@ __all__ = [
     "RecoveryInfo",
     "RecoveredState",
     "apply_operation",
+    "batch_op",
     "list_shard_directories",
+    "op_record",
     "read_pointer",
     "recover",
     "recover_shard",
     "resolve_bootstrap",
+    "resolve_op",
     "shard_directory",
     "write_pointer",
 ]
@@ -289,17 +292,72 @@ class RecoveredState:
     info: RecoveryInfo
 
 
-def _node_at(collection: LiveCollection, doc: int, position: int) -> XmlElement:
-    roots = collection.documents
+# ----------------------------------------------------------------------
+# The WAL op record: one builder, one resolver
+# ----------------------------------------------------------------------
+
+#: The record key holding each node op's target position — ``parent`` for
+#: ``insert_child``, ``ref`` for the sibling inserts, ``node`` for
+#: ``delete`` — read off the WAL codec's field table (``doc`` comes first,
+#: the target second), so the names are spelled once.
+_TARGET_KEY = {kind: _OP_FIELDS[kind][1][0] for kind in BatchOp.KINDS}
+
+
+def op_record(
+    kind: str, doc: int, position: int, index: Optional[int] = None, tag: str = "new"
+) -> Dict[str, Any]:
+    """The WAL record of one node op whose target is ``(doc, position)``.
+
+    ``position`` is the target's preorder position *before* the op applies
+    (the parent for ``insert_child``, the reference sibling for the
+    sibling inserts, the doomed node for ``delete``); ``index`` is logged
+    for ``insert_child`` only and ``tag`` for every insert.  Every writer
+    of node-op records — the durable collection, its group commit, the
+    sharded collection — builds them here.
+    """
+    record: Dict[str, Any] = {"op": kind, "doc": doc, _TARGET_KEY[kind]: position}
+    if kind == "insert_child":
+        record["index"] = index
+    if kind != "delete":
+        record["tag"] = tag
+    return record
+
+
+def _node_at(roots: Sequence[XmlElement], doc: Any, position: Any) -> XmlElement:
+    """The node at preorder ``position`` of document ``doc``, or a typed error."""
     if type(doc) is not int or not 0 <= doc < len(roots):
-        raise DurabilityError(f"WAL references document {doc!r}; have {len(roots)}")
+        raise DurabilityError(
+            f"operation references document {doc!r}; have {len(roots)}"
+        )
     node = roots[doc].node_at(position)
     if node is None:
         raise DurabilityError(
-            f"WAL references preorder position {position!r} of document {doc}, "
-            "which does not exist"
+            f"operation references preorder position {position!r} of document "
+            f"{doc}, which does not exist"
         )
     return node
+
+
+def batch_op(kind: Any, node: XmlElement, fields: Dict[str, Any]) -> BatchOp:
+    """The :class:`BatchOp` of ``kind`` on ``node``, with a record's fields.
+
+    :class:`BatchOp` checks the kind, ``index`` and ``tag``, so a record
+    that decoded cleanly but carries a malformed field fails here with a
+    typed error instead of misplacing the node.
+    """
+    if kind == "delete":
+        return BatchOp.delete(node)
+    return BatchOp(kind, node, index=fields.get("index"), tag=fields.get("tag"))
+
+
+def resolve_op(roots: Sequence[XmlElement], record: Dict[str, Any]) -> BatchOp:
+    """Rebuild the :class:`BatchOp` a node-op record (:func:`op_record`) was
+    logged from, addressed against ``roots`` — the state it was logged in."""
+    kind = record.get("op")
+    if kind not in _TARGET_KEY:
+        raise DurabilityError(f"{kind!r} is not a node operation")
+    node = _node_at(roots, record.get("doc"), record.get(_TARGET_KEY[kind]))
+    return batch_op(kind, node, record)
 
 
 def apply_operation(collection: LiveCollection, op: Dict[str, Any]) -> None:
@@ -311,17 +369,8 @@ def apply_operation(collection: LiveCollection, op: Dict[str, Any]) -> None:
     exact.
     """
     kind = op.get("op")
-    if kind == "insert_child":
-        parent = _node_at(collection, op["doc"], op["parent"])
-        collection.insert_child(parent, op["index"], tag=op["tag"])
-    elif kind == "insert_before":
-        reference = _node_at(collection, op["doc"], op["ref"])
-        collection.insert_before(reference, tag=op["tag"])
-    elif kind == "insert_after":
-        reference = _node_at(collection, op["doc"], op["ref"])
-        collection.insert_after(reference, tag=op["tag"])
-    elif kind == "delete":
-        collection.delete(_node_at(collection, op["doc"], op["node"]))
+    if kind in BatchOp.KINDS:
+        collection.apply(resolve_op(collection.documents, op))
     elif kind == "add_document":
         collection.add_document(parse_document(op["xml"]))
     elif kind == "compact":

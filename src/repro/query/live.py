@@ -26,6 +26,12 @@ batch mode — so grouping, prime issuance, overflow repair, and per-op cost
 reports are byte-identical to applying the ops one by one, while each
 touched SC record pays one CRT solve per batch instead of one per node.
 See ``docs/BATCHING.md``.
+
+One mutation path: every node update is a :class:`BatchOp` handed to a
+layer's ``apply`` (one op) or ``apply_batch`` (many).  The named methods
+(``insert_child`` … ``bulk_delete``) are written once, in
+:class:`NodeMutations`, which the live, durable and resilient collections
+all inherit.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.query.engine import QueryEngine
 from repro.query.store import ElementRow, LabelStore, PrimeOps
 from repro.xmlkit.tree import XmlElement
 
-__all__ = ["BatchOp", "BatchReport", "LiveCollection", "ReadView"]
+__all__ = ["BatchOp", "BatchReport", "LiveCollection", "NodeMutations", "ReadView"]
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,17 @@ class BatchOp:
             raise QueryEvaluationError(
                 f"unknown batch op kind {self.kind!r}; expected one of {self.KINDS}"
             )
+        if not isinstance(self.tag, str):
+            raise QueryEvaluationError(f"batch op tag {self.tag!r} is not a str")
         if self.kind == "insert_child":
             if self.index is None:
                 raise QueryEvaluationError("insert_child batch ops need an index")
+            if type(self.index) is not int:
+                # bool is an int subclass (True would land at index 1), and
+                # a WAL record decoded from JSON can carry any scalar here.
+                raise QueryEvaluationError(
+                    f"insert_child index {self.index!r} is not an int"
+                )
             if self.index < 0:
                 # list.insert would silently clamp this and the op would
                 # land at the wrong position (or die deep in the SC table);
@@ -104,6 +118,55 @@ class BatchOp:
     def delete(cls, node: XmlElement) -> "BatchOp":
         """Deletion of ``node`` and its subtree."""
         return cls("delete", node)
+
+
+class NodeMutations:
+    """The named node mutations, defined once over ``apply``/``apply_batch``.
+
+    Section 4.2's four order-sensitive updates plus their bulk forms.  Each
+    builds :class:`BatchOp`\\ s and hands them to the class's own
+    :meth:`apply` (one op) or :meth:`apply_batch` (many), so every
+    collection layer has exactly one mutation path to validate, log,
+    guard, or trace.
+    """
+
+    def apply(self, op: BatchOp) -> OrderedUpdateReport:
+        """Apply one mutation; each collection layer defines this."""
+        raise NotImplementedError
+
+    def apply_batch(self, ops: Sequence[BatchOp]) -> "BatchReport":
+        """Apply many mutations as one batch; each layer defines this."""
+        raise NotImplementedError
+
+    def insert_child(
+        self, parent: XmlElement, index: int, tag: str = "new"
+    ) -> OrderedUpdateReport:
+        """Order-sensitive insertion under ``parent`` at ``index``."""
+        return self.apply(BatchOp.insert_child(parent, index, tag))
+
+    def insert_before(self, reference: XmlElement, tag: str = "new") -> OrderedUpdateReport:
+        """Insert a new sibling immediately before ``reference``."""
+        return self.apply(BatchOp.insert_before(reference, tag))
+
+    def insert_after(self, reference: XmlElement, tag: str = "new") -> OrderedUpdateReport:
+        """Insert a new sibling immediately after ``reference``."""
+        return self.apply(BatchOp.insert_after(reference, tag))
+
+    def delete(self, node: XmlElement) -> OrderedUpdateReport:
+        """Delete ``node`` and its subtree (free, per Section 4.2)."""
+        return self.apply(BatchOp.delete(node))
+
+    def bulk_insert(
+        self, inserts: Sequence[Tuple[XmlElement, int, str]]
+    ) -> "BatchReport":
+        """Batched order-sensitive insertions from (parent, index, tag) triples."""
+        return self.apply_batch(
+            [BatchOp.insert_child(parent, index, tag) for parent, index, tag in inserts]
+        )
+
+    def bulk_delete(self, nodes: Sequence[XmlElement]) -> "BatchReport":
+        """Batched deletion of ``nodes`` (each with its subtree)."""
+        return self.apply_batch([BatchOp.delete(node) for node in nodes])
 
 
 @dataclass
@@ -225,7 +288,7 @@ class ReadView:
         return violations
 
 
-class LiveCollection:
+class LiveCollection(NodeMutations):
     """Ordered, queryable, updatable collection of XML documents."""
 
     def __init__(
@@ -354,41 +417,30 @@ class LiveCollection:
     # Incremental store maintenance (no rebuild on the mutation hot path)
     # ------------------------------------------------------------------
 
-    def _patch_insert(self, doc: int, report: OrderedUpdateReport) -> None:
-        """Patch the cached engine's store after one leaf insertion.
+    def _patch(self, doc: int, op: BatchOp, report: OrderedUpdateReport) -> None:
+        """Patch the cached engine's store after one applied op.
 
         Relabeled rows (residue-overflow cascades) re-read their labels,
-        then the new node gets a fresh row with incrementally maintained
-        window columns.  Any surprise degrades to plain invalidation —
-        the rebuild path is always correct.
+        then a delete drops the doomed subtree's rows and an insert adds
+        the new node's row with incrementally maintained window columns.
+        Any surprise degrades to plain invalidation — the rebuild path is
+        always correct.
         """
         engine = self._engine
         if engine is None:
             return
         try:
-            node = report.new_node
+            node = op.node if op.kind == "delete" else report.new_node
             if node is None:
                 self._invalidate()
                 return
             scheme = self._ordered[doc].scheme
             if report.relabeled_nodes:
                 engine.store.refresh_labels(report.relabeled_nodes, scheme.label_of)
-            engine.store.insert_row(doc, node, scheme.label_of(node))
-            metrics.incr("live.store_patches")
-        except Exception:
-            metrics.incr("live.store_patch_failures")
-            self._invalidate()
-
-    def _patch_delete(self, doc: int, node: XmlElement, report: OrderedUpdateReport) -> None:
-        """Patch the cached engine's store after one subtree deletion."""
-        engine = self._engine
-        if engine is None:
-            return
-        try:
-            if report.relabeled_nodes:
-                scheme = self._ordered[doc].scheme
-                engine.store.refresh_labels(report.relabeled_nodes, scheme.label_of)
-            engine.store.delete_subtree(node)
+            if op.kind == "delete":
+                engine.store.delete_subtree(node)
+            else:
+                engine.store.insert_row(doc, node, scheme.label_of(node))
             metrics.incr("live.store_patches")
         except Exception:
             metrics.incr("live.store_patch_failures")
@@ -504,49 +556,20 @@ class LiveCollection:
     # Updates (order-sensitive, charged per the paper)
     # ------------------------------------------------------------------
 
-    def insert_child(
-        self, parent: XmlElement, index: int, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Order-sensitive insertion under ``parent`` at ``index``."""
-        doc = self.document_index_of(parent)
-        with self._capacity_context(doc):
-            report = self._ordered[doc].insert_child(parent, index, tag=tag)
-        self.total_update_cost += report.total_cost
-        self._patch_insert(doc, report)
-        return report
+    def apply(self, op: BatchOp) -> OrderedUpdateReport:
+        """Apply one :class:`BatchOp`: the path every named update takes.
 
-    def insert_before(self, reference: XmlElement, tag: str = "new") -> OrderedUpdateReport:
-        """Insert a new sibling immediately before ``reference``."""
-        doc = self.document_index_of(reference)
-        with self._capacity_context(doc):
-            report = self._ordered[doc].insert_before(reference, tag=tag)
-        self.total_update_cost += report.total_cost
-        self._patch_insert(doc, report)
-        return report
-
-    def insert_after(self, reference: XmlElement, tag: str = "new") -> OrderedUpdateReport:
-        """Insert a new sibling immediately after ``reference``."""
-        doc = self.document_index_of(reference)
-        with self._capacity_context(doc):
-            report = self._ordered[doc].insert_after(reference, tag=tag)
-        self.total_update_cost += report.total_cost
-        self._patch_insert(doc, report)
-        return report
-
-    def delete(self, node: XmlElement) -> OrderedUpdateReport:
-        """Delete ``node`` and its subtree (free, per Section 4.2).
-
-        Charged and guarded exactly like the three insert paths: the
-        report's cost lands in ``total_update_cost`` (today a delete costs
-        0, but the invariant is that *every* update path charges what its
-        report says) and an escaping :class:`CapacityError` is stamped
-        with the document index.
+        Charged and guarded the same for all four kinds: the report's cost
+        lands in ``total_update_cost`` (a delete costs 0 today, but every
+        update charges what its report says), an escaping
+        :class:`CapacityError` is stamped with the document index, and the
+        cached engine's store is patched in place.
         """
-        doc = self.document_index_of(node)
+        doc = self.document_index_of(op.node)
         with self._capacity_context(doc):
-            report = self._ordered[doc].delete(node)
+            report = self._apply_one(doc, op)
         self.total_update_cost += report.total_cost
-        self._patch_delete(doc, node, report)
+        self._patch(doc, op, report)
         return report
 
     def apply_batch(
@@ -572,7 +595,7 @@ class LiveCollection:
         (no system stays deferred); this layer does *not* undo the prefix —
         atomic all-or-nothing batches are the durable layer's contract,
         which rolls back by reloading the last durable state.  The cached
-        engine is patched per applied op (like the single-op methods) and
+        engine is patched per applied op (like :meth:`apply`) and
         only invalidated when the batch fails partway.
         """
         ops = list(ops)
@@ -593,10 +616,7 @@ class LiveCollection:
                     with self._capacity_context(doc):
                         report = self._apply_one(doc, op, position)
                     batch.reports.append(report)
-                    if op.kind == "delete":
-                        self._patch_delete(doc, op.node, report)
-                    else:
-                        self._patch_insert(doc, report)
+                    self._patch(doc, op, report)
         except BaseException:
             self.total_update_cost += batch.total_cost
             self._invalidate()
@@ -605,7 +625,9 @@ class LiveCollection:
         metrics.incr("live.batch_ops", len(ops))
         return batch
 
-    def _apply_one(self, doc: int, op: BatchOp, position: int = 0) -> OrderedUpdateReport:
+    def _apply_one(
+        self, doc: int, op: BatchOp, position: Optional[int] = None
+    ) -> OrderedUpdateReport:
         document = self._ordered[doc]
         if op.kind == "insert_child":
             assert op.index is not None
@@ -613,9 +635,10 @@ class LiveCollection:
                 # list.insert would clamp this to an append and the op
                 # would silently land at the wrong position; name the op
                 # so a failed batch is debuggable.
+                where = "" if position is None else f"batch op {position}: "
                 raise QueryEvaluationError(
-                    f"batch op {position}: insert_child index {op.index} is "
-                    f"past the end (parent has {len(op.node.children)} children)"
+                    f"{where}insert_child index {op.index} is past the end "
+                    f"(parent has {len(op.node.children)} children)"
                 )
             return document.insert_child(op.node, op.index, tag=op.tag)
         if op.kind == "insert_before":
@@ -628,26 +651,14 @@ class LiveCollection:
     def batch_scope(self) -> Iterator["LiveCollection"]:
         """Defer SC solves across arbitrary updates on every document.
 
-        WAL replay uses this to re-apply a logged batch through the
-        single-op methods while still paying one CRT solve per touched
+        WAL replay uses this to re-apply a logged batch one op at a time
+        through :meth:`apply` while still paying one CRT solve per touched
         record, mirroring the original group commit.
         """
         with ExitStack() as stack:
             for document in self._ordered:
                 stack.enter_context(document.batch())
             yield self
-
-    def bulk_insert(
-        self, inserts: Sequence[Tuple[XmlElement, int, str]]
-    ) -> BatchReport:
-        """Batched order-sensitive insertions from (parent, index, tag) triples."""
-        return self.apply_batch(
-            [BatchOp.insert_child(parent, index, tag) for parent, index, tag in inserts]
-        )
-
-    def bulk_delete(self, nodes: Sequence[XmlElement]) -> BatchReport:
-        """Batched deletion of ``nodes`` (each with its subtree)."""
-        return self.apply_batch([BatchOp.delete(node) for node in nodes])
 
     def add_document(
         self, root: XmlElement, group_size: int | None = None

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.durable.collection import DurableCollection
 from repro.durable.faults import FaultInjector, InjectedCrash
@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.obs import metrics
 from repro.order.document import OrderedUpdateReport
-from repro.query.live import BatchOp, BatchReport
+from repro.query.live import BatchOp, BatchReport, NodeMutations
 from repro.query.store import ElementRow
 from repro.resilient.breaker import CLOSED, CircuitBreaker
 from repro.resilient.policy import (
@@ -72,7 +72,7 @@ DEGRADED_MODES = ("buffer", "fail_fast")
 T = TypeVar("T")
 
 
-class ResilientCollection:
+class ResilientCollection(NodeMutations):
     """A durable collection that survives a misbehaving disk.
 
     Parameters
@@ -390,42 +390,12 @@ class ResilientCollection:
     # Mutations (each: durable path + in-memory degraded fallback)
     # ------------------------------------------------------------------
 
-    def insert_child(
-        self, parent: XmlElement, index: int, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Guarded order-sensitive insertion under ``parent`` at ``index``."""
+    def apply(self, op: BatchOp) -> OrderedUpdateReport:
+        """Guarded single mutation; every named node mutation lands here."""
         return self._mutate(
-            "insert_child",
-            lambda: self.durable.insert_child(parent, index, tag=tag),
-            lambda: self.durable.live.insert_child(parent, index, tag=tag),
-        )
-
-    def insert_before(
-        self, reference: XmlElement, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Guarded insertion of a sibling immediately before ``reference``."""
-        return self._mutate(
-            "insert_before",
-            lambda: self.durable.insert_before(reference, tag=tag),
-            lambda: self.durable.live.insert_before(reference, tag=tag),
-        )
-
-    def insert_after(
-        self, reference: XmlElement, tag: str = "new"
-    ) -> OrderedUpdateReport:
-        """Guarded insertion of a sibling immediately after ``reference``."""
-        return self._mutate(
-            "insert_after",
-            lambda: self.durable.insert_after(reference, tag=tag),
-            lambda: self.durable.live.insert_after(reference, tag=tag),
-        )
-
-    def delete(self, node: XmlElement) -> OrderedUpdateReport:
-        """Guarded deletion of ``node`` and its subtree."""
-        return self._mutate(
-            "delete",
-            lambda: self.durable.delete(node),
-            lambda: self.durable.live.delete(node),
+            op.kind,
+            lambda: self.durable.apply(op),
+            lambda: self.durable.live.apply(op),
         )
 
     def add_document(self, root: XmlElement) -> int:
@@ -470,18 +440,6 @@ class ResilientCollection:
                 self.durable.resolve_batch(encoded)
             ),
         )
-
-    def bulk_insert(
-        self, inserts: Sequence[Tuple[XmlElement, int, str]]
-    ) -> BatchReport:
-        """Guarded batched insertions from (parent, index, tag) triples."""
-        return self.apply_batch(
-            [BatchOp.insert_child(parent, index, tag) for parent, index, tag in inserts]
-        )
-
-    def bulk_delete(self, nodes: Sequence[XmlElement]) -> BatchReport:
-        """Guarded batched deletion of ``nodes`` (each with its subtree)."""
-        return self.apply_batch([BatchOp.delete(node) for node in nodes])
 
     def checkpoint(self) -> int:
         """Guarded snapshot checkpoint; no degraded fallback exists.

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.durable.collection import DurableCollection
-from repro.durable.recovery import shard_directory
+from repro.durable.recovery import op_record, shard_directory
 from repro.errors import ShardError
 from repro.obs import metrics
 from repro.shard.health import HealthPolicy, ShardHealth, ShardState
@@ -187,26 +187,19 @@ class ShardedCollection:
         self, doc: int, parent: int, index: int, tag: str = "new"
     ) -> Dict[str, Any]:
         """Insert under global ``doc``'s preorder-``parent`` at ``index``."""
-        return self.router.apply(
-            {"op": "insert_child", "doc": doc, "parent": parent,
-             "index": index, "tag": tag}
-        )
+        return self.router.apply(op_record("insert_child", doc, parent, index, tag))
 
     def insert_before(self, doc: int, ref: int, tag: str = "new") -> Dict[str, Any]:
         """Insert a sibling before preorder position ``ref`` of ``doc``."""
-        return self.router.apply(
-            {"op": "insert_before", "doc": doc, "ref": ref, "tag": tag}
-        )
+        return self.router.apply(op_record("insert_before", doc, ref, tag=tag))
 
     def insert_after(self, doc: int, ref: int, tag: str = "new") -> Dict[str, Any]:
         """Insert a sibling after preorder position ``ref`` of ``doc``."""
-        return self.router.apply(
-            {"op": "insert_after", "doc": doc, "ref": ref, "tag": tag}
-        )
+        return self.router.apply(op_record("insert_after", doc, ref, tag=tag))
 
     def delete(self, doc: int, node: int) -> Dict[str, Any]:
         """Delete the subtree at preorder position ``node`` of ``doc``."""
-        return self.router.apply({"op": "delete", "doc": doc, "node": node})
+        return self.router.apply(op_record("delete", doc, node))
 
     def add_document(self, document: "XmlElement | str") -> Dict[str, Any]:
         """Add a document (tree or XML text); updates the manifest.

@@ -33,11 +33,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durable.collection import DurableCollection
 from repro.durable.faults import CrashAfterAppends, FaultInjector, InjectedCrash
-from repro.durable.recovery import list_generations, shard_directory
+from repro.durable.recovery import list_generations, resolve_op, shard_directory
 from repro.durable.snapshot import collection_fingerprint
-from repro.errors import DurabilityError, ShardError
+from repro.errors import ShardError
 from repro.obs import metrics
 from repro.obs.audit import audit_ordered_document
+from repro.query.live import BatchOp
 from repro.resilient.chaos import ChaosInjector
 from repro.shard.messages import Request, Response, encode_error
 from repro.xmlkit.parser import parse_document
@@ -180,15 +181,6 @@ class WorkerServer:
             )
         return roots[local_doc]
 
-    def _node_at(self, local_doc: int, position: int) -> XmlElement:
-        node = self._document(local_doc).node_at(position)
-        if node is None:
-            raise DurabilityError(
-                f"operation references preorder position {position!r} of local "
-                f"document {local_doc}, which does not exist"
-            )
-        return node
-
     def _rows(self, rows: List[Any]) -> List[Tuple[int, str, int, str]]:
         """Flatten query rows to picklable ``(local doc, tag, depth, text)``.
 
@@ -212,16 +204,9 @@ class WorkerServer:
         collection = self.collection
         kind = op.get("op")
         extra: Dict[str, Any] = {}
-        if kind == "insert_child":
-            collection.insert_child(
-                self._node_at(op["doc"], op["parent"]), op["index"], tag=op["tag"]
-            )
-        elif kind == "insert_before":
-            collection.insert_before(self._node_at(op["doc"], op["ref"]), tag=op["tag"])
-        elif kind == "insert_after":
-            collection.insert_after(self._node_at(op["doc"], op["ref"]), tag=op["tag"])
-        elif kind == "delete":
-            collection.delete(self._node_at(op["doc"], op["node"]))
+        if kind in BatchOp.KINDS:
+            self._document(op.get("doc"))  # a document this shard lacks: ShardError
+            collection.apply(resolve_op(collection.documents, op))
         elif kind == "add_document":
             extra["local_doc"] = collection.add_document(parse_document(op["xml"]))
         elif kind == "compact":

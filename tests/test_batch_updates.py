@@ -488,3 +488,53 @@ def test_compact_returns_per_document_record_counts():
     ]
     assert collection.check()
     assert_audit_clean(collection)
+
+
+# ----------------------------------------------------------------------
+# One harness for the named methods, across every collection layer
+# ----------------------------------------------------------------------
+
+
+def run_named_methods(collection, seed, steps=40):
+    """A seeded mix of the six named mutations, chosen by preorder position
+    against ``collection``'s own tree, so independent twins stay in step."""
+    rng = random.Random(seed)
+    for step in range(steps):
+        root = collection.documents[0]
+        nodes = list(root.iter_preorder())
+        target = nodes[rng.randrange(len(nodes))]
+        roll = rng.random()
+        if roll < 0.3:
+            collection.insert_child(
+                target, rng.randint(0, len(target.children)), tag=f"c{step}"
+            )
+        elif roll < 0.45 and target is not root:
+            collection.insert_before(target, tag=f"b{step}")
+        elif roll < 0.6 and target is not root:
+            collection.insert_after(target, tag=f"a{step}")
+        elif roll < 0.75 and target is not root:
+            collection.delete(target)
+        elif roll < 0.9:
+            collection.bulk_insert([(target, 0, f"p{step}"), (root, 0, f"q{step}")])
+        else:
+            leaves = [node for node in nodes[1:] if not node.children]
+            collection.bulk_delete(leaves[: rng.randint(1, 2)])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 29])
+def test_named_methods_agree_across_layers(tmp_path, seed):
+    live = LiveCollection([parse_document(DOC)], strategy="scan")
+    durable = DurableCollection.create(
+        tmp_path / "durable", [parse_document(DOC)], fsync=FSYNC
+    )
+    resilient = _resilient(tmp_path, "resilient", chaos=None)
+    for collection in (live, durable, resilient):
+        run_named_methods(collection, seed)
+    assert not resilient.degraded
+    expected = collection_fingerprint(live)
+    assert collection_fingerprint(durable.live) == expected
+    assert collection_fingerprint(resilient.live) == expected
+    durable.close()
+    resilient.close()
+    recovered = recover(tmp_path / "durable", verify=True)
+    assert collection_fingerprint(recovered.collection) == expected

@@ -24,7 +24,7 @@ from repro.durable import (
 )
 from repro.durable.recovery import apply_operation, snapshot_path
 from repro.durable.faults import flip_bit, truncate_file
-from repro.errors import DurabilityError, RecoveryError
+from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.query.live import LiveCollection
 from repro.xmlkit.parser import parse_document
 
@@ -295,3 +295,55 @@ class TestBadAddresses:
         assert collection_fingerprint(collection.live) == before
         assert collection.last_seq == 0
         collection.close()
+
+
+#: Well-addressed node-op records whose other fields are malformed.  Each
+#: is CRC-valid on disk (the v3 codec stores the odd ones as JSON-fallback
+#: records), so only replay's own validation stands between it and a node
+#: inserted at the wrong position or a bare TypeError/ValueError.
+MALFORMED_RECORDS = [
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": True, "tag": "x"},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": None, "tag": "x"},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": 99, "tag": "x"},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": -1, "tag": "x"},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": "1", "tag": "x"},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": 1.0, "tag": "x"},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": 1, "tag": 5},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": 1, "tag": None},
+    {"op": "insert_child", "doc": 0, "parent": 0, "index": 1},
+    {"op": "insert_after", "doc": 0, "ref": 1, "tag": None},
+    {"op": "insert_before", "doc": 0, "ref": 1},
+    {"op": "delete", "doc": 0},
+]
+
+
+class TestMalformedRecordFields:
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS)
+    def test_apply_operation_raises_a_typed_error(self, record):
+        collection = LiveCollection([parse_document(BASE_DOC)])
+        before = collection_fingerprint(collection)
+        with pytest.raises(ReproError):
+            apply_operation(collection, record)
+        assert collection_fingerprint(collection) == before
+
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS)
+    @pytest.mark.parametrize("format_version", [2, 3])
+    def test_recover_falls_back_past_a_malformed_record(
+        self, tmp_path, record, format_version
+    ):
+        # format 2 logs v1 JSON payloads; format 3 logs binary payloads,
+        # with the JSON fallback (opcode 0) for shapes it cannot encode.
+        collection = DurableCollection.create(
+            tmp_path / "col",
+            [parse_document(BASE_DOC)],
+            fsync="never",
+            format_version=format_version,
+        )
+        collection.insert_child(collection.documents[0], 0, tag="ok")
+        collection.checkpoint()
+        collection.wal.append(record)
+        collection.close()
+        # Every generation replays the bad record, so recovery must try
+        # both and fail typed — not abort on the first with a bare error.
+        with pytest.raises(RecoveryError, match="generation 2: .*generation 1: "):
+            recover(tmp_path / "col")

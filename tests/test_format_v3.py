@@ -19,7 +19,7 @@ import pytest
 
 from repro.durable import DurableCollection, collection_fingerprint, recover
 from repro.durable import wal as wal_module
-from repro.durable.recovery import WAL_NAME, snapshot_path
+from repro.durable.recovery import WAL_NAME, op_record, resolve_op, snapshot_path
 from repro.durable.snapshot import (
     _write_int,
     read_snapshot,
@@ -31,7 +31,7 @@ from repro.durable.wal import WriteAheadLog, scan_wal, wal_header
 from repro.errors import SnapshotCorruptError
 from repro.labeling.codec import read_uvarint
 from repro.labeling.prime import PrimeLabel, PrimeScheme
-from repro.query.live import LiveCollection
+from repro.query.live import BatchOp, LiveCollection
 from repro.query.persist import load_store, save_store
 from repro.xmlkit.builder import element
 from repro.xmlkit.parser import parse_document
@@ -300,3 +300,72 @@ class TestV3IsSmaller:
         offset = blob.index(generator) + len(generator) + 4
         value, _end = read_uvarint(blob, offset)
         assert value == root_value
+
+
+#: The v3 WAL of :func:`golden_stream`, recorded before the named node
+#: mutations were folded onto one ``apply(op)`` path: a rewrite of the
+#: write path must leave every logged byte where it was.
+GOLDEN_WAL_HEX = (
+    "5250574c03000000000000000100000006f0a2330f0100010101780000000000"
+    "00000200000005d11ed961020005017900000000000000030000000599311e3b"
+    "030007017a000000000000000400000003a82b6b030400020000000000000005"
+    "0000000e4c58f81f070201000500017001000700017100000000000000060000"
+    "000570caa6d5070104000600000000000000070000000a154607eb0702030001"
+    "017304000800000000000000080000001130b0fb3f050f3c703e3c713e743c2f"
+    "713e3c2f703e000000000000000900000001d803833e06"
+)
+
+
+def golden_stream(directory):
+    """Each named DurableCollection mutation once, then one apply_batch,
+    one add_document and one compact; returns the WAL bytes."""
+    col = DurableCollection.create(
+        directory, [parse_document("<r><a><a1/><a2/></a><b/><c/></r>")], fsync="never"
+    )
+    root = col.documents[0]
+    a, b, c = root.children
+    col.insert_child(a, 1, tag="x")
+    col.insert_before(b, tag="y")
+    col.insert_after(c, tag="z")
+    col.delete(a.children[0])
+    col.bulk_insert([(b, 0, "p"), (c, 0, "q")])
+    col.bulk_delete([b.children[0]])
+    col.apply_batch([BatchOp.insert_after(a, tag="s"), BatchOp.delete(c.children[0])])
+    col.add_document(parse_document("<p><q>t</q></p>"))
+    col.compact()
+    col.close()
+    return (directory / WAL_NAME).read_bytes()
+
+
+class TestOpRecord:
+    """One builder and one resolver own the WAL op-record shape."""
+
+    def test_golden_wal_bytes(self, tmp_path):
+        assert golden_stream(tmp_path / "col").hex() == GOLDEN_WAL_HEX
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda n: BatchOp.insert_child(n, 1, tag="x"),
+            lambda n: BatchOp.insert_before(n, tag="y"),
+            lambda n: BatchOp.insert_after(n, tag="z"),
+            lambda n: BatchOp.delete(n),
+        ],
+        ids=BatchOp.KINDS,
+    )
+    def test_resolving_a_built_record_gives_back_the_op(self, op):
+        roots = [parse_document(DOC), parse_document(DOC)]
+        node = roots[1].children[0]  # <a>, preorder position 1 of document 1
+        original = op(node)
+        record = op_record(
+            original.kind, 1, node.document_position(), original.index, original.tag
+        )
+        resolved = resolve_op(roots, record)
+        assert resolved.node is node
+        assert (resolved.kind, resolved.index, resolved.tag) == (
+            original.kind, original.index, original.tag
+        )
+        # The built record is one the binary codec encodes without fallback.
+        payload = wal_module._encode_payload(record, 3)
+        assert payload[0] != 0
+        assert wal_module._decode_payload(payload, 3) == record

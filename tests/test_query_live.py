@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.durable import collection_fingerprint
 from repro.errors import QueryEvaluationError
 from repro.query.live import LiveCollection
 from repro.xmlkit.parser import parse_document
@@ -103,6 +104,24 @@ class TestUpdates:
         # order axis still correct through the store
         rows = collection.query("/play//act[1]/Following::act")
         assert all(row.tag == "act" for row in rows)
+
+
+class TestSingleOpIndexBounds:
+    """``insert_child`` rejects what ``list.insert`` would silently clamp."""
+
+    @pytest.mark.parametrize("index", [99, 3, -1, True, "1", None])
+    def test_out_of_range_or_malformed_index_is_rejected(self, collection, index):
+        play = collection.documents[0]  # two children: 2 is the last legal index
+        before = collection_fingerprint(collection)
+        with pytest.raises(QueryEvaluationError):
+            collection.insert_child(play, index)
+        assert collection_fingerprint(collection) == before
+        assert collection.total_update_cost == 0
+
+    def test_past_end_message_names_no_batch_position(self, collection):
+        with pytest.raises(QueryEvaluationError, match="past the end") as info:
+            collection.insert_child(collection.documents[0], 3)
+        assert "batch op" not in str(info.value)
 
 
 class TestDocumentLookup:

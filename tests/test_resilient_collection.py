@@ -9,6 +9,7 @@ from repro.errors import (
     DeadlineExceededError,
     DegradedModeError,
     DurabilityError,
+    QueryEvaluationError,
     RetryExhaustedError,
 )
 from repro.resilient import (
@@ -179,6 +180,20 @@ class TestDegradedMode:
             collection.insert_child(collection.documents[0], 0, tag=f"t{i}")
         assert collection.buffered == 4
         assert collection.count("//*") == 4 + 4  # originals + buffered
+
+    def test_degraded_buffer_rejects_what_the_healthy_path_rejects(
+        self, tmp_path
+    ):
+        dead = DeadDisk()
+        collection, _ = make(tmp_path, faults=dead)
+        collection.insert_child(collection.documents[0], 0, tag="x")
+        assert collection.degraded and collection.buffered == 1
+        before = collection_fingerprint(collection.live)
+        with pytest.raises(QueryEvaluationError, match="past the end"):
+            collection.insert_child(collection.documents[0], 99)
+        assert collection.buffered == 1
+        assert collection.buffered_total == 1
+        assert collection_fingerprint(collection.live) == before
 
     def test_fail_fast_mode_rejects_mutations(self, tmp_path):
         dead = DeadDisk()

@@ -21,7 +21,7 @@ from repro.durable.snapshot import (
     restore_collection,
     write_snapshot,
 )
-from repro.errors import DurabilityError, QuerySyntaxError, ShardError
+from repro.errors import DurabilityError, QuerySyntaxError, ReproError, ShardError
 from repro.primes.gen import PrimeGenerator
 from repro.query.live import LiveCollection
 from repro.shard import (
@@ -208,6 +208,16 @@ def test_worker_bad_document_is_a_shard_error(worker, bad):
     assert not response.ok
     assert isinstance(rehydrate_error(response.error, shard=0), ShardError)
 
+
+
+@pytest.mark.parametrize("bad", [True, None, 99, -1, "1"])
+def test_worker_bad_index_is_an_error_response(worker, bad):
+    op = {"op": "insert_child", "doc": 0, "parent": 0, "index": bad, "tag": "w"}
+    response = worker.handle(Request(id=1, kind="apply", payload={"op": op}))
+    assert not response.ok
+    assert isinstance(rehydrate_error(response.error, shard=0), ReproError)
+    pong = worker.handle(Request(id=2, kind="ping", payload={}))
+    assert pong.ok and pong.value["last_seq"] == 0
 
 def test_fault_spec_parsing():
     assert build_fault_injector(None) is None
