@@ -44,7 +44,7 @@ __all__ = ["PrimeLabel", "PrimeScheme", "BottomUpPrimeScheme"]
 DEFAULT_RESERVED_PRIMES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeLabel:
     """A top-down prime label.
 
@@ -166,11 +166,62 @@ class PrimeScheme(LabelingScheme):
         assert discarded == 2
 
     def _assign_labels(self, root: XmlElement) -> None:
-        self._generator = PrimeGenerator(reserved=self.reserved_primes)
+        """Label the whole tree in one explicit-stack preorder walk.
+
+        Primes are drawn in preorder, exactly as the per-node path of
+        :meth:`_label_node` draws them.  Each stack entry carries what the
+        node needs from its parent: the parent's full label value, the
+        node's Opt2 leaf ordinal (``0`` when it takes a prime instead) and
+        whether the parent is the root (Opt1's reserved pool).  The
+        ordinals are counted when the parent's children are pushed, so no
+        node looks its parent up in the label mapping.
+        """
+        generator = self._generator = PrimeGenerator(reserved=self.reserved_primes)
         self._discard_prime_two()
-        self._leaf_counter.clear()
-        for node in root.iter_preorder():
-            self._set_label(node, self._label_node(node))
+        counters = self._leaf_counter
+        counters.clear()
+        labels, nodes = self._labels, self._nodes
+        get_prime = generator.get_prime
+        get_reserved_prime = generator.get_reserved_prime
+        power2 = self.power2_leaves
+        # Leaf ordinal n is labeled 2**n, which has n + 1 bits.
+        threshold = self.leaf_threshold_bits
+        max_ordinal = threshold - 1 if threshold is not None else None
+        power2_total = 0
+        stack: List[Tuple[XmlElement, int, int, bool]] = [(root, 1, 0, False)]
+        while stack:
+            node, parent_value, ordinal, top_level = stack.pop()
+            children = node.children
+            if node is root:
+                self_label = 1
+            elif children:
+                self_label = get_reserved_prime() if top_level else get_prime()
+            elif ordinal:
+                self_label = 1 << ordinal
+            else:
+                self_label = get_prime()
+            value = parent_value * self_label
+            key = id(node)
+            labels[key] = PrimeLabel(value=value, self_label=self_label)
+            nodes[key] = node
+            if not children:
+                continue
+            leaves = 0
+            entries = []
+            for child in children:
+                child_ordinal = 0
+                if power2 and child.is_leaf and (
+                    max_ordinal is None or leaves < max_ordinal
+                ):
+                    leaves += 1
+                    child_ordinal = leaves
+                entries.append((child, value, child_ordinal, node is root))
+            if leaves:
+                counters[value] = leaves
+                power2_total += leaves
+            stack.extend(reversed(entries))
+        if power2_total:
+            metrics.incr("label.power2_leaves", power2_total)
 
     # ------------------------------------------------------------------
     # Relationship tests

@@ -65,7 +65,7 @@ from repro.labeling.base import LabelingScheme
 from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
-from repro.order.sc_table import SCTable
+from repro.order.sc_table import SCRecord, SCTable
 from repro.xmlkit.tree import XmlElement
 
 __all__ = [
@@ -190,7 +190,7 @@ def audit_scheme(
     _audit_subtree_sizes(nodes, report)
 
     if isinstance(scheme, PrimeScheme):
-        seen_self: Dict[object, str] = {}
+        seen_self: Dict[object, XmlElement] = {}
         for node in nodes:
             label: PrimeLabel = scheme.label_of(node)
             report.checked("label.self-divides")
@@ -232,11 +232,11 @@ def audit_scheme(
                 if previous is not None:
                     report.flag(
                         "label.distinct-self",
-                        f"self-label {self_label} already used by {previous}",
+                        f"self-label {self_label} already used by {previous.path()}",
                         node.path(),
                     )
                 else:
-                    seen_self[key] = node.path()
+                    seen_self[key] = node
 
     for i, j in _sampled_pairs(len(nodes), ancestor_samples, seed):
         first, second = nodes[i], nodes[j]
@@ -255,10 +255,17 @@ def audit_scheme(
 def audit_sc_table(table: SCTable) -> AuditReport:
     """Audit one SC table's internal invariants (no tree required)."""
     report = AuditReport()
+    # The paper's scan routing for every label at once: a label routes to
+    # the first record whose ``max_prime`` is at least the label and whose
+    # system holds it.  ``record_for_by_scan`` answers the same question
+    # for one label by scanning every record.
+    scan_routes: Dict[int, SCRecord] = {}
     for index, record in enumerate(table.records):
         moduli = record.system.moduli
         subject = f"record #{index}"
         for modulus in moduli:
+            if modulus <= record.max_prime and modulus not in scan_routes:
+                scan_routes[modulus] = record
             residue = record.system.residue(modulus)
             report.checked("sc.residue-range")
             if not 0 <= residue < modulus:
@@ -291,11 +298,17 @@ def audit_sc_table(table: SCTable) -> AuditReport:
                     f"max_prime {record.max_prime} != max modulus {max(moduli)}",
                     subject,
                 )
-    for self_label, _order in table.orders().items():
+    # Every registered label, read off the membership index rather than
+    # through orders(): a label its record no longer holds must be flagged,
+    # not crash the audit on the residue read.
+    for self_label in list(table._record_of):
         report.checked("sc.routing")
         try:
             direct = table.record_for(self_label)
-            scanned = table.record_for_by_scan(self_label)
+            scanned = scan_routes.get(self_label)
+            if scanned is None:
+                # No record routes it; the reference scan raises the error.
+                scanned = table.record_for_by_scan(self_label)
         except Exception as error:  # routing itself broke
             report.flag("sc.routing", f"lookup raised {error!r}", str(self_label))
             continue

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import OrderingError
 from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
-from repro.order.sc_table import SCTable
+from repro.order.sc_table import SCTable, capacity_error
 from repro.xmlkit.tree import XmlElement
 
 __all__ = ["OrderedDocument", "OrderedUpdateReport"]
@@ -78,13 +78,12 @@ class OrderedDocument:
                 "construct the PrimeScheme with power2_leaves=False"
             )
         self.scheme = scheme
-        self.sc_table = SCTable(group_size=group_size)
         self.root = root
         scheme.label_tree(root)
-        for order, node in enumerate(root.iter_preorder()):
-            if order == 0:
-                continue  # the root's order is 0 by definition and not stored
-            self.sc_table.register(self._self_label(node), order)
+        # A fresh document is compacted by construction: compact() loads
+        # orders 1..N in document order into a table of this group size.
+        self.sc_table = SCTable(group_size=group_size)
+        self.compact()
 
     @classmethod
     def from_state(
@@ -292,12 +291,44 @@ class OrderedDocument:
         rebuilds the table from scratch.  Returns the number of SC records
         in the rebuilt table.  Labels are untouched — order is the SC
         table's business alone.
+
+        The rebuild is a bulk load: the preorder ``(self_label, order)``
+        pairs are chunked into ``group_size`` groups, the grouping one
+        :meth:`SCTable.register` call per node would produce, and loaded by
+        one :meth:`SCTable.from_groups` call.  The ``sc.*`` counters are
+        charged as the per-node registrations would charge them, and an
+        order that reaches its self-label raises the same
+        :class:`~repro.errors.CapacityError`.
         """
-        self.sc_table = SCTable(group_size=self.sc_table.group_size)
-        for order, node in enumerate(self.root.iter_preorder()):
-            if order == 0:
-                continue
-            self.sc_table.register(self._self_label(node), order)
+        group_size = self.sc_table.group_size
+        label_of = self.scheme.label_of
+        members = [
+            (label_of(node).self_label, order)
+            for order, node in enumerate(self.root.iter_preorder())
+            if order  # the root's order is 0 by definition and not stored
+        ]
+        size = group_size or max(len(members), 1)
+        # Registration stops at the first order that reaches its label.
+        loaded = next(
+            (
+                position
+                for position, (self_label, order) in enumerate(members)
+                if order >= self_label
+            ),
+            len(members),
+        )
+        if loaded:
+            metrics.incr("sc.registered", loaded)
+            metrics.incr("sc.records_touched", loaded)
+            metrics.incr("sc.records_opened", -(-loaded // size))
+        if loaded < len(members):
+            self_label, order = members[loaded]
+            raise capacity_error(self_label, order, loaded // size)
+        groups: List[Tuple[int, List[Tuple[int, int]]]] = []
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            groups.append((max(self_label for self_label, _ in chunk), chunk))
+        self.sc_table = SCTable.from_groups(groups, group_size=group_size)
         return len(self.sc_table)
 
     # ------------------------------------------------------------------

@@ -53,7 +53,26 @@ __all__ = ["SCRecord", "SCTable"]
 _NO_SLACK = 1 << 62
 
 
-@dataclass
+def capacity_error(self_label: int, order: int, group: int | None) -> CapacityError:
+    """The typed error for an order that cannot be a residue of its label.
+
+    The scheme's known capacity limit: a CRT residue must stay below its
+    modulus, and skewed insertion can push an order number past the
+    node's prime.  Typed so the serving layer can classify it instead of
+    treating it as a traceback.  ``group`` is the SC record that would
+    have received the pair.  Counts ``sc.capacity_errors``.
+    """
+    metrics.incr("sc.capacity_errors")
+    return CapacityError(
+        f"order {order} cannot be a residue of modulus {self_label}; "
+        "the node needs a larger prime self-label",
+        group=group,
+        hint="compact() the document to renumber orders densely, "
+        "or relabel the node with a larger prime",
+    )
+
+
+@dataclass(slots=True)
 class SCRecord:
     """One row of the SC table: a congruence system plus its routing key.
 
@@ -208,6 +227,8 @@ class SCTable:
         key).  Empty groups are legal — :meth:`unregister` can drain a
         record without removing it, and the drained record still absorbs
         future registrations — and round-trip with ``max_prime == 0``.
+        :meth:`repro.order.document.OrderedDocument.compact` builds every
+        fresh table through here too, from its preorder chunks.
         """
         table = cls(group_size=group_size)
         for index, (max_prime, members) in enumerate(groups):
@@ -395,10 +416,6 @@ class SCTable:
         if order < 0:
             raise OrderingError(f"order must be >= 0, got {order}")
         if order >= self_label:
-            # The scheme's known capacity limit: a CRT residue must stay
-            # below its modulus, and skewed insertion can push an order
-            # number past the node's prime.  Typed so the serving layer
-            # can classify it instead of treating it as a traceback.
             receiving = (
                 len(self._records) - 1
                 if self._records
@@ -408,14 +425,7 @@ class SCTable:
                 )
                 else len(self._records)
             )
-            metrics.incr("sc.capacity_errors")
-            raise CapacityError(
-                f"order {order} cannot be a residue of modulus {self_label}; "
-                "the node needs a larger prime self-label",
-                group=receiving,
-                hint="compact() the document to renumber orders densely, "
-                "or relabel the node with a larger prime",
-            )
+            raise capacity_error(self_label, order, receiving)
         if self._records and (
             self.group_size is None or len(self._records[-1]) < self.group_size
         ):
@@ -560,14 +570,7 @@ class SCTable:
         if order < 0:
             raise OrderingError(f"order must be >= 0, got {order}")
         if order >= self_label:
-            metrics.incr("sc.capacity_errors")
-            raise CapacityError(
-                f"order {order} cannot be a residue of modulus {self_label}; "
-                "the node needs a larger prime self-label",
-                group=self._record_of.get(self_label),
-                hint="compact() the document to renumber orders densely, "
-                "or relabel the node with a larger prime",
-            )
+            raise capacity_error(self_label, order, self._record_of.get(self_label))
         record = self.record_for(self_label)  # validates membership
         index = self._record_of[self_label]
         if self._batch_depth:

@@ -129,6 +129,8 @@ class CongruenceSystem:
     for the whole run of mutations.
     """
 
+    __slots__ = ("_congruences", "_value", "_deferred")
+
     def __init__(
         self, moduli: Iterable[int] = (), residues: Iterable[int] = ()
     ) -> None:

@@ -9,14 +9,18 @@ sources:
 * ``getPrime()`` — the next smallest unreserved prime, for every other
   non-leaf node.
 
-:class:`PrimeGenerator` implements both, backed by a sieve that extends
-itself on demand and by Miller–Rabin once candidates outgrow the sieve.  It
-also provides ``get_power2(n)`` for optimization Opt2 (labeling the n-th leaf
-child with ``2**n``).
+:class:`PrimeGenerator` implements both.  Every generator reads one
+process-wide ascending prime table by index: the table starts with the
+first 1,024 primes and grows by segmented-sieve extension, under a lock,
+the first time any generator asks for a prime past its end.  A generator
+therefore owns nothing but its indices, and a collection of many
+documents sieves each prime once.  It also provides ``get_power2(n)`` for
+optimization Opt2 (labeling the n-th leaf child with ``2**n``).
 """
 
 from __future__ import annotations
 
+import threading  # repro: ignore[R12] -- one lock serialises growth of the process-wide prime table, which replica tailer and reader threads share with the writer; issuance stays per-generator and deterministic
 from typing import Iterator, List, Tuple
 
 from repro.obs import metrics
@@ -25,6 +29,27 @@ from repro.primes.sieve import primes_first_n, segmented_sieve
 __all__ = ["PrimeGenerator"]
 
 _BOOTSTRAP_COUNT = 1024
+
+#: The shared table: the smallest primes, ascending.  It only ever grows
+#: (by ``extend`` with a finished segment), so a reader that has checked
+#: ``index < len(_TABLE)`` can index it without the lock.
+_TABLE: List[int] = primes_first_n(_BOOTSTRAP_COUNT)
+_TABLE_LOCK = threading.Lock()
+
+
+def _ensure_table(count: int) -> None:
+    """Grow the shared table until it holds at least ``count`` primes."""
+    if count <= len(_TABLE):
+        return
+    with _TABLE_LOCK:
+        # Extend in bulk with a segmented sieve: doubling the sieved range
+        # keeps amortized cost near-linear even for very large documents.
+        while count > len(_TABLE):
+            low = _TABLE[-1] + 1
+            high = max(low * 2, low + 10_000)
+            _TABLE.extend(segmented_sieve(low, high))
+            metrics.incr("primes.sieve_extensions")
+            metrics.gauge("primes.cache_size", len(_TABLE))
 
 
 class PrimeGenerator:
@@ -45,7 +70,7 @@ class PrimeGenerator:
     def __init__(self, reserved: int = 0) -> None:
         if reserved < 0:
             raise ValueError(f"reserved must be >= 0, got {reserved}")
-        self._cache: List[int] = primes_first_n(max(_BOOTSTRAP_COUNT, reserved))
+        _ensure_table(reserved)
         self._reserved_limit = reserved
         self._next_reserved_index = 0
         self._next_general_index = reserved
@@ -66,20 +91,10 @@ class PrimeGenerator:
         """The largest prime handed out so far (0 if none)."""
         largest = 0
         if self._next_reserved_index > 0:
-            largest = self._cache[self._next_reserved_index - 1]
+            largest = _TABLE[self._next_reserved_index - 1]
         if self._next_general_index > self._reserved_limit:
-            largest = max(largest, self._cache[self._next_general_index - 1])
+            largest = max(largest, _TABLE[self._next_general_index - 1])
         return largest
-
-    def _ensure_cached(self, index: int) -> None:
-        # Extend in bulk with a segmented sieve: doubling the sieved range
-        # keeps amortized cost near-linear even for very large documents.
-        while index >= len(self._cache):
-            low = self._cache[-1] + 1
-            high = max(low * 2, low + 10_000)
-            self._cache.extend(segmented_sieve(low, high))
-            metrics.incr("primes.sieve_extensions")
-            metrics.gauge("primes.cache_size", len(self._cache))
 
     def get_reserved_prime(self) -> int:
         """Return the next prime from the reserved pool (Opt1).
@@ -90,7 +105,7 @@ class PrimeGenerator:
         """
         if self._next_reserved_index >= self._reserved_limit:
             return self.get_prime()
-        prime = self._cache[self._next_reserved_index]
+        prime = _TABLE[self._next_reserved_index]
         self._next_reserved_index += 1
         self._issued += 1
         metrics.incr("primes.issued")
@@ -99,8 +114,10 @@ class PrimeGenerator:
 
     def get_prime(self) -> int:
         """Return the next smallest unreserved, unissued prime."""
-        self._ensure_cached(self._next_general_index)
-        prime = self._cache[self._next_general_index]
+        index = self._next_general_index
+        if index >= len(_TABLE):
+            _ensure_table(index + 1)
+        prime = _TABLE[index]
         self._next_general_index += 1
         self._issued += 1
         metrics.incr("primes.issued")
@@ -115,8 +132,8 @@ class PrimeGenerator:
 
         ``(reserved_limit, next_reserved_index, next_general_index, issued)``
         — everything :meth:`from_state` needs to resume the exact prime
-        sequence.  The cache itself is *not* part of the state: it is a pure
-        function of the indices and is regrown on demand.
+        sequence.  The prime table itself is *not* part of the state: it is
+        shared by every generator and grows on demand.
         """
         return (
             self._reserved_limit,
@@ -140,7 +157,7 @@ class PrimeGenerator:
         generator._next_reserved_index = next_reserved
         generator._next_general_index = next_general
         generator._issued = issued
-        generator._ensure_cached(next_general)
+        _ensure_table(next_general)
         return generator
 
     @staticmethod

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementRow:
     """One row of the element table."""
 
@@ -279,15 +279,18 @@ class LabelStore:
         self._doc_ids: List[int] = []
         self._row_by_id: Dict[int, ElementRow] = {}
         self._row_by_node: Dict[int, ElementRow] = {}
+        by_doc_tag, by_doc, doc_ids = self._by_doc_tag, self._by_doc, self._doc_ids
+        row_by_id, row_by_node = self._row_by_id, self._row_by_node
         for row in rows:
-            self._by_doc_tag.setdefault((row.doc_id, row.tag), []).append(row)
-            if row.doc_id not in self._by_doc:
-                self._by_doc[row.doc_id] = []
-                self._doc_ids.append(row.doc_id)
-            self._by_doc[row.doc_id].append(row)
-            self._row_by_id[row.element_id] = row
-            self._row_by_node[id(row.node)] = row
-        self._next_id = max(self._row_by_id, default=-1) + 1
+            doc_id = row.doc_id
+            by_doc_tag.setdefault((doc_id, row.tag), []).append(row)
+            if doc_id not in by_doc:
+                by_doc[doc_id] = []
+                doc_ids.append(doc_id)
+            by_doc[doc_id].append(row)
+            row_by_id[row.element_id] = row
+            row_by_node[id(row.node)] = row
+        self._next_id = max(row_by_id, default=-1) + 1
         # The accelerator columns; None when the row stream is not a clean
         # preorder (hand-assembled stores) — the engine then falls back to
         # label comparisons.
@@ -328,27 +331,30 @@ class LabelStore:
         label_of: Callable[[XmlElement], Any],
         next_id: int,
     ) -> Tuple[List[ElementRow], int]:
+        """One row per node of ``root``'s tree, in preorder, ids from ``next_id``.
+
+        ``ancestors`` holds the rows on the path from the root to the
+        current node's parent; depth and parent id are read off it.
+        """
         rows: List[ElementRow] = []
-        ids: Dict[int, int] = {}
-        depths: Dict[int, int] = {id(root): 0}
+        ancestors: List[ElementRow] = []
         for node in root.iter_preorder():
-            element_id = next_id
-            next_id += 1
-            ids[id(node)] = element_id
-            if node.parent is not None:
-                depths[id(node)] = depths[id(node.parent)] + 1
-            rows.append(
-                ElementRow(
-                    doc_id=doc_id,
-                    element_id=element_id,
-                    tag=node.tag,
-                    label=label_of(node),
-                    depth=depths[id(node)],
-                    parent_id=ids[id(node.parent)] if node.parent is not None else None,
-                    node=node,
-                    text=node.text,
-                )
+            parent = node.parent
+            while ancestors and ancestors[-1].node is not parent:
+                ancestors.pop()
+            row = ElementRow(
+                doc_id=doc_id,
+                element_id=next_id,
+                tag=node.tag,
+                label=label_of(node),
+                depth=len(ancestors),
+                parent_id=ancestors[-1].element_id if ancestors else None,
+                node=node,
+                text=node.text,
             )
+            next_id += 1
+            rows.append(row)
+            ancestors.append(row)
         return rows, next_id
 
     @classmethod

@@ -144,13 +144,15 @@ class WindowIndex:
             per_doc.setdefault(row.doc_id, []).append(row)
         for doc_id, doc_rows in per_doc.items():
             doc = index._docs[doc_id] = DocWindow()
+            by_pre, by_id, by_tag = doc.by_pre, doc.by_id, doc.by_tag
             stack: List[WindowEntry] = []
             for pre, row in enumerate(doc_rows):
-                while stack and stack[-1].level >= row.depth:
+                depth = row.depth
+                while stack and stack[-1].level >= depth:
                     top = stack.pop()
                     top.size = pre - top.pre
-                if row.depth > 0:
-                    if not stack or stack[-1].level != row.depth - 1:
+                if depth > 0:
+                    if not stack or stack[-1].level != depth - 1:
                         return None  # depth jump: not a preorder stream
                     if (
                         row.parent_id is not None
@@ -159,16 +161,16 @@ class WindowIndex:
                         return None  # parent link disagrees with nesting
                 elif stack or pre != 0:
                     return None  # a second root mid-document
-                entry = WindowEntry(row, pre=pre, post=0, level=row.depth, size=0)
-                doc.by_pre.append(entry)
-                doc.by_id[row.element_id] = entry
-                doc.by_tag.setdefault(row.tag, []).append(entry)
+                entry = WindowEntry(row, pre=pre, post=0, level=depth, size=0)
+                by_pre.append(entry)
+                by_id[row.element_id] = entry
+                by_tag.setdefault(row.tag, []).append(entry)
                 stack.append(entry)
             total = len(doc_rows)
             while stack:
                 top = stack.pop()
                 top.size = total - top.pre
-            for entry in doc.by_pre:
+            for entry in by_pre:
                 entry.post = entry.pre + entry.size - 1 - entry.level
         return index
 

@@ -127,16 +127,28 @@ class ShardSupervisor:
         return sorted(self._slots)
 
     def start(self) -> None:
-        """Spawn every worker and wait for its recovery handshake."""
-        for shard_id in self.shard_ids:
-            self._spawn(shard_id)
+        """Spawn every worker, then collect their recovery handshakes.
+
+        All workers are forked and pinged before the first handshake is
+        awaited, so the shards recover their durable state concurrently.
+        Each handshake keeps its own deadline, counted from its own ping,
+        and a failed one is charged to that shard alone.
+        """
+        pings = {shard_id: self._launch(shard_id) for shard_id in self.shard_ids}
+        for shard_id, ping in pings.items():
+            self._handshake(shard_id, ping)
         # Every worker just answered its handshake ping, so the fleet's
         # health is proven as of now: the first *proactive* heartbeat
         # round is owed one interval later, not on the first tick.
         self._last_heartbeat_at = self.clock()
 
-    def _spawn(self, shard_id: int) -> bool:
-        """(Re)start one worker; returns whether it came up healthy."""
+    def _launch(self, shard_id: int) -> Optional[Tuple[int, float]]:
+        """Fork one worker and send its handshake ping without waiting.
+
+        Returns ``(request id, deadline)`` for :meth:`_handshake`, or
+        ``None`` when the ping could not be sent (the send path has
+        already recorded the death and charged the budget).
+        """
         slot = self._slots[shard_id]
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
@@ -150,12 +162,26 @@ class ShardSupervisor:
         slot.proc, slot.conn = proc, parent_conn
         slot.state = ShardState.UP  # provisionally, for the handshake ping
         slot.missed_heartbeats = 0
+        deadline = self.clock() + self.policy.handshake_timeout
         try:
-            pong = self.request(
-                shard_id, "ping", timeout=self.policy.handshake_timeout
-            )
+            return self.send(shard_id, "ping"), deadline
         except ShardUnavailableError:
-            # The worker died during bootstrap; the request path has
+            return None
+
+    def _handshake(self, shard_id: int, ping: Optional[Tuple[int, float]]) -> bool:
+        """Await a launched worker's ping answer; returns whether it is healthy."""
+        if ping is None:
+            metrics.incr("shard.handshake_failures")
+            return False
+        request_id, deadline = ping
+        try:
+            pong = self.receive(
+                shard_id, request_id, timeout=max(deadline - self.clock(), 0.0)
+            )
+            if not pong.ok:
+                raise rehydrate_error(pong.error or {}, shard=shard_id)
+        except ShardUnavailableError:
+            # The worker died during bootstrap; the receive path has
             # already recorded the death (and charged the budget).
             metrics.incr("shard.handshake_failures")
             return False
@@ -168,7 +194,7 @@ class ShardSupervisor:
             self.kill(shard_id)
             self._note_death(shard_id, f"handshake failed: {error}")
             return False
-        slot.last_seq = int(pong.value["last_seq"])
+        self._slots[shard_id].last_seq = int(pong.value["last_seq"])
         return True
 
     def stop(self) -> None:
@@ -304,7 +330,7 @@ class ShardSupervisor:
         slot = self._slots[shard_id]
         slot.restarts += 1
         metrics.incr("shard.restarts")
-        if self._spawn(shard_id):
+        if self._handshake(shard_id, self._launch(shard_id)):
             slot.events.append(("restarted", shard_id, slot.last_seq))
             if self.on_restart is not None:
                 self.on_restart(shard_id, slot.last_seq)
@@ -365,7 +391,9 @@ class ShardSupervisor:
         """Await the response to ``request_id``, within ``timeout`` seconds.
 
         Responses to abandoned earlier requests (their deadline expired)
-        are drained and discarded.  A deadline miss raises
+        are drained and discarded.  A response already waiting in the pipe
+        is read even when the deadline has passed (``timeout`` may be 0),
+        since it arrived in time.  A deadline miss raises
         :class:`DeadlineExceededError` and leaves the shard UP — hang
         escalation is the heartbeat path's job; a dead pipe marks the
         shard DOWN and raises :class:`ShardUnavailableError`.
@@ -376,19 +404,21 @@ class ShardSupervisor:
         deadline = self.clock() + timeout
         while True:
             remaining = deadline - self.clock()
-            if remaining <= 0:
-                metrics.incr("shard.deadline_misses")
-                raise DeadlineExceededError(
-                    f"shard {shard_id} missed its {timeout:.3f}s deadline "
-                    f"for request {request_id}"
-                )
             try:
-                if not slot.conn.poll(remaining):
-                    continue
-                response: Response = slot.conn.recv()
+                ready = slot.conn.poll(max(remaining, 0.0))
+                if ready:
+                    response: Response = slot.conn.recv()
             except (EOFError, OSError) as error:
                 self._note_death(shard_id, f"pipe broke: {error}")
                 raise self.unavailable(shard_id, "receive") from error
+            if not ready:
+                if remaining <= 0:
+                    metrics.incr("shard.deadline_misses")
+                    raise DeadlineExceededError(
+                        f"shard {shard_id} missed its {timeout:.3f}s deadline "
+                        f"for request {request_id}"
+                    )
+                continue
             if response.id < request_id:
                 metrics.incr("shard.stale_responses")
                 continue  # answer to an abandoned request

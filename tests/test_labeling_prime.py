@@ -256,3 +256,88 @@ class TestSizeAccounting:
         deep = make_scheme().label_tree(chain_tree(20))
         wide = make_scheme().label_tree(star_tree(19))
         assert deep.max_label_bits() > wide.max_label_bits()
+
+
+# sha256 (first 16 hex digits) of every preorder (value, self_label) pair,
+# recorded with the per-node labeling walk the explicit-stack walk replaced.
+LABEL_DIGESTS = {
+    ("D4", 0, False, None): "6e144d0d8509cf17",
+    ("D4", 0, False, 16): "6e144d0d8509cf17",
+    ("D4", 0, True, None): "8121441e0283d4ac",
+    ("D4", 0, True, 16): "8b184b4011889063",
+    ("D4", 8, False, None): "1a6f36c703a3b6c1",
+    ("D4", 8, False, 16): "1a6f36c703a3b6c1",
+    ("D4", 8, True, None): "8121441e0283d4ac",
+    ("D4", 8, True, 16): "39c43afaec754a4b",
+    ("D4", 64, False, None): "204e421c8f0d327a",
+    ("D4", 64, False, 16): "204e421c8f0d327a",
+    ("D4", 64, True, None): "8121441e0283d4ac",
+    ("D4", 64, True, 16): "f5495c4c2db5aa65",
+    ("D6", 0, False, None): "e4ed1d1ba04b3d99",
+    ("D6", 0, False, 16): "e4ed1d1ba04b3d99",
+    ("D6", 0, True, None): "7be2aa8d5d82078f",
+    ("D6", 0, True, 16): "8fa016dac80e974e",
+    ("D6", 8, False, None): "9e75d424a16531ef",
+    ("D6", 8, False, 16): "9e75d424a16531ef",
+    ("D6", 8, True, None): "5e0bfedd30ef4a72",
+    ("D6", 8, True, 16): "f955a36c8f532359",
+    ("D6", 64, False, None): "27c84f098fe4a769",
+    ("D6", 64, False, 16): "27c84f098fe4a769",
+    ("D6", 64, True, None): "1750e7419be8f0a1",
+    ("D6", 64, True, 16): "28fc784231afefd1",
+    ("random", 0, False, None): "dc40731629ed16f0",
+    ("random", 0, False, 16): "dc40731629ed16f0",
+    ("random", 0, True, None): "9f65ce0bac4e25ba",
+    ("random", 0, True, 16): "9f65ce0bac4e25ba",
+    ("random", 8, False, None): "bbc155a0fe321dd8",
+    ("random", 8, False, 16): "bbc155a0fe321dd8",
+    ("random", 8, True, None): "55c9cf184e1912cc",
+    ("random", 8, True, 16): "55c9cf184e1912cc",
+    ("random", 64, False, None): "1c5e9c4d0b395c31",
+    ("random", 64, False, 16): "1c5e9c4d0b395c31",
+    ("random", 64, True, None): "c503005aada1f2ab",
+    ("random", 64, True, 16): "c503005aada1f2ab",
+}
+
+
+def _digest_tree(name):
+    from repro.datasets.niagara import build_dataset
+    from repro.datasets.random_tree import RandomTreeBuilder
+
+    if name == "random":
+        return RandomTreeBuilder(seed=5, max_depth=6, max_fanout=40).build(1500)
+    return build_dataset(name)
+
+
+@pytest.mark.parametrize("name", ["D4", "D6", "random"])
+def test_bulk_labels_match_recorded_digests(name):
+    import hashlib
+
+    root = _digest_tree(name)
+    for (dataset, reserved, power2, threshold), expected in LABEL_DIGESTS.items():
+        if dataset != name:
+            continue
+        scheme = PrimeScheme(
+            reserved_primes=reserved,
+            power2_leaves=power2,
+            leaf_threshold_bits=threshold,
+        ).label_tree(root)
+        digest = hashlib.sha256()
+        for node in root.iter_preorder():
+            label = scheme.label_of(node)
+            digest.update(b"%d,%d;" % (label.value, label.self_label))
+        assert digest.hexdigest()[:16] == expected, (reserved, power2, threshold)
+
+
+@pytest.mark.parametrize("threshold", [None, 3])
+def test_bulk_leaf_counters_match_incremental_labeling(threshold):
+    """The walk leaves the same Opt2 counters a leaf-by-leaf build would."""
+    scheme = PrimeScheme(power2_leaves=True, leaf_threshold_bits=threshold)
+    tree = element(
+        "r", element("a", element("x"), element("y"), element("z")), element("b")
+    )
+    scheme.label_tree(tree)
+    _generator, counters = scheme.export_state()
+    a_value = scheme.label_of(tree.children[0]).value
+    # 2**3 has 4 bits, past a 3-bit threshold: z takes a prime instead.
+    assert counters == ((1, 1), (a_value, 2 if threshold else 3))

@@ -164,3 +164,77 @@ class TestReportMechanics:
 
     def test_empty_sc_table_audits_clean(self):
         assert audit_sc_table(SCTable(group_size=3)).ok
+
+
+def per_label_routing(table):
+    """The reference routing audit: one max-prime scan per label."""
+    report = AuditReport()
+    for self_label in list(table._record_of):
+        report.checked("sc.routing")
+        try:
+            direct = table.record_for(self_label)
+            scanned = table.record_for_by_scan(self_label)
+        except Exception as error:
+            report.flag("sc.routing", f"lookup raised {error!r}", str(self_label))
+            continue
+        if direct is not scanned:
+            report.flag(
+                "sc.routing",
+                "record_for and record_for_by_scan disagree",
+                str(self_label),
+            )
+    return report
+
+
+def routing_violations(report):
+    return [v for v in report.violations if v.invariant == "sc.routing"]
+
+
+class TestRoutingSweep:
+    """The one-sweep routing audit flags exactly what per-label scans flag."""
+
+    @staticmethod
+    def table():
+        return OrderedDocument(library(), group_size=3).sc_table
+
+    def assert_same_as_reference(self, table):
+        swept = audit_sc_table(table)
+        reference = per_label_routing(table)
+        assert routing_violations(swept) == routing_violations(reference)
+        assert swept.checks["sc.routing"] == reference.checks["sc.routing"]
+        return routing_violations(swept)
+
+    def test_healthy_table(self):
+        assert self.assert_same_as_reference(self.table()) == []
+
+    def test_label_in_two_records(self):
+        table = self.table()
+        first, later = table.records[0], table.records[2]
+        label = later.system.moduli[0]
+        first.system.append(label, later.system.residue(label))
+        first.max_prime = max(first.max_prime, label)
+        flagged = self.assert_same_as_reference(table)
+        assert [v.subject for v in flagged] == [str(label)]
+        # Held again by a *later* record, the scan still finds the first.
+        table = self.table()
+        first, later = table.records[0], table.records[2]
+        label = first.system.moduli[0]
+        later.system.append(label, first.system.residue(label))
+        later.max_prime = max(later.max_prime, label)
+        assert self.assert_same_as_reference(table) == []
+
+    def test_max_prime_below_a_member(self):
+        table = self.table()
+        record = table.records[1]
+        record.max_prime = min(record.system.moduli) - 1
+        flagged = self.assert_same_as_reference(table)
+        assert len(flagged) == len(record)
+        assert all("lookup raised" in v.message for v in flagged)
+
+    def test_label_in_no_system(self):
+        table = self.table()
+        record = table.records[0]
+        label = record.system.moduli[1]
+        record.system.remove(label)
+        flagged = self.assert_same_as_reference(table)
+        assert [v.subject for v in flagged] == [str(label)]

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from repro.errors import OrderingError
+from repro.errors import CapacityError, OrderingError
 from repro.labeling.prime import PrimeScheme
+from repro.obs import metrics
 from repro.order.document import OrderedDocument
+from repro.order.sc_table import SCTable
 from repro.xmlkit.builder import element
 
 
@@ -204,3 +206,66 @@ class TestCompaction:
         second = doc.compact()
         assert first == second
         assert doc.check()
+
+
+class TestFreshBuild:
+    """The bulk SC load gives what one register() call per node gave."""
+
+    @staticmethod
+    def tree():
+        from repro.datasets.random_tree import RandomTreeBuilder
+
+        return RandomTreeBuilder(seed=5, max_depth=6, max_fanout=40).build(1500)
+
+    @pytest.mark.parametrize("group_size", [1, 5, None])
+    def test_groups_equal_per_node_registration(self, group_size):
+        doc = OrderedDocument(self.tree(), group_size=group_size)
+        reference = SCTable(group_size=group_size)
+        for order, node in enumerate(doc.root.iter_preorder()):
+            if order:
+                reference.register(doc.label_of(node).self_label, order)
+        assert doc.sc_table.groups() == reference.groups()
+
+    def test_capacity_error_in_first_group(self):
+        from repro.datasets.niagara import build_dataset
+
+        scheme = PrimeScheme(reserved_primes=8, power2_leaves=False)
+        with pytest.raises(CapacityError) as info:
+            OrderedDocument(build_dataset("D4"), scheme=scheme)
+        assert info.value.group == 0
+
+    @pytest.mark.parametrize(
+        "group_size, opened", [(1, 1499), (5, 300), (None, 1)]
+    )
+    def test_counter_totals(self, group_size, opened):
+        # Totals recorded with the per-node register() build.
+        with metrics.collecting() as registry:
+            OrderedDocument(self.tree(), group_size=group_size)
+        counts = {
+            name: registry.counter_value(name)
+            for name in (
+                "primes.issued",
+                "sc.registered",
+                "sc.records_opened",
+                "sc.records_touched",
+            )
+        }
+        assert counts == {
+            "primes.issued": 1499,
+            "sc.registered": 1499,
+            "sc.records_opened": opened,
+            "sc.records_touched": 1499,
+        }
+
+    def test_capacity_error_counters(self):
+        from repro.datasets.niagara import build_dataset
+
+        # D6 under an 8-prime reserved pool fails at the 114th registration.
+        scheme = PrimeScheme(reserved_primes=8, power2_leaves=False)
+        with metrics.collecting() as registry:
+            with pytest.raises(CapacityError) as info:
+                OrderedDocument(build_dataset("D6"), scheme=scheme)
+        assert info.value.group == 22
+        assert registry.counter_value("sc.registered") == 113
+        assert registry.counter_value("sc.records_opened") == 23
+        assert registry.counter_value("sc.capacity_errors") == 1

@@ -91,3 +91,55 @@ class TestPower2:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PrimeGenerator.get_power2(0)
+
+
+class TestSharedTable:
+    def test_generators_share_one_table(self):
+        from repro.primes import gen
+
+        before = len(gen._TABLE)
+        first = PrimeGenerator()
+        for _ in range(before + 10):
+            first.get_prime()
+        grown = len(gen._TABLE)
+        assert grown > before
+        # A second generator walking the same range sieves nothing new.
+        second = PrimeGenerator()
+        for _ in range(before + 10):
+            second.get_prime()
+        assert len(gen._TABLE) == grown
+
+    def test_threads_drawing_past_the_table_agree(self):
+        import sys
+        import threading
+
+        from repro.primes import gen
+        from repro.primes.sieve import primes_first_n
+
+        # Each generator's general pool starts at the table's current end,
+        # so every thread's first draw races the others to grow it.
+        start = len(gen._TABLE)
+        draws = 20_000
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def draw(slot):
+            generator = PrimeGenerator(reserved=start)
+            barrier.wait()
+            results[slot] = [generator.get_prime() for _ in range(draws)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=draw, args=(slot,)) for slot in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = primes_first_n(start + draws)
+        assert all(result == expected[start:] for result in results)
+        assert gen._TABLE[: start + draws] == expected

@@ -11,8 +11,11 @@ import time
 import pytest
 
 from repro.errors import ShardUnavailableError
+from repro.obs import metrics
 from repro.resilient.policy import RetryPolicy
 from repro.shard import HealthPolicy, ShardState, ShardedCollection
+from repro.shard.supervisor import ShardSupervisor
+from repro.shard.worker import WorkerConfig
 from repro.xmlkit.parser import parse_document
 
 DOCS = [
@@ -148,3 +151,23 @@ def test_served_requests_reset_the_crash_loop_budget(tmp_path):
             assert health.restarts == expected_restarts
             assert health.consecutive_failures == 0
         assert service.supervisor.state_of(shard_id) is ShardState.UP
+
+
+def test_start_brings_up_the_fleet_when_one_shard_cannot_bootstrap(tmp_path):
+    """Workers start together; one bad bootstrap is charged to its shard alone."""
+    make_service(tmp_path).close()
+    configs = [
+        WorkerConfig(shard_id=0, root=str(tmp_path / "store"), fault_spec="bogus"),
+        WorkerConfig(shard_id=1, root=str(tmp_path / "store")),
+    ]
+    supervisor = ShardSupervisor(configs, policy=FAST)
+    with metrics.collecting() as registry:
+        supervisor.start()
+    try:
+        assert supervisor.state_of(1) is ShardState.UP
+        assert supervisor.request(1, "ping").ok
+        assert supervisor.state_of(0) is ShardState.DOWN
+        assert supervisor.health(0).consecutive_failures == 1
+        assert registry.counter_value("shard.handshake_failures") == 1
+    finally:
+        supervisor.stop()
