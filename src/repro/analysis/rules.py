@@ -565,18 +565,19 @@ class WindowMaintenanceRule(Rule):
     title = "window-index maintenance outside the store/live layer"
     severity = Severity.ERROR
     rationale = (
-        "The pre/post/level/size columns are trusted by the window "
-        "strategy and the planner only because every mutation flows "
-        "through LabelStore's row mutators (which keep rows, tag buckets, "
-        "and the WindowIndex in lockstep) and LiveCollection's patch "
-        "hooks; a bench or service module touching the maintenance API "
-        "directly would desynchronize the columns from the tree."
+        "The rows' pre/size columns are trusted by the window strategy "
+        "and the planner only because every mutation flows through "
+        "LabelStore's row mutators (which keep each document's preorder "
+        "row list, its tag lists, and the columns in lockstep) and "
+        "LiveCollection's patch hooks; a bench or service module touching "
+        "the maintenance API directly would desynchronize the columns "
+        "from the tree."
     )
 
     #: Modules allowed to import the column machinery at all (readers of
-    #: the entry types included: the engine binary-searches them).
+    #: the per-document lists included: the engine binary-searches them).
     _IMPORT_SCOPE = "query"
-    #: WindowIndex mutators — callable only where the index is owned.
+    #: DocWindow maintainers — callable only where the lists are owned.
     _INDEX_MUTATORS = {"apply_insert", "apply_delete"}
     _INDEX_CALLERS = ("repro.query.store", "repro.query.window")
     #: LabelStore row mutators — callable only from the live patch hooks
@@ -626,7 +627,7 @@ class WindowMaintenanceRule(Rule):
                 yield self.emit(
                     ctx,
                     node,
-                    f"{receiver}.{method}() mutates a WindowIndex outside "
+                    f"{receiver}.{method}() mutates window columns outside "
                     "repro.query.store; route mutations through "
                     "LabelStore.insert_row/delete_subtree",
                 )

@@ -30,7 +30,7 @@ from repro.obs import metrics
 from repro.query.ast import Axis, Query, Step
 from repro.query.planner import Planner, QueryPlan, StepChoice
 from repro.query.store import ElementRow, LabelStore
-from repro.query.window import DocWindow, WindowEntry
+from repro.query.window import DocWindow
 from repro.query.xpath import parse_query
 
 __all__ = ["QueryEngine"]
@@ -54,7 +54,7 @@ class QueryEngine:
     * ``"window"`` — binary-searched pre/post range windows over the
       store's accelerator columns; every axis, O(|ctx| · log |cand| +
       |out|), no order-key computation.  Falls back to scan when the
-      store has no window index.
+      store's rows carry no valid window columns.
     * ``"twig"`` — pure structural chains are handed whole to the
       tree-pattern matcher; anything else falls back to scan.
     * ``"auto"`` (default) — the cost model picks among the above per
@@ -128,10 +128,10 @@ class QueryEngine:
         """Resolve one step's physical operator under the engine strategy.
 
         Fixed strategies degrade to ``scan`` where they do not apply
-        (merge on order axes or positions, window without the index), so
+        (merge on order axes or positions, window without valid columns), so
         every strategy answers every query identically.
         """
-        windows_ok = self.store.windows is not None
+        windows_ok = self.store.windowed
         if self.strategy == "auto" and windows_ok:
             return self.planner.plan_step(self.store.statistics(), step, context_size)
         if self.strategy == "merge" and (
@@ -141,7 +141,7 @@ class QueryEngine:
         elif self.strategy == "window" and windows_ok:
             picked = "window"
         elif self.strategy == "auto":
-            # No window index: the label strategies are all that is left,
+            # No window columns: the label strategies are all that is left,
             # and the planner's estimates still arbitrate scan vs merge.
             choice = self.planner.plan_step(self.store.statistics(), step, context_size)
             picked = choice.strategy
@@ -226,9 +226,8 @@ class QueryEngine:
 
     def _sorted_in_doc_order(self, rows: List[ElementRow]) -> List[ElementRow]:
         """Rows sorted into document order, via pre ranks when available."""
-        windows = self.store.windows
-        if windows is not None:
-            return sorted(rows, key=lambda row: windows.entry_of(row).pre)
+        if self.store.windowed:
+            return sorted(rows, key=lambda row: row.pre)
         ops = self.store.ops
         return sorted(rows, key=ops.order_key)
 
@@ -250,21 +249,15 @@ class QueryEngine:
         selected = self.store.doc_ids if doc_ids is None else [
             doc_id for doc_id in self.store.doc_ids if doc_id in doc_ids
         ]
-        # The window index's per-tag lists are already in document order;
+        # A windowed store's per-tag lists are already in document order;
         # the label strategies instead pay the scheme's order-key sort
         # (for prime: the paper's SC-table overhead).
-        use_windows = (
-            self.store.windows is not None and self.strategy in ("window", "auto")
-        )
+        use_windows = self.store.windowed and self.strategy in ("window", "auto")
         with metrics.timed("query.op.seed"):
             for doc_id in selected:
-                if use_windows:
-                    doc = self.store.windows.doc(doc_id)
-                    entries = doc.tag_entries(step.tag) if doc is not None else []
-                    matches = [entry.row for entry in entries]
-                else:
-                    candidates = self.store.rows_with_tag(doc_id, step.tag)
-                    matches = sorted(candidates, key=ops.order_key)
+                matches = self.store.rows_with_tag(doc_id, step.tag)
+                if not use_windows:
+                    matches = sorted(matches, key=ops.order_key)
                 metrics.incr("query.nodes_scanned", len(matches))
                 if step.position is not None:
                     matches = (
@@ -293,7 +286,7 @@ class QueryEngine:
             picked = self._choose_step_strategy(step, len(context)).strategy
         if picked == "merge":
             return self._apply_structural_merge(context, step)
-        if picked == "window" and self.store.windows is not None:
+        if picked == "window" and self.store.windowed:
             return self._apply_window_step(context, step)
         ops = self.store.ops
         expanded = step.from_descendants and step.axis in self._ORDER_AXES
@@ -339,24 +332,21 @@ class QueryEngine:
         the ``(doc_id, pre)`` pair, which realizes the same document
         order as the schemes' order keys.
         """
-        windows = self.store.windows
-        assert windows is not None
         collected: List[ElementRow] = []
         seen: set[int] = set()
         with metrics.timed(f"query.op.window.{step.axis.value}"):
             for context_row in context:
-                doc = windows.doc(context_row.doc_id)
+                doc = self.store.doc_window(context_row.doc_id)
                 if doc is None:
                     continue
-                entries = self._window_axis_entries(doc, context_row, step)
-                metrics.incr("query.nodes_scanned", len(entries))
+                matches = self._window_axis_rows(doc, context_row, step)
+                metrics.incr("query.nodes_scanned", len(matches))
                 if step.position is not None:
-                    entries = (
-                        [entries[step.position - 1]]
-                        if len(entries) >= step.position
+                    matches = (
+                        [matches[step.position - 1]]
+                        if len(matches) >= step.position
                         else []
                     )
-                matches = [entry.row for entry in entries]
                 # After position, matching the paper's `author[2]/"John"`.
                 if step.text is not None:
                     matches = [row for row in matches if row.text == step.text]
@@ -364,15 +354,13 @@ class QueryEngine:
                     if row.element_id not in seen:
                         seen.add(row.element_id)
                         collected.append(row)
-            collected.sort(
-                key=lambda row: (row.doc_id, windows.entry_of(row).pre)
-            )
+            collected.sort(key=lambda row: (row.doc_id, row.pre))
             metrics.incr("query.nodes_emitted", len(collected))
         return collected
 
-    def _window_axis_entries(
+    def _window_axis_rows(
         self, doc: DocWindow, context_row: ElementRow, step: Step
-    ) -> List[WindowEntry]:
+    ) -> List[ElementRow]:
         """The axis window for one context row, sorted by ``pre``.
 
         Range bounds per axis (0-based dense pre ranks; ``end`` is the
@@ -388,59 +376,58 @@ class QueryEngine:
           (expanded: per-parent extreme pre over the whole subtree);
         * parent/ancestor: ``parent_id`` chain walks, O(depth).
         """
-        entry = doc.entry(context_row.element_id)
+        row_with_id = self.store.row_with_id
         tag_list = doc.tag_entries(step.tag)
-        last_pre = len(doc.by_pre) - 1
+        last_pre = len(doc) - 1
         axis = step.axis
         expanded = step.from_descendants and axis in self._ORDER_AXES
 
         if axis is Axis.DESCENDANT:
-            return doc.range_in(tag_list, entry.pre + 1, entry.end)
+            return doc.range_in(tag_list, context_row.pre + 1, context_row.end)
         if axis is Axis.CHILD:
-            window = doc.range_in(tag_list, entry.pre + 1, entry.end)
-            return [e for e in window if e.level == entry.level + 1]
+            window = doc.range_in(tag_list, context_row.pre + 1, context_row.end)
+            return [r for r in window if r.depth == context_row.depth + 1]
         if axis is Axis.PARENT:
             if context_row.parent_id is None:
                 return []
-            parent = doc.entry(context_row.parent_id)
-            wanted = step.tag == "*" or parent.row.tag == step.tag
-            return [parent] if wanted else []
+            parent = row_with_id(context_row.parent_id)
+            return [parent] if step.tag in ("*", parent.tag) else []
         if axis is Axis.ANCESTOR:
-            chain: List[WindowEntry] = []
+            chain: List[ElementRow] = []
             parent_id = context_row.parent_id
             while parent_id is not None:
-                ancestor = doc.entry(parent_id)
-                if step.tag == "*" or ancestor.row.tag == step.tag:
+                ancestor = row_with_id(parent_id)
+                if step.tag in ("*", ancestor.tag):
                     chain.append(ancestor)
-                parent_id = ancestor.row.parent_id
+                parent_id = ancestor.parent_id
             chain.reverse()  # collected leaf-ward; document order is root-ward
             return chain
         if axis is Axis.FOLLOWING:
             if expanded:
-                spine = entry  # descend first children to the leftmost leaf
+                spine = context_row  # descend first children to the leftmost leaf
                 while spine.size > 1:
                     spine = doc.by_pre[spine.pre + 1]
                 return doc.range_in(tag_list, spine.pre + 1, last_pre)
-            return doc.range_in(tag_list, entry.pre + entry.size, last_pre)
+            return doc.range_in(tag_list, context_row.end + 1, last_pre)
         if axis is Axis.PRECEDING:
             if expanded:
-                prefix = doc.range_in(tag_list, 0, entry.end - 1)
+                prefix = doc.range_in(tag_list, 0, context_row.end - 1)
                 return [
-                    e
-                    for e in prefix
+                    r
+                    for r in prefix
                     # not on the subtree's rightmost spine ...
-                    if not (e.pre >= entry.pre and e.end == entry.end)
+                    if not (r.pre >= context_row.pre and r.end == context_row.end)
                     # ... and not a proper ancestor of the context
-                    and not (e.pre < entry.pre <= e.end)
+                    and not (r.pre < context_row.pre <= r.end)
                 ]
-            prefix = doc.range_in(tag_list, 0, entry.pre - 1)
-            return [e for e in prefix if e.end < entry.pre]
+            prefix = doc.range_in(tag_list, 0, context_row.pre - 1)
+            return [r for r in prefix if r.end < context_row.pre]
         # Sibling axes.
         if expanded:
             extreme: Dict[int, int] = {}
             want_min = axis is Axis.FOLLOWING_SIBLING
-            for member in doc.by_pre[entry.pre : entry.end + 1]:
-                parent_id = member.row.parent_id
+            for member in doc.by_pre[context_row.pre : context_row.end + 1]:
+                parent_id = member.parent_id
                 if parent_id is None:
                     continue  # a document root has no siblings
                 best = extreme.get(parent_id)
@@ -449,30 +436,30 @@ class QueryEngine:
                 ):
                     extreme[parent_id] = member.pre
             if context_row.parent_id is not None:
-                parent = doc.entry(context_row.parent_id)
+                parent = row_with_id(context_row.parent_id)
                 lo, hi = parent.pre + 1, parent.end
             else:
-                lo, hi = entry.pre + 1, entry.end
+                lo, hi = context_row.pre + 1, context_row.end
             window = doc.range_in(tag_list, lo, hi)
             if want_min:
                 return [
-                    e
-                    for e in window
-                    if e.row.parent_id in extreme and e.pre > extreme[e.row.parent_id]
+                    r
+                    for r in window
+                    if r.parent_id in extreme and r.pre > extreme[r.parent_id]
                 ]
             return [
-                e
-                for e in window
-                if e.row.parent_id in extreme and e.pre < extreme[e.row.parent_id]
+                r
+                for r in window
+                if r.parent_id in extreme and r.pre < extreme[r.parent_id]
             ]
         if context_row.parent_id is None:
             return []
-        parent = doc.entry(context_row.parent_id)
+        parent = row_with_id(context_row.parent_id)
         if axis is Axis.FOLLOWING_SIBLING:
-            window = doc.range_in(tag_list, entry.end + 1, parent.end)
+            window = doc.range_in(tag_list, context_row.end + 1, parent.end)
         else:
-            window = doc.range_in(tag_list, parent.pre + 1, entry.pre - 1)
-        return [e for e in window if e.row.parent_id == context_row.parent_id]
+            window = doc.range_in(tag_list, parent.pre + 1, context_row.pre - 1)
+        return [r for r in window if r.parent_id == context_row.parent_id]
 
     # ------------------------------------------------------------------
     # Merge strategy: stack-based structural join per document

@@ -235,12 +235,17 @@ class ReadView:
         per-document order keys are distinct, and sorting each document
         by order key yields a valid preorder of the ``parent_id`` tree
         (parents always open before their children, DFS-contiguously).
+        A windowed store's columns must match that order too: the
+        document's rows, held in ``pre`` order, are the order-key order
+        with ``pre`` = 0..n-1, and each ``size`` is its subtree's row
+        count.
         """
         violations: List[str] = []
         store = self.engine.store
         ops = store.ops
-        by_id = {row.element_id: row for row in store.rows}
-        for row in store.rows:
+        rows = store.rows
+        by_id = {row.element_id: row for row in rows}
+        for row in rows:
             if row.parent_id is None:
                 continue
             parent = by_id.get(row.parent_id)
@@ -266,26 +271,64 @@ class ReadView:
                 violations.append(f"doc {doc_id}: duplicate order keys")
                 continue
             ordered = [row for _, row in sorted(zip(keys, doc_rows))]
-            stack: List[int] = []
-            for row in ordered:
-                if row.parent_id is None:
-                    if stack:
-                        violations.append(
-                            f"doc {doc_id}: root row {row.element_id} "
-                            "appears mid-sequence"
-                        )
-                        break
-                else:
-                    while stack and stack[-1] != row.parent_id:
-                        stack.pop()
-                    if not stack:
-                        violations.append(
-                            f"doc {doc_id}: row {row.element_id} opens "
-                            f"before its parent {row.parent_id} in SC order"
-                        )
-                        break
-                stack.append(row.element_id)
+            sizes = _preorder_subtree_sizes(doc_id, ordered, violations)
+            if sizes is None or not store.windowed:
+                continue
+            for position, (row, expected) in enumerate(zip(doc_rows, ordered)):
+                if row is not expected or row.pre != position:
+                    violations.append(
+                        f"doc {doc_id}: row {row.element_id} has pre {row.pre} "
+                        f"at position {position}; SC order puts row "
+                        f"{expected.element_id} there"
+                    )
+                    break
+                if row.size != sizes[row.element_id]:
+                    violations.append(
+                        f"doc {doc_id}: row {row.element_id} has size "
+                        f"{row.size}, its subtree has "
+                        f"{sizes[row.element_id]} rows"
+                    )
+                    break
         return violations
+
+
+def _preorder_subtree_sizes(
+    doc_id: int, ordered: List[ElementRow], violations: List[str]
+) -> Optional[Dict[int, int]]:
+    """Subtree row counts of one document's rows taken in SC order.
+
+    Returns None (after recording the violation) when the order is not a
+    preorder of the ``parent_id`` tree: a root mid-sequence, or a row
+    opening before its parent.
+    """
+    sizes: Dict[int, int] = {}
+    stack: List[Tuple[int, int]] = []  # (element_id, position it opened at)
+
+    def close(until: int) -> None:
+        element_id, opened = stack.pop()
+        sizes[element_id] = until - opened
+
+    for position, row in enumerate(ordered):
+        if row.parent_id is None:
+            if stack:
+                violations.append(
+                    f"doc {doc_id}: root row {row.element_id} "
+                    "appears mid-sequence"
+                )
+                return None
+        else:
+            while stack and stack[-1][0] != row.parent_id:
+                close(position)
+            if not stack:
+                violations.append(
+                    f"doc {doc_id}: row {row.element_id} opens "
+                    f"before its parent {row.parent_id} in SC order"
+                )
+                return None
+        stack.append((row.element_id, position))
+    while stack:
+        close(len(ordered))
+    return sizes
 
 
 class LiveCollection(NodeMutations):
@@ -497,7 +540,7 @@ class LiveCollection(NodeMutations):
                     version=self._version,
                     applied_seq=applied_seq,
                     engine=engine,
-                    row_count=len(store.rows),
+                    row_count=len(store),
                     fingerprint=digest,
                 )
                 self._latest_view = view

@@ -14,7 +14,7 @@ File layout (all integers big-endian)::
     kind    1 byte length + UTF-8 codec kind
     widths  2 bytes field_count, 2 bytes field_bytes   (versions 1-2 only)
     tags    4 bytes count, then per tag: 2 bytes length + UTF-8
-    rows    4 bytes count, then per row:
+    rows    4 bytes count, then per row (each document's rows in preorder):
               4B doc_id  4B element_id  4B tag_index  2B depth
               4B parent_id (0xFFFFFFFF = none)  encoded label
               2B text length + UTF-8 text (the value column)
@@ -114,16 +114,17 @@ def save_store(store: LabelStore, path: str | Path, version: int = _VERSION) -> 
         raise QueryEvaluationError(f"cannot write label store version {version}")
     scheme = _scheme_name(store.ops)
     kind = _KIND_BY_SCHEME[scheme]
+    rows = store.rows  # per document in preorder: the order loads rebuild
     codec: FixedWidthCodec | VarintCodec
     if version >= 3:
         codec = VarintCodec(kind)
     else:
         field_count = max(
-            (len(label_to_ints(row.label)) for row in store.rows), default=1
+            (len(label_to_ints(row.label)) for row in rows), default=1
         )
         field_count = max(field_count, 1)
         widest = max(
-            (part for row in store.rows for part in label_to_ints(row.label)),
+            (part for row in rows for part in label_to_ints(row.label)),
             default=0,
         )
         codec = FixedWidthCodec(
@@ -132,7 +133,7 @@ def save_store(store: LabelStore, path: str | Path, version: int = _VERSION) -> 
 
     tags: List[str] = []
     tag_index: Dict[str, int] = {}
-    for row in store.rows:
+    for row in rows:
         if row.tag not in tag_index:
             tag_index[row.tag] = len(tags)
             tags.append(row.tag)
@@ -145,8 +146,8 @@ def save_store(store: LabelStore, path: str | Path, version: int = _VERSION) -> 
     out.append(struct.pack(">I", len(tags)))
     for tag in tags:
         _write_string(out, tag, ">H")
-    out.append(struct.pack(">I", len(store.rows)))
-    for row in store.rows:
+    out.append(struct.pack(">I", len(rows)))
+    for row in rows:
         parent = _NO_PARENT if row.parent_id is None else row.parent_id
         out.append(
             struct.pack(
@@ -167,9 +168,10 @@ def _rebuild_ops(scheme: str, rows: List[ElementRow]) -> StoreOps:
         return IntervalOps()
     if scheme == "prefix-2":
         return PrefixOps()
-    # prime: rebuild the per-document SC tables from the stored labels —
-    # document order is recoverable because labels were issued in document
-    # order (ascending primes per document).
+    # prime: rebuild the per-document SC tables from the stored labels.
+    # Each row's order is its position in its document's stream, which
+    # save_store writes in preorder; the primes themselves are no guide
+    # (an insert draws a larger prime than every node after it).
     from repro.labeling.prime import PrimeScheme
 
     ordered: Dict[int, Any] = {}
@@ -178,12 +180,9 @@ def _rebuild_ops(scheme: str, rows: List[ElementRow]) -> StoreOps:
         by_doc.setdefault(row.doc_id, []).append(row)
     for doc_id, doc_rows in by_doc.items():
         table = SCTable(group_size=5)
-        ranked = sorted(
-            (row for row in doc_rows if row.depth > 0),
-            key=lambda row: row.label.self_label,
-        )
-        for order, row in enumerate(ranked, start=1):
-            table.register(row.label.self_label, order)
+        for order, row in enumerate(doc_rows):
+            if row.depth > 0:
+                table.register(row.label.self_label, order)
         holder = _LoadedOrderHolder(table)
         ordered[doc_id] = holder
     return PrimeOps(PrimeScheme(reserved_primes=0, power2_leaves=False), ordered)

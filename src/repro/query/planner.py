@@ -10,10 +10,11 @@ them dominates:
   it must sort both sides by the scheme's order key (for the prime scheme
   that means SC-table lookups — the paper's "overhead ... to generate
   global order via the SC table").
-* **window** — binary-searched pre/post range windows over the
-  :class:`~repro.query.window.WindowIndex`; O(|ctx| · log |cand| + |out|)
-  and it never consults the order key, but it needs the window columns
-  (absent on hand-assembled stores).
+* **window** — binary-searched pre/post range windows over each
+  document's :class:`~repro.query.window.DocWindow`; O(|ctx| · log |cand|
+  + |out|) and it never consults the order key, but it needs valid
+  window columns (absent on hand-assembled stores that are not a
+  preorder).
 * **twig** — the bottom-up tree-pattern matcher of
   :mod:`repro.query.twig`, a *whole-query* route for pure structural
   chains: one pass over each document instead of one operator per step.

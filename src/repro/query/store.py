@@ -10,7 +10,9 @@ instance (the Niagara repository is multi-document), and rows carry:
 * ``label`` — the scheme's label,
 * ``depth`` and ``parent_id`` — standard companion columns of relational
   XML storage (XISS keeps both; parent/child and sibling predicates need
-  them for schemes whose labels cannot express parenthood alone).
+  them for schemes whose labels cannot express parenthood alone),
+* ``pre`` and ``size`` — the XPath-Accelerator window columns of
+  :mod:`repro.query.window`, kept in preorder per document.
 
 The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 
@@ -27,7 +29,7 @@ The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryEvaluationError
 from repro.labeling.base import LabelingScheme
@@ -35,7 +37,7 @@ from repro.labeling.interval import XissIntervalScheme
 from repro.labeling.prefix import Bits, Prefix2Scheme
 from repro.labeling.prime import PrimeScheme
 from repro.order.document import OrderedDocument
-from repro.query.window import WindowIndex
+from repro.query.window import DocWindow
 from repro.xmlkit.tree import XmlElement
 
 __all__ = [
@@ -60,6 +62,18 @@ class ElementRow:
     parent_id: Optional[int]
     node: XmlElement  # back-reference for result verification only
     text: str = ""  # the value column of relational XML storage
+    pre: int = 0  # preorder rank within the document (repro.query.window)
+    size: int = 1  # subtree row count, the row itself included
+
+    @property
+    def end(self) -> int:
+        """Preorder rank of the last row in this row's subtree."""
+        return self.pre + self.size - 1
+
+    @property
+    def post(self) -> int:
+        """Postorder rank within the document (Grust's pre/size/level identity)."""
+        return self.end - self.depth
 
 
 def check_prefix(ancestor_label: Bits, descendant_label: Bits) -> bool:
@@ -269,32 +283,31 @@ class StoreStatistics:
 
 
 class LabelStore:
-    """The in-memory element table for a document collection."""
+    """The in-memory element table for a document collection.
 
-    def __init__(self, rows: List[ElementRow], ops: StoreOps):
-        self.rows = rows
+    Each document's rows live in one :class:`~repro.query.window.DocWindow`
+    (rows in preorder plus per-tag lists); the whole-table ``rows`` view is
+    derived from those, in (document, ``pre``) order.
+    """
+
+    def __init__(self, rows: Iterable[ElementRow], ops: StoreOps):
         self.ops = ops
-        self._by_doc_tag: Dict[Tuple[int, str], List[ElementRow]] = {}
-        self._by_doc: Dict[int, List[ElementRow]] = {}
-        self._doc_ids: List[int] = []
+        self._docs: Dict[int, DocWindow] = {}
         self._row_by_id: Dict[int, ElementRow] = {}
         self._row_by_node: Dict[int, ElementRow] = {}
-        by_doc_tag, by_doc, doc_ids = self._by_doc_tag, self._by_doc, self._doc_ids
-        row_by_id, row_by_node = self._row_by_id, self._row_by_node
+        docs, row_by_id, row_by_node = self._docs, self._row_by_id, self._row_by_node
         for row in rows:
-            doc_id = row.doc_id
-            by_doc_tag.setdefault((doc_id, row.tag), []).append(row)
-            if doc_id not in by_doc:
-                by_doc[doc_id] = []
-                doc_ids.append(doc_id)
-            by_doc[doc_id].append(row)
+            doc = docs.get(row.doc_id)
+            if doc is None:
+                doc = docs[row.doc_id] = DocWindow()
+            doc.append(row)
             row_by_id[row.element_id] = row
             row_by_node[id(row.node)] = row
         self._next_id = max(row_by_id, default=-1) + 1
-        # The accelerator columns; None when the row stream is not a clean
-        # preorder (hand-assembled stores) — the engine then falls back to
-        # label comparisons.
-        self.windows: Optional[WindowIndex] = WindowIndex.build(rows)
+        # Whether every document's rows form a clean preorder and so carry
+        # valid pre/size columns; hand-assembled stores may not, and the
+        # engine then falls back to label comparisons.
+        self.windowed = all(doc.number() for doc in docs.values())
         self._statistics: Optional[StoreStatistics] = None
 
     # ------------------------------------------------------------------
@@ -401,16 +414,17 @@ class LabelStore:
         published version must not see that), label objects are shared
         (they are immutable values), and prime order keys are materialized
         into a :class:`FrozenPrimeOps` so the copy never consults the
-        writer's live SC tables.  The copy rebuilds its own indexes and
-        window columns from the copied rows, so subsequent writer-side
-        ``insert_row`` / ``delete_subtree`` patches cannot reach it.
+        writer's live SC tables.  Rows are copied in per-document preorder,
+        so the copy's indexes and ``pre``/``size`` columns equal the
+        writer's, and subsequent writer-side ``insert_row`` /
+        ``delete_subtree`` patches cannot reach it.
         """
-        rows = [replace(row) for row in self.rows]
+        rows = self.rows
         ops: StoreOps = self.ops
         if isinstance(ops, PrimeOps):
-            orders = {row.element_id: ops.order_key(row) for row in self.rows}
+            orders = {row.element_id: ops.order_key(row) for row in rows}
             ops = FrozenPrimeOps(ops._scheme, ops._ordered, orders)
-        return LabelStore(rows, ops)
+        return LabelStore([replace(row) for row in rows], ops)
 
     # ------------------------------------------------------------------
     # Access paths
@@ -418,17 +432,36 @@ class LabelStore:
 
     @property
     def doc_ids(self) -> List[int]:
-        return list(self._doc_ids)
+        return list(self._docs)
+
+    @property
+    def rows(self) -> List[ElementRow]:
+        """Every row of the table, in (document, ``pre``) order.
+
+        A store that is not windowed keeps each document's input order.
+        """
+        return [row for doc in self._docs.values() for row in doc.by_pre]
 
     def rows_with_tag(self, doc_id: int, tag: str) -> List[ElementRow]:
-        """The tag-index scan every step starts from (``*`` = any tag)."""
-        if tag == "*":
-            return self.rows_in_doc(doc_id)
-        return self._by_doc_tag.get((doc_id, tag), [])
+        """The tag-index scan every step starts from (``*`` = any tag).
+
+        Sorted by ``pre`` (document order) when the store is windowed.
+        """
+        doc = self._docs.get(doc_id)
+        return doc.tag_entries(tag) if doc is not None else []
 
     def rows_in_doc(self, doc_id: int) -> List[ElementRow]:
         """Every row of one document (the descendant-or-self expansions)."""
-        return self._by_doc.get(doc_id, [])
+        doc = self._docs.get(doc_id)
+        return doc.by_pre if doc is not None else []
+
+    def doc_window(self, doc_id: int) -> Optional[DocWindow]:
+        """One document's pre-sorted row lists (None if unknown)."""
+        return self._docs.get(doc_id)
+
+    def row_with_id(self, element_id: int) -> ElementRow:
+        """The row with ``element_id`` (KeyError if unknown)."""
+        return self._row_by_id[element_id]
 
     def ordered_documents(self) -> Dict[int, "OrderedDocument"]:
         """Per-doc :class:`OrderedDocument` instances, when the store has
@@ -446,13 +479,14 @@ class LabelStore:
         """Planner statistics, recomputed lazily after mutations."""
         if self._statistics is None:
             tag_totals: Dict[str, int] = {}
-            for (_, tag), bucket in self._by_doc_tag.items():
-                tag_totals[tag] = tag_totals.get(tag, 0) + len(bucket)
+            for doc in self._docs.values():
+                for tag, bucket in doc.by_tag.items():
+                    tag_totals[tag] = tag_totals.get(tag, 0) + len(bucket)
             self._statistics = StoreStatistics(
-                doc_count=len(self._doc_ids),
-                row_count=len(self.rows),
+                doc_count=len(self._docs),
+                row_count=len(self),
                 tag_totals=tag_totals,
-                has_windows=self.windows is not None,
+                has_windows=self.windowed,
                 ops_name=self.ops.name,
             )
         return self._statistics
@@ -465,8 +499,8 @@ class LabelStore:
         """Register one freshly inserted *leaf* element.
 
         The node must already be attached to its (indexed) parent; its row
-        is appended to the table and the window columns are patched
-        incrementally — no rebuild.
+        is placed in its document's lists and the window columns are
+        patched incrementally — no rebuild.
         """
         parent = node.parent
         if parent is None:
@@ -474,6 +508,7 @@ class LabelStore:
         parent_row = self._row_by_node.get(id(parent))
         if parent_row is None:
             raise QueryEvaluationError("insert parent is not part of this store")
+        doc = self._docs[doc_id]
         element_id = self._next_id
         self._next_id += 1
         row = ElementRow(
@@ -486,20 +521,17 @@ class LabelStore:
             node=node,
             text=node.text,
         )
-        self.rows.append(row)
-        self._by_doc_tag.setdefault((doc_id, row.tag), []).append(row)
-        self._by_doc.setdefault(doc_id, []).append(row)
-        if doc_id not in self._doc_ids:
-            self._doc_ids.append(doc_id)
         self._row_by_id[element_id] = row
         self._row_by_node[id(node)] = row
-        if self.windows is not None:
+        if self.windowed:
             index = node.child_index
             previous = parent.children[index - 1] if index > 0 else None
             previous_row = (
                 self._row_by_node.get(id(previous)) if previous is not None else None
             )
-            self.windows.apply_insert(row, parent_row, previous_row)
+            doc.apply_insert(row, parent_row, previous_row, self._row_by_id)
+        else:
+            doc.append(row)
         self._statistics = None
         return row
 
@@ -507,38 +539,29 @@ class LabelStore:
         """Drop ``node`` and its whole subtree from the table and indexes.
 
         Works on the already-detached subtree (detached trees stay
-        iterable); returns the removed rows in document order.
+        iterable); returns the removed rows in document order.  A windowed
+        store removes one contiguous ``by_pre`` slice.
         """
         row = self._row_by_node.get(id(node))
         if row is None:
             raise QueryEvaluationError("deleted node is not part of this store")
-        if self.windows is not None:
-            removed = [entry.row for entry in self.windows.apply_delete(row)]
+        if self.windowed:
+            removed = self._docs[row.doc_id].apply_delete(row, self._row_by_id)
         else:
             removed = []
             for descendant in node.iter_preorder():
                 gone = self._row_by_node.get(id(descendant))
                 if gone is not None:
                     removed.append(gone)
-        removed_ids = {gone.element_id for gone in removed}
+            removed_ids = {gone.element_id for gone in removed}
+            kept = DocWindow()
+            for other in self._docs[row.doc_id].by_pre:
+                if other.element_id not in removed_ids:
+                    kept.append(other)
+            self._docs[row.doc_id] = kept
         for gone in removed:
             del self._row_by_id[gone.element_id]
             del self._row_by_node[id(gone.node)]
-        self.rows = [r for r in self.rows if r.element_id not in removed_ids]
-        doc_id = row.doc_id
-        self._by_doc[doc_id] = [
-            r for r in self._by_doc.get(doc_id, []) if r.element_id not in removed_ids
-        ]
-        for tag in {gone.tag for gone in removed}:
-            key = (doc_id, tag)
-            bucket = [
-                r for r in self._by_doc_tag.get(key, ())
-                if r.element_id not in removed_ids
-            ]
-            if bucket:
-                self._by_doc_tag[key] = bucket
-            else:
-                self._by_doc_tag.pop(key, None)
         self._statistics = None
         return removed
 
@@ -561,4 +584,4 @@ class LabelStore:
         return refreshed
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(len(doc) for doc in self._docs.values())

@@ -49,6 +49,17 @@ class TestReadViewBasics:
         view.engine.store.rows[2].parent_id = 10_000
         assert view.audit() != []
 
+    @pytest.mark.parametrize("column", ["pre", "size"])
+    def test_audit_checks_window_columns(self, column):
+        live = LiveCollection([parse_document(DOC)])
+        live.insert_child(live.documents[0], 0, tag="new")
+        view = live.publish_view()
+        assert view.audit() == []
+        row = view.engine.store.rows[3]
+        setattr(row, column, getattr(row, column) + 1)
+        violations = view.audit()
+        assert violations and f"row {row.element_id} has {column}" in violations[0]
+
     def test_versions_are_monotonic(self):
         live = LiveCollection([parse_document(DOC)])
         first = live.publish_view(applied_seq=1)

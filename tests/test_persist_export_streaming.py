@@ -15,6 +15,7 @@ from repro.labeling.dewey import DeweyScheme
 from repro.labeling.interval import StartEndIntervalScheme
 from repro.labeling.prime import PrimeScheme
 from repro.query.engine import QueryEngine
+from repro.query.live import LiveCollection
 from repro.query.persist import load_store, save_store
 from repro.query.store import LabelStore
 from repro.xmlkit.parser import parse_document
@@ -100,6 +101,33 @@ class TestPersist:
             assert [r.element_id for r in before.evaluate(query)] == [
                 r.element_id for r in after.evaluate(query)
             ], (scheme, query)
+
+    def test_reloaded_mutated_store_keeps_document_order(self, tmp_path):
+        # An insert draws a larger prime than the nodes after it, so the
+        # reload must take order from the file's per-document preorder,
+        # not from ascending primes.
+        live = LiveCollection([parse_document(DOC), play(seed=2)])
+        live.insert_child(live.documents[0], 0, tag="prologue")
+        live.insert_child(live.documents[0].children[2], 0, tag="prologue")
+        live.delete(live.documents[1].children[1])
+        path = tmp_path / "store.bin"
+        save_store(live.engine.store, path)
+        loaded = load_store(path)
+        queries = (
+            "/play/*",
+            "/play//*",
+            "/prologue/Following::*",
+            "/line/Preceding::*",
+            "/act//Following-Sibling::*",
+            "/PLAY/*",
+            "/SPEECH//Following::LINE",
+        )
+        for strategy in ("scan", "window", "auto"):
+            engine = QueryEngine(loaded, strategy=strategy)
+            for query in queries:
+                assert [r.element_id for r in engine.evaluate(query)] == [
+                    r.element_id for r in live.query(query)
+                ], (strategy, query)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -103,17 +103,16 @@ class TestWindowDetails:
         assert keys == sorted(keys)
 
     def test_columns_match_identity(self):
-        # post = pre + size - 1 - level on every entry (Grust's identity).
-        windows = self.make().store.windows
-        assert windows is not None
-        for doc_id, per_node in windows.columns().items():
-            for pre, post, level, size in per_node.values():
-                assert post == pre + size - 1 - level, (doc_id, pre)
+        # post = pre + size - 1 - level on every row (Grust's identity).
+        store = self.make().store
+        assert store.windowed
+        for row in store.rows:
+            assert row.post == row.pre + row.size - 1 - row.depth, (row.doc_id, row.pre)
 
     def test_window_strategy_survives_missing_index(self):
         engine = self.make()
         expected = engine.count("/play//line")
-        engine.store.windows = None
+        engine.store.windowed = False
         engine.store._statistics = None
         assert engine.count("/play//line") == expected  # falls back to scan
 

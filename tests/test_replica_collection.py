@@ -118,6 +118,34 @@ class TestConvergence:
         assert lag.record_lag == 0 and lag.byte_lag == 0
 
 
+class TestReplicaViewColumns:
+    PLAY = "<play><act><scene/></act><act><scene/></act></play>"
+
+    def test_view_answers_order_axes_like_the_primary(self, tmp_path):
+        # The replica's view carried window columns rebuilt from rows in
+        # insertion order: the inserted first child landed last.
+        primary = DurableCollection.create(
+            tmp_path / "auto", [parse_document(self.PLAY)], fsync="never",
+            strategy="auto",
+        )
+        try:
+            replica = ReplicaCollection(primary.directory)
+            primary.insert_child(primary.documents[0], 0, tag="prologue")
+            replica.catch_up()
+            view = replica.read_view()
+            expected = {
+                "/prologue/Following::act": ["act", "act"],
+                "/act/Preceding-Sibling::prologue": ["prologue"],
+                "/play/*": ["prologue", "act", "act"],
+            }
+            for query, tags in expected.items():
+                assert [r.tag for r in primary.query(query)] == tags, query
+                assert [r.tag for r in view.query(query)] == tags, query
+            assert view.audit() == []
+        finally:
+            primary.close()
+
+
 class TestResync:
     def test_gap_triggers_snapshot_resync(self, primary):
         replica = ReplicaCollection(primary.directory)

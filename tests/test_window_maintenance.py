@@ -18,6 +18,7 @@ from repro.errors import QueryEvaluationError
 from repro.obs import metrics
 from repro.obs.audit import audit_ordered_document
 from repro.query.live import BatchOp, LiveCollection
+from repro.query.naive import NaiveEvaluator
 from repro.xmlkit.parser import parse_document
 
 DOC = """
@@ -34,6 +35,8 @@ QUERIES = (
     "/speech//Preceding::line",
     "/scene/Following-Sibling::scene",
     "/play//speech[2]",
+    "/play/*",
+    "/scene/Preceding::*",
 )
 
 
@@ -44,18 +47,11 @@ def columns_by_node(store):
     and a rebuilt one (preorder renumbering); the tree nodes are the
     stable identity shared by both.
     """
-    assert store.windows is not None
-    mapping = {}
-    for row in store.rows:
-        entry = store.windows.entry_of(row)
-        assert entry is not None, row
-        mapping[(row.doc_id, id(row.node))] = (
-            entry.pre,
-            entry.post,
-            entry.level,
-            entry.size,
-        )
-    return mapping
+    assert store.windowed
+    return {
+        (row.doc_id, id(row.node)): (row.pre, row.post, row.depth, row.size)
+        for row in store.rows
+    }
 
 
 def assert_columns_match_rebuild(collection):
@@ -162,6 +158,28 @@ class TestIncrementalMaintenanceSoak:
             live_ids = [id(r.node) for r in collection.query(query)]
             fresh_ids = [id(r.node) for r in fresh.evaluate(query)]
             assert live_ids == fresh_ids, query
+
+    @pytest.mark.parametrize("strategy", ["auto", "window", "twig"])
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_published_views_match_live_and_oracle(self, strategy, seed):
+        # A view's columns come from the writer's rows in preorder; copied
+        # in insertion order they put inserted nodes last in the view.
+        rng = Random(seed)
+        collection = LiveCollection(
+            [parse_document(DOC), parse_document(DOC)], group_size=5, strategy=strategy
+        )
+        for _ in range(10):
+            if rng.random() < 0.3:
+                random_batch(rng, collection)
+            else:
+                random_mutation(rng, collection)
+            view = collection.publish_view()
+            oracle = NaiveEvaluator(collection.documents)
+            for query in QUERIES:
+                expected = [id(node) for node in oracle.evaluate(query)]
+                assert [id(r.node) for r in collection.query(query)] == expected, query
+                assert [id(r.node) for r in view.query(query)] == expected, query
+            assert view.audit() == []
 
     def test_patch_failure_falls_back_to_rebuild(self, monkeypatch):
         collection = LiveCollection([parse_document(DOC)])
