@@ -13,12 +13,11 @@ every node behind it and touches nearly every SC record.  Both paths run
 through a :class:`~repro.durable.collection.DurableCollection` with
 ``fsync="always"``; the batched path amortizes
 
-* the WAL append + fsync (one group-commit record per batch),
-* the CRT re-solves (one per touched SC record per batch), and
-* the order shifts themselves (coalesced to O(records) aggregate work per
-  op, folded once per record per batch),
+* the WAL append + fsync (one group-commit record per batch), and
+* the order shifts (coalesced to O(records) aggregate work per op, folded
+  once per record per batch),
 
-while the sequential path pays all three per operation.  Per row the table
+while the sequential path pays both per operation.  Per row the table
 reports ops/sec, the speedup over the sequential baseline, whether the
 end state is byte-identical to the sequential run's
 (:func:`~repro.durable.snapshot.collection_fingerprint`), and whether the

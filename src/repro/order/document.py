@@ -140,13 +140,14 @@ class OrderedDocument:
 
     @contextmanager
     def batch(self) -> Iterator["OrderedDocument"]:
-        """Coalesce SC-record CRT solves across a run of updates.
+        """Coalesce SC-record order shifts across a run of updates.
 
         Delegates to :meth:`repro.order.sc_table.SCTable.batch`: inside the
         context, inserts and deletes follow exactly the sequential
         algorithm (same grouping, same overflow repairs, same per-record
-        cost reports) but each touched SC record is re-solved once when the
-        context exits instead of once per mutation.  Must not span
+        cost reports) but each touched SC record folds its pending shifts
+        once, when it is next mutated or the context exits, instead of once
+        per shift.  Must not span
         :meth:`compact`, which replaces the SC table wholesale.
         """
         with self.sc_table.batch():

@@ -4,7 +4,7 @@ Each record covers a group of node self-labels (pairwise-coprime, in
 practice distinct primes) and stores
 
 * ``sc`` — the CRT value with ``sc mod self_label == order`` for every
-  member, and
+  member, solved from the stored residues when it is read, and
 * ``max_prime`` — the largest self-label in the group, which is what the
   paper stores to route lookups ("we record the maximum prime number for
   each SC value in the SC table").
@@ -18,21 +18,25 @@ re-labeling", Section 5.4); :meth:`SCTable.shift_orders_from` and
 :meth:`SCTable.register` return how many records they touched so the
 Figure 18 experiment can charge exactly that.
 
-Batching: inside a :meth:`SCTable.batch` context every record's
-:class:`~repro.primes.crt.CongruenceSystem` runs deferred and the records
-actually touched are re-solved **once each** when the outermost batch
-exits.  On top of that, the ``+1`` order shifts themselves are *coalesced*:
-:meth:`shift_orders_from` appends the threshold to a pending list and only
-maintains two exact per-record aggregates (the maximum member order and a
-conservative minimum residue slack), so each shift costs O(records)
-instead of O(nodes).  Pending shifts are *folded* into a record's residue
-map lazily — when the record is read, gains or loses a member, or the
-batch exits — by replaying the thresholds in sequence, which reproduces
-the sequential evolution exactly.  The slack aggregate can only
-under-estimate, so a fold is always forced **at the op** where a residue
-could reach its modulus: overflow repairs fire at the same operation, with
-the same fresh primes, as the unbatched path.  The per-call return values
-(records touched, overflowed members) are unchanged, so the paper's cost
+Lookups read the stored residue, never the SC value, so no update pays a
+CRT solve: :class:`~repro.primes.crt.CongruenceSystem` solves its value
+when something reads it (``SCRecord.sc``, :meth:`SCTable.check`, the
+audit).  Every record keeps two aggregates at every mutation, its maximum
+member order and its minimum residue slack; a shift skips every record
+whose maximum is below its threshold.
+
+Batching: inside a :meth:`SCTable.batch` context the ``+1`` order shifts
+are *coalesced*: :meth:`shift_orders_from` appends the threshold to a
+pending list and moves only the aggregates of the records it reaches, so
+each shift costs O(records) instead of O(nodes).  Pending shifts are
+*folded* into a record's residue map lazily — when the record gains or
+loses a member, the table is dumped, or the batch exits — by replaying
+the thresholds in sequence, which reproduces the sequential evolution
+exactly.  In a batch the slack aggregate can only under-estimate, so a
+fold is always forced **at the op** where a residue could reach its
+modulus: overflow repairs fire at the same operation, with the same fresh
+primes, as the unbatched path.  The per-call return values (records
+touched, overflowed members) are unchanged, so the paper's cost
 accounting is identical batched or not.
 """
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import CapacityError, OrderingError
 from repro.obs import metrics
@@ -76,17 +80,18 @@ def capacity_error(self_label: int, order: int, group: int | None) -> CapacityEr
 class SCRecord:
     """One row of the SC table: a congruence system plus its routing key.
 
-    The last three fields are batch-scoped scratch state for coalesced
-    shifts (see :meth:`SCTable.batch`); outside a batch they are inert:
+    The last four fields serve :meth:`SCTable.shift_orders_from`;
+    ``pending_base`` and ``stale`` matter only inside a batch:
 
-    * ``pending_base`` — how many of the table's pending shift thresholds
-      are already folded into this record's residues,
+    * ``pending_base`` — while ``stale``, the index of the first of the
+      table's pending shift thresholds not yet folded into the residues,
     * ``cur_max`` — exact maximum member order (``-1`` when empty),
-    * ``cur_slack`` — conservative (never over-estimating) minimum of
-      ``modulus - order`` over members; a fold is forced before it could
-      reach 0, i.e. before any residue could touch its modulus,
-    * ``stale`` — whether any pending threshold actually moved a member
-      (``False`` means the pending tail is a no-op for this record).
+    * ``cur_slack`` — minimum of ``modulus - order`` over members; exact
+      outside a batch and never over-estimating inside one, where a fold
+      is forced before it could reach 0, i.e. before any residue could
+      touch its modulus,
+    * ``stale`` — whether a pending threshold moved a member, i.e. whether
+      the stored residues lag the record's orders.
     """
 
     system: CongruenceSystem
@@ -98,7 +103,7 @@ class SCRecord:
 
     @property
     def sc(self) -> int:
-        """The simultaneous congruence value of this record."""
+        """The simultaneous congruence value, solved from the residues."""
         return self.system.value
 
     def __len__(self) -> int:
@@ -124,7 +129,6 @@ class SCTable:
         self._records: List[SCRecord] = []
         self._record_of: Dict[int, int] = {}  # self_label -> record index
         self._batch_depth = 0
-        self._batch_dirty: Set[int] = set()  # record indices touched in-batch
         self._pending: List[int] = []  # unfolded shift thresholds, in op order
 
     # ------------------------------------------------------------------
@@ -178,14 +182,14 @@ class SCTable:
 
         Reads the stored residue directly — by CRT construction it *is*
         ``sc % self_label`` (:meth:`check` verifies the equivalence), but
-        the direct read is O(1) and never forces a lazy CRT solve.  Inside
-        a :meth:`batch` the record may carry unfolded shift thresholds;
-        they are replayed over the stored residue here, so reads stay
-        exact mid-batch without folding the whole record.
+        the direct read is O(1) and never solves the CRT value.  Inside a
+        :meth:`batch` the record may carry unfolded shift thresholds; they
+        are replayed over the stored residue here, so reads stay exact
+        mid-batch without folding the whole record.
         """
         record = self.record_for(self_label)
         order = record.system.residue(self_label)
-        if record.stale and record.pending_base < len(self._pending):
+        if record.stale:
             for threshold in self._pending[record.pending_base :]:
                 if order >= threshold:
                     order += 1
@@ -203,13 +207,7 @@ class SCTable:
         if self._batch_depth:
             self._fold_all()
         return [
-            (
-                record.max_prime,
-                [
-                    (modulus, record.system.residue(modulus))
-                    for modulus in record.system.moduli
-                ],
-            )
+            (record.max_prime, list(record.system.congruences()))
             for record in self._records
         ]
 
@@ -221,10 +219,10 @@ class SCTable:
     ) -> "SCTable":
         """Rebuild a table from a :meth:`groups` dump, grouping preserved.
 
-        Each group becomes one SC record with its CRT value re-solved from
-        the stored residues; ``max_prime`` is validated against the group's
-        members (a corrupt snapshot must not smuggle in a broken routing
-        key).  Empty groups are legal — :meth:`unregister` can drain a
+        Each group becomes one SC record over the stored residues (its CRT
+        value is solved when first read); ``max_prime`` is validated
+        against the group's members (a corrupt snapshot must not smuggle in
+        a broken routing key).  Empty groups are legal — :meth:`unregister` can drain a
         record without removing it, and the drained record still absorbs
         future registrations — and round-trip with ``max_prime == 0``.
         :meth:`repro.order.document.OrderedDocument.compact` builds every
@@ -242,6 +240,7 @@ class SCTable:
                     f"SC group #{index} holds {len(members)} nodes; "
                     f"group_size is {table.group_size}"
                 )
+            cur_max, cur_slack = -1, _NO_SLACK
             for modulus, residue in members:
                 if not 0 <= residue < modulus:
                     raise OrderingError(
@@ -250,8 +249,14 @@ class SCTable:
                 if modulus in table._record_of:
                     raise OrderingError(f"self-label {modulus} appears twice")
                 table._record_of[modulus] = index
+                if residue > cur_max:
+                    cur_max = residue
+                if modulus - residue < cur_slack:
+                    cur_slack = modulus - residue
             system = CongruenceSystem(moduli, [residue for _m, residue in members])
-            table._records.append(SCRecord(system=system, max_prime=max_prime))
+            table._records.append(
+                SCRecord(system, max_prime, cur_max=cur_max, cur_slack=cur_slack)
+            )
         return table
 
     # ------------------------------------------------------------------
@@ -263,23 +268,11 @@ class SCTable:
         """Whether a :meth:`batch` context is currently open."""
         return self._batch_depth > 0
 
-    def _touch(self, index: int) -> None:
-        if self._batch_depth:
-            self._batch_dirty.add(index)
-
     def _refresh_caches(self, index: int) -> None:
-        """Recompute a record's exact ``cur_max``/``cur_slack`` aggregates.
-
-        Requires the record's residues to be fully folded (its pending
-        tail applied); marks it so.
-        """
+        """Recompute a folded record's exact ``cur_max``/``cur_slack``."""
         record = self._records[index]
-        record.pending_base = len(self._pending)
-        record.stale = False
         cur_max, cur_slack = -1, _NO_SLACK
-        system = record.system
-        for modulus in system.moduli:
-            order = system.residue(modulus)
+        for modulus, order in record.system.congruences():
             if order > cur_max:
                 cur_max = order
             slack = modulus - order
@@ -289,7 +282,7 @@ class SCTable:
         record.cur_slack = cur_slack
 
     def _fold(self, index: int) -> List[Tuple[int, int]]:
-        """Apply a record's pending shift thresholds to its residues.
+        """Apply a stale record's pending shift thresholds to its residues.
 
         Replays ``self._pending[record.pending_base:]`` in operation order
         over every member, which reproduces the sequential per-op shifts
@@ -304,19 +297,16 @@ class SCTable:
         :meth:`register`/:meth:`unregister`/batch-exit never return pairs.
         """
         record = self._records[index]
-        tail = self._pending[record.pending_base :]
-        record.pending_base = len(self._pending)
-        if not tail or not record.stale:
-            record.stale = False
+        if not record.stale:
             return []
         record.stale = False
         updates: Dict[int, int] = {}
         overflowed: List[Tuple[int, int]] = []
         shifted = 0
         cur_max, cur_slack = -1, _NO_SLACK
-        system = record.system
-        for modulus in system.moduli:
-            base = order = system.residue(modulus)
+        tail = self._pending[record.pending_base :]
+        for modulus, base in record.system.congruences():
+            order = base
             for threshold in tail:
                 if order >= threshold:
                     order += 1
@@ -335,7 +325,7 @@ class SCTable:
             if slack < cur_slack:
                 cur_slack = slack
         if updates:
-            system.set_residues(updates)
+            record.system.set_residues(updates)
         record.cur_max = cur_max
         record.cur_slack = cur_slack
         metrics.incr("sc.shift_span", shifted)
@@ -351,49 +341,36 @@ class SCTable:
             )
 
     def _fold_all(self) -> None:
-        """Fold every record's pending tail; the pending list empties."""
-        for index in range(len(self._records)):
-            self._checked_fold(index)
+        """Fold every stale record; the pending list empties."""
+        for index, record in enumerate(self._records):
+            if record.stale:
+                self._checked_fold(index)
         self._pending.clear()
 
     @contextmanager
     def batch(self) -> Iterator["SCTable"]:
-        """Coalesce CRT solves *and* order shifts across a run of mutations.
+        """Coalesce order shifts across a run of mutations.
 
-        Inside the context every record's congruence system is deferred
-        (mutations cost residue-map work only) and
-        :meth:`shift_orders_from` coalesces: each call is O(records),
-        appending its threshold to a pending list and maintaining exact
-        per-record aggregates, instead of rewriting O(nodes) residues.
-        Reads (:meth:`order_of`) and membership changes fold the pending
-        thresholds lazily, so every operation observes exactly the state
-        the sequential path would produce — including residue-overflow
-        repairs, which are forced to surface at the very operation that
-        caused them.  When the outermost context exits — on success *or*
-        failure, so no system is ever left deferred — all residues are
-        folded and each record touched during the batch is re-solved
-        exactly once (metric ``sc.batch_solves``).  Records the batch
-        never touched keep their cached values untouched.  Contexts nest;
-        only the outermost one commits.
+        Inside the context :meth:`shift_orders_from` leaves the residues of
+        the records it reaches unfolded, so a run of shifts costs
+        O(records) per shift instead of O(nodes).  Reads
+        (:meth:`order_of`) replay the pending thresholds and membership
+        changes fold them first, so every operation observes exactly the
+        state the sequential path would produce — including
+        residue-overflow repairs, which are forced to surface at the very
+        operation that caused them.  When the outermost context exits — on
+        success *or* failure — the records left stale are folded.  No CRT
+        value is solved here: a record's value is solved when something
+        reads it (metric ``sc.batch_solves``).  Contexts nest; only the
+        outermost one commits.
         """
         self._batch_depth += 1
-        if self._batch_depth == 1:
-            self._pending.clear()
-            for index, record in enumerate(self._records):
-                record.system.begin_deferred()
-                self._refresh_caches(index)
         try:
             yield self
         finally:
             self._batch_depth -= 1
             if self._batch_depth == 0:
                 self._fold_all()
-                dirty, self._batch_dirty = self._batch_dirty, set()
-                for record in self._records:
-                    record.system.end_deferred()
-                for index in sorted(dirty):
-                    self._records[index].system.value  # the one solve per record
-                metrics.incr("sc.batch_solves", len(dirty))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -430,29 +407,22 @@ class SCTable:
             self.group_size is None or len(self._records[-1]) < self.group_size
         ):
             index = len(self._records) - 1
-            if self._batch_depth:
-                # Fold first so the new member and the existing ones share
-                # the same (current) coordinate space.
-                self._checked_fold(index)
+            # Fold first so the new member and the existing ones share the
+            # same (current) coordinate space.
+            self._checked_fold(index)
             record = self._records[index]
             record.system.append(self_label, order)
             record.max_prime = max(record.max_prime, self_label)
+            record.cur_max = max(record.cur_max, order)
+            record.cur_slack = min(record.cur_slack, self_label - order)
             self._record_of[self_label] = index
-            if self._batch_depth:
-                record.cur_max = max(record.cur_max, order)
-                record.cur_slack = min(record.cur_slack, self_label - order)
         else:
             system = CongruenceSystem([self_label], [order])
-            record = SCRecord(system=system, max_prime=self_label)
-            if self._batch_depth:
-                system.begin_deferred()
-                record.pending_base = len(self._pending)
-                record.cur_max = order
-                record.cur_slack = self_label - order
-            self._records.append(record)
+            self._records.append(
+                SCRecord(system, self_label, cur_max=order, cur_slack=self_label - order)
+            )
             self._record_of[self_label] = len(self._records) - 1
             metrics.incr("sc.records_opened")
-        self._touch(self._record_of[self_label])
         metrics.incr("sc.registered")
         metrics.incr("sc.records_touched")
         return 1
@@ -462,15 +432,12 @@ class SCTable:
         index = self._record_of.pop(self_label, None)
         if index is None:
             raise OrderingError(f"self-label {self_label} is not in the SC table")
-        if self._batch_depth:
-            self._checked_fold(index)
+        self._checked_fold(index)
         record = self._records[index]
         record.system.remove(self_label)
         if self_label == record.max_prime:
             record.max_prime = max(record.system.moduli, default=0)
-        if self._batch_depth:
-            self._refresh_caches(index)
-        self._touch(index)
+        self._refresh_caches(index)
         metrics.incr("sc.unregistered")
 
     def shift_orders_from(self, threshold: int) -> Tuple[int, List[Tuple[int, int]]]:
@@ -489,43 +456,43 @@ class SCTable:
           prime and re-register.
 
         A record whose only change is an overflow-driven ``unregister``
-        (its CRT value is recomputed by ``system.remove``) counts toward
-        ``records_touched`` too: the rewrite happens whether or not any
-        sibling residue also shifted, so Figure 18's cost unit must charge
-        it — the earlier accounting silently dropped exactly the case the
-        paper overlooks.
+        counts toward ``records_touched`` too: the rewrite happens whether
+        or not any sibling residue also shifted, so Figure 18's cost unit
+        must charge it — the earlier accounting silently dropped exactly
+        the case the paper overlooks.
 
-        Inside a :meth:`batch` the shift is coalesced: the threshold joins
-        the pending list and only the per-record aggregates move, O(records)
-        instead of O(nodes).  A record is touched iff its maximum member
-        order reaches the threshold — the same criterion the member scan
-        applies — and whenever the conservative slack says a member *could*
-        overflow, the record is folded on the spot so the overflow (if
-        real) is repaired at this very operation.
+        A record is touched iff its maximum member order reaches the
+        threshold (some member has order >= threshold iff the maximum
+        does), so records below the threshold are skipped without a member
+        scan.  A touched record's members are rewritten and its aggregates
+        recomputed in the same pass.  Inside a :meth:`batch` the shift is
+        coalesced instead (see :meth:`_shift_coalesced`).
         """
         if self._batch_depth:
             return self._shift_coalesced(threshold)
         touched = 0
         shifted = 0
         overflowed: List[Tuple[int, int]] = []
-        for index, record in enumerate(self._records):
+        for record in self._records:
+            if record.cur_max < threshold:
+                continue
+            touched += 1
             updates: Dict[int, int] = {}
-            overflow_here = False
-            for modulus in record.system.moduli:
-                residue = record.system.residue(modulus)
-                if residue < threshold:
-                    continue
-                if residue + 1 >= modulus:
-                    overflowed.append((modulus, residue + 1))
-                    overflow_here = True
-                else:
-                    updates[modulus] = residue + 1
+            cur_slack = _NO_SLACK
+            for modulus, order in record.system.congruences():
+                if order >= threshold:
+                    order += 1
+                    if order >= modulus:
+                        overflowed.append((modulus, order))
+                        continue  # unregistered below, which refreshes the caches
+                    updates[modulus] = order
+                if modulus - order < cur_slack:
+                    cur_slack = modulus - order
             if updates:
                 record.system.set_residues(updates)
                 shifted += len(updates)
-            if updates or overflow_here:
-                touched += 1
-                self._touch(index)
+            record.cur_max += 1
+            record.cur_slack = cur_slack
         for self_label, _new_order in overflowed:
             self.unregister(self_label)
         metrics.incr("sc.records_touched", touched)
@@ -536,27 +503,28 @@ class SCTable:
     def _shift_coalesced(self, threshold: int) -> Tuple[int, List[Tuple[int, int]]]:
         """The batched shift: O(records) aggregate maintenance per call.
 
-        ``cur_max >= threshold`` decides "touched" exactly (some member has
-        order >= threshold iff the maximum does).  A touched record's
-        maximum grows by exactly one, and its minimum slack shrinks by at
-        most one — decrementing unconditionally keeps ``cur_slack`` a safe
+        The threshold joins the pending list and only the aggregates of the
+        records it reaches move.  A touched record's maximum grows by
+        exactly one, and its minimum slack shrinks by at most one —
+        decrementing unconditionally keeps ``cur_slack`` a safe
         under-estimate.  When it hits 1 a residue may reach its modulus on
         this very shift, so the record folds now and any real overflow is
         returned from *this* call, keeping overflow repair (and the prime
         issuance it triggers) on the sequential schedule.
         """
-        self._pending.append(threshold)
+        pending = self._pending
+        pending.append(threshold)
         touched = 0
         overflowed: List[Tuple[int, int]] = []
-        dirty = self._batch_dirty
         for index, record in enumerate(self._records):
             if record.cur_max < threshold:
                 continue
+            if not record.stale:
+                record.stale = True
+                record.pending_base = len(pending) - 1
             record.cur_max += 1
             record.cur_slack -= 1
-            record.stale = True
             touched += 1
-            dirty.add(index)
             if record.cur_slack <= 1:
                 overflowed.extend(self._fold(index))
         for self_label, _new_order in overflowed:
@@ -573,12 +541,9 @@ class SCTable:
             raise capacity_error(self_label, order, self._record_of.get(self_label))
         record = self.record_for(self_label)  # validates membership
         index = self._record_of[self_label]
-        if self._batch_depth:
-            self._checked_fold(index)
+        self._checked_fold(index)
         record.system.set_residues({self_label: order})
-        if self._batch_depth:
-            self._refresh_caches(index)
-        self._touch(index)
+        self._refresh_caches(index)
         metrics.incr("sc.records_touched")
         return 1
 

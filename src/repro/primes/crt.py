@@ -15,22 +15,22 @@ Two solvers are provided:
   exponentially slower and exists to validate the paper's formula; both
   agree on all inputs (see the property tests).
 
-:class:`CongruenceSystem` wraps a solved system and supports the paper's
-update operations: appending a new congruence, rewriting residues, and
-dropping a congruence — each maintained *incrementally* against the cached
-value (delta-merge for rewrites, ``value % reduced_product`` for drops), so
-no update re-solves unrelated congruences from scratch.  For bulk
-mutations, :meth:`CongruenceSystem.begin_deferred` switches the system into
-a mode where mutations only touch the residue map and the single CRT solve
-is paid lazily after :meth:`CongruenceSystem.end_deferred` — one solve per
-system per batch, however many members changed.
+:class:`CongruenceSystem` holds a live system as its residue map and
+supports the paper's update operations: appending a new congruence,
+rewriting residues, and dropping a congruence.  Each mutation only writes
+the residue map; the value is solved with :func:`solve_congruences` when
+something reads it and cached until the next mutation.  Nothing on the
+update path reads it (order lookups read the stored residue), so an update
+costs residue-map work only and the solve is paid by whoever asks for the
+value: :meth:`CongruenceSystem.check`, the audit, or ``SCRecord.sc``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, ItemsView, Mapping, Sequence, Tuple
 
+from repro.obs import metrics
 from repro.primes.totient import totient
 
 __all__ = ["solve_congruences", "solve_congruences_euler", "CongruenceSystem"]
@@ -115,7 +115,8 @@ class CongruenceSystem:
 
     This is the algebraic core of the paper's SC table row: the moduli are
     node self-labels (distinct primes) and the residues are document-order
-    numbers.  The class keeps the solved value cached and supports:
+    numbers.  The residue map is the state; the solved value is derived
+    from it on demand.  Updates:
 
     * :meth:`append` — add a congruence for a newly inserted node,
     * :meth:`set_residues` — rewrite several residues at once (the "+1 shift"
@@ -123,13 +124,12 @@ class CongruenceSystem:
     * :meth:`remove` — drop a congruence (node deletion; the paper notes
       deletions never disturb order, but dropping keeps the value small).
 
-    All three maintain the cached value incrementally (no from-scratch
-    re-solve); between :meth:`begin_deferred` and :meth:`end_deferred` they
-    skip even that and only update the residue map, leaving one lazy solve
-    for the whole run of mutations.
+    All three write the residue map and drop the cached value; the first
+    :attr:`value` read after them pays one solve (metric
+    ``sc.batch_solves``) and repeat reads are free.
     """
 
-    __slots__ = ("_congruences", "_value", "_deferred")
+    __slots__ = ("_congruences", "_value")
 
     def __init__(
         self, moduli: Iterable[int] = (), residues: Iterable[int] = ()
@@ -139,7 +139,6 @@ class CongruenceSystem:
             self._check_new_modulus(modulus)
             self._congruences[modulus] = residue % modulus
         self._value: int | None = None
-        self._deferred = False
 
     def _check_new_modulus(self, modulus: int) -> None:
         if modulus <= 1:
@@ -160,6 +159,10 @@ class CongruenceSystem:
     def moduli(self) -> Tuple[int, ...]:
         return tuple(self._congruences)
 
+    def congruences(self) -> ItemsView[int, int]:
+        """Live ``(modulus, residue)`` pairs, in insertion order."""
+        return self._congruences.items()
+
     @property
     def product(self) -> int:
         result = 1
@@ -169,8 +172,12 @@ class CongruenceSystem:
 
     @property
     def value(self) -> int:
-        """The solved simultaneous-congruence value (0 for an empty system)."""
+        """The solved simultaneous-congruence value (0 for an empty system).
+
+        Solved on the first read after a mutation, cached until the next.
+        """
         if self._value is None:
+            metrics.incr("sc.batch_solves")
             self._value = solve_congruences(
                 list(self._congruences), list(self._congruences.values())
             )
@@ -183,87 +190,28 @@ class CongruenceSystem:
         except KeyError:
             raise KeyError(f"no congruence with modulus {modulus}") from None
 
-    @property
-    def deferred(self) -> bool:
-        """Whether value maintenance is currently deferred (batch mode)."""
-        return self._deferred
-
-    def begin_deferred(self) -> None:
-        """Enter batch mode: mutations update residues only, no CRT work.
-
-        While deferred, :meth:`append`, :meth:`set_residues`, and
-        :meth:`remove` drop the cached value instead of maintaining it, so
-        an arbitrary run of mutations costs small-integer dictionary work.
-        Reading :attr:`value` mid-batch still works (it lazily solves and
-        the next mutation re-invalidates); the point of the mode is that
-        callers who *don't* read mid-batch pay exactly one solve at the end.
-        """
-        self._deferred = True
-
-    def end_deferred(self) -> None:
-        """Leave batch mode; the next :attr:`value` read solves once."""
-        self._deferred = False
-
     def append(self, modulus: int, residue: int) -> None:
-        """Add ``x mod modulus == residue``.
-
-        Incremental: merges into the cached value instead of re-solving,
-        which is exactly the low-cost update the paper advertises.
-        """
+        """Add ``x mod modulus == residue``."""
         self._check_new_modulus(modulus)
-        residue %= modulus
-        if self._deferred:
-            self._value = None
-        elif self._value is not None:
-            self._value, _ = _merge(self._value, self.product, residue, modulus)
-        self._congruences[modulus] = residue
+        self._congruences[modulus] = residue % modulus
+        self._value = None
 
     def set_residues(self, updates: Mapping[int, int]) -> None:
-        """Rewrite residues for existing moduli, incrementally.
-
-        With a cached value ``x`` and product ``P``, each rewrite of modulus
-        ``m`` from ``r_old`` to ``r_new`` adds ``(r_new - r_old) * c_m`` to
-        ``x`` modulo ``P``, where ``c_m = (P/m) * ((P/m)^-1 mod m)`` is the
-        canonical CRT basis element (``c_m == 1 mod m`` and ``0`` modulo
-        every other member).  That is O(group) integer work per call instead
-        of the from-scratch re-solve this method used to trigger — the fix
-        for delete/shift being O(group^2) under churn.  :meth:`check`
-        remains the oracle that the shortcut agrees with a full solve.
-        """
-        for modulus in updates:
-            if modulus not in self._congruences:
-                raise KeyError(f"no congruence with modulus {modulus}")
-        if self._deferred or self._value is None:
-            for modulus, residue in updates.items():
-                self._congruences[modulus] = residue % modulus
-            self._value = None
-            return
-        product = self.product
-        delta = 0
+        """Rewrite residues for existing moduli."""
+        congruences = self._congruences
+        if not updates.keys() <= congruences.keys():
+            unknown = min(updates.keys() - congruences.keys())
+            raise KeyError(f"no congruence with modulus {unknown}")
         for modulus, residue in updates.items():
-            residue %= modulus
-            old = self._congruences[modulus]
-            if residue != old:
-                cofactor = product // modulus
-                basis = cofactor * pow(cofactor % modulus, -1, modulus)
-                delta += (residue - old) * basis
-                self._congruences[modulus] = residue
-        self._value = (self._value + delta) % product
+            congruences[modulus] = residue % modulus
+        self._value = None
 
     def remove(self, modulus: int) -> None:
-        """Drop the congruence for ``modulus`` in O(1) CRT work.
-
-        Every remaining modulus divides the reduced product ``P' = P/m``,
-        so ``value % P'`` still satisfies every remaining congruence and is
-        the unique solution in ``[0, P')`` — no re-solve needed.
-        """
+        """Drop the congruence for ``modulus``."""
         if modulus not in self._congruences:
             raise KeyError(f"no congruence with modulus {modulus}")
         del self._congruences[modulus]
-        if self._deferred:
-            self._value = None
-        elif self._value is not None:
-            self._value %= self.product
+        self._value = None
 
     def check(self) -> bool:
         """Verify ``value mod m == n`` for every stored congruence."""

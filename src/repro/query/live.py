@@ -620,13 +620,13 @@ class LiveCollection(NodeMutations):
         ops: Sequence[BatchOp],
         before_op: Optional[Callable[[int, BatchOp], None]] = None,
     ) -> BatchReport:
-        """Apply a sequence of :class:`BatchOp`\\ s with coalesced SC solves.
+        """Apply a sequence of :class:`BatchOp`\\ s with coalesced SC shifts.
 
         Each op runs through the ordinary sequential update algorithm, in
         order, with every touched document's SC table in batch mode — the
         end state is byte-identical to applying the ops one by one, but
-        each touched SC record is re-solved once per batch rather than once
-        per op.  The summed cost is charged to ``total_update_cost`` and
+        each touched SC record folds its order shifts once per batch rather
+        than once per op.  The summed cost is charged to ``total_update_cost`` and
         the engine is invalidated once.
 
         ``before_op`` is called with ``(position, op)`` immediately before
@@ -635,7 +635,7 @@ class LiveCollection(NodeMutations):
 
         On failure the exception propagates after the already-applied
         prefix's costs are charged and every SC table leaves batch mode
-        (no system stays deferred); this layer does *not* undo the prefix —
+        (no record is left unfolded); this layer does *not* undo the prefix —
         atomic all-or-nothing batches are the durable layer's contract,
         which rolls back by reloading the last durable state.  The cached
         engine is patched per applied op (like :meth:`apply`) and

@@ -1,9 +1,15 @@
 """Unit tests for the SC table (Section 4)."""
 
+import random
+
 import pytest
 
 from repro.errors import CapacityError, OrderingError
-from repro.order.sc_table import SCTable
+from repro.obs import metrics
+from repro.obs.audit import audit_ordered_document
+from repro.order.document import OrderedDocument
+from repro.order.sc_table import _NO_SLACK, SCTable
+from repro.xmlkit.builder import element
 
 
 class TestRegistration:
@@ -146,6 +152,19 @@ class TestShift:
         with pytest.raises(OrderingError):
             table.set_order(7, 7)
 
+    def test_shift_after_mid_batch_groups_dump(self):
+        """A mid-batch ``groups()`` folds and empties the pending list; a
+        later shift in the same batch must still reach the records."""
+        table = SCTable(group_size=2)
+        for prime, order in [(101, 1), (103, 2), (107, 3)]:
+            table.register(prime, order)
+        with table.batch():
+            table.shift_orders_from(2)
+            assert table.groups() == [(103, [(101, 1), (103, 3)]), (107, [(107, 4)])]
+            table.shift_orders_from(2)
+            assert table.order_of(103) == 4 and table.order_of(107) == 5
+        assert table.orders() == {101: 1, 103: 4, 107: 5}
+
 
 class TestSetOrderAndUnregister:
     def test_set_order(self):
@@ -265,3 +284,84 @@ class TestCapacityErrors:
                 table.set_order(5, 7)
             counters = registry.snapshot()["counters"]
         assert counters["sc.capacity_errors"] == 1
+
+
+def recomputed_aggregates(record):
+    """``(cur_max, cur_slack)`` recomputed from a record's stored residues."""
+    system = record.system
+    orders = {m: system.residue(m) for m in system.moduli}
+    return (
+        max(orders.values(), default=-1),
+        min((m - order for m, order in orders.items()), default=_NO_SLACK),
+    )
+
+
+class TestLazySolveChurn:
+    """Regression: no update path solves a CRT value, and the per-record
+    shift aggregates stay exact at every mutation, batched or not."""
+
+    def test_random_churn_never_solves_and_keeps_aggregates_exact(self, monkeypatch):
+        import repro.primes.crt as crt
+
+        rng = random.Random(16)
+        # Preorder primes start at 2, so the front nodes carry primes
+        # barely above their orders: front inserts overflow their residues.
+        root = element(
+            "r", *[element("s", *[element("i") for _ in range(17)]) for _ in range(120)]
+        )
+        # Pairs, so registrations both append to a record and open new ones.
+        doc = OrderedDocument(root, group_size=2)
+        table = doc.sc_table
+        assert len(table) >= 1000
+        solves = []
+        solve = crt.solve_congruences
+
+        def counting_solve(moduli, residues):
+            solves.append(len(moduli))
+            return solve(moduli, residues)
+
+        monkeypatch.setattr(crt, "solve_congruences", counting_solve)
+
+        def assert_exact():
+            for record in doc.sc_table:
+                assert (record.cur_max, record.cur_slack) == recomputed_aggregates(record)
+
+        def assert_conservative():
+            # Mid-batch the residues may lag; read orders through order_of.
+            for record in doc.sc_table:
+                orders = {m: doc.sc_table.order_of(m) for m in record.system.moduli}
+                assert record.cur_max == max(orders.values(), default=-1)
+                assert all(record.cur_slack <= m - o for m, o in orders.items())
+
+        def random_op():
+            nodes = list(doc.root.iter_preorder())
+            roll = rng.random()
+            if roll < 0.3:
+                doc.insert_child(doc.root, 0, tag="front")
+            elif roll < 0.7:
+                parent = rng.choice(nodes)
+                doc.insert_child(parent, rng.randint(0, len(parent.children)), tag="n")
+            else:
+                leaves = [node for node in nodes[1:] if not node.children]
+                doc.delete(rng.choice(leaves))
+
+        with metrics.collecting() as registry:
+            for _ in range(60):
+                if rng.random() < 0.4:
+                    with doc.batch():
+                        for _ in range(rng.randint(2, 8)):
+                            random_op()
+                            assert_conservative()
+                else:
+                    random_op()
+                assert_exact()
+        assert solves == []
+        assert registry.counter_value("sc.residue_overflows") > 0
+        assert registry.counter_value("sc.batch_solves") == 0
+        assert table is doc.sc_table and len(table) >= 1000
+
+        assert doc.sc_table.check()
+        assert doc.check()
+        report = audit_ordered_document(doc)
+        assert report.ok, report.summary()
+        assert len(solves) >= len(doc.sc_table)

@@ -150,11 +150,11 @@ class TestCongruenceSystem:
 
 
 class TestIncrementalMaintenance:
-    """The incremental shortcuts against the from-scratch oracle.
+    """The lazy value against the from-scratch oracle.
 
-    ``set_residues`` (CRT-basis delta), ``remove`` (modulo-reduction), and
-    deferred mode all promise the same value a fresh ``solve_congruences``
-    would produce; ``check()`` is the paper's own verification predicate.
+    Mutations write the residue map only; the value is solved on the first
+    read after them and must equal a fresh ``solve_congruences``.
+    ``check()`` is the paper's own verification predicate.
     """
 
     PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -191,11 +191,11 @@ class TestIncrementalMaintenance:
                     [system.residue(m) for m in system.moduli],
                 )
 
-    def test_set_residues_is_delta_based_not_resolve(self, monkeypatch):
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every ``solve_congruences`` call the system makes, by moduli."""
         import repro.primes.crt as crt
 
-        system = CongruenceSystem([3, 5, 7], [1, 2, 3])
-        system.value  # cache
         calls = []
 
         def counting_solve(moduli, residues):
@@ -203,58 +203,42 @@ class TestIncrementalMaintenance:
             return solve_congruences(moduli, residues)
 
         monkeypatch.setattr(crt, "solve_congruences", counting_solve)
-        system.set_residues({3: 2, 7: 6})
-        assert system.value % 3 == 2 and system.value % 7 == 6
-        assert calls == []  # maintained by CRT-basis delta, never re-solved
+        return calls
 
-    def test_remove_is_modulo_reduction_not_resolve(self, monkeypatch):
-        import repro.primes.crt as crt
-
-        system = CongruenceSystem([3, 5, 7], [2, 4, 3])
-        expected_value = system.value
-        monkeypatch.setattr(
-            crt,
-            "solve_congruences",
-            lambda *a: pytest.fail("remove must not re-solve"),
-        )
-        system.remove(5)
-        assert system.value == expected_value % (3 * 7)
-        assert system.value % 3 == 2 and system.value % 7 == 3
-
-    def test_deferred_mode_solves_once_at_exit(self, monkeypatch):
-        import repro.primes.crt as crt
-
+    def test_mutations_never_solve(self, solves):
         system = CongruenceSystem([3, 5], [1, 2])
-        system.value
-        calls = []
-
-        def counting_solve(moduli, residues):
-            calls.append(tuple(moduli))
-            return solve_congruences(moduli, residues)
-
-        monkeypatch.setattr(crt, "solve_congruences", counting_solve)
-        system.begin_deferred()
-        assert system.deferred
         system.append(7, 4)
         system.set_residues({3: 0, 5: 3})
         system.remove(5)
-        assert calls == []  # mutations were dictionary-only
-        system.end_deferred()
-        assert not system.deferred
-        assert system.value % 3 == 0 and system.value % 7 == 4
-        assert len(calls) == 1  # exactly one solve paid for the whole batch
-        assert system.check()
+        assert solves == []  # residue-map writes only
 
-    def test_deferred_mid_batch_read_still_correct(self):
-        system = CongruenceSystem([3, 5], [1, 2])
-        system.begin_deferred()
-        system.set_residues({3: 2})
-        # Reading mid-batch lazily solves; the next mutation re-invalidates.
-        assert system.value % 3 == 2 and system.value % 5 == 2
-        system.set_residues({5: 4})
-        system.end_deferred()
-        assert system.value % 3 == 2 and system.value % 5 == 4
+    def test_first_read_solves_once(self, solves):
+        system = CongruenceSystem([3, 5, 7], [1, 2, 3])
+        system.set_residues({3: 2, 7: 6})
+        value = system.value
+        assert value % 3 == 2 and value % 5 == 2 and value % 7 == 6
+        assert solves == [(3, 5, 7)]
+
+    def test_repeat_read_is_cached(self, solves):
+        system = CongruenceSystem([3, 5, 7], [2, 4, 3])
+        first = system.value
+        assert system.value == first
         assert system.check()
+        assert len(solves) == 1
+
+    def test_next_mutation_invalidates_cache(self, solves):
+        system = CongruenceSystem([3, 5, 7], [2, 4, 3])
+        assert system.value == solve_congruences([3, 5, 7], [2, 4, 3])
+        for mutate, moduli in (
+            (lambda: system.remove(5), (3, 7)),
+            (lambda: system.append(11, 9), (3, 7, 11)),
+            (lambda: system.set_residues({7: 0}), (3, 7, 11)),
+        ):
+            mutate()
+            value = system.value
+            assert solves[-1] == moduli
+            assert all(value % m == system.residue(m) for m in moduli)
+        assert len(solves) == 4
 
 
 def reference_solve(moduli, residues):
@@ -324,7 +308,7 @@ class TestAgainstEuclidReference:
     def test_incremental_updates_match_reference(self, system, data):
         moduli, residues = system
         live = CongruenceSystem(moduli, residues)
-        live.value  # cache, so every mutation below takes the incremental path
+        live.value  # cache, so every mutation below must drop the cached value
         for _ in range(data.draw(st.integers(1, 6))):
             action = data.draw(st.sampled_from(["append", "set", "remove"]))
             if action == "append" or not len(live):
