@@ -140,27 +140,37 @@ class LabelWriteRule(Rule):
 
 @register
 class ResidueMutationRule(Rule):
-    """R2 — SC residue state mutates only inside primes/ and sc_table.py."""
+    """R2 — SC residue state mutates only inside primes/ and sc_table.py.
+
+    ``_congruences`` is flagged on any receiver.  ``_offset`` is a common
+    name (``WalReader`` and the replica tailer keep their own), so it is
+    flagged only when read off another object, never as ``self._offset``.
+    """
 
     id = "R2"
     title = "CongruenceSystem internals touched outside the SC layer"
     rationale = (
-        "The cached CRT value, the basis cache, and the residue map must "
-        "move together; outside writers desynchronize them and break the "
-        "paper's order decode (Theorem 1)."
+        "Every residue is the stored residue plus the system's offset, and "
+        "the cached CRT value is derived from both; outside writers "
+        "desynchronize them and break the paper's order decode (Theorem 1)."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_package("primes") or ctx.is_module("repro.order.sc_table"):
             return
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_congruences":
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "_congruences" or (
+                node.attr == "_offset"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
                 yield self.emit(
                     ctx,
                     node,
-                    "access to CongruenceSystem._congruences outside "
+                    f"access to CongruenceSystem.{node.attr} outside "
                     "repro.primes/* and repro.order.sc_table; use "
-                    "append/set_residues/remove",
+                    "append/set_residues/shift_all/remove",
                 )
 
 

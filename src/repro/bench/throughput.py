@@ -13,11 +13,12 @@ every node behind it and touches nearly every SC record.  Both paths run
 through a :class:`~repro.durable.collection.DurableCollection` with
 ``fsync="always"``; the batched path amortizes
 
-* the WAL append + fsync (one group-commit record per batch), and
-* the order shifts (coalesced to O(records) aggregate work per op, folded
-  once per record per batch),
+* the WAL append + fsync (one group-commit record per batch),
 
-while the sequential path pays both per operation.  Per row the table
+while the sequential path pays it per operation.  The order shifts cost
+the same on both paths: a shift moves each SC record wholly past its
+threshold in O(1) through the record's residue offset and rewrites only
+the records that straddle it or could overflow.  Per row the table
 reports ops/sec, the speedup over the sequential baseline, whether the
 end state is byte-identical to the sequential run's
 (:func:`~repro.durable.snapshot.collection_fingerprint`), and whether the

@@ -319,7 +319,7 @@ class DurableCollection(NodeMutations):
         """Apply N mutations as one atomic, group-committed unit.
 
         All-or-nothing in memory *and* on disk: the sub-ops apply through
-        the live collection's coalesced batch path, then land in the WAL as
+        the live collection's batch path, then land in the WAL as
         a single checksummed record (one append + one fsync per batch under
         ``fsync='always'``).  Any failure rolls the in-memory state back to
         the last durable state before re-raising, so node references held

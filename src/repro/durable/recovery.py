@@ -380,9 +380,9 @@ def apply_operation(collection: LiveCollection, op: Dict[str, Any]) -> None:
         # record is atomic under the torn-tail rule, so a half batch never
         # reaches here).  Each sub-op's address was encoded immediately
         # before it originally applied, which is exactly the state this
-        # sequential replay presents.  batch_scope keeps replay's SC cost
-        # on the original group-commit footing: one shift fold per touched
-        # SC record for the whole batch.
+        # sequential replay presents.  batch_scope opens the document batch
+        # scopes the original apply_batch ran in; they defer nothing, so
+        # each sub-op's SC shifts cost what they cost then.
         with collection.batch_scope():
             for sub_op in op["ops"]:
                 apply_operation(collection, sub_op)

@@ -140,18 +140,16 @@ class OrderedDocument:
 
     @contextmanager
     def batch(self) -> Iterator["OrderedDocument"]:
-        """Coalesce SC-record order shifts across a run of updates.
+        """Scope a run of updates; it defers nothing.
 
-        Delegates to :meth:`repro.order.sc_table.SCTable.batch`: inside the
-        context, inserts and deletes follow exactly the sequential
-        algorithm (same grouping, same overflow repairs, same per-record
-        cost reports) but each touched SC record folds its pending shifts
-        once, when it is next mutated or the context exits, instead of once
-        per shift.  Must not span
-        :meth:`compact`, which replaces the SC table wholesale.
+        Every update inside applies exactly as outside: a shift moves each
+        SC record wholly past its threshold in O(1) through the record's
+        residue offset, so there is nothing left to coalesce at the exit.
+        The scope stays as the named boundary of a run of updates (the
+        performance trace times its exit); the durable layer's group
+        commit is the one layer that defers work across a batch.
         """
-        with self.sc_table.batch():
-            yield self
+        yield self
 
     def _preorder_rank(self, node: XmlElement) -> int:
         """Order number a node at this tree position should carry.

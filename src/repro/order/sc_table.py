@@ -18,31 +18,22 @@ re-labeling", Section 5.4); :meth:`SCTable.shift_orders_from` and
 :meth:`SCTable.register` return how many records they touched so the
 Figure 18 experiment can charge exactly that.
 
-Lookups read the stored residue, never the SC value, so no update pays a
-CRT solve: :class:`~repro.primes.crt.CongruenceSystem` solves its value
-when something reads it (``SCRecord.sc``, :meth:`SCTable.check`, the
-audit).  Every record keeps two aggregates at every mutation, its maximum
-member order and its minimum residue slack; a shift skips every record
-whose maximum is below its threshold.
-
-Batching: inside a :meth:`SCTable.batch` context the ``+1`` order shifts
-are *coalesced*: :meth:`shift_orders_from` appends the threshold to a
-pending list and moves only the aggregates of the records it reaches, so
-each shift costs O(records) instead of O(nodes).  Pending shifts are
-*folded* into a record's residue map lazily — when the record gains or
-loses a member, the table is dumped, or the batch exits — by replaying
-the thresholds in sequence, which reproduces the sequential evolution
-exactly.  In a batch the slack aggregate can only under-estimate, so a
-fold is always forced **at the op** where a residue could reach its
-modulus: overflow repairs fire at the same operation, with the same fresh
-primes, as the unbatched path.  The per-call return values (records
-touched, overflowed members) are unchanged, so the paper's cost
-accounting is identical batched or not.
+Lookups read the residue, never the SC value, so no update pays a CRT
+solve: :class:`~repro.primes.crt.CongruenceSystem` solves its value when
+something reads it (``SCRecord.sc``, :meth:`SCTable.check`, the audit).
+Every record keeps three exact aggregates at every mutation: its minimum
+and maximum member order and its minimum residue slack.  A shift skips
+every record whose maximum is below its threshold.  A record wholly at or
+past the threshold, with no residue one step from its modulus, moves
+through its system's residue offset in O(1)
+(:meth:`~repro.primes.crt.CongruenceSystem.shift_all`); only records that
+straddle the threshold or could overflow have their members rewritten.
+Either way the record counts as touched, so the paper's cost accounting
+is unchanged.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -53,7 +44,8 @@ from repro.primes.crt import CongruenceSystem
 __all__ = ["SCRecord", "SCTable"]
 
 
-#: Slack sentinel for records with no members (nothing can overflow).
+#: Min-order and slack sentinel for records with no members (nothing can
+#: overflow, and no threshold reaches them).
 _NO_SLACK = 1 << 62
 
 
@@ -80,26 +72,20 @@ def capacity_error(self_label: int, order: int, group: int | None) -> CapacityEr
 class SCRecord:
     """One row of the SC table: a congruence system plus its routing key.
 
-    The last four fields serve :meth:`SCTable.shift_orders_from`;
-    ``pending_base`` and ``stale`` matter only inside a batch:
+    The last three fields are exact at every mutation and serve
+    :meth:`SCTable.shift_orders_from`:
 
-    * ``pending_base`` — while ``stale``, the index of the first of the
-      table's pending shift thresholds not yet folded into the residues,
-    * ``cur_max`` — exact maximum member order (``-1`` when empty),
-    * ``cur_slack`` — minimum of ``modulus - order`` over members; exact
-      outside a batch and never over-estimating inside one, where a fold
-      is forced before it could reach 0, i.e. before any residue could
-      touch its modulus,
-    * ``stale`` — whether a pending threshold moved a member, i.e. whether
-      the stored residues lag the record's orders.
+    * ``cur_max`` — maximum member order (``-1`` when empty),
+    * ``cur_min`` — minimum member order (``_NO_SLACK`` when empty),
+    * ``cur_slack`` — minimum of ``modulus - order`` over members
+      (``_NO_SLACK`` when empty).
     """
 
     system: CongruenceSystem
     max_prime: int
-    pending_base: int = 0
     cur_max: int = -1
+    cur_min: int = _NO_SLACK
     cur_slack: int = _NO_SLACK
-    stale: bool = False
 
     @property
     def sc(self) -> int:
@@ -128,8 +114,6 @@ class SCTable:
         self.group_size = group_size
         self._records: List[SCRecord] = []
         self._record_of: Dict[int, int] = {}  # self_label -> record index
-        self._batch_depth = 0
-        self._pending: List[int] = []  # unfolded shift thresholds, in op order
 
     # ------------------------------------------------------------------
     # Introspection
@@ -180,20 +164,11 @@ class SCTable:
     def order_of(self, self_label: int) -> int:
         """Order number of the node with ``self_label``: ``SC mod self_label``.
 
-        Reads the stored residue directly — by CRT construction it *is*
+        Reads the residue directly — by CRT construction it *is*
         ``sc % self_label`` (:meth:`check` verifies the equivalence), but
-        the direct read is O(1) and never solves the CRT value.  Inside a
-        :meth:`batch` the record may carry unfolded shift thresholds; they
-        are replayed over the stored residue here, so reads stay exact
-        mid-batch without folding the whole record.
+        the direct read is O(1) and never solves the CRT value.
         """
-        record = self.record_for(self_label)
-        order = record.system.residue(self_label)
-        if record.stale:
-            for threshold in self._pending[record.pending_base :]:
-                if order >= threshold:
-                    order += 1
-        return order
+        return self.record_for(self_label).system.residue(self_label)
 
     def groups(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
         """Record-by-record ``(max_prime, [(modulus, residue), ...])`` dump.
@@ -202,10 +177,9 @@ class SCTable:
         preserves the *grouping* of nodes into SC records, which
         :meth:`register` depends on (it appends to the last record while it
         has room) — so a table restored from groups behaves identically to
-        the original under further updates.
+        the original under further updates.  Residues are written settled
+        (stored residue plus the record's offset).
         """
-        if self._batch_depth:
-            self._fold_all()
         return [
             (record.max_prime, list(record.system.congruences()))
             for record in self._records
@@ -240,7 +214,7 @@ class SCTable:
                     f"SC group #{index} holds {len(members)} nodes; "
                     f"group_size is {table.group_size}"
                 )
-            cur_max, cur_slack = -1, _NO_SLACK
+            cur_max, cur_min, cur_slack = -1, _NO_SLACK, _NO_SLACK
             for modulus, residue in members:
                 if not 0 <= residue < modulus:
                     raise OrderingError(
@@ -251,126 +225,30 @@ class SCTable:
                 table._record_of[modulus] = index
                 if residue > cur_max:
                     cur_max = residue
+                if residue < cur_min:
+                    cur_min = residue
                 if modulus - residue < cur_slack:
                     cur_slack = modulus - residue
             system = CongruenceSystem(moduli, [residue for _m, residue in members])
             table._records.append(
-                SCRecord(system, max_prime, cur_max=cur_max, cur_slack=cur_slack)
+                SCRecord(system, max_prime, cur_max, cur_min, cur_slack)
             )
         return table
 
-    # ------------------------------------------------------------------
-    # Batching
-    # ------------------------------------------------------------------
-
-    @property
-    def in_batch(self) -> bool:
-        """Whether a :meth:`batch` context is currently open."""
-        return self._batch_depth > 0
-
     def _refresh_caches(self, index: int) -> None:
-        """Recompute a folded record's exact ``cur_max``/``cur_slack``."""
+        """Recompute a record's exact ``cur_max``/``cur_min``/``cur_slack``."""
         record = self._records[index]
-        cur_max, cur_slack = -1, _NO_SLACK
+        cur_max, cur_min, cur_slack = -1, _NO_SLACK, _NO_SLACK
         for modulus, order in record.system.congruences():
             if order > cur_max:
                 cur_max = order
-            slack = modulus - order
-            if slack < cur_slack:
-                cur_slack = slack
+            if order < cur_min:
+                cur_min = order
+            if modulus - order < cur_slack:
+                cur_slack = modulus - order
         record.cur_max = cur_max
+        record.cur_min = cur_min
         record.cur_slack = cur_slack
-
-    def _fold(self, index: int) -> List[Tuple[int, int]]:
-        """Apply a stale record's pending shift thresholds to its residues.
-
-        Replays ``self._pending[record.pending_base:]`` in operation order
-        over every member, which reproduces the sequential per-op shifts
-        exactly.  Members whose folded order reaches their modulus are
-        returned as ``(self_label, new_order)`` overflow pairs *without*
-        writing their residue — the caller unregisters and relabels them,
-        exactly as the unbatched :meth:`shift_orders_from` would have.
-
-        Because :meth:`shift_orders_from` forces a fold whenever a record's
-        conservative slack drops to 1, an overflow can only ever surface in
-        a fold triggered by the shift that caused it — so folds from
-        :meth:`register`/:meth:`unregister`/batch-exit never return pairs.
-        """
-        record = self._records[index]
-        if not record.stale:
-            return []
-        record.stale = False
-        updates: Dict[int, int] = {}
-        overflowed: List[Tuple[int, int]] = []
-        shifted = 0
-        cur_max, cur_slack = -1, _NO_SLACK
-        tail = self._pending[record.pending_base :]
-        for modulus, base in record.system.congruences():
-            order = base
-            for threshold in tail:
-                if order >= threshold:
-                    order += 1
-            if order > base and order >= modulus:
-                # The final +1 is the overflowing one; sequential accounting
-                # charges it to sc.residue_overflows, not sc.shift_span.
-                shifted += order - base - 1
-                overflowed.append((modulus, order))
-                continue  # unregistered by the caller; keep it out of the caches
-            if order > base:
-                updates[modulus] = order
-                shifted += order - base
-            if order > cur_max:
-                cur_max = order
-            slack = modulus - order
-            if slack < cur_slack:
-                cur_slack = slack
-        if updates:
-            record.system.set_residues(updates)
-        record.cur_max = cur_max
-        record.cur_slack = cur_slack
-        metrics.incr("sc.shift_span", shifted)
-        return overflowed
-
-    def _checked_fold(self, index: int) -> None:
-        """Fold one record where the slack invariant forbids overflow."""
-        leftover = self._fold(index)
-        if leftover:  # pragma: no cover - guarded by the slack invariant
-            raise OrderingError(
-                f"SC record #{index} overflowed outside shift_orders_from: "
-                f"{leftover}"
-            )
-
-    def _fold_all(self) -> None:
-        """Fold every stale record; the pending list empties."""
-        for index, record in enumerate(self._records):
-            if record.stale:
-                self._checked_fold(index)
-        self._pending.clear()
-
-    @contextmanager
-    def batch(self) -> Iterator["SCTable"]:
-        """Coalesce order shifts across a run of mutations.
-
-        Inside the context :meth:`shift_orders_from` leaves the residues of
-        the records it reaches unfolded, so a run of shifts costs
-        O(records) per shift instead of O(nodes).  Reads
-        (:meth:`order_of`) replay the pending thresholds and membership
-        changes fold them first, so every operation observes exactly the
-        state the sequential path would produce — including
-        residue-overflow repairs, which are forced to surface at the very
-        operation that caused them.  When the outermost context exits — on
-        success *or* failure — the records left stale are folded.  No CRT
-        value is solved here: a record's value is solved when something
-        reads it (metric ``sc.batch_solves``).  Contexts nest; only the
-        outermost one commits.
-        """
-        self._batch_depth += 1
-        try:
-            yield self
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                self._fold_all()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -407,19 +285,17 @@ class SCTable:
             self.group_size is None or len(self._records[-1]) < self.group_size
         ):
             index = len(self._records) - 1
-            # Fold first so the new member and the existing ones share the
-            # same (current) coordinate space.
-            self._checked_fold(index)
             record = self._records[index]
             record.system.append(self_label, order)
             record.max_prime = max(record.max_prime, self_label)
             record.cur_max = max(record.cur_max, order)
+            record.cur_min = min(record.cur_min, order)
             record.cur_slack = min(record.cur_slack, self_label - order)
             self._record_of[self_label] = index
         else:
             system = CongruenceSystem([self_label], [order])
             self._records.append(
-                SCRecord(system, self_label, cur_max=order, cur_slack=self_label - order)
+                SCRecord(system, self_label, order, order, self_label - order)
             )
             self._record_of[self_label] = len(self._records) - 1
             metrics.incr("sc.records_opened")
@@ -432,7 +308,6 @@ class SCTable:
         index = self._record_of.pop(self_label, None)
         if index is None:
             raise OrderingError(f"self-label {self_label} is not in the SC table")
-        self._checked_fold(index)
         record = self._records[index]
         record.system.remove(self_label)
         if self_label == record.max_prime:
@@ -464,12 +339,13 @@ class SCTable:
         A record is touched iff its maximum member order reaches the
         threshold (some member has order >= threshold iff the maximum
         does), so records below the threshold are skipped without a member
-        scan.  A touched record's members are rewritten and its aggregates
-        recomputed in the same pass.  Inside a :meth:`batch` the shift is
-        coalesced instead (see :meth:`_shift_coalesced`).
+        scan.  A touched record whose minimum order also reaches the
+        threshold, and whose every residue is at least two below its
+        modulus, shifts in O(1) through its system's residue offset.  Any
+        other touched record has its members rewritten and its aggregates
+        recomputed in the same pass.  Both count every moved residue in
+        ``sc.shift_span``.
         """
-        if self._batch_depth:
-            return self._shift_coalesced(threshold)
         touched = 0
         shifted = 0
         overflowed: List[Tuple[int, int]] = []
@@ -477,8 +353,14 @@ class SCTable:
             if record.cur_max < threshold:
                 continue
             touched += 1
+            if record.cur_min >= threshold and record.cur_slack > 1:
+                shifted += record.system.shift_all()
+                record.cur_max += 1
+                record.cur_min += 1
+                record.cur_slack -= 1
+                continue
             updates: Dict[int, int] = {}
-            cur_slack = _NO_SLACK
+            cur_min, cur_slack = _NO_SLACK, _NO_SLACK
             for modulus, order in record.system.congruences():
                 if order >= threshold:
                     order += 1
@@ -486,50 +368,20 @@ class SCTable:
                         overflowed.append((modulus, order))
                         continue  # unregistered below, which refreshes the caches
                     updates[modulus] = order
+                if order < cur_min:
+                    cur_min = order
                 if modulus - order < cur_slack:
                     cur_slack = modulus - order
             if updates:
                 record.system.set_residues(updates)
                 shifted += len(updates)
             record.cur_max += 1
+            record.cur_min = cur_min
             record.cur_slack = cur_slack
         for self_label, _new_order in overflowed:
             self.unregister(self_label)
         metrics.incr("sc.records_touched", touched)
         metrics.incr("sc.shift_span", shifted)
-        metrics.incr("sc.residue_overflows", len(overflowed))
-        return touched, overflowed
-
-    def _shift_coalesced(self, threshold: int) -> Tuple[int, List[Tuple[int, int]]]:
-        """The batched shift: O(records) aggregate maintenance per call.
-
-        The threshold joins the pending list and only the aggregates of the
-        records it reaches move.  A touched record's maximum grows by
-        exactly one, and its minimum slack shrinks by at most one —
-        decrementing unconditionally keeps ``cur_slack`` a safe
-        under-estimate.  When it hits 1 a residue may reach its modulus on
-        this very shift, so the record folds now and any real overflow is
-        returned from *this* call, keeping overflow repair (and the prime
-        issuance it triggers) on the sequential schedule.
-        """
-        pending = self._pending
-        pending.append(threshold)
-        touched = 0
-        overflowed: List[Tuple[int, int]] = []
-        for index, record in enumerate(self._records):
-            if record.cur_max < threshold:
-                continue
-            if not record.stale:
-                record.stale = True
-                record.pending_base = len(pending) - 1
-            record.cur_max += 1
-            record.cur_slack -= 1
-            touched += 1
-            if record.cur_slack <= 1:
-                overflowed.extend(self._fold(index))
-        for self_label, _new_order in overflowed:
-            self.unregister(self_label)
-        metrics.incr("sc.records_touched", touched)
         metrics.incr("sc.residue_overflows", len(overflowed))
         return touched, overflowed
 
@@ -541,7 +393,6 @@ class SCTable:
             raise capacity_error(self_label, order, self._record_of.get(self_label))
         record = self.record_for(self_label)  # validates membership
         index = self._record_of[self_label]
-        self._checked_fold(index)
         record.system.set_residues({self_label: order})
         self._refresh_caches(index)
         metrics.incr("sc.records_touched")

@@ -17,18 +17,20 @@ Two solvers are provided:
 
 :class:`CongruenceSystem` holds a live system as its residue map and
 supports the paper's update operations: appending a new congruence,
-rewriting residues, and dropping a congruence.  Each mutation only writes
-the residue map; the value is solved with :func:`solve_congruences` when
-something reads it and cached until the next mutation.  Nothing on the
-update path reads it (order lookups read the stored residue), so an update
-costs residue-map work only and the solve is paid by whoever asks for the
-value: :meth:`CongruenceSystem.check`, the audit, or ``SCRecord.sc``.
+rewriting residues, dropping a congruence, and adding 1 to every residue
+at once (:meth:`CongruenceSystem.shift_all`, O(1) through a residue
+offset).  Each mutation only writes the residue map or the offset; the
+value is solved with :func:`solve_congruences` when something reads it and
+cached until the next mutation.  Nothing on the update path reads it
+(order lookups read the residue), so an update costs residue-map work only
+and the solve is paid by whoever asks for the value:
+:meth:`CongruenceSystem.check`, the audit, or ``SCRecord.sc``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, ItemsView, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.obs import metrics
 from repro.primes.totient import totient
@@ -115,21 +117,27 @@ class CongruenceSystem:
 
     This is the algebraic core of the paper's SC table row: the moduli are
     node self-labels (distinct primes) and the residues are document-order
-    numbers.  The residue map is the state; the solved value is derived
-    from it on demand.  Updates:
+    numbers.  The state is the stored residue map plus one integer offset:
+    every residue is ``stored + offset``.  The solved value is derived from
+    that on demand.  Updates:
 
     * :meth:`append` — add a congruence for a newly inserted node,
     * :meth:`set_residues` — rewrite several residues at once (the "+1 shift"
-      applied to nodes after an insertion point), and
+      applied to some of a group's nodes after an insertion point),
+    * :meth:`shift_all` — the "+1 shift" for every node of the group, in
+      O(1): the offset grows and no stored residue is written, and
     * :meth:`remove` — drop a congruence (node deletion; the paper notes
       deletions never disturb order, but dropping keeps the value small).
 
-    All three write the residue map and drop the cached value; the first
-    :attr:`value` read after them pays one solve (metric
-    ``sc.batch_solves``) and repeat reads are free.
+    The reads (:meth:`residue`, :meth:`congruences`, :attr:`value`,
+    :meth:`check`) add the offset and never write it back; the three
+    per-member writes first settle it into the stored residues.  Every
+    mutation drops the cached value; the first :attr:`value` read after
+    one pays one solve (metric ``sc.batch_solves``) and repeat reads are
+    free.
     """
 
-    __slots__ = ("_congruences", "_value")
+    __slots__ = ("_congruences", "_offset", "_value")
 
     def __init__(
         self, moduli: Iterable[int] = (), residues: Iterable[int] = ()
@@ -138,6 +146,7 @@ class CongruenceSystem:
         for modulus, residue in zip(list(moduli), list(residues)):
             self._check_new_modulus(modulus)
             self._congruences[modulus] = residue % modulus
+        self._offset = 0
         self._value: int | None = None
 
     def _check_new_modulus(self, modulus: int) -> None:
@@ -149,6 +158,15 @@ class CongruenceSystem:
             if gcd(existing, modulus) != 1:
                 raise ValueError(f"modulus {modulus} not coprime with {existing}")
 
+    def _settle(self) -> None:
+        """Fold the offset into the stored residues before a member write."""
+        offset = self._offset
+        if offset:
+            congruences = self._congruences
+            for modulus in congruences:
+                congruences[modulus] += offset
+            self._offset = 0
+
     def __len__(self) -> int:
         return len(self._congruences)
 
@@ -159,9 +177,15 @@ class CongruenceSystem:
     def moduli(self) -> Tuple[int, ...]:
         return tuple(self._congruences)
 
-    def congruences(self) -> ItemsView[int, int]:
-        """Live ``(modulus, residue)`` pairs, in insertion order."""
-        return self._congruences.items()
+    def congruences(self) -> Iterable[Tuple[int, int]]:
+        """The ``(modulus, residue)`` pairs, in insertion order."""
+        offset = self._offset
+        if not offset:
+            return self._congruences.items()
+        return [
+            (modulus, stored + offset)
+            for modulus, stored in self._congruences.items()
+        ]
 
     @property
     def product(self) -> int:
@@ -178,21 +202,24 @@ class CongruenceSystem:
         """
         if self._value is None:
             metrics.incr("sc.batch_solves")
+            offset = self._offset
             self._value = solve_congruences(
-                list(self._congruences), list(self._congruences.values())
+                list(self._congruences),
+                [stored + offset for stored in self._congruences.values()],
             )
         return self._value
 
     def residue(self, modulus: int) -> int:
-        """Return the residue stored for ``modulus``."""
+        """Return the residue for ``modulus``: stored value plus offset."""
         try:
-            return self._congruences[modulus]
+            return self._congruences[modulus] + self._offset
         except KeyError:
             raise KeyError(f"no congruence with modulus {modulus}") from None
 
     def append(self, modulus: int, residue: int) -> None:
         """Add ``x mod modulus == residue``."""
         self._check_new_modulus(modulus)
+        self._settle()
         self._congruences[modulus] = residue % modulus
         self._value = None
 
@@ -202,21 +229,33 @@ class CongruenceSystem:
         if not updates.keys() <= congruences.keys():
             unknown = min(updates.keys() - congruences.keys())
             raise KeyError(f"no congruence with modulus {unknown}")
+        self._settle()
         for modulus, residue in updates.items():
             congruences[modulus] = residue % modulus
         self._value = None
+
+    def shift_all(self) -> int:
+        """Add 1 to every residue in O(1); returns how many residues moved.
+
+        Residues are not reduced: the caller keeps each one below its
+        modulus (the SC table checks a record's slack first), and a residue
+        that reaches its modulus makes :meth:`check` fail.
+        """
+        self._offset += 1
+        self._value = None
+        return len(self._congruences)
 
     def remove(self, modulus: int) -> None:
         """Drop the congruence for ``modulus``."""
         if modulus not in self._congruences:
             raise KeyError(f"no congruence with modulus {modulus}")
+        self._settle()
         del self._congruences[modulus]
         self._value = None
 
     def check(self) -> bool:
-        """Verify ``value mod m == n`` for every stored congruence."""
+        """Verify ``value mod m == n`` for every congruence."""
         solved = self.value
         return all(
-            solved % modulus == residue
-            for modulus, residue in self._congruences.items()
+            solved % modulus == residue for modulus, residue in self.congruences()
         )

@@ -620,22 +620,21 @@ class LiveCollection(NodeMutations):
         ops: Sequence[BatchOp],
         before_op: Optional[Callable[[int, BatchOp], None]] = None,
     ) -> BatchReport:
-        """Apply a sequence of :class:`BatchOp`\\ s with coalesced SC shifts.
+        """Apply a sequence of :class:`BatchOp`\\ s in order, as one batch.
 
         Each op runs through the ordinary sequential update algorithm, in
-        order, with every touched document's SC table in batch mode — the
-        end state is byte-identical to applying the ops one by one, but
-        each touched SC record folds its order shifts once per batch rather
-        than once per op.  The summed cost is charged to ``total_update_cost`` and
-        the engine is invalidated once.
+        order, inside every touched document's
+        :meth:`~repro.order.document.OrderedDocument.batch` scope (which
+        defers nothing) — the end state is byte-identical to applying the
+        ops one by one.  The summed cost is charged to
+        ``total_update_cost``.
 
         ``before_op`` is called with ``(position, op)`` immediately before
         each op applies — the durability layer uses it to encode WAL
         addresses against exactly the state replay will see.
 
         On failure the exception propagates after the already-applied
-        prefix's costs are charged and every SC table leaves batch mode
-        (no record is left unfolded); this layer does *not* undo the prefix —
+        prefix's costs are charged; this layer does *not* undo the prefix —
         atomic all-or-nothing batches are the durable layer's contract,
         which rolls back by reloading the last durable state.  The cached
         engine is patched per applied op (like :meth:`apply`) and
@@ -692,11 +691,12 @@ class LiveCollection(NodeMutations):
 
     @contextmanager
     def batch_scope(self) -> Iterator["LiveCollection"]:
-        """Defer SC solves across arbitrary updates on every document.
+        """Open every document's batch scope around arbitrary updates.
 
         WAL replay uses this to re-apply a logged batch one op at a time
-        through :meth:`apply` while still paying one CRT solve per touched
-        record, mirroring the original group commit.
+        through :meth:`apply`, inside every document's batch scope as the
+        original :meth:`apply_batch` ran it.  It defers nothing: each op
+        costs what it did when it was first applied.
         """
         with ExitStack() as stack:
             for document in self._ordered:

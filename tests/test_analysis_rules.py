@@ -35,6 +35,11 @@ TRIGGERS = [
         "def hack(system):\n    system._congruences[7] = 3{S}\n",
     ),
     (
+        "R2",
+        "src/repro/query/bad.py",
+        "def hack(record):\n    record.system._offset += 1{S}\n",
+    ),
+    (
         "R3",
         "src/repro/order/bad.py",
         "from repro.durable.wal import WriteAheadLog{S}\n",
@@ -184,6 +189,12 @@ CLEAN = [
     ("src/repro/labeling/base.py", "def ok(self, key, label):\n    self._labels[key] = label\n"),
     # R2: the SC layer itself may touch residue state.
     ("src/repro/order/sc_table.py", "def ok(system):\n    system._congruences[7] = 3\n"),
+    ("src/repro/primes/crt.py", "def ok(system):\n    system._offset += 1\n"),
+    # R2: an object's own ``_offset`` (a WAL reader's byte offset) is its own.
+    (
+        "src/repro/replica/good.py",
+        "class Tailer:\n    def seek(self):\n        self._offset = 0\n",
+    ),
     # R3: the metrics facade is the sanctioned core-layer import.
     ("src/repro/order/good.py", "from repro.obs import metrics\n"),
     # R3 applies only to the four core packages.

@@ -153,17 +153,31 @@ class TestShift:
             table.set_order(7, 7)
 
     def test_shift_after_mid_batch_groups_dump(self):
-        """A mid-batch ``groups()`` folds and empties the pending list; a
-        later shift in the same batch must still reach the records."""
-        table = SCTable(group_size=2)
-        for prime, order in [(101, 1), (103, 2), (107, 3)]:
-            table.register(prime, order)
-        with table.batch():
-            table.shift_orders_from(2)
-            assert table.groups() == [(103, [(101, 1), (103, 3)]), (107, [(107, 4)])]
-            table.shift_orders_from(2)
-            assert table.order_of(103) == 4 and table.order_of(107) == 5
-        assert table.orders() == {101: 1, 103: 4, 107: 5}
+        """A ``groups()`` dump inside ``OrderedDocument.batch()`` writes the
+        current orders and changes nothing; a later shift in the same batch
+        must still reach every record."""
+        root = element("r", *[element("c") for _ in range(6)])
+        doc = OrderedDocument(root, group_size=2)
+
+        def preorder_orders():
+            return {
+                doc.label_of(node).self_label: order
+                for order, node in enumerate(doc.root.iter_preorder())
+                if order
+            }
+
+        with doc.batch():
+            doc.insert_child(root, 0)
+            dumped = doc.sc_table.groups()
+            assert dumped == [
+                (record.max_prime, list(record.system.congruences()))
+                for record in doc.sc_table
+            ]
+            assert SCTable.from_groups(dumped, group_size=2).orders() == preorder_orders()
+            doc.insert_child(root, 1)
+            assert doc.sc_table.orders() == preorder_orders()
+        assert doc.sc_table.orders() == preorder_orders()
+        assert doc.check() and doc.sc_table.check()
 
 
 class TestSetOrderAndUnregister:

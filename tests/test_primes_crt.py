@@ -240,6 +240,32 @@ class TestIncrementalMaintenance:
             assert all(value % m == system.residue(m) for m in moduli)
         assert len(solves) == 4
 
+    def test_shift_all_moves_every_read_without_solving(self, solves):
+        system = CongruenceSystem([5, 7, 11], [1, 2, 3])
+        assert system.shift_all() == 3
+        assert system.shift_all() == 3
+        assert solves == []  # an offset bump, no residue rewrite or solve
+        assert [system.residue(m) for m in (5, 7, 11)] == [3, 4, 5]
+        assert list(system.congruences()) == [(5, 3), (7, 4), (11, 5)]
+        assert system.value == solve_congruences([5, 7, 11], [3, 4, 5])
+        assert system.check()
+        system.shift_all()  # drops the cached value
+        assert system.value % 11 == 6 and len(solves) == 2
+
+    def test_member_writes_under_an_offset(self):
+        for mutate, expected in (
+            (lambda s: s.append(13, 9), [(5, 2), (7, 3), (11, 4), (13, 9)]),
+            (lambda s: s.set_residues({7: 0}), [(5, 2), (7, 0), (11, 4)]),
+            (lambda s: s.remove(7), [(5, 2), (11, 4)]),
+        ):
+            system = CongruenceSystem([5, 7, 11], [1, 2, 3])
+            system.shift_all()
+            mutate(system)
+            assert list(system.congruences()) == expected
+            system.shift_all()
+            assert [r for _, r in system.congruences()] == [r + 1 for _, r in expected]
+            assert system.check()
+
 
 def reference_solve(moduli, residues):
     """Pairwise CRT merging on the pure-Python ``extended_gcd``.
