@@ -5,15 +5,24 @@ varint label codec) each have a hand-written encoder and decoder.  This pass
 extracts a *token stream* from both sides and proves they agree, per format
 version:
 
-* writer tokens come from ``out.append(struct.pack(fmt, ...))`` / list
-  initialisers (``fmt``), ``write_int``/``_write_int``/``_write_varint``
-  calls (``INT``), ``_write_string(out, x, W)`` (``STR:W``), ``_write_tree``
+* writer tokens come from ``struct.pack(fmt, ...)`` emitted into a buffer
+  — ``out.append`` arguments, list initialisers, and the one-buffer idiom
+  ``out += struct.pack(...)`` (``fmt``) —,
+  ``write_int``/``_write_int``/``_write_varint``/``write_uvarint`` calls
+  (``INT``), ``_write_string(out, x, W)`` (``STR:W``), ``_write_tree``
   (``TREE``) and ``codec.encode`` (``LABEL``);
 * reader tokens come from ``reader.unpack(fmt)``, ``read_int``/
-  ``_read_int``/``_read_varint``, ``reader.string(W)``, ``_read_tree`` and
-  ``codec.decode``.  ``reader.take`` and direct ``struct.unpack`` (the CRC
-  pre-checks) are checksum plumbing, not fields, and are skipped — as are
-  ``struct.pack`` calls outside an append/list-init (the CRC footers).
+  ``_read_int``/``_read_varint``/``read_uvarint``, ``reader.string(W)``,
+  ``_read_tree`` and ``codec.decode``.  ``reader.take`` and direct
+  ``struct.unpack`` (the CRC pre-checks) are checksum plumbing, not
+  fields, and are skipped — as are ``struct.pack`` calls outside an emit
+  site and any ``struct.pack`` of a ``crc32`` value (the CRC footers).
+
+A declared pair the pass cannot check is itself a finding: a writer or
+reader that is missing from its module (renamed without updating
+``_MODULE_SPECS``), or a writer whose body yields no tokens at all (a write
+shape the extractor cannot read).  Two empty streams would otherwise
+compare equal and the pair would pass in silence.
 
 Version dispatch (``if version >= 3: ...``) is resolved symbolically: the
 extractor evaluates comparisons of ``version`` against integer constants
@@ -42,8 +51,8 @@ from ...findings import Finding
 if TYPE_CHECKING:
     from .. import Program
 
-_INT_WRITERS = {"write_int", "_write_int", "_write_varint"}
-_INT_READERS = {"read_int", "_read_int", "_read_varint"}
+_INT_WRITERS = {"write_int", "_write_int", "_write_varint", "write_uvarint"}
+_INT_READERS = {"read_int", "_read_int", "_read_varint", "read_uvarint"}
 
 
 class _Unresolvable(Exception):
@@ -64,6 +73,15 @@ def _receiver_name(call: ast.Call) -> str:
     ):
         return call.func.value.id
     return ""
+
+
+def _is_checksum(call: ast.Call) -> bool:
+    """True for ``struct.pack(fmt, zlib.crc32(...))``: a footer, not a field."""
+    return any(
+        isinstance(node, ast.Call) and _call_name(node) == "crc32"
+        for arg in call.args
+        for node in ast.walk(arg)
+    )
 
 
 def _const_str(expr: ast.expr) -> Optional[str]:
@@ -183,7 +201,10 @@ class _StreamExtractor:
             self._walk_expr(value, packing=packing)
             return
         if isinstance(stmt, ast.AugAssign):
-            # CRC footers (blob += struct.pack(...)) are not fields.
+            # The one-buffer idiom: ``out += struct.pack(fmt, ...)`` emits a
+            # field (CRC footers are filtered out in _handle_call).
+            packing = self.mode == "writer" and isinstance(stmt.op, ast.Add)
+            self._walk_expr(stmt.value, packing=packing)
             return
         if isinstance(stmt, (ast.Expr, ast.Return, ast.Raise)):
             for child in ast.iter_child_nodes(stmt):
@@ -240,7 +261,7 @@ class _StreamExtractor:
                     self._walk_expr(arg, packing=True)
                 return True
             if name == "pack" and receiver == "struct":
-                if packing:
+                if packing and not _is_checksum(call):
                     fmt = _const_str(call.args[0]) if call.args else None
                     self.tokens.append(fmt if fmt is not None else "PACK:?")
                 return True
@@ -300,7 +321,7 @@ class _ModuleSpec:
 _MODULE_SPECS: Dict[str, _ModuleSpec] = {
     "repro.durable.snapshot": _ModuleSpec(
         pairs=[
-            _PairSpec("snapshot_bytes", "_decode_body"),
+            _PairSpec("_encode_snapshot", "_decode_body"),
             _PairSpec("_write_tree", "_read_tree"),
         ],
         supported_const="_SUPPORTED_VERSIONS",
@@ -467,14 +488,36 @@ class WireParityRule(ProgramRule):
             writer = _find_function(ctx.tree, pair.writer)
             reader = _find_function(ctx.tree, pair.reader)
             if writer is None or reader is None:
+                missing = [
+                    name
+                    for name, fn in ((pair.writer, writer), (pair.reader, reader))
+                    if fn is None
+                ]
+                present = writer or reader
+                yield Finding(
+                    rule=self.id,
+                    message=(
+                        f"declared wire pair {pair.writer}/{pair.reader} "
+                        f"cannot be checked: {' and '.join(missing)} not "
+                        f"found in {ctx.module}; rename the pair in R16's "
+                        "module specs together with the function"
+                    ),
+                    path=ctx.rel,
+                    line=present.lineno if present is not None else 1,
+                    severity=self.severity,
+                )
                 continue
+            silent: List[str] = []
             for version in versions:
+                label = f"version {version}" if version is not None else "all versions"
                 evaluator = _Evaluator(version, constants)
                 wrote = _StreamExtractor("writer", evaluator).run(writer)
+                if not wrote:
+                    silent.append(label)
+                    continue
                 read = _StreamExtractor("reader", evaluator).run(reader)
                 if wrote == read:
                     continue
-                label = f"version {version}" if version is not None else "all versions"
                 index = next(
                     (
                         i
@@ -493,6 +536,19 @@ class WireParityRule(ProgramRule):
                         f"but {read_at!r} on the read side "
                         f"(writer emits {len(wrote)} fields, reader consumes "
                         f"{len(read)})"
+                    ),
+                    path=ctx.rel,
+                    line=writer.lineno,
+                    column=writer.col_offset,
+                    severity=self.severity,
+                )
+            if silent:
+                yield Finding(
+                    rule=self.id,
+                    message=(
+                        f"{pair.writer} yields no field tokens for "
+                        f"{', '.join(silent)}: R16 cannot read its write "
+                        "shape, so the pair would compare equal in silence"
                     ),
                     path=ctx.rel,
                     line=writer.lineno,

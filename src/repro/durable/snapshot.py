@@ -65,14 +65,19 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.durable.faults import FaultInjector
-from repro.errors import LabelingError, OrderingError, SnapshotCorruptError
+from repro.errors import (
+    LabelingError,
+    OrderingError,
+    QueryEvaluationError,
+    SnapshotCorruptError,
+)
 from repro.labeling.codec import read_uvarint, write_uvarint
 from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
 from repro.order.sc_table import SCTable
 from repro.query.live import LiveCollection
-from repro.query.persist import _Reader, _write_string
+from repro.query.persist import _Reader
 from repro.xmlkit.tree import XmlElement
 
 __all__ = [
@@ -121,12 +126,18 @@ class SnapshotState:
 
 
 # ----------------------------------------------------------------------
-# Encoding helpers: legacy (v1/v2) int = 2B length + big-endian magnitude;
-# v3 int = LEB128 varint
+# Encoding helpers: every field is appended to one bytearray.  Legacy
+# (v1/v2) int = 2B length + big-endian magnitude; v3 int = LEB128 varint.
 # ----------------------------------------------------------------------
 
 
-def _write_int(out: List[bytes], value: int) -> None:
+def _write_string(out: bytearray, text: str, width: str) -> None:
+    data = text.encode("utf-8")
+    out += struct.pack(width, len(data))
+    out += data
+
+
+def _write_int(out: bytearray, value: int) -> None:
     if value < 0:
         raise SnapshotCorruptError(f"cannot encode negative integer {value}")
     data = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
@@ -138,8 +149,8 @@ def _write_int(out: List[bytes], value: int) -> None:
             f"integer of {len(data)} bytes exceeds the legacy snapshot "
             "encoding's 65535-byte field limit; write format v3 instead"
         )
-    out.append(struct.pack(">H", len(data)))
-    out.append(data)
+    out += struct.pack(">H", len(data))
+    out += data
 
 
 def _read_int(reader: _Reader) -> int:
@@ -147,12 +158,10 @@ def _read_int(reader: _Reader) -> int:
     return int.from_bytes(reader.take(length), "big")
 
 
-def _write_varint(out: List[bytes], value: int) -> None:
+def _write_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise SnapshotCorruptError(f"cannot encode negative integer {value}")
-    buf: List[int] = []
-    write_uvarint(value, buf)
-    out.append(bytes(buf))
+    write_uvarint(value, out)
 
 
 def _read_varint(reader: _Reader) -> int:
@@ -160,36 +169,92 @@ def _read_varint(reader: _Reader) -> int:
     return value
 
 
-def _write_tree(out: List[bytes], node: XmlElement) -> None:
-    _write_string(out, node.tag, ">H")
-    _write_string(out, node.text, ">I")
-    out.append(struct.pack(">H", len(node.attributes)))
-    for name, value in node.attributes.items():
-        _write_string(out, name, ">H")
-        _write_string(out, value, ">H")
-    out.append(struct.pack(">I", len(node.children)))
-    for child in node.children:
-        _write_tree(out, child)
+def _write_tree(out: bytearray, root: XmlElement) -> List[XmlElement]:
+    """Write ``root``'s subtree in preorder; returns the nodes in that order."""
+    nodes = list(root.iter_preorder())
+    for node in nodes:
+        _write_string(out, node.tag, ">H")
+        _write_string(out, node.text, ">I")
+        out += struct.pack(">H", len(node.attributes))
+        for name, value in node.attributes.items():
+            _write_string(out, name, ">H")
+            _write_string(out, value, ">H")
+        out += struct.pack(">I", len(node))
+    return nodes
 
 
 def _read_tree(reader: _Reader) -> XmlElement:
-    tag = reader.string(">H")
-    text = reader.string(">I")
-    (attr_count,) = reader.unpack(">H")
-    attributes = {}
-    for _ in range(attr_count):
-        name = reader.string(">H")
-        attributes[name] = reader.string(">H")
-    node = XmlElement(tag, attributes, text)
-    (child_count,) = reader.unpack(">I")
-    for _ in range(child_count):
-        node.append(_read_tree(reader))
-    return node
+    """Read one preorder tree, then link it bottom-up (no recursion).
+
+    Children are attached in reverse preorder, so every ``append`` lands
+    on a parent that is not yet attached itself and costs O(1).
+    """
+    entries: List[Tuple[XmlElement, int]] = []
+    unread = 1
+    while unread:
+        tag = reader.string(">H")
+        text = reader.string(">I")
+        (attr_count,) = reader.unpack(">H")
+        attributes = {}
+        for _ in range(attr_count):
+            name = reader.string(">H")
+            attributes[name] = reader.string(">H")
+        (child_count,) = reader.unpack(">I")
+        entries.append((XmlElement(tag, attributes, text), child_count))
+        unread += child_count - 1
+    built: List[XmlElement] = []
+    for node, child_count in reversed(entries):
+        for _ in range(child_count):
+            node.append(built.pop())
+        built.append(node)
+    return built[0]
 
 
 # ----------------------------------------------------------------------
 # Write
 # ----------------------------------------------------------------------
+
+
+def _encode_snapshot(
+    collection: LiveCollection, last_seq: int, version: int
+) -> bytearray:
+    """The whole snapshot, footer included, in one buffer."""
+    if version not in _SUPPORTED_VERSIONS:
+        raise SnapshotCorruptError(f"cannot write snapshot version {version}")
+    write_int = _write_varint if version >= 3 else _write_int
+    out = bytearray(_MAGIC)
+    out += struct.pack(">B", version)
+    out += struct.pack(">QQ", last_seq, collection.total_update_cost)
+    group_size = collection.group_size
+    out += struct.pack(">I", _NO_GROUP_SIZE if group_size is None else group_size)
+    _write_string(out, collection.strategy, ">B")
+    ordered = collection.ordered_documents
+    out += struct.pack(">I", len(ordered))
+    for document in ordered:
+        nodes = _write_tree(out, document.root)
+        reserved, next_reserved, next_general, issued = document.scheme._generator.state()
+        out += struct.pack(">IIIQ", reserved, next_reserved, next_general, issued)
+        out += struct.pack(">I", len(nodes))
+        for node in nodes:
+            label: PrimeLabel = document.label_of(node)
+            write_int(out, label.value)
+            write_int(out, label.self_label)
+        groups = document.sc_table.groups()
+        out += struct.pack(">I", len(groups))
+        for max_prime, members in groups:
+            out += struct.pack(">I", len(members))
+            write_int(out, max_prime)
+            for modulus, residue in members:
+                write_int(out, modulus)
+                write_int(out, residue)
+        if version >= 3:
+            _, leaf_counters = document.scheme.export_state()
+            out += struct.pack(">I", len(leaf_counters))
+            for parent_value, next_index in leaf_counters:
+                write_int(out, parent_value)
+                write_int(out, next_index)
+    out += struct.pack(">I", zlib.crc32(out))
+    return out
 
 
 def snapshot_bytes(
@@ -199,46 +264,13 @@ def snapshot_bytes(
 
     ``version`` defaults to the current format (3: varint integers plus
     the Opt2 leaf-counter section); 1 and 2 write the legacy layout and
-    are kept for compatibility tests.
+    are kept for compatibility tests.  One writer serves all three: the
+    versions differ only in the integer helper and the v3 leaf section.
+    Every field is appended to a single ``bytearray`` in one iterative
+    preorder walk per tree, so the transient cost is about the blob's own
+    size and no document depth is too deep to write.
     """
-    if version not in _SUPPORTED_VERSIONS:
-        raise SnapshotCorruptError(f"cannot write snapshot version {version}")
-    write_int = _write_varint if version >= 3 else _write_int
-    out: List[bytes] = [_MAGIC, struct.pack(">B", version)]
-    out.append(struct.pack(">QQ", last_seq, collection.total_update_cost))
-    group_size = collection.group_size
-    out.append(
-        struct.pack(">I", _NO_GROUP_SIZE if group_size is None else group_size)
-    )
-    _write_string(out, collection.strategy, ">B")
-    ordered = collection.ordered_documents
-    out.append(struct.pack(">I", len(ordered)))
-    for document in ordered:
-        _write_tree(out, document.root)
-        reserved, next_reserved, next_general, issued = document.scheme._generator.state()
-        out.append(struct.pack(">IIIQ", reserved, next_reserved, next_general, issued))
-        nodes = list(document.root.iter_preorder())
-        out.append(struct.pack(">I", len(nodes)))
-        for node in nodes:
-            label: PrimeLabel = document.label_of(node)
-            write_int(out, label.value)
-            write_int(out, label.self_label)
-        groups = document.sc_table.groups()
-        out.append(struct.pack(">I", len(groups)))
-        for max_prime, members in groups:
-            out.append(struct.pack(">I", len(members)))
-            write_int(out, max_prime)
-            for modulus, residue in members:
-                write_int(out, modulus)
-                write_int(out, residue)
-        if version >= 3:
-            _, leaf_counters = document.scheme.export_state()
-            out.append(struct.pack(">I", len(leaf_counters)))
-            for parent_value, next_index in leaf_counters:
-                write_int(out, parent_value)
-                write_int(out, next_index)
-    body = b"".join(out)
-    return body + struct.pack(">I", zlib.crc32(body))
+    return bytes(_encode_snapshot(collection, last_seq, version))
 
 
 def write_snapshot(
@@ -256,7 +288,7 @@ def write_snapshot(
     """
     with metrics.timed("snapshot.write"):
         path = Path(path)
-        blob = snapshot_bytes(collection, last_seq, version=version)
+        blob = _encode_snapshot(collection, last_seq, version)
         if faults is not None:
             blob = faults.on_snapshot(blob)
             # The transient-I/O hook fires before the temp file is opened,
@@ -286,7 +318,11 @@ def read_snapshot(path: str | Path) -> SnapshotState:
     """Decode and checksum-verify the snapshot at ``path``.
 
     Raises :class:`repro.errors.SnapshotCorruptError` on any damage —
-    truncation, bit-flip, bad magic, or undecodable structure.
+    truncation, bit-flip, bad magic, or undecodable structure.  That holds
+    even for a body cut short under a recomputed, valid CRC: the shared
+    RPLS reader's "truncated label store file" error is re-raised typed.
+    The tree is read with a loop, so every file :func:`snapshot_bytes`
+    can write (at any document depth) reads back.
     """
     path = Path(path)
     try:
@@ -309,6 +345,7 @@ def read_snapshot(path: str | Path) -> SnapshotState:
         UnicodeDecodeError,
         struct.error,
         LabelingError,
+        QueryEvaluationError,
     ) as error:
         raise SnapshotCorruptError(f"corrupt snapshot {path}: {error}") from error
     metrics.incr("snapshot.loads")
@@ -416,4 +453,4 @@ def collection_fingerprint(collection: LiveCollection) -> str:
     SHA-256 of the canonical snapshot encoding at ``last_seq=0`` (the
     sequence number is bookkeeping, not state).
     """
-    return hashlib.sha256(snapshot_bytes(collection, last_seq=0)).hexdigest()
+    return hashlib.sha256(_encode_snapshot(collection, 0, _VERSION)).hexdigest()

@@ -14,6 +14,7 @@ Three layers, mirroring ``tests/test_analysis_rules.py``:
 """
 
 import argparse
+import ast
 import json
 import time
 from pathlib import Path
@@ -137,6 +138,41 @@ def test_program_rule_suppresses(rule, rel, template):
     assert report.suppressed[0].justification == "fixture justification"
 
 
+# R16 pairs the pass cannot check must not pass in silence.
+SILENT_PAIRS = {
+    # A declared writer renamed away is a finding, not a skipped pair.
+    "renamed-writer": (
+        "import struct\n\n"
+        "_VERSION = 1\n"
+        "_SUPPORTED_VERSIONS = (1,)\n\n"
+        "def write_store(out, version=1):\n"
+        '    out += struct.pack(">B", version)\n\n'
+        "def _load_store_checked(reader):{S}\n"
+        '    (version,) = reader.unpack(">B")\n'
+    ),
+    # A write shape the extractor cannot read yields no tokens; two empty
+    # streams must not pass as equal.
+    "unreadable-writer": (
+        "import struct\n\n"
+        "_VERSION = 1\n"
+        "_SUPPORTED_VERSIONS = (1,)\n\n"
+        "def save_store(handle, rows, version=1):{S}\n"
+        '    handle.write(struct.pack(">I", len(rows)))\n\n'
+        "def _load_store_checked(blob):\n"
+        '    (count,) = struct.unpack(">I", blob[:4])\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("template", SILENT_PAIRS.values(), ids=list(SILENT_PAIRS))
+def test_unchecked_wire_pair_is_an_r16_finding(template):
+    rel = "src/repro/query/persist.py"
+    report = _lint(template.format(S=""), rel)
+    assert [f.rule for f in report.findings] == ["R16"], report.findings
+    directive = "  # repro: ignore[R16] -- fixture justification"
+    assert _lint(template.format(S=directive), rel).findings == []
+
+
 # ---------------------------------------------------------------------------
 # Sanctioned patterns stay clean.
 # ---------------------------------------------------------------------------
@@ -226,6 +262,24 @@ CLEAN = [
         "        journal = self._journal(op)\n"
         "        journal.buffer.append(op)\n"
         "        return self.supervisor.request(op)\n",
+    ),
+    # R16: the one-buffer idiom (``out += struct.pack``, varints written
+    # into the buffer) reads as fields; the CRC footer does not.
+    (
+        "src/repro/query/persist.py",
+        "import struct\n"
+        "import zlib\n\n"
+        "_VERSION = 1\n"
+        "_SUPPORTED_VERSIONS = (1,)\n\n"
+        "def save_store(rows, version=1):\n"
+        "    out = bytearray()\n"
+        '    out += struct.pack(">B", version)\n'
+        "    write_uvarint(len(rows), out)\n"
+        '    out += struct.pack(">I", zlib.crc32(out))\n'
+        "    return out\n\n"
+        "def _load_store_checked(reader):\n"
+        '    (version,) = reader.unpack(">B")\n'
+        "    count, reader.offset = read_uvarint(reader.blob, reader.offset)\n",
     ),
 ]
 
@@ -393,6 +447,45 @@ def test_unmodified_wal_module_is_parity_clean(tmp_path, capsys):
     )
     capsys.readouterr()
     assert exit_code == 0
+
+
+#: The real snapshot codec's R16 field streams, per format version.  The
+#: tree helpers are loops, so their pair streams end at the child count.
+_SNAPSHOT_V1 = [
+    ">B", ">QQ", ">I", "STR:>B", ">I", "TREE", ">IIIQ", ">I", "INT", "INT",
+    ">I", ">I", "INT", "INT", "INT",
+]
+_SNAPSHOT_STREAMS = {
+    ("_encode_snapshot", "_decode_body"): {
+        1: _SNAPSHOT_V1,
+        2: _SNAPSHOT_V1,
+        3: _SNAPSHOT_V1 + [">I", "INT", "INT"],
+    },
+    ("_write_tree", "_read_tree"): {
+        version: ["STR:>H", "STR:>I", ">H", "STR:>H", "STR:>H", ">I"]
+        for version in (1, 2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "pair", list(_SNAPSHOT_STREAMS), ids=lambda pair: "/".join(pair)
+)
+def test_real_snapshot_streams_are_pinned_per_version(pair):
+    from repro.analysis.program.passes import wire
+
+    path = repo_root() / "src" / "repro" / "durable" / "snapshot.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    spec = wire._MODULE_SPECS["repro.durable.snapshot"]
+    assert pair in {(p.writer, p.reader) for p in spec.pairs}
+    writer = wire._find_function(tree, pair[0])
+    reader = wire._find_function(tree, pair[1])
+    assert writer is not None and reader is not None
+    constants = {"_SUPPORTED_VERSIONS": (1, 2, 3)}
+    for version, expected in _SNAPSHOT_STREAMS[pair].items():
+        evaluator = wire._Evaluator(version, constants)
+        assert wire._StreamExtractor("writer", evaluator).run(writer) == expected
+        assert wire._StreamExtractor("reader", evaluator).run(reader) == expected
 
 
 def test_real_tree_self_lints_clean_for_program_rules():

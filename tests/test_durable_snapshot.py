@@ -1,9 +1,14 @@
 """Snapshots: byte-exact state capture, corruption detection, atomicity."""
 
 import random
+import struct
+import tracemalloc
+import zlib
 
 import pytest
 
+from repro.datasets.shakespeare import play
+from repro.durable.collection import DurableCollection
 from repro.durable.faults import CorruptSnapshotWrite, flip_bit, truncate_file
 from repro.durable.snapshot import (
     collection_fingerprint,
@@ -13,8 +18,10 @@ from repro.durable.snapshot import (
     write_snapshot,
 )
 from repro.errors import SnapshotCorruptError
-from repro.query.live import LiveCollection
+from repro.query.live import BatchOp, LiveCollection
+from repro.replica import ReplicaCollection
 from repro.xmlkit.parser import parse_document
+from repro.xmlkit.tree import XmlElement
 
 DOCS = [
     "<r><a>x</a><b attr='v'><c/><c/></b></r>",
@@ -126,6 +133,22 @@ class TestCorruptionDetection:
                 read_snapshot(path)
             write_snapshot(collection, path)
 
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_every_cut_under_a_recomputed_crc_is_typed(self, tmp_path, version):
+        # The CRC cannot catch a body cut short and re-footered; the decoder
+        # must still fail with the documented error, not the label store
+        # reader's QueryEvaluationError.
+        collection = LiveCollection(
+            [parse_document("<r x='1'><a>t</a><b/></r>")], group_size=2
+        )
+        body = snapshot_bytes(collection, version=version)[:-4]
+        path = tmp_path / "snap.rpsn"
+        for cut in range(len(body)):
+            part = body[:cut]
+            path.write_bytes(part + struct.pack(">I", zlib.crc32(part)))
+            with pytest.raises(SnapshotCorruptError):
+                read_snapshot(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(tmp_path / "absent.rpsn")
@@ -171,3 +194,42 @@ class TestAtomicity:
     def test_snapshot_bytes_deterministic(self):
         collection = build_collection()
         assert snapshot_bytes(collection) == snapshot_bytes(collection)
+
+
+class TestDeepDocuments:
+    def test_chain_deeper_than_the_recursion_limit_round_trips(self, tmp_path):
+        root = XmlElement("r")
+        node = root
+        for _ in range(1100):
+            node = node.append(XmlElement("d"))
+        directory = tmp_path / "deep"
+        primary = DurableCollection.create(directory, [root], fsync="never")
+        primary.apply_batch([BatchOp.insert_child(primary.documents[0], 0, tag="x")])
+        primary.checkpoint()
+        primary.apply_batch([BatchOp.insert_child(primary.documents[0], 1, tag="y")])
+        expected = collection_fingerprint(primary.live)
+        primary.close()
+        reopened = DurableCollection.open(directory, verify=True)
+        replica = ReplicaCollection(directory)
+        try:
+            replica.catch_up()
+            assert collection_fingerprint(reopened.live) == expected
+            assert collection_fingerprint(replica.live) == expected
+        finally:
+            replica.close()
+            reopened.close()
+
+
+class TestEncodeMemory:
+    def test_encode_peak_stays_near_the_blob_size(self):
+        # One buffer: the transient cost of an encode is a small multiple
+        # of the blob, not one bytes object per field.
+        collection = LiveCollection([play(seed=4, node_budget=6000)])
+        size = len(snapshot_bytes(collection))
+        tracemalloc.start()
+        try:
+            snapshot_bytes(collection)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * size, (peak, size)

@@ -58,12 +58,12 @@ class TestLegacyIntGuard:
 
     def test_legacy_writer_raises_typed_error(self):
         with pytest.raises(SnapshotCorruptError, match="65535"):
-            _write_int([], HUGE)
+            _write_int(bytearray(), HUGE)
 
     def test_legacy_writer_still_takes_the_limit_itself(self):
-        out = []
+        out = bytearray()
         _write_int(out, int.from_bytes(b"\xff" * 0xFFFF, "big"))
-        assert len(b"".join(out)) == 2 + 0xFFFF
+        assert len(out) == 2 + 0xFFFF
 
     def test_huge_label_snapshot_v2_rejected_v3_round_trips(self, tmp_path):
         collection = build_collection(churn=2)
