@@ -575,8 +575,8 @@ class WindowMaintenanceRule(Rule):
     title = "window-index maintenance outside the store/live layer"
     severity = Severity.ERROR
     rationale = (
-        "The rows' pre/size columns are trusted by the window strategy "
-        "and the planner only because every mutation flows through "
+        "The rows' pre/size columns are trusted by the engine's window "
+        "path only because every mutation flows through "
         "LabelStore's row mutators (which keep each document's preorder "
         "row list, its tag lists, and the columns in lockstep) and "
         "LiveCollection's patch hooks; a bench or service module touching "

@@ -11,7 +11,6 @@ from repro.bench.compaction import compaction_table
 from repro.bench.durability import durability_table
 from repro.bench.harness import ResultTable
 from repro.bench.models import figure3_table, figure4_table, figure5_table
-from repro.bench.planner import planner_table
 from repro.bench.replication import replication_table
 from repro.bench.resilience import resilience_table
 from repro.bench.response import figure15_table, table2_table
@@ -24,7 +23,6 @@ __all__ = [
     "ResultTable",
     "compaction_table",
     "durability_table",
-    "planner_table",
     "replication_table",
     "resilience_table",
     "shard_table",

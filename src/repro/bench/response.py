@@ -78,8 +78,8 @@ def figure15_table(
     best time is kept (the usual noise-suppression for micro timings).
     """
     documents = list(corpus) if corpus is not None else build_query_corpus()
-    # Figure 15 measures the *paper's* relational label-comparison scans;
-    # the accelerator comparison lives in `planner_table` instead.
+    # Figure 15 measures the *paper's* relational label-comparison scans,
+    # so every engine pins `scan` (`auto` would read the window columns).
     engines: Dict[str, QueryEngine] = {
         scheme: QueryEngine(LabelStore.build(documents, scheme=scheme), strategy="scan")
         for scheme in _SCHEMES

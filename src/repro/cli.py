@@ -22,17 +22,16 @@ Usage (also via ``python -m repro``)::
 ``bench`` accepts any exhibit id from the paper: fig3 fig4 fig5 table1
 fig13 fig14 table2 fig15 fig16 fig17 fig18 (the time-heavy ones build
 their corpora on demand), plus the systems exhibits ``durability``,
-``resilience``, ``throughput`` (sequential vs batched update pipeline)
-``planner`` (fixed strategies vs the cost-based pick on the Table 2
-workload), ``replication`` (lag + follower-read staleness/throughput
-vs reader count) and ``shard`` (routed throughput + query p99 vs worker
-count, plus kill-and-recover availability); ``--csv``/``--json`` export
-any of them.
+``resilience``, ``throughput`` (sequential vs batched update pipeline),
+``replication`` (lag + follower-read staleness/throughput vs reader
+count) and ``shard`` (routed throughput + query p99 vs worker count,
+plus kill-and-recover availability); ``--csv``/``--json`` export any of
+them.
 
-``query`` evaluates with the cost-based planner by default;
-``--strategy`` pins one of scan/merge/window/twig and ``--explain``
-prints the chosen plan (per-step strategy and cost estimates).  See
-``docs/QUERYING.md``.
+``query`` evaluates with ``--strategy auto`` by default: the pre/post
+window columns when the store has them, the paper's label scan
+otherwise; ``--strategy scan`` pins the label scan and ``--explain``
+prints the path taken.  See ``docs/QUERYING.md``.
 
 ``stats`` also runs each document through an instrumented prime
 pipeline (label + SC table + a ``//*`` query) and prints the
@@ -303,9 +302,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     for row in rows:
         print(f"doc {row.doc_id}: {row.node.path()}")
     print(f"-- {len(rows)} node(s) retrieved with the {args.scheme} store")
-    if getattr(args, "explain", False) and engine.last_plan is not None:
-        print("-- plan --")
-        print(engine.last_plan.describe())
+    if getattr(args, "explain", False):
+        windows = engine.strategy == "auto" and store.windowed
+        print(f"-- path: {'window' if windows else 'scan'}")
     if getattr(args, "audit", False) and _audit_store(store, indent=""):
         return 1
     return 0
@@ -321,7 +320,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.response import figure15_table, table2_table
 
     exhibits: Dict[str, Callable[[], object]] = {
-        "planner": bench.planner_table,
         "fig3": bench.figure3_table,
         "fig4": bench.figure4_table,
         "fig5": bench.figure5_table,
@@ -802,14 +800,15 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--scheme", choices=STORE_SCHEMES, default="prime")
     query.add_argument(
         "--strategy",
-        choices=("scan", "merge", "window", "twig", "auto"),
+        choices=("scan", "auto"),
         default="auto",
-        help="evaluation strategy (default: auto, the cost-based planner)",
+        help="evaluation strategy (default: auto, the window columns when "
+        "the store has them; scan pins the paper's label comparisons)",
     )
     query.add_argument(
         "--explain",
         action="store_true",
-        help="print the chosen plan (per-step strategy + cost estimates)",
+        help="print the evaluation path taken (window or scan)",
     )
     query.add_argument("--audit", action="store_true", help=audit_help)
     query.set_defaults(handler=cmd_query)

@@ -52,6 +52,9 @@ Writes are atomic: the blob goes to ``<name>.tmp``, is fsynced, and is
 previous generation untouched.  :func:`read_snapshot` verifies the footer
 before decoding a single field, so truncation and bit-flips surface as
 :class:`repro.errors.SnapshotCorruptError`, never as plausible garbage.
+The same holds for the strategy name: the retired names of
+:data:`repro.query.engine.RETIRED_STRATEGIES` restore as ``auto``, and
+any other name the engine does not accept is corruption.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
 from repro.order.sc_table import SCTable
+from repro.query.engine import upgrade_strategy
 from repro.query.live import LiveCollection
 from repro.query.persist import _Reader
 from repro.xmlkit.tree import XmlElement
@@ -363,7 +367,7 @@ def _decode_body(body: bytes, path: Path) -> SnapshotState:
     last_seq, total_cost = reader.unpack(">QQ")
     (raw_group_size,) = reader.unpack(">I")
     group_size = None if raw_group_size == _NO_GROUP_SIZE else raw_group_size
-    strategy = reader.string(">B")
+    strategy = upgrade_strategy(reader.string(">B"))
     (doc_count,) = reader.unpack(">I")
     documents: List[DocumentState] = []
     for _ in range(doc_count):

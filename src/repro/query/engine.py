@@ -12,30 +12,51 @@ how the paper's own SQL translation behaves):
 * ``Following``/``Preceding`` are scoped to the context node's document and
   exclude descendants/ancestors respectively, per the paper's definitions.
 
-Every predicate of the label-comparison strategies goes through the
-store's :class:`~repro.query.store.StoreOps`; the ``window`` strategy
-instead reads the store's pre/post accelerator columns
-(:mod:`repro.query.window`) and the ``twig`` strategy hands eligible
-queries whole to the tree-pattern matcher (:mod:`repro.query.twig`).
-All strategies return identical rows in identical order; ``auto`` lets
-the cost model (:mod:`repro.query.planner`) pick per step.
+Two evaluation paths answer every query with identical rows in identical
+order.  The label-comparison path tests every predicate through the
+store's :class:`~repro.query.store.StoreOps` and takes document order from
+the labels (for prime: the SC table), as the paper's Section 4.3 SQL
+translation does; the window path reads the store's pre/post accelerator
+columns (:mod:`repro.query.window`) instead.  ``scan`` pins the first;
+``auto`` takes the second whenever the store is windowed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import QueryEvaluationError
 from repro.obs import metrics
 from repro.query.ast import Axis, Query, Step
-from repro.query.planner import Planner, QueryPlan, StepChoice
 from repro.query.store import ElementRow, LabelStore
 from repro.query.window import DocWindow
 from repro.query.xpath import parse_query
 
-__all__ = ["QueryEngine"]
+__all__ = ["RETIRED_STRATEGIES", "QueryEngine", "check_strategy", "upgrade_strategy"]
 
-_STRATEGIES = ("scan", "merge", "window", "twig", "auto")
+_STRATEGIES = ("scan", "auto")
+# Strategy names older releases accepted and persisted in snapshots and
+# shard manifests.  Every strategy returns the same rows, so a persisted
+# retired name restores as ``auto``.
+RETIRED_STRATEGIES = ("merge", "window", "twig")
+
+
+def check_strategy(strategy: str) -> str:
+    """Return ``strategy`` if the engine accepts it; raise otherwise."""
+    if strategy not in _STRATEGIES:
+        raise QueryEvaluationError(
+            f"unknown strategy {strategy!r}; choose from {', '.join(_STRATEGIES)}"
+        )
+    return strategy
+
+
+def upgrade_strategy(strategy: str) -> str:
+    """A persisted strategy name as the engine accepts it today.
+
+    Retired names map to ``auto``; anything else goes through
+    :func:`check_strategy`.
+    """
+    return "auto" if strategy in RETIRED_STRATEGIES else check_strategy(strategy)
 
 
 class QueryEngine:
@@ -44,36 +65,20 @@ class QueryEngine:
     ``strategy`` selects how structural steps execute:
 
     * ``"scan"`` — per-context tag-index scans, one label test per
-      (context, candidate) pair; the paper's relational evaluation,
-      robust, O(|ctx| · |cand|).
-    * ``"merge"`` — a stack-based sort-merge over both sides in document
-      order (the Stack-Tree join generalized over any scheme's ancestor
-      test), O(|ctx| + |cand| + |out|) per document.  Steps the merge
-      cannot handle (order axes, positional predicates) fall back to the
-      scan path, so results are always identical.
-    * ``"window"`` — binary-searched pre/post range windows over the
-      store's accelerator columns; every axis, O(|ctx| · log |cand| +
-      |out|), no order-key computation.  Falls back to scan when the
-      store's rows carry no valid window columns.
-    * ``"twig"`` — pure structural chains are handed whole to the
-      tree-pattern matcher; anything else falls back to scan.
-    * ``"auto"`` (default) — the cost model picks among the above per
-      step from store statistics and the live context size.
+      (context, candidate) pair, document order from the labels; the
+      paper's relational evaluation, O(|ctx| · |cand|).
+    * ``"auto"`` (default) — binary-searched pre/post range windows over
+      the store's accelerator columns when the store is windowed (every
+      axis, O(|ctx| · log |cand| + |out|), no order-key computation);
+      the scan path otherwise.
 
-    After each :meth:`evaluate` the chosen route is readable from
-    :attr:`last_plan` (the CLI's ``--explain`` prints it) and counted in
-    the ``planner.pick.<strategy>`` metrics.
+    Each step counts its path in ``planner.pick.window`` or
+    ``planner.pick.scan``.
     """
 
     def __init__(self, store: LabelStore, strategy: str = "auto"):
-        if strategy not in _STRATEGIES:
-            raise QueryEvaluationError(
-                f"unknown strategy {strategy!r}; choose from {', '.join(_STRATEGIES)}"
-            )
         self.store = store
-        self.strategy = strategy
-        self.planner = Planner()
-        self.last_plan: Optional[QueryPlan] = None
+        self.strategy = check_strategy(strategy)
 
     # ------------------------------------------------------------------
     # Public API
@@ -95,17 +100,16 @@ class QueryEngine:
         # may hand us a large list (the DataGuide pre-filter does).
         if doc_ids is not None and not isinstance(doc_ids, (set, frozenset)):
             doc_ids = set(doc_ids)
-        plan = QueryPlan(strategy=self.strategy)
-        self.last_plan = plan
+        windows = self.strategy == "auto" and self.store.windowed
+        pick = "planner.pick.window" if windows else "planner.pick.scan"
         with metrics.timed("query.evaluate"):
-            context = self._maybe_evaluate_twig(query, doc_ids, plan)
-            if context is None:
-                context = self._seed_context(query.steps[0], doc_ids)
-                for step in query.steps[1:]:
-                    choice = self._choose_step_strategy(step, len(context))
-                    plan.record(choice)
-                    metrics.incr(f"planner.pick.{choice.strategy}")
-                    context = self._apply_step(context, step, choice.strategy)
+            context = self._seed_context(query.steps[0], doc_ids, windows)
+            for step in query.steps[1:]:
+                metrics.incr(pick)
+                if windows:
+                    context = self._apply_window_step(context, step)
+                else:
+                    context = self._apply_scan_step(context, step)
             metrics.incr("query.evaluations")
             metrics.incr("query.rows_returned", len(context))
         return context
@@ -114,149 +118,29 @@ class QueryEngine:
         """Number of nodes retrieved — the metric of Table 2."""
         return len(self.evaluate(query))
 
-    def explain(self, query: Query | str) -> str:
-        """Evaluate ``query`` and render the route it took (``--explain``)."""
-        self.evaluate(query)
-        assert self.last_plan is not None
-        return self.last_plan.describe()
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-
-    def _choose_step_strategy(self, step: Step, context_size: int) -> StepChoice:
-        """Resolve one step's physical operator under the engine strategy.
-
-        Fixed strategies degrade to ``scan`` where they do not apply
-        (merge on order axes or positions, window without valid columns), so
-        every strategy answers every query identically.
-        """
-        windows_ok = self.store.windowed
-        if self.strategy == "auto" and windows_ok:
-            return self.planner.plan_step(self.store.statistics(), step, context_size)
-        if self.strategy == "merge" and (
-            step.axis in (Axis.CHILD, Axis.DESCENDANT) and step.position is None
-        ):
-            picked = "merge"
-        elif self.strategy == "window" and windows_ok:
-            picked = "window"
-        elif self.strategy == "auto":
-            # No window columns: the label strategies are all that is left,
-            # and the planner's estimates still arbitrate scan vs merge.
-            choice = self.planner.plan_step(self.store.statistics(), step, context_size)
-            picked = choice.strategy
-        else:
-            picked = "scan"
-        return StepChoice(
-            axis=step.axis.value,
-            tag=step.tag,
-            strategy=picked,
-            context_size=context_size,
-        )
-
-    def _maybe_evaluate_twig(
-        self,
-        query: Query,
-        doc_ids: "set[int] | None",
-        plan: QueryPlan,
-    ) -> Optional[List[ElementRow]]:
-        """Run the whole-query twig route when chosen; None = step route.
-
-        The twig matcher needs real labeled tree nodes plus each
-        document's scheme, so stores loaded from disk (placeholder nodes,
-        SC-table-only order holders) return None and take the step route.
-        """
-        if not self.planner.twig_eligible(query) or len(query.steps) < 2:
-            return None
-        if self.strategy == "auto":
-            stats = self.store.statistics()
-            if self.planner.twig_cost(stats, query) >= self.planner.chain_cost(
-                stats, query
-            ):
-                return None
-        elif self.strategy != "twig":
-            return None
-        result = self._evaluate_twig(query, doc_ids)
-        if result is not None:
-            plan.twig = "//".join(step.tag for step in query.steps)
-            metrics.incr("planner.pick.twig")
-        return result
-
-    def _evaluate_twig(
-        self, query: Query, doc_ids: "set[int] | None"
-    ) -> Optional[List[ElementRow]]:
-        """One bottom-up tree-pattern pass per document (or None if the
-        store cannot support it)."""
-        from repro.query.twig import TwigNode, TwigPattern, match_twig
-
-        root = TwigNode(tag=query.steps[0].tag, edge="descendant")
-        tail = root
-        for step in query.steps[1:]:
-            tail = tail.add(
-                TwigNode(
-                    tag=step.tag,
-                    edge="child" if step.axis is Axis.CHILD else "descendant",
-                )
-            )
-        pattern = TwigPattern(root=root, output=tail)
-        ordered = self.store.ordered_documents()
-        selected = [
-            doc_id
-            for doc_id in self.store.doc_ids
-            if doc_ids is None or doc_id in doc_ids
-        ]
-        results: List[ElementRow] = []
-        with metrics.timed("query.op.twig"):
-            for doc_id in selected:
-                scheme = getattr(ordered.get(doc_id), "scheme", None)
-                if scheme is None:
-                    return None
-                rows = self.store.rows_in_doc(doc_id)
-                metrics.incr("query.nodes_scanned", len(rows))
-                matched = match_twig(scheme, [row.node for row in rows], pattern)
-                doc_rows = []
-                for node in matched:
-                    row = self.store.row_of(node)
-                    if row is None:
-                        return None  # labels and table disagree; be safe
-                    doc_rows.append(row)
-                results.extend(self._sorted_in_doc_order(doc_rows))
-            metrics.incr("query.nodes_emitted", len(results))
-        return results
-
-    def _sorted_in_doc_order(self, rows: List[ElementRow]) -> List[ElementRow]:
-        """Rows sorted into document order, via pre ranks when available."""
-        if self.store.windowed:
-            return sorted(rows, key=lambda row: row.pre)
-        ops = self.store.ops
-        return sorted(rows, key=ops.order_key)
-
     # ------------------------------------------------------------------
     # Step machinery
     # ------------------------------------------------------------------
 
     def _seed_context(
-        self, step: Step, doc_ids: "set[int] | None" = None
+        self, step: Step, doc_ids: "set[int] | None", windows: bool
     ) -> List[ElementRow]:
         if step.axis not in (Axis.CHILD, Axis.DESCENDANT):
             raise QueryEvaluationError(
                 f"a query cannot start with the {step.axis.value} axis"
             )
-        if doc_ids is not None and not isinstance(doc_ids, (set, frozenset)):
-            doc_ids = set(doc_ids)
         ops = self.store.ops
         results: List[ElementRow] = []
         selected = self.store.doc_ids if doc_ids is None else [
             doc_id for doc_id in self.store.doc_ids if doc_id in doc_ids
         ]
         # A windowed store's per-tag lists are already in document order;
-        # the label strategies instead pay the scheme's order-key sort
-        # (for prime: the paper's SC-table overhead).
-        use_windows = self.store.windowed and self.strategy in ("window", "auto")
+        # the scan path instead pays the scheme's order-key sort (for
+        # prime: the paper's SC-table overhead).
         with metrics.timed("query.op.seed"):
             for doc_id in selected:
                 matches = self.store.rows_with_tag(doc_id, step.tag)
-                if not use_windows:
+                if not windows:
                     matches = sorted(matches, key=ops.order_key)
                 metrics.incr("query.nodes_scanned", len(matches))
                 if step.position is not None:
@@ -279,15 +163,10 @@ class QueryEngine:
         Axis.PRECEDING_SIBLING,
     )
 
-    def _apply_step(
-        self, context: List[ElementRow], step: Step, picked: Optional[str] = None
+    def _apply_scan_step(
+        self, context: List[ElementRow], step: Step
     ) -> List[ElementRow]:
-        if picked is None:
-            picked = self._choose_step_strategy(step, len(context)).strategy
-        if picked == "merge":
-            return self._apply_structural_merge(context, step)
-        if picked == "window" and self.store.windowed:
-            return self._apply_window_step(context, step)
+        """One step by label comparisons: the paper's relational evaluation."""
         ops = self.store.ops
         expanded = step.from_descendants and step.axis in self._ORDER_AXES
         predicate = None if expanded else self._axis_predicate(step.axis)
@@ -318,7 +197,7 @@ class QueryEngine:
         return collected
 
     # ------------------------------------------------------------------
-    # Window strategy: binary-searched pre/post range windows
+    # Window path: binary-searched pre/post range windows
     # ------------------------------------------------------------------
 
     def _apply_window_step(
@@ -460,72 +339,6 @@ class QueryEngine:
         else:
             window = doc.range_in(tag_list, parent.pre + 1, context_row.pre - 1)
         return [r for r in window if r.parent_id == context_row.parent_id]
-
-    # ------------------------------------------------------------------
-    # Merge strategy: stack-based structural join per document
-    # ------------------------------------------------------------------
-
-    def _apply_structural_merge(
-        self, context: List[ElementRow], step: Step
-    ) -> List[ElementRow]:
-        """One sort-merge pass per document over (context, candidates).
-
-        Both sides are walked in document order with a stack of *open*
-        context ancestors: because subtrees are contiguous in document
-        order, a stack top that fails the ancestor test against the current
-        item has closed and can be popped — the Stack-Tree invariant,
-        expressed through any scheme's label-only ancestor test.
-        """
-        from itertools import groupby
-
-        ops = self.store.ops
-        with metrics.timed("query.op.merge"):
-            return self._structural_merge_pass(context, step, ops, groupby)
-
-    def _structural_merge_pass(
-        self, context: List[ElementRow], step: Step, ops: Any, groupby: Callable
-    ) -> List[ElementRow]:
-        """The timed body of :meth:`_apply_structural_merge`."""
-        ordered_context = sorted(
-            context, key=lambda row: (row.doc_id, ops.order_key(row))
-        )
-        results: List[ElementRow] = []
-        for doc_id, group in groupby(ordered_context, key=lambda row: row.doc_id):
-            ctx_rows = list(group)
-            candidates = sorted(
-                self.store.rows_with_tag(doc_id, step.tag), key=ops.order_key
-            )
-            metrics.incr("query.nodes_scanned", len(candidates))
-            stack: List[ElementRow] = []
-            push_index = 0
-            for candidate in candidates:
-                candidate_order = ops.order_key(candidate)
-                while (
-                    push_index < len(ctx_rows)
-                    and ops.order_key(ctx_rows[push_index]) < candidate_order
-                ):
-                    entering = ctx_rows[push_index]
-                    while stack and not ops.is_ancestor(stack[-1], entering):
-                        stack.pop()
-                    stack.append(entering)
-                    push_index += 1
-                while stack and not ops.is_ancestor(stack[-1], candidate):
-                    stack.pop()
-                if not stack:
-                    continue
-                if step.axis is Axis.CHILD:
-                    # the stack is an ancestor chain with strictly increasing
-                    # depths; the candidate's parent is on it iff some entry
-                    # sits exactly one level up
-                    if not any(
-                        entry.depth == candidate.depth - 1 for entry in stack
-                    ):
-                        continue
-                if step.text is not None and candidate.text != step.text:
-                    continue
-                results.append(candidate)
-        metrics.incr("query.nodes_emitted", len(results))
-        return results
 
     # ------------------------------------------------------------------
     # `context//axis::tag` — descendant-or-self expansion before the axis

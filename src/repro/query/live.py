@@ -45,7 +45,7 @@ from repro.errors import CapacityError, QueryEvaluationError
 from repro.labeling.prime import PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument, OrderedUpdateReport
-from repro.query.engine import QueryEngine
+from repro.query.engine import QueryEngine, check_strategy
 from repro.query.store import ElementRow, LabelStore, PrimeOps
 from repro.xmlkit.tree import XmlElement
 
@@ -341,7 +341,7 @@ class LiveCollection(NodeMutations):
         strategy: str = "auto",
     ):
         self.group_size = group_size
-        self.strategy = strategy
+        self.strategy = check_strategy(strategy)
         self._ordered: List[OrderedDocument] = [
             OrderedDocument(root, group_size=group_size) for root in documents
         ]
@@ -386,7 +386,7 @@ class LiveCollection(NodeMutations):
                 )
         collection = cls.__new__(cls)
         collection.group_size = group_size
-        collection.strategy = strategy
+        collection.strategy = check_strategy(strategy)
         collection._ordered = list(ordered)
         collection._engine = None
         collection.total_update_cost = total_update_cost

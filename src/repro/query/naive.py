@@ -5,7 +5,7 @@ what a plain tree walk would — that is what "deterministic" labeling
 means.  :class:`NaiveEvaluator` implements the same query semantics over
 parent/child pointers and document positions, with no labels anywhere.
 It is intentionally simple and obviously correct; the property tests pit
-the engine (all three schemes, both strategies) against it on random
+the engine (all three schemes, both paths) against it on random
 documents and queries.
 
 It is shipped (rather than buried in the tests) because it is also the

@@ -28,8 +28,8 @@ The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryEvaluationError
 from repro.labeling.base import LabelingScheme
@@ -44,7 +44,6 @@ __all__ = [
     "ElementRow",
     "FrozenPrimeOps",
     "StoreOps",
-    "StoreStatistics",
     "LabelStore",
     "check_prefix",
 ]
@@ -200,8 +199,7 @@ class FrozenPrimeOps(PrimeOps):
     the writer rewrites SC records underneath.  The order of every row is
     therefore materialized into a plain dict at publish time; ancestor /
     parent / sibling tests stay pure label arithmetic and are shared with
-    the base class.  ``name`` stays ``"prime"`` so the planner's cost
-    model treats frozen and live stores identically.
+    the base class.
     """
 
     def __init__(
@@ -253,35 +251,6 @@ class PrefixOps(StoreOps):
         return str(row.label)
 
 
-@dataclass(frozen=True)
-class StoreStatistics:
-    """Summary statistics the cost-based planner reads off the store.
-
-    Kept deliberately coarse — counts a DBMS catalog would maintain
-    anyway — so the planner's estimates stay cheap to refresh after
-    mutations (the store recomputes them lazily on first use).
-    """
-
-    doc_count: int
-    row_count: int
-    tag_totals: Mapping[str, int] = field(default_factory=dict)
-    has_windows: bool = False
-    ops_name: str = ""  # the StoreOps flavor (order-key cost differs)
-
-    def candidates_per_doc(self, tag: str) -> float:
-        """Average per-document candidate count for one tag test."""
-        docs = max(1, self.doc_count)
-        if tag == "*":
-            return self.row_count / docs
-        return self.tag_totals.get(tag, 0) / docs
-
-    def total_candidates(self, tag: str) -> int:
-        """Collection-wide candidate count for one tag test."""
-        if tag == "*":
-            return self.row_count
-        return self.tag_totals.get(tag, 0)
-
-
 class LabelStore:
     """The in-memory element table for a document collection.
 
@@ -308,7 +277,6 @@ class LabelStore:
         # valid pre/size columns; hand-assembled stores may not, and the
         # engine then falls back to label comparisons.
         self.windowed = all(doc.number() for doc in docs.values())
-        self._statistics: Optional[StoreStatistics] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -471,26 +439,6 @@ class LabelStore:
             return self.ops.ordered_documents
         return {}
 
-    def row_of(self, node: XmlElement) -> Optional[ElementRow]:
-        """The row backing one tree node (None if the node is unknown)."""
-        return self._row_by_node.get(id(node))
-
-    def statistics(self) -> StoreStatistics:
-        """Planner statistics, recomputed lazily after mutations."""
-        if self._statistics is None:
-            tag_totals: Dict[str, int] = {}
-            for doc in self._docs.values():
-                for tag, bucket in doc.by_tag.items():
-                    tag_totals[tag] = tag_totals.get(tag, 0) + len(bucket)
-            self._statistics = StoreStatistics(
-                doc_count=len(self._docs),
-                row_count=len(self),
-                tag_totals=tag_totals,
-                has_windows=self.windowed,
-                ops_name=self.ops.name,
-            )
-        return self._statistics
-
     # ------------------------------------------------------------------
     # Incremental maintenance (called by the live layer — rule R11)
     # ------------------------------------------------------------------
@@ -532,7 +480,6 @@ class LabelStore:
             doc.apply_insert(row, parent_row, previous_row, self._row_by_id)
         else:
             doc.append(row)
-        self._statistics = None
         return row
 
     def delete_subtree(self, node: XmlElement) -> List[ElementRow]:
@@ -562,7 +509,6 @@ class LabelStore:
         for gone in removed:
             del self._row_by_id[gone.element_id]
             del self._row_by_node[id(gone.node)]
-        self._statistics = None
         return removed
 
     def refresh_labels(

@@ -52,7 +52,7 @@ class DocWindow:
 
     A store whose row stream is not a clean preorder (see :meth:`number`)
     keeps the same lists in input order; its ``pre``/``size`` columns are
-    then meaningless and the engine uses the label strategies instead.
+    then meaningless and the engine uses the label scan instead.
     """
 
     __slots__ = ("by_pre", "by_tag")
@@ -72,7 +72,7 @@ class DocWindow:
         Returns False when the rows are not a consistent preorder (wrong
         depth jumps, parent links that disagree with the nesting, or a
         second root), so a hand-assembled store degrades to the label
-        strategies instead of answering wrongly.
+        scan instead of answering wrongly.
         """
         stack: List["ElementRow"] = []
         for pre, row in enumerate(self.by_pre):

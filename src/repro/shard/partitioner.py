@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.errors import ShardError
+from repro.errors import QueryEvaluationError, ShardError
+from repro.query.engine import upgrade_strategy
 
 __all__ = [
     "MANIFEST_NAME",
@@ -113,7 +114,8 @@ def read_manifest(root: str | Path) -> ShardManifest:
 
     Unlike the durable ``CURRENT`` pointer there is no scan fallback: the
     manifest is the only record of the shard count, and guessing it
-    wrong would silently route documents to the wrong workers.
+    wrong would silently route documents to the wrong workers.  A retired
+    strategy name (``merge``/``window``/``twig``) reads as ``auto``.
     """
     path = Path(root) / MANIFEST_NAME
     try:
@@ -130,11 +132,11 @@ def read_manifest(root: str | Path) -> ShardManifest:
             shards=int(decoded["shards"]),
             doc_count=int(decoded["doc_count"]),
             group_size=int(decoded["group_size"]),
-            strategy=str(decoded["strategy"]),
+            strategy=upgrade_strategy(str(decoded["strategy"])),
             fsync=str(decoded["fsync"]),
             version=int(decoded.get("version", 1)),
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, QueryEvaluationError) as error:
         raise ShardError(
             f"shard manifest {path} is missing or mistypes a field: {error}"
         ) from error

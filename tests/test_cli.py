@@ -86,6 +86,12 @@ class TestQuery:
     def test_bad_query_is_an_error(self, play_file, capsys):
         assert main(["query", "PLAY//", play_file]) == 1
 
+    @pytest.mark.parametrize("strategy, path", [("auto", "window"), ("scan", "scan")])
+    def test_explain_prints_the_path(self, play_file, capsys, strategy, path):
+        argv = ["query", "/PLAY//ACT//LINE", play_file, "--strategy", strategy]
+        assert main(argv + ["--explain"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"-- path: {path}"
+
 
 class TestSql:
     def test_renders_sql(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from repro.datasets.shakespeare import play
 from repro.durable.collection import DurableCollection
 from repro.durable.faults import CorruptSnapshotWrite, flip_bit, truncate_file
+from repro.durable.recovery import list_generations, snapshot_path
 from repro.durable.snapshot import (
     collection_fingerprint,
     read_snapshot,
@@ -171,6 +172,54 @@ class TestCorruptionDetection:
         )
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
+
+
+class TestStrategyName:
+    """The persisted strategy name is checked when a snapshot is read."""
+
+    # magic, version, last_seq, total cost, group size; then the
+    # length-prefixed strategy name
+    OFFSET = 4 + 1 + 8 + 8 + 4
+
+    def rename_newest(self, directory, old, new):
+        path = snapshot_path(directory, list_generations(directory)[-1])
+        body = bytearray(path.read_bytes()[:-4])
+        at = self.OFFSET
+        assert body[at : at + 1 + len(old)] == bytes([len(old)]) + old.encode()
+        body[at + 1 : at + 1 + len(old)] = new.encode()
+        path.write_bytes(bytes(body) + struct.pack(">I", zlib.crc32(body)))
+        return path
+
+    def checkpointed(self, directory):
+        durable = DurableCollection.create(
+            directory, [parse_document(text) for text in DOCS], strategy="scan"
+        )
+        durable.insert_child(durable.live.documents[0], 0, tag="x")
+        durable.checkpoint()
+        count = durable.count("//*")
+        durable.close()
+        return count
+
+    def test_unknown_name_is_corruption_and_recovery_falls_back(self, tmp_path):
+        count = self.checkpointed(tmp_path)
+        path = self.rename_newest(tmp_path, "scan", "sCan")
+        with pytest.raises(SnapshotCorruptError, match="unknown strategy 'sCan'"):
+            read_snapshot(path)
+        reopened = DurableCollection.open(tmp_path, verify=True)
+        assert reopened.last_recovery.skipped_generations == [2]
+        assert reopened.live.strategy == "scan"
+        assert reopened.count("//*") == count
+        reopened.close()
+
+    def test_retired_name_restores_as_auto(self, tmp_path):
+        count = self.checkpointed(tmp_path)
+        path = self.rename_newest(tmp_path, "scan", "twig")
+        assert read_snapshot(path).strategy == "auto"
+        reopened = DurableCollection.open(tmp_path, verify=True)
+        assert reopened.last_recovery.skipped_generations == []
+        assert reopened.live.strategy == "auto"
+        assert reopened.count("//*") == count
+        reopened.close()
 
 
 class TestAtomicity:

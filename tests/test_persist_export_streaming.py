@@ -122,7 +122,7 @@ class TestPersist:
             "/PLAY/*",
             "/SPEECH//Following::LINE",
         )
-        for strategy in ("scan", "window", "auto"):
+        for strategy in ("scan", "auto"):
             engine = QueryEngine(loaded, strategy=strategy)
             for query in queries:
                 assert [r.element_id for r in engine.evaluate(query)] == [

@@ -73,7 +73,7 @@ class TestEngineMatchesOracle:
         expected = {id(node) for node in oracle.evaluate(query)}
         for scheme in ("interval", "prime", "prefix-2"):
             store = LabelStore.build(documents, scheme=scheme)
-            for strategy in ("scan", "merge"):
+            for strategy in ("scan", "auto"):
                 engine = QueryEngine(store, strategy=strategy)
                 actual = {id(row.node) for row in engine.evaluate(query)}
                 assert actual == expected, (scheme, strategy, str(query))

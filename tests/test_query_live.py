@@ -33,9 +33,19 @@ class TestQueries:
         live.add_document(parse_document(DOC_A))
         assert live.count("/play//line") == 3
 
-    def test_merge_strategy_supported(self):
-        live = LiveCollection([parse_document(DOC_A)], strategy="merge")
-        assert live.count("/play//line") == 3
+
+class TestStrategyName:
+    def test_unknown_strategy_rejected_at_construction(self):
+        with pytest.raises(QueryEvaluationError, match="unknown strategy"):
+            LiveCollection([parse_document(DOC_A)], strategy="bogus")
+
+    def test_retired_strategy_rejected_at_construction(self):
+        with pytest.raises(QueryEvaluationError, match="unknown strategy"):
+            LiveCollection([parse_document(DOC_A)], strategy="merge")
+
+    def test_unknown_strategy_rejected_by_from_ordered(self, collection):
+        with pytest.raises(QueryEvaluationError, match="unknown strategy"):
+            LiveCollection.from_ordered(collection.ordered_documents, strategy="bogus")
 
 
 class TestUpdates:

@@ -1,17 +1,21 @@
-"""Tests for the window (pre/post accelerator) evaluation strategy.
+"""Tests for the engine's two evaluation paths: label scan and windows.
 
-Parity is the contract: the window strategy must return byte-identical
-rows *in identical order* to the paper-faithful scan evaluation, for
-every axis, every scheme, and every Table 2 query — it is a physical
-optimization, never a semantic one.  The satellite regression for the
-``_seed_context`` doc_ids normalization lives here too.
+Parity is the contract: ``auto`` on a windowed store reads the pre/post
+accelerator columns and must return byte-identical rows *in identical
+order* to the paper-faithful ``scan`` evaluation, for every axis, every
+scheme, and every Table 2 query — it is a physical optimization, never a
+semantic one.  The per-step path counters, the strategy-name check and
+the regression for the ``_seed_context`` doc_ids normalization live
+here too.
 """
 
 import pytest
 
 from repro.bench.response import PAPER_QUERIES
 from repro.datasets.shakespeare import shakespeare_corpus
-from repro.query.engine import QueryEngine
+from repro.errors import QueryEvaluationError
+from repro.obs import metrics
+from repro.query.engine import RETIRED_STRATEGIES, QueryEngine
 from repro.query.store import LabelStore
 from repro.xmlkit.parser import parse_document
 
@@ -53,7 +57,7 @@ def store(request):
 class TestWindowEquivalence:
     def test_identical_rows_and_order(self, store):
         scan = QueryEngine(store, strategy="scan")
-        window = QueryEngine(store, strategy="window")
+        window = QueryEngine(store, strategy="auto")
         for query in QUERIES:
             scan_rows = scan.evaluate(query)
             window_rows = window.evaluate(query)
@@ -66,33 +70,20 @@ class TestWindowEquivalence:
 
     def test_paper_queries_identical(self, store):
         scan = QueryEngine(store, strategy="scan")
-        window = QueryEngine(store, strategy="window")
         auto = QueryEngine(store, strategy="auto")
         for _name, text in PAPER_QUERIES:
-            expected = scan.count(text)
-            assert window.count(text) == expected, text
-            assert auto.count(text) == expected, text
-
-    def test_auto_and_twig_parity(self, store):
-        engines = {
-            s: QueryEngine(store, strategy=s) for s in ("scan", "twig", "auto")
-        }
-        for query in QUERIES:
-            expected = [r.element_id for r in engines["scan"].evaluate(query)]
-            for name in ("twig", "auto"):
-                got = [r.element_id for r in engines[name].evaluate(query)]
-                assert got == expected, (name, query)
+            assert auto.count(text) == scan.count(text), text
 
     def test_text_filter_parity(self):
         documents = [parse_document("<r><a>x</a><a>y</a><b><a>x</a></b></r>")]
         store = LabelStore.build(documents, scheme="prime")
-        for strategy in ("scan", "window", "auto"):
+        for strategy in ("scan", "auto"):
             engine = QueryEngine(store, strategy=strategy)
             assert engine.count("/r//a[.='x']") == 2, strategy
 
 
 class TestWindowDetails:
-    def make(self, strategy="window"):
+    def make(self, strategy="auto"):
         store = LabelStore.build([parse_document(DOC)], scheme="prime")
         return QueryEngine(store, strategy=strategy)
 
@@ -113,16 +104,50 @@ class TestWindowDetails:
         engine = self.make()
         expected = engine.count("/play//line")
         engine.store.windowed = False
-        engine.store._statistics = None
         assert engine.count("/play//line") == expected  # falls back to scan
 
     def test_doc_ids_restriction(self, subtests=None):
         documents = [parse_document(DOC), parse_document(DOC)]
         store = LabelStore.build(documents, scheme="prime")
-        for strategy in ("scan", "window", "auto"):
+        for strategy in ("scan", "auto"):
             engine = QueryEngine(store, strategy=strategy)
             rows = engine.evaluate("/play//line", doc_ids=[1])
             assert rows and all(row.doc_id == 1 for row in rows), strategy
+
+
+class TestPaths:
+    """Which path runs, as the ``planner.pick.*`` counters report it."""
+
+    def picks(self, engine, query):
+        with metrics.collecting() as collected:
+            engine.evaluate(query)
+        return {
+            name: collected.counter_value(f"planner.pick.{name}")
+            for name in ("scan", "window")
+        }
+
+    def test_auto_on_a_windowed_store_takes_windows_per_step(self):
+        store = LabelStore.build([parse_document(DOC)], scheme="prime")
+        assert store.windowed
+        engine = QueryEngine(store, strategy="auto")
+        assert self.picks(engine, "/play/act/scene//line") == {"scan": 0, "window": 3}
+
+    def test_auto_without_windows_takes_the_scan(self):
+        store = LabelStore.build([parse_document(DOC)], scheme="interval")
+        store.windowed = False
+        engine = QueryEngine(store, strategy="auto")
+        assert self.picks(engine, "/play/act//line") == {"scan": 2, "window": 0}
+
+    def test_scan_pins_the_label_path(self):
+        store = LabelStore.build([parse_document(DOC)], scheme="prime")
+        engine = QueryEngine(store, strategy="scan")
+        assert self.picks(engine, "/play/act//line") == {"scan": 2, "window": 0}
+
+    @pytest.mark.parametrize("name", ["hash-join", "Auto", *RETIRED_STRATEGIES])
+    def test_unknown_and_retired_names_rejected(self, name):
+        store = LabelStore.build([parse_document(DOC)], scheme="prime")
+        with pytest.raises(QueryEvaluationError, match="unknown strategy"):
+            QueryEngine(store, strategy=name)
 
 
 class _MembershipCountingList(list):
@@ -160,7 +185,7 @@ class TestSeedContextDocIdsRegression:
 
     def test_list_set_generator_agree(self):
         store = self.build()
-        for strategy in ("scan", "window", "auto"):
+        for strategy in ("scan", "auto"):
             engine = QueryEngine(store, strategy=strategy)
             as_list = engine.evaluate("/play//line", doc_ids=[1, 3])
             as_set = engine.evaluate("/play//line", doc_ids={1, 3})

@@ -87,3 +87,26 @@ def test_manifest_mistyped_field_raises_shard_error(tmp_path):
     )
     with pytest.raises(ShardError, match="missing or mistypes"):
         read_manifest(tmp_path)
+
+
+def _manifest_with_strategy(tmp_path, strategy):
+    write_manifest(
+        tmp_path,
+        ShardManifest(
+            shards=2, doc_count=3, group_size=5, strategy=strategy, fsync="always"
+        ),
+    )
+
+
+@pytest.mark.parametrize("retired", ["merge", "window", "twig"])
+def test_manifest_retired_strategy_reads_as_auto(tmp_path, retired):
+    # Roots written when the engine still had these names stay openable.
+    _manifest_with_strategy(tmp_path, retired)
+    assert read_manifest(tmp_path).strategy == "auto"
+
+
+@pytest.mark.parametrize("bad", ["sCan", "bogus", ""])
+def test_manifest_unknown_strategy_raises_shard_error(tmp_path, bad):
+    _manifest_with_strategy(tmp_path, bad)
+    with pytest.raises(ShardError, match="unknown strategy"):
+        read_manifest(tmp_path)
