@@ -252,7 +252,7 @@ class DeterminismRule(Rule):
         "seeded random.Random and every clock is injected or monotonic."
     )
 
-    _EXEMPT_PACKAGES = ("bench", "datasets")
+    _EXEMPT_PACKAGES = ("datasets",)
     _BANNED_CALLS = {
         "time.time",
         "time.time_ns",
@@ -509,13 +509,10 @@ class PrintRule(Rule):
         "and can't be captured by callers."
     )
 
-    _EXEMPT_PACKAGES = ("bench",)
     _EXEMPT_MODULES = ("repro.cli", "repro.__main__")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.in_package(*self._EXEMPT_PACKAGES) or ctx.is_module(
-            *self._EXEMPT_MODULES
-        ):
+        if ctx.is_module(*self._EXEMPT_MODULES):
             return
         # The analysis reporters print through their own exempted writer
         # module; everything else in repro.analysis is library code too.

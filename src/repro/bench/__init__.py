@@ -11,22 +11,16 @@ from repro.bench.compaction import compaction_table
 from repro.bench.durability import durability_table
 from repro.bench.harness import ResultTable
 from repro.bench.models import figure3_table, figure4_table, figure5_table
-from repro.bench.replication import replication_table
 from repro.bench.resilience import resilience_table
 from repro.bench.response import figure15_table, table2_table
-from repro.bench.shard import shard_table
 from repro.bench.spaces import figure13_table, figure14_table, table1_table
-from repro.bench.throughput import throughput_table
 from repro.bench.updates import figure16_table, figure17_table, figure18_table
 
 __all__ = [
     "ResultTable",
     "compaction_table",
     "durability_table",
-    "replication_table",
     "resilience_table",
-    "shard_table",
-    "throughput_table",
     "figure3_table",
     "figure4_table",
     "figure5_table",

@@ -8,25 +8,25 @@ format-v3 generation:
 * snapshot bytes (RPSN v2's 2-byte-length integers vs v3's varints),
 * WAL bytes per operation (v1's canonical-JSON payloads vs v3's binary
   opcode + varint payloads),
-* recovery wall time over the identical workload, and
+* records replayed by recovery over the identical workload, and
 * whether both formats recover to the same fingerprint (they must — the
   encodings differ, the state must not).
 
 Both rows run the exact same seeded workload, so every delta is the
-encoding's and nothing else's.
+encoding's and nothing else's.  Every column is a count, so the table
+depends on its seed alone.
 """
 
 from __future__ import annotations
 
-import random
 import shutil
 import tempfile
-import time
 from pathlib import Path
 
 # NOTE: repro.durable and the dataset builders are imported lazily inside
 # compaction_table — see the comment there.
 
+from repro.bench.durability import run_workload
 from repro.bench.harness import ResultTable
 from repro.obs import metrics
 
@@ -36,25 +36,10 @@ __all__ = ["compaction_table"]
 _FORMATS = (("v2 (legacy)", 2), ("v3 (varint)", 3))
 
 
-def _run_workload(collection, seed: int, operations: int) -> None:
-    rng = random.Random(seed)
-    root = collection.documents[0]
-    for _ in range(operations):
-        nodes = list(root.iter_preorder())
-        roll = rng.random()
-        target = rng.choice(nodes)
-        if roll < 0.70:
-            collection.insert_child(target, rng.randint(0, len(target.children)))
-        elif roll < 0.85 and target is not root:
-            collection.insert_after(target)
-        elif target is not root:
-            collection.delete(target)
-
-
 def compaction_table(
     node_budget: int = 600, operations: int = 120, seed: int = 11
 ) -> ResultTable:
-    """Measure snapshot size, WAL bytes/op, and recovery time per format."""
+    """Measure snapshot size, WAL bytes/op, and replayed records per format."""
     # Imported here, not at module scope: repro.durable reaches back into
     # repro.obs.audit, which is still initializing when repro.labeling
     # pulls this package in for ResultTable.
@@ -70,7 +55,6 @@ def compaction_table(
             "snapshot KiB",
             "wal KiB",
             "wal B/op",
-            "recover ms",
             "replayed",
             "identical",
         ],
@@ -88,7 +72,7 @@ def compaction_table(
                     fsync="never",
                     format_version=format_version,
                 )
-                _run_workload(collection, seed=seed, operations=operations)
+                run_workload(collection, seed=seed, operations=operations)
                 fingerprint = collection_fingerprint(collection.live)
                 snapshot_kib = len(
                     snapshot_bytes(
@@ -99,9 +83,7 @@ def compaction_table(
                 # Simulate the crash: sync, then abandon without closing.
                 collection.wal.sync()
                 counters = registry.snapshot()["counters"]
-            started = time.perf_counter()
             recovered = recover(workdir / "col")
-            recover_ms = (time.perf_counter() - started) * 1000.0
             identical = collection_fingerprint(recovered.collection) == fingerprint
             fingerprints.append(fingerprint)
             wal_bytes = counters.get("wal.append_bytes", 0)
@@ -111,7 +93,6 @@ def compaction_table(
                 round(snapshot_kib, 1),
                 round(wal_bytes / 1024.0, 1),
                 round(wal_bytes / appends, 1),
-                round(recover_ms, 2),
                 recovered.info.replayed_records,
                 "yes" if identical else "NO",
             )

@@ -1,17 +1,19 @@
-"""Durability overhead exhibit: fsync policy vs. update and recovery cost.
+"""Durability exhibit: what each fsync policy costs in fsyncs and WAL bytes.
 
 Not a paper figure — the paper stops at in-memory dynamics — but the
 obvious systems question its scheme raises: what does making the updates
 *durable* cost?  The exhibit runs an identical randomized update workload
 against a :class:`~repro.durable.collection.DurableCollection` under each
-fsync policy, then kills the collection (without closing) and times
-recovery, reporting:
+fsync policy, then kills the collection (without closing) and recovers
+it, reporting:
 
-* update wall time (the WAL tax, dominated by fsync under ``always``),
 * fsync count and WAL bytes written,
-* recovery wall time and the number of replayed records,
+* the number of records recovery replayed,
 * whether the recovered state matches the survivor byte-for-byte
   (it must — a ``no`` here is a durability bug, not a data point).
+
+Every column is a count, so the table depends on its seed alone; the
+wall-clock cost of the same path is measured by ``perf/``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import random
 import shutil
 import tempfile
-import time
 from pathlib import Path
 
 # NOTE: repro.durable and the dataset builders are imported lazily inside
@@ -33,7 +34,14 @@ __all__ = ["durability_table"]
 _POLICIES = ("always", "batch:8", "never")
 
 
-def _run_workload(collection, seed: int, operations: int) -> None:
+def run_workload(collection, seed: int, operations: int) -> None:
+    """Apply a seeded 70/15/15 insert_child/insert_after/delete churn.
+
+    The durability, resilience and compaction exhibits all run this one
+    workload so their tables are comparable; determinism (same seed ->
+    same ops) is what makes a fault-free twin a valid byte-identical
+    oracle.
+    """
     rng = random.Random(seed)
     root = collection.documents[0]
     for _ in range(operations):
@@ -51,7 +59,7 @@ def _run_workload(collection, seed: int, operations: int) -> None:
 def durability_table(
     node_budget: int = 600, operations: int = 120, seed: int = 11
 ) -> ResultTable:
-    """Measure WAL + recovery overhead for each fsync policy."""
+    """Count fsyncs, WAL bytes and replayed records for each fsync policy."""
     # Imported here, not at module scope: repro.durable reaches back into
     # repro.obs.audit, which is still initializing when repro.labeling
     # pulls this package in for ResultTable.
@@ -63,10 +71,8 @@ def durability_table(
         f"{node_budget}-node play, crash + recover per policy)",
         columns=[
             "fsync",
-            "update ms",
             "fsyncs",
             "wal KiB",
-            "recover ms",
             "replayed",
             "identical",
         ],
@@ -82,24 +88,18 @@ def durability_table(
                     [play(seed=seed, acts=1, node_budget=node_budget)],
                     fsync=policy,
                 )
-                started = time.perf_counter()
-                _run_workload(collection, seed=seed, operations=operations)
-                update_ms = (time.perf_counter() - started) * 1000.0
+                run_workload(collection, seed=seed, operations=operations)
                 fingerprint = collection_fingerprint(collection.live)
                 # Simulate the crash: sync (so 'never' is comparable) and
                 # abandon the object without closing.
                 collection.wal.sync()
                 counters = registry.snapshot()["counters"]
-            started = time.perf_counter()
             recovered = recover(workdir / "col")
-            recover_ms = (time.perf_counter() - started) * 1000.0
             identical = collection_fingerprint(recovered.collection) == fingerprint
             table.add_row(
                 policy,
-                round(update_ms, 2),
                 counters.get("wal.fsyncs", 0),
                 round(counters.get("wal.append_bytes", 0) / 1024.0, 1),
-                round(recover_ms, 2),
                 recovered.info.replayed_records,
                 "yes" if identical else "NO",
             )

@@ -64,8 +64,6 @@ def exhibit_builders(include_slow: bool = True) -> Dict[str, Callable[[], Result
                 "fig16": bench.figure16_table,
                 "fig17": bench.figure17_table,
                 "fig18": bench.figure18_table,
-                "throughput": bench.throughput_table,
-                "shard": bench.shard_table,
             }
         )
     return builders

@@ -8,48 +8,30 @@ update workload through a
 :class:`~repro.resilient.collection.ResilientCollection` at several chaos
 rates, reporting per rate:
 
-* operations acknowledged and wall time (retry/backoff tax),
+* operations acknowledged,
 * transient faults injected vs. retries spent,
 * breaker trips and operations served degraded (zero until the rate is
   high enough to exhaust a retry budget),
 * whether post-workload recovery is byte-identical to a fault-free twin
   of the same workload (``NO`` is a resilience bug, not a data point).
 
-Backoff sleeps are stubbed to keep the exhibit fast; the costs shown are
-bookkeeping and I/O, not artificial waiting.
+Backoff sleeps are stubbed and advance a simulated clock that the
+breaker cool-down and the retry deadline read, so every row is a count
+that depends on its seed alone, never on host speed.
 """
 
 from __future__ import annotations
 
-import random
 import shutil
 import tempfile
-import time
 from pathlib import Path
 
+from repro.bench.durability import run_workload
 from repro.bench.harness import ResultTable
 
 __all__ = ["resilience_table"]
 
 _RATES = (0.0, 0.02, 0.05, 0.10, 0.40)
-
-
-def _run_workload(collection, seed: int, operations: int) -> None:
-    # Mirrors the durability exhibit's workload so the two tables are
-    # comparable; determinism (same seed -> same ops) is what makes the
-    # fault-free twin a valid byte-identical oracle.
-    rng = random.Random(seed)
-    root = collection.documents[0]
-    for _ in range(operations):
-        nodes = list(root.iter_preorder())
-        roll = rng.random()
-        target = rng.choice(nodes)
-        if roll < 0.70:
-            collection.insert_child(target, rng.randint(0, len(target.children)))
-        elif roll < 0.85 and target is not root:
-            collection.insert_after(target)
-        elif target is not root:
-            collection.delete(target)
 
 
 def resilience_table(
@@ -73,7 +55,6 @@ def resilience_table(
         columns=[
             "fault rate",
             "ops",
-            "time ms",
             "injected",
             "retries",
             "trips",
@@ -87,18 +68,22 @@ def resilience_table(
     for rate in _RATES:
         workdir = Path(tempfile.mkdtemp(prefix="repro-resilience-"))
         try:
-            chaos = ChaosInjector(rate=rate, seed=seed, sleep=lambda _s: None)
+            now = [0.0]
+
+            def sleep(seconds: float) -> None:
+                now[0] += seconds
+
+            chaos = ChaosInjector(rate=rate, seed=seed, sleep=sleep)
             collection = ResilientCollection.create(
                 workdir / "col",
                 [play(seed=seed, acts=1, node_budget=node_budget)],
                 faults=chaos,
                 retry=RetryPolicy(max_attempts=10, seed=seed),
                 breaker=BreakerPolicy(failure_threshold=8),
-                sleep=lambda _s: None,
+                clock=lambda: now[0],
+                sleep=sleep,
             )
-            started = time.perf_counter()
-            _run_workload(collection, seed=seed, operations=operations)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            run_workload(collection, seed=seed, operations=operations)
             fingerprint = collection_fingerprint(collection.live)
             if rate == 0.0:
                 twin_fingerprint = fingerprint
@@ -106,7 +91,6 @@ def resilience_table(
             table.add_row(
                 f"{rate:.2f}",
                 operations,
-                round(elapsed_ms, 2),
                 chaos.total_injected,
                 collection.retries,
                 collection.breaker.times_opened,

@@ -22,11 +22,8 @@ Usage (also via ``python -m repro``)::
 ``bench`` accepts any exhibit id from the paper: fig3 fig4 fig5 table1
 fig13 fig14 table2 fig15 fig16 fig17 fig18 (the time-heavy ones build
 their corpora on demand), plus the systems exhibits ``durability``,
-``resilience``, ``throughput`` (sequential vs batched update pipeline),
-``replication`` (lag + follower-read staleness/throughput vs reader
-count) and ``shard`` (routed throughput + query p99 vs worker count,
-plus kill-and-recover availability); ``--csv``/``--json`` export any of
-them.
+``compaction`` and ``resilience`` (counts only); ``--csv``/``--json``
+export any of them.
 
 ``query`` evaluates with ``--strategy auto`` by default: the pre/post
 window columns when the store has them, the paper's label scan
@@ -334,9 +331,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "durability": bench.durability_table,
         "compaction": bench.compaction_table,
         "resilience": bench.resilience_table,
-        "throughput": bench.throughput_table,
-        "replication": bench.replication_table,
-        "shard": bench.shard_table,
     }
     builder = exhibits.get(args.exhibit)
     if builder is None:

@@ -2,8 +2,8 @@
 
 The rest of the codebase is single-threaded by rule (analysis rule R12
 confines ``threading`` to this package and the MVCC publish path), so the
-bench and the soak tests drive concurrency through these two harnesses
-instead of spawning ad-hoc threads:
+soak tests drive concurrency through these two harnesses instead of
+spawning ad-hoc threads:
 
 * :class:`TailerThread` — runs :meth:`ReplicaCollection.poll` in a loop so
   the replica converges while the primary (and the readers) keep going.
@@ -21,7 +21,6 @@ assertion meaningless.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -94,27 +93,12 @@ class ReaderReport:
 
     reads: int = 0
     errors: int = 0
-    elapsed: float = 0.0
     staleness_samples: List[int] = field(default_factory=list)
-
-    @property
-    def reads_per_second(self) -> float:
-        """Aggregate read throughput across every thread in the pool."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.reads / self.elapsed
 
     @property
     def max_staleness(self) -> int:
         """Worst observed follower-read staleness, in records."""
         return max(self.staleness_samples, default=0)
-
-    @property
-    def mean_staleness(self) -> float:
-        """Mean observed follower-read staleness, in records."""
-        if not self.staleness_samples:
-            return 0.0
-        return sum(self.staleness_samples) / len(self.staleness_samples)
 
 
 class ReaderPool:
@@ -141,7 +125,6 @@ class ReaderPool:
         self.queries = list(queries)
         self.current_seq = current_seq
         self._stop = threading.Event()
-        self._started: Optional[float] = None
         self._reports = [ReaderReport() for _ in range(threads)]
         self._threads = [
             threading.Thread(
@@ -174,7 +157,6 @@ class ReaderPool:
 
     def start(self) -> "ReaderPool":
         """Start every reader thread; returns ``self`` for chaining."""
-        self._started = time.perf_counter()
         for thread in self._threads:
             thread.start()
         return self
@@ -184,10 +166,7 @@ class ReaderPool:
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
-        elapsed = 0.0
-        if self._started is not None:
-            elapsed = time.perf_counter() - self._started
-        merged = ReaderReport(elapsed=elapsed)
+        merged = ReaderReport()
         for report in self._reports:
             merged.reads += report.reads
             merged.errors += report.errors

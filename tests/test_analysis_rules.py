@@ -70,6 +70,11 @@ TRIGGERS = [
         "from random import choice{S}\n",
     ),
     (
+        "R4",
+        "src/repro/bench/bad.py",
+        "import time\n\ndef stamp():\n    return time.time(){S}\n",
+    ),
+    (
         "R5",
         "src/repro/durable/bad.py",
         "def risky():\n    try:\n        work()\n"
@@ -101,6 +106,11 @@ TRIGGERS = [
         "R9",
         "src/repro/order/bad.py",
         "def debug(x):\n    print(x){S}\n",
+    ),
+    (
+        "R9",
+        "src/repro/bench/bad.py",
+        "def report(x):\n    print(x){S}\n",
     ),
     (
         "R10",
@@ -206,8 +216,9 @@ CLEAN = [
         "    rng = random.Random(seed)\n    t = time.perf_counter()\n"
         "    return rng, t\n",
     ),
-    # R4: exhibits/datasets are exempt (they stamp wall-clock timings).
-    ("src/repro/bench/good.py", "import time\n\ndef ok():\n    return time.time()\n"),
+    # R4: repro.bench has no exemption; Fig 15 times queries with the
+    # monotonic perf_counter, the sanctioned duration clock.
+    ("src/repro/bench/good.py", "import time\n\ndef ok():\n    return time.perf_counter()\n"),
     # R5: re-raising or signalling handlers are fine.
     (
         "src/repro/durable/good.py",
@@ -238,9 +249,9 @@ CLEAN = [
         "src/repro/order/good3.py",
         "class T:\n    def _insert_row(self, row):\n        self.rows += [row]\n",
     ),
-    # R9: the CLI and benches may print.
+    # R9: the CLI and the module entry point may print.
     ("src/repro/cli.py", "def ok(x):\n    print(x)\n"),
-    ("src/repro/bench/good.py", "def ok(x):\n    print(x)\n"),
+    ("src/repro/__main__.py", "def ok(x):\n    print(x)\n"),
     # R10: the WAL policy layer owns fsync; flush-with-args is not I/O flush.
     (
         "src/repro/durable/wal.py",

@@ -156,3 +156,35 @@ class TestExperimentTables:
         timing = figure15_table(corpus, repeats=1)
         for scheme in ("Interval", "Prime", "Prefix-2"):
             assert all(t >= 0 for t in timing.column(scheme))
+
+
+# Counts observed at the defaults; the shared churn workload must not move them.
+PINNED_COUNTS = {
+    "durability_table": {
+        "fsyncs": [121, 16, 1],
+        "wal KiB": [2.8, 2.8, 2.8],
+        "replayed": [120, 120, 120],
+    },
+    "resilience_table": {},
+    "compaction_table": {
+        "snapshot KiB": [38.4, 33.4],
+        "wal B/op": [74.6, 24.0],
+    },
+}
+
+
+class TestCountsOnlyExhibits:
+    """The systems exhibits report counts, so a rebuild reproduces them."""
+
+    @pytest.mark.parametrize("builder", sorted(PINNED_COUNTS))
+    def test_rebuild_is_identical_clean_and_pinned(self, builder):
+        import repro.bench
+
+        build = getattr(repro.bench, builder)
+        table = build()
+        assert build().to_text() == table.to_text()
+        for row in table.rows:
+            assert not {"NO", "VIOLATED"} & {str(cell) for cell in row}, row
+        assert set(table.column("identical")) == {"yes"}
+        for column, expected in PINNED_COUNTS[builder].items():
+            assert table.column(column) == expected, column
