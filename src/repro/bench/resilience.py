@@ -44,7 +44,7 @@ def resilience_table(
     from repro.durable import collection_fingerprint
     from repro.resilient import (
         BreakerPolicy,
-        ChaosInjector,
+        FaultPlan,
         ResilientCollection,
         RetryPolicy,
     )
@@ -73,7 +73,7 @@ def resilience_table(
             def sleep(seconds: float) -> None:
                 now[0] += seconds
 
-            chaos = ChaosInjector(rate=rate, seed=seed, sleep=sleep)
+            chaos = FaultPlan(rate=rate, seed=seed, sleep=sleep)
             collection = ResilientCollection.create(
                 workdir / "col",
                 [play(seed=seed, acts=1, node_budget=node_budget)],

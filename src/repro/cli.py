@@ -51,7 +51,7 @@ counters, and the order-invariant check; ``dump --churn N`` applies N
 synthetic insertions through the same layer after creating the
 collection.  Both honour the ``REPRO_CHAOS`` environment variable
 (``"rate=0.05,seed=7,..."``, see
-:meth:`repro.resilient.ChaosInjector.from_spec`), which arms transient
+:meth:`repro.durable.faults.FaultPlan.from_spec`), which arms transient
 fault injection on the write path — how CI soaks the CLI round trip.
 
 ``serve``/``replicate``/``lag`` drive the replication subsystem
@@ -357,10 +357,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    from repro.resilient import ChaosInjector, ResilientCollection, RetryPolicy
+    from repro.resilient import FaultPlan, ResilientCollection, RetryPolicy
 
     documents = _read_documents(args.files)
-    chaos = ChaosInjector.from_env()
+    chaos = FaultPlan.from_env()
     with metrics.collecting() as registry:
         collection = ResilientCollection.create(
             args.dir,
@@ -418,9 +418,9 @@ def cmd_health(args: argparse.Namespace) -> int:
     """Recover through the resilient layer and report serving health."""
     import json
 
-    from repro.resilient import ChaosInjector, ResilientCollection
+    from repro.resilient import FaultPlan, ResilientCollection
 
-    chaos = ChaosInjector.from_env()
+    chaos = FaultPlan.from_env()
     with metrics.collecting() as registry:
         collection = ResilientCollection.open(
             args.dir, fsync=args.fsync, verify=not args.no_verify, faults=chaos

@@ -12,23 +12,15 @@ package makes a :class:`~repro.query.live.LiveCollection` durable:
   audit, with fallback to the previous snapshot generation on corruption,
 * :mod:`repro.durable.collection` — :class:`DurableCollection`, the
   log-before-apply wrapper tying it together,
-* :mod:`repro.durable.faults` — injectable crashes, torn writes, and bit
-  flips, so all of the above is actually exercised under failure.
+* :mod:`repro.durable.faults` — :class:`FaultPlan`, one seeded plan of
+  scripted crashes, torn writes, bit flips and probabilistic transient
+  faults, so all of the above is actually exercised under failure.
 
 See ``docs/DURABILITY.md`` for the design rationale and fault matrix.
 """
 
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import (
-    CorruptSnapshotWrite,
-    CrashAfterAppends,
-    CrashBeforeFsync,
-    FaultInjector,
-    InjectedCrash,
-    TornAppend,
-    flip_bit,
-    truncate_file,
-)
+from repro.durable.faults import FaultPlan, InjectedCrash, flip_bit, truncate_file
 from repro.durable.recovery import (
     BootstrapPoint,
     RecoveredState,
@@ -62,12 +54,8 @@ from repro.durable.wal import (
 __all__ = [
     "BootstrapPoint",
     "DurableCollection",
-    "FaultInjector",
+    "FaultPlan",
     "InjectedCrash",
-    "CrashAfterAppends",
-    "TornAppend",
-    "CrashBeforeFsync",
-    "CorruptSnapshotWrite",
     "flip_bit",
     "truncate_file",
     "RecoveredState",

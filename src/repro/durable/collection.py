@@ -51,7 +51,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.durable.faults import FaultInjector, InjectedCrash
+from repro.durable.faults import FaultPlan, InjectedCrash
 from repro.durable.recovery import (
     RecoveryInfo,
     WAL_NAME,
@@ -101,7 +101,7 @@ class DurableCollection(NodeMutations):
         live: LiveCollection,
         wal: WriteAheadLog,
         last_seq: int,
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultPlan] = None,
         snapshot_version: int = 3,
     ):
         self.directory = directory
@@ -127,7 +127,7 @@ class DurableCollection(NodeMutations):
         group_size: int | None = 5,
         strategy: str = "scan",
         fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultPlan] = None,
         format_version: int = 3,
     ) -> "DurableCollection":
         """Initialise a fresh durable collection in ``directory``.
@@ -176,7 +176,7 @@ class DurableCollection(NodeMutations):
         cls,
         directory: str | Path,
         fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultPlan] = None,
         verify: bool = True,
     ) -> "DurableCollection":
         """Recover the collection in ``directory`` and resume appending.

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.durable.faults import FaultInjector
+from repro.durable.faults import FaultPlan
 from repro.errors import (
     LabelingError,
     OrderingError,
@@ -281,7 +281,7 @@ def write_snapshot(
     collection: LiveCollection,
     path: str | Path,
     last_seq: int = 0,
-    faults: Optional[FaultInjector] = None,
+    faults: Optional[FaultPlan] = None,
     version: int = _VERSION,
 ) -> int:
     """Atomically write a snapshot of ``collection``; returns bytes written.
@@ -294,10 +294,9 @@ def write_snapshot(
         path = Path(path)
         blob = _encode_snapshot(collection, last_seq, version)
         if faults is not None:
-            blob = faults.on_snapshot(blob)
-            # The transient-I/O hook fires before the temp file is opened,
-            # so an injected failure (or stall) is always retry-safe.
-            faults.on_snapshot_io(str(path))
+            # The hook fires before the temp file is opened, so an
+            # injected failure (or stall) is always retry-safe.
+            blob = faults.on_snapshot(str(path), blob)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "wb") as handle:
             handle.write(blob)

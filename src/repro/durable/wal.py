@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.durable.faults import FaultInjector
+from repro.durable.faults import FaultPlan, InjectedCrash
 from repro.errors import DurabilityError, LabelingError, WalCorruptError
 from repro.labeling.codec import read_uvarint, write_uvarint
 from repro.obs import metrics
@@ -513,14 +513,14 @@ class WriteAheadLog:
         self,
         path: str | Path,
         fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultPlan] = None,
         version: Optional[int] = None,
     ):
         if version is not None and version not in SUPPORTED_WAL_VERSIONS:
             raise DurabilityError(f"unsupported WAL version {version}")
         self.path = Path(path)
         self.policy = FsyncPolicy.parse(fsync)
-        self.faults = faults or FaultInjector()
+        self.faults = faults
         scan = scan_wal(self.path)
         if scan.torn_bytes:
             with open(self.path, "r+b") as handle:
@@ -573,8 +573,6 @@ class WriteAheadLog:
         """
         if self._closed:
             raise WalCorruptError("write-ahead log is closed")
-        from repro.durable.faults import InjectedCrash
-
         with metrics.timed("wal.append"):
             payload = _encode_payload(op, self.version)
             seq = self._next_seq
@@ -584,7 +582,8 @@ class WriteAheadLog:
             blob = header + payload
             start = self._handle.tell()
             try:
-                to_write = self.faults.on_append(seq, blob)
+                faults = self.faults
+                to_write = blob if faults is None else faults.on_append(seq, blob)
                 written = len(to_write)
                 if written:
                     self._handle.write(to_write)
@@ -595,7 +594,8 @@ class WriteAheadLog:
                     raise InjectedCrash(
                         f"torn append of record {seq}: {written}/{len(blob)} bytes"
                     )
-                self.faults.after_write(seq)
+                if faults is not None:
+                    faults.after_write(seq)
                 self._next_seq += 1
                 self._pending += 1
                 metrics.incr("wal.appends")
@@ -648,7 +648,8 @@ class WriteAheadLog:
         if self._closed:
             return
         self._handle.flush()
-        self.faults.on_sync(self._pending)
+        if self.faults is not None:
+            self.faults.on_sync(self._pending)
         os.fsync(self._handle.fileno())
         self._pending = 0
         metrics.incr("wal.fsyncs")

@@ -13,16 +13,16 @@ operations without killing the process.  The pieces:
   serving wrapper: retries transient faults with WAL repair in between,
   degrades to in-memory serving when the breaker trips, and re-syncs
   storage (checkpoint × 2 + WAL restart) on recovery,
-* :mod:`repro.resilient.chaos` — :class:`ChaosInjector`, seeded
-  probabilistic transient faults at every WAL/snapshot boundary; built
+* :class:`~repro.durable.faults.FaultPlan` (re-exported here) — seeded
+  transient faults and stalls at every WAL/snapshot boundary; built
   from ``$REPRO_CHAOS`` by the CLI.
 
 See ``docs/RESILIENCE.md`` for the fault-domain table, knob reference,
 degraded-mode semantics, and the chaos test matrix.
 """
 
+from repro.durable.faults import ALL_SITES, FaultPlan, TransientIOError
 from repro.resilient.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilient.chaos import ALL_SITES, ChaosInjector, TransientIOError
 from repro.resilient.collection import DEGRADED_MODES, ResilientCollection
 from repro.resilient.policy import (
     BreakerPolicy,
@@ -38,7 +38,7 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "ChaosInjector",
+    "FaultPlan",
     "TransientIOError",
     "ALL_SITES",
     "FaultDomain",

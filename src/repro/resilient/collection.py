@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import FaultInjector, InjectedCrash
+from repro.durable.faults import FaultPlan, InjectedCrash
 from repro.durable.wal import FsyncPolicy
 from repro.errors import (
     DeadlineExceededError,
@@ -145,7 +145,7 @@ class ResilientCollection(NodeMutations):
         group_size: int | None = 5,
         strategy: str = "scan",
         fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         degraded_mode: str = "buffer",
@@ -154,7 +154,7 @@ class ResilientCollection(NodeMutations):
     ) -> "ResilientCollection":
         """Create a fresh durable collection and wrap it.
 
-        The fault injector is armed *after* the bootstrap snapshot and
+        The fault plan is armed *after* the bootstrap snapshot and
         log exist: a half-created directory is a deployment error, not a
         serving-path fault, and retrying it would fight
         :meth:`DurableCollection.create`'s already-exists guard.
@@ -181,7 +181,7 @@ class ResilientCollection(NodeMutations):
         cls,
         directory: "str | Path",
         fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultPlan] = None,
         verify: bool = True,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
@@ -191,10 +191,9 @@ class ResilientCollection(NodeMutations):
     ) -> "ResilientCollection":
         """Recover the collection in ``directory`` and wrap it.
 
-        Like :meth:`create`, the injector is armed only once recovery has
-        produced a healthy collection — recovery reads state, and the
-        chaos harness's write-path hooks have nothing legitimate to
-        injure there.
+        Like :meth:`create`, the fault plan is armed only once recovery
+        has produced a healthy collection — recovery reads state, and the
+        plan's write-path hooks have nothing legitimate to injure there.
         """
         durable = DurableCollection.open(directory, fsync=fsync, verify=verify)
         _arm(durable, faults)
@@ -510,12 +509,12 @@ class ResilientCollection(NodeMutations):
             "last_seq": self.durable.last_seq,
             "wal_next_seq": self.durable.wal.next_seq,
         }
-        injected = getattr(self.durable.faults, "injected", None)
-        if isinstance(injected, dict):
+        plan = self.durable.faults
+        if plan is not None:
             report["chaos"] = {
-                "injected": dict(injected),
-                "total": sum(injected.values()),
-                "stalls": getattr(self.durable.faults, "stalls", 0),
+                "injected": dict(plan.injected),
+                "total": plan.total_injected,
+                "stalls": plan.stalls,
             }
         return report
 
@@ -551,8 +550,8 @@ class ResilientCollection(NodeMutations):
         self.close()
 
 
-def _arm(durable: DurableCollection, faults: Optional[FaultInjector]) -> None:
-    """Attach a fault injector to an already-bootstrapped collection."""
+def _arm(durable: DurableCollection, faults: Optional[FaultPlan]) -> None:
+    """Attach a fault plan to an already-bootstrapped collection."""
     if faults is None:
         return
     durable.faults = faults

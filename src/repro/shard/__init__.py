@@ -42,12 +42,7 @@ from repro.shard.partitioner import (
 from repro.shard.router import PartialResult, RemoteRow, ShardRouter
 from repro.shard.service import ShardedCollection
 from repro.shard.supervisor import ShardSupervisor
-from repro.shard.worker import (
-    WorkerConfig,
-    WorkerServer,
-    build_fault_injector,
-    worker_main,
-)
+from repro.shard.worker import WorkerConfig, WorkerServer, worker_main
 
 __all__ = [
     "MANIFEST_NAME",
@@ -66,7 +61,6 @@ __all__ = [
     "ShardedCollection",
     "WorkerConfig",
     "WorkerServer",
-    "build_fault_injector",
     "encode_error",
     "read_manifest",
     "rehydrate_error",

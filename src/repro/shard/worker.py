@@ -9,7 +9,7 @@ queries, addressed mutations (the same ``(document, preorder position)``
 currency the WAL uses), checkpoints, and health pings.
 
 Crash semantics: an :class:`~repro.durable.faults.InjectedCrash` from
-the fault injector simulates process death and is honoured literally —
+the fault plan simulates process death and is honoured literally —
 the worker ``os._exit``\\ s without acking, exactly like a SIGKILL.  Any
 other failure is *data*: it is classified into a resilient-layer fault
 domain, encoded, and shipped back so the router can rehydrate a typed
@@ -32,20 +32,19 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import CrashAfterAppends, FaultInjector, InjectedCrash
+from repro.durable.faults import FaultPlan, InjectedCrash
 from repro.durable.recovery import list_generations, resolve_op, shard_directory
 from repro.durable.snapshot import collection_fingerprint
 from repro.errors import ShardError
 from repro.obs import metrics
 from repro.obs.audit import audit_ordered_document
 from repro.query.live import BatchOp
-from repro.resilient.chaos import ChaosInjector
 from repro.shard.messages import Request, Response, encode_error
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serialize import serialize
 from repro.xmlkit.tree import XmlElement
 
-__all__ = ["WorkerConfig", "WorkerServer", "build_fault_injector", "worker_main"]
+__all__ = ["WorkerConfig", "WorkerServer", "worker_main"]
 
 
 @dataclass(frozen=True)
@@ -63,33 +62,13 @@ class WorkerConfig:
     root: str
     fsync: str = "always"
     verify: bool = True
-    #: Scripted fault injection armed inside the worker, for chaos and
-    #: crash-loop tests: ``"crash_after_appends:N"`` or ``"chaos:<spec>"``
-    #: (a :meth:`repro.resilient.chaos.ChaosInjector.from_spec` string).
+    #: Fault injection armed inside the worker, for chaos and crash-loop
+    #: tests: a :meth:`~repro.durable.faults.FaultPlan.from_spec` string
+    #: such as ``"crash=append@3"``.  A string rather than a plan, so
+    #: every (re)started process arms a *fresh* plan — a crash-loop fault
+    #: keeps crash-looping across restarts instead of being disarmed by
+    #: its own spent call count travelling along.
     fault_spec: Optional[str] = None
-
-
-def build_fault_injector(spec: Optional[str]) -> Optional[FaultInjector]:
-    """Materialise a :class:`WorkerConfig.fault_spec` inside the worker.
-
-    The spec is a string (picklable) rather than an injector instance so
-    every (re)started process arms a *fresh* injector — a crash-loop
-    fault keeps crash-looping across restarts instead of being disarmed
-    by its own spent counter travelling along.
-    """
-    if not spec:
-        return None
-    name, _, arg = spec.partition(":")
-    if name == "crash_after_appends":
-        try:
-            return CrashAfterAppends(int(arg))
-        except ValueError:
-            raise ShardError(
-                f"fault spec {spec!r}: crash_after_appends needs an integer"
-            ) from None
-    if name == "chaos":
-        return ChaosInjector.from_spec(arg)
-    raise ShardError(f"unknown worker fault spec {spec!r}")
 
 
 class WorkerServer:
@@ -101,7 +80,7 @@ class WorkerServer:
         self.collection = DurableCollection.open(
             shard_directory(config.root, config.shard_id),
             fsync=config.fsync,
-            faults=build_fault_injector(config.fault_spec),
+            faults=FaultPlan.from_spec(config.fault_spec),
             verify=config.verify,
         )
 

@@ -25,10 +25,9 @@ import random
 import pytest
 
 from repro.durable import (
-    CrashAfterAppends,
     DurableCollection,
+    FaultPlan,
     InjectedCrash,
-    TornAppend,
     collection_fingerprint,
     recover,
 )
@@ -39,7 +38,6 @@ from repro.order.document import OrderedDocument
 from repro.query import BatchOp, LiveCollection
 from repro.resilient import (
     BreakerPolicy,
-    ChaosInjector,
     ResilientCollection,
     RetryPolicy,
 )
@@ -298,7 +296,7 @@ def test_mid_batch_crash_recovers_pre_batch_state(tmp_path):
         tmp_path / "col",
         [parse_document(DOC)],
         fsync=FSYNC,
-        faults=CrashAfterAppends(3),
+        faults=FaultPlan(script={"append@4": "crash"}),
     )
     root = collection.documents[0]
     for i in range(3):  # three durable setup ops (appends #1-#3)
@@ -319,7 +317,7 @@ def test_torn_batch_record_is_truncated_to_pre_batch_state(tmp_path):
         tmp_path / "col",
         [parse_document(DOC)],
         fsync=FSYNC,
-        faults=TornAppend(at=3, keep_bytes=24),
+        faults=FaultPlan(script={"append@3": ("tear", 24)}),
     )
     root = collection.documents[0]
     collection.insert_child(root, 0, tag="pre0")
@@ -420,7 +418,7 @@ def _run_batched_workload(collection, seed, rounds=18):
 def test_batched_chaos_soak_is_byte_identical(tmp_path, chaos_seed):
     """The chaos soak, batched: transient faults at every WAL/snapshot
     site, each failed batch rolled back and retried as a unit."""
-    chaos = ChaosInjector(rate=0.04, seed=chaos_seed, sleep=lambda _s: None)
+    chaos = FaultPlan(rate=0.04, seed=chaos_seed, sleep=lambda _s: None)
     soaked = _resilient(tmp_path, f"soaked{chaos_seed}", chaos)
     twin = _resilient(tmp_path, f"twin{chaos_seed}", chaos=None)
     _run_batched_workload(soaked, seed=1234)

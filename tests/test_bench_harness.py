@@ -165,7 +165,12 @@ PINNED_COUNTS = {
         "wal KiB": [2.8, 2.8, 2.8],
         "replayed": [120, 120, 120],
     },
-    "resilience_table": {},
+    "resilience_table": {
+        "injected": [0, 7, 18, 39, 27],
+        "retries": [0, 7, 18, 39, 26],
+        "trips": [0, 0, 0, 0, 1],
+        "degraded ops": [0, 0, 0, 0, 91],
+    },
     "compaction_table": {
         "snapshot KiB": [38.4, 33.4],
         "wal B/op": [74.6, 24.0],

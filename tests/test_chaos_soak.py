@@ -25,7 +25,7 @@ from repro.durable import collection_fingerprint, recover
 from repro.obs.audit import audit_ordered_document
 from repro.resilient import (
     BreakerPolicy,
-    ChaosInjector,
+    FaultPlan,
     ResilientCollection,
     RetryPolicy,
 )
@@ -76,7 +76,7 @@ def build(tmp_path, name, chaos):
 
 @pytest.mark.parametrize("chaos_seed", [3, 11])
 def test_soak_is_byte_identical_and_audit_clean(tmp_path, chaos_seed):
-    chaos = ChaosInjector(rate=RATE, seed=chaos_seed, sleep=lambda _s: None)
+    chaos = FaultPlan(rate=RATE, seed=chaos_seed, sleep=lambda _s: None)
     soaked = build(tmp_path, f"soaked{chaos_seed}", chaos)
     twin = build(tmp_path, f"twin{chaos_seed}", chaos=None)
     run_workload(soaked, seed=1234)
@@ -109,8 +109,8 @@ def test_soak_with_stalls_meets_no_deadline_by_default(tmp_path):
     # Slow-write pressure: stalls fire but with no deadline configured the
     # operations simply take longer (the stubbed sleep records the naps).
     naps = []
-    chaos = ChaosInjector(rate=0.0, slow_rate=0.2, slow_seconds=0.01,
-                          seed=17, sleep=naps.append)
+    chaos = FaultPlan(rate=0.0, slow_rate=0.2, slow_seconds=0.01,
+                      seed=17, sleep=naps.append)
     collection = build(tmp_path, "stalled", chaos)
     run_workload(collection, seed=99, operations=60)
     collection.close()
@@ -121,9 +121,9 @@ def test_soak_with_stalls_meets_no_deadline_by_default(tmp_path):
 def test_soak_survives_checkpoint_faults(tmp_path):
     # Snapshot-site faults hit checkpoint() (and create()'s successor
     # checkpoints); the retry loop owns those too.
-    chaos = ChaosInjector(rate=0.25, seed=7,
-                          sites=frozenset({"snapshot"}),
-                          sleep=lambda _s: None)
+    chaos = FaultPlan(rate=0.25, seed=7,
+                      sites=frozenset({"snapshot"}),
+                      sleep=lambda _s: None)
     collection = build(tmp_path, "ckpt", chaos)
     for i in range(10):
         collection.insert_child(collection.documents[0], 0, tag=f"t{i}")

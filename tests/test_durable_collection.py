@@ -3,8 +3,8 @@
 import pytest
 
 from repro.durable import (
-    CrashBeforeFsync,
     DurableCollection,
+    FaultPlan,
     InjectedCrash,
     collection_fingerprint,
     scan_wal,
@@ -111,7 +111,7 @@ class TestLoggedMutations:
         col = DurableCollection.create(
             tmp_path / "col",
             [parse_document(DOC)],
-            faults=CrashBeforeFsync(at=3),
+            faults=FaultPlan(script={"after@3": "crash"}),
         )
         col.insert_child(col.documents[0], 0)
         col.insert_child(col.documents[0], 1)

@@ -15,10 +15,9 @@ import random
 import pytest
 
 from repro.durable import (
-    CrashAfterAppends,
     DurableCollection,
+    FaultPlan,
     InjectedCrash,
-    TornAppend,
     collection_fingerprint,
     recover,
 )
@@ -112,7 +111,7 @@ class TestCrashMatrix:
                 workdir,
                 [parse_document(BASE_DOC)],
                 fsync=FSYNC,
-                faults=CrashAfterAppends(crash_after),
+                faults=FaultPlan(script={f"append@{crash_after + 1}": "crash"}),
             )
             survived = run_workload(collection, OPERATIONS)
             applied = len(survived) - 1
@@ -137,7 +136,7 @@ class TestCrashMatrix:
                 workdir,
                 [parse_document(BASE_DOC)],
                 fsync=FSYNC,
-                faults=CrashAfterAppends(crash_after),
+                faults=FaultPlan(script={f"append@{crash_after + 1}": "crash"}),
             )
             survived = run_workload(
                 collection, OPERATIONS, checkpoint_at=checkpoint_at
@@ -165,7 +164,7 @@ class TestCrashMatrix:
             workdir,
             [parse_document(BASE_DOC)],
             fsync=FSYNC,
-            faults=TornAppend(at=torn_at, keep_bytes=keep_bytes),
+            faults=FaultPlan(script={f"append@{torn_at}": ("tear", keep_bytes)}),
         )
         survived = run_workload(collection, OPERATIONS)
         assert len(survived) - 1 == torn_at - 1

@@ -9,7 +9,7 @@ import pytest
 
 from repro.datasets.shakespeare import play
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import CorruptSnapshotWrite, flip_bit, truncate_file
+from repro.durable.faults import FaultPlan, flip_bit, truncate_file
 from repro.durable.recovery import list_generations, snapshot_path
 from repro.durable.snapshot import (
     collection_fingerprint,
@@ -167,9 +167,9 @@ class TestCorruptionDetection:
     def test_injected_corruption_on_the_write_path(self, tmp_path):
         collection = build_collection(churn=3)
         path = tmp_path / "snap.rpsn"
-        write_snapshot(
-            collection, path, faults=CorruptSnapshotWrite(byte_offset=25, bit=3)
-        )
+        # bit 203 = bit 3 of byte 25
+        flip = FaultPlan(script={"snapshot@1": ("flip", 25 * 8 + 3)})
+        write_snapshot(collection, path, faults=flip)
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
 

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from repro.durable.faults import TornAppend
+from repro.durable.faults import FaultPlan
 from repro.durable.wal import (
     FsyncPolicy,
     WriteAheadLog,
@@ -95,7 +95,7 @@ class TestAppendScanRoundTrip:
 class TestTornTails:
     def test_torn_final_record_is_dropped_then_repaired(self, tmp_path):
         path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path, faults=TornAppend(at=4, keep_bytes=9))
+        wal = WriteAheadLog(path, faults=FaultPlan(script={"append@4": ("tear", 9)}))
         for op in ops(4):
             try:
                 wal.append(op)
@@ -112,7 +112,7 @@ class TestTornTails:
     @pytest.mark.parametrize("keep", [0, 1, 7, 15, 16, 17])
     def test_every_tear_length_stops_cleanly(self, tmp_path, keep):
         path = tmp_path / f"wal-{keep}.log"
-        wal = WriteAheadLog(path, faults=TornAppend(at=3, keep_bytes=keep))
+        wal = WriteAheadLog(path, faults=FaultPlan(script={"append@3": ("tear", keep)}))
         for op in ops(3):
             try:
                 wal.append(op)
@@ -234,24 +234,9 @@ class TestBatchCloseFlush:
         reopened.close()
 
     def test_close_failure_still_closes(self, tmp_path):
-        class FailingSync:
-            def on_append(self, seq, blob):
-                return blob
-
-            def after_write(self, seq):
-                return None
-
-            def on_sync(self, pending):
-                raise OSError("sync died")
-
-            def on_snapshot(self, blob):
-                return blob
-
-            def on_snapshot_io(self, path):
-                return None
-
+        failing_sync = FaultPlan(rate=1.0, sites={"sync"})
         wal = WriteAheadLog(tmp_path / "wal.log", fsync="never",
-                            faults=FailingSync())
+                            faults=failing_sync)
         wal._pending = 0  # header write is already durable
         with pytest.raises(OSError):
             wal.close()
@@ -264,37 +249,11 @@ class TestBatchCloseFlush:
 class TestAppendRollback:
     """A failed append must leave the file exactly as it was (retry-safe)."""
 
-    class FailOnce:
-        def __init__(self, site):
-            self.site = site
-            self.fired = False
-
-        def on_append(self, seq, blob):
-            if self.site == "append" and not self.fired:
-                self.fired = True
-                raise OSError("injected pre-write fault")
-            return blob
-
-        def after_write(self, seq):
-            if self.site == "after" and not self.fired:
-                self.fired = True
-                raise OSError("injected post-write fault")
-
-        def on_sync(self, pending):
-            if self.site == "sync" and not self.fired:
-                self.fired = True
-                raise OSError("injected fsync fault")
-
-        def on_snapshot(self, blob):
-            return blob
-
-        def on_snapshot_io(self, path):
-            return None
-
     @pytest.mark.parametrize("site", ["append", "after", "sync"])
     def test_retry_after_fault_creates_no_duplicate(self, tmp_path, site):
         path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path, fsync="always", faults=self.FailOnce(site))
+        fail_once = FaultPlan(script={f"{site}@1": "fail"})
+        wal = WriteAheadLog(path, fsync="always", faults=fail_once)
         with pytest.raises(OSError):
             wal.append({"op": "compact"})
         # the failed record's bytes were rolled back...

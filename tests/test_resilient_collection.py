@@ -16,44 +16,25 @@ from repro.resilient import (
     CLOSED,
     OPEN,
     BreakerPolicy,
-    ChaosInjector,
+    FaultPlan,
     ResilientCollection,
     RetryPolicy,
     TransientIOError,
 )
-from repro.resilient.chaos import ALL_SITES
+from repro.durable.faults import ALL_SITES
 from repro.xmlkit.parser import parse_document
 
 DOC = "<a><b/><c><d/></c></a>"
 
 
-class FlakyDisk(ChaosInjector):
-    """Fails the first ``failures`` injection opportunities, then heals."""
-
-    def __init__(self, failures, sites=None):
-        super().__init__(rate=0.0, seed=0, sites=sites, sleep=lambda _s: None)
-        self.remaining = failures
-
-    def _maybe_fail(self, site, detail):
-        if site not in self.sites:
-            return
-        if self.remaining > 0:
-            self.remaining -= 1
-            self.injected[site] += 1
-            raise TransientIOError(f"flaky: {detail}")
+def flaky_disk(failures, site="append"):
+    """Fails the first ``failures`` calls at ``site``, then heals."""
+    return FaultPlan(script={f"{site}@{n}": "fail" for n in range(1, failures + 1)})
 
 
-class DeadDisk(ChaosInjector):
-    """Fails every injection opportunity until ``healed`` is set."""
-
-    def __init__(self):
-        super().__init__(rate=0.0, seed=0, sleep=lambda _s: None)
-        self.healed = False
-
-    def _maybe_fail(self, site, detail):
-        if not self.healed:
-            self.injected[site] += 1
-            raise TransientIOError(f"dead: {detail}")
+def dead_disk():
+    """Fails every call at every site until healed with ``rate = 0.0``."""
+    return FaultPlan(rate=1.0, sleep=lambda _s: None)
 
 
 def make(tmp_path, faults=None, retry=None, breaker=None, degraded_mode="buffer",
@@ -75,7 +56,7 @@ def make(tmp_path, faults=None, retry=None, breaker=None, degraded_mode="buffer"
 
 class TestRetries:
     def test_transient_faults_are_retried_to_success(self, tmp_path):
-        flaky = FlakyDisk(failures=2)
+        flaky = flaky_disk(2)
         collection, _ = make(tmp_path, faults=flaky)
         report = collection.insert_child(collection.documents[0], 0)
         assert report.total_cost >= 0
@@ -85,7 +66,7 @@ class TestRetries:
 
     def test_retried_appends_never_duplicate_records(self, tmp_path):
         # The ambiguous write: bytes landed, acknowledgement did not.
-        flaky = FlakyDisk(failures=3, sites=frozenset({"after"}))
+        flaky = flaky_disk(3, site="after")
         collection, _ = make(
             tmp_path, faults=flaky, breaker=BreakerPolicy(failure_threshold=50)
         )
@@ -99,7 +80,7 @@ class TestRetries:
     def test_faulty_run_recovers_byte_identical_to_fault_free_twin(
         self, tmp_path
     ):
-        flaky = FlakyDisk(failures=6)
+        flaky = flaky_disk(6)
         faulty, _ = make(
             tmp_path,
             faults=flaky,
@@ -120,7 +101,7 @@ class TestRetries:
     def test_exhausted_retries_raise_with_the_final_fault_chained(
         self, tmp_path
     ):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(
             tmp_path,
             faults=dead,
@@ -153,7 +134,7 @@ class TestDegradedMode:
             collection.insert_child(collection.documents[0], 0)
 
     def test_breaker_trip_enters_buffered_degraded_mode(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         # threshold 3 < max_attempts 4: the breaker opens mid-retry and the
         # operation is acknowledged from memory instead of erroring.
@@ -164,7 +145,7 @@ class TestDegradedMode:
         assert collection.breaker.state == OPEN
 
     def test_queries_still_answer_while_degraded(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0, tag="x")
         assert collection.degraded
@@ -174,7 +155,7 @@ class TestDegradedMode:
         assert collection.check()
 
     def test_mutations_keep_buffering_while_degraded(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         for i in range(4):
             collection.insert_child(collection.documents[0], 0, tag=f"t{i}")
@@ -184,7 +165,7 @@ class TestDegradedMode:
     def test_degraded_buffer_rejects_what_the_healthy_path_rejects(
         self, tmp_path
     ):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0, tag="x")
         assert collection.degraded and collection.buffered == 1
@@ -196,7 +177,7 @@ class TestDegradedMode:
         assert collection_fingerprint(collection.live) == before
 
     def test_fail_fast_mode_rejects_mutations(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead, degraded_mode="fail_fast")
         self._trip(collection)
         assert collection.degraded
@@ -205,7 +186,7 @@ class TestDegradedMode:
         assert collection.count("//b") == 1  # queries unaffected
 
     def test_checkpoint_is_refused_while_degraded(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0)
         with pytest.raises(DegradedModeError):
@@ -218,21 +199,21 @@ class TestDegradedMode:
 
 class TestProbeAndResync:
     def test_probe_waits_for_the_cooldown(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, now = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0)
         assert collection.degraded
-        dead.healed = True
+        dead.rate = 0.0
         now["t"] = 5.0  # cooldown is 10s: too early, still degraded
         collection.insert_child(collection.documents[0], 0)
         assert collection.degraded
         assert collection.buffered == 2
 
     def test_successful_probe_resyncs_and_resumes_logging(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, now = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0, tag="lost")
-        dead.healed = True
+        dead.rate = 0.0
         now["t"] = 20.0
         collection.insert_child(collection.documents[0], 0, tag="found")
         assert not collection.degraded
@@ -246,7 +227,7 @@ class TestProbeAndResync:
         )
 
     def test_failed_probe_reopens_the_breaker(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, now = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0)
         now["t"] = 20.0  # cooldown elapsed, but the disk is still dead
@@ -259,10 +240,10 @@ class TestProbeAndResync:
     def test_resync_covers_both_retained_generations(self, tmp_path):
         # A fallback to the older snapshot generation must never resurrect
         # pre-degraded state.
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, now = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0, tag="deg")
-        dead.healed = True
+        dead.rate = 0.0
         now["t"] = 20.0
         collection.insert_child(collection.documents[0], 0, tag="post")
         from repro.durable.recovery import list_generations, snapshot_path
@@ -278,7 +259,7 @@ class TestProbeAndResync:
 
 class TestDeadline:
     def test_deadline_converts_retries_into_a_typed_error(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         now = {"t": 0.0}
 
         def slow_clock():
@@ -301,7 +282,7 @@ class TestDeadline:
 
 class TestHealthAndLifecycle:
     def test_health_report_shape(self, tmp_path):
-        flaky = FlakyDisk(failures=1)
+        flaky = flaky_disk(1)
         collection, _ = make(tmp_path, faults=flaky)
         collection.insert_child(collection.documents[0], 0)
         report = collection.health()
@@ -313,7 +294,7 @@ class TestHealthAndLifecycle:
         assert report["last_seq"] == 1
 
     def test_health_reflects_degraded_state(self, tmp_path):
-        dead = DeadDisk()
+        dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0)
         report = collection.health()
@@ -322,7 +303,7 @@ class TestHealthAndLifecycle:
         assert report["degraded"]["buffered"] == 1
 
     def test_close_drains_with_retries(self, tmp_path):
-        flaky = FlakyDisk(failures=1, sites=frozenset({"sync"}))
+        flaky = flaky_disk(1, site="sync")
         collection, _ = make(tmp_path, faults=flaky)
         collection.close()  # one injected sync fault, retried internally
         assert collection.retries == 1
@@ -347,7 +328,7 @@ class TestHealthAndLifecycle:
 
 class TestChaosInjector:
     def test_spec_round_trip(self):
-        chaos = ChaosInjector.from_spec(
+        chaos = FaultPlan.from_spec(
             "rate=0.25,seed=9,slow=0.5,delay=0.001,sites=append+sync"
         )
         assert chaos.rate == 0.25
@@ -356,17 +337,31 @@ class TestChaosInjector:
         assert chaos.sites == frozenset({"append", "sync"})
 
     def test_empty_spec_disables_chaos(self):
-        assert ChaosInjector.from_spec("") is None
-        assert ChaosInjector.from_spec("  ") is None
+        assert FaultPlan.from_spec("") is None
+        assert FaultPlan.from_spec("  ") is None
 
-    @pytest.mark.parametrize("spec", ["rate=lots", "unknown=1", "sites=disk"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "rate=lots",
+            "unknown=1",
+            "sites=disk",
+            "slow=1,delay=-1,rate=0",
+            "delay=inf",
+            "delay=nan",
+            "rate=0.1,rate=0.2",
+            "rate=1.5",
+            "crash=append@0",
+            "crash=disk@1",
+        ],
+    )
     def test_bad_specs_are_loud(self, spec):
-        with pytest.raises(ValueError):
-            ChaosInjector.from_spec(spec)
+        with pytest.raises(ValueError, match="bad chaos spec"):
+            FaultPlan.from_spec(spec)
 
     def test_same_seed_injects_identically(self, tmp_path):
         def run(name):
-            chaos = ChaosInjector(rate=0.2, seed=42, sleep=lambda _s: None)
+            chaos = FaultPlan(rate=0.2, seed=42, sleep=lambda _s: None)
             collection = ResilientCollection.create(
                 tmp_path / name,
                 [parse_document(DOC)],
@@ -385,15 +380,15 @@ class TestChaosInjector:
 
     def test_stalls_call_the_sleep_hook(self):
         naps = []
-        chaos = ChaosInjector(rate=0.0, slow_rate=1.0, slow_seconds=0.25,
-                              seed=0, sleep=naps.append)
+        chaos = FaultPlan(rate=0.0, slow_rate=1.0, slow_seconds=0.25,
+                          seed=0, sleep=naps.append)
         chaos.on_sync(0)
         assert naps == [0.25]
         assert chaos.stalls == 1
 
     def test_all_sites_have_hooks(self):
         # Every advertised site must actually be reachable through a hook.
-        chaos = ChaosInjector(rate=1.0, seed=0, sleep=lambda _s: None)
+        chaos = FaultPlan(rate=1.0, seed=0, sleep=lambda _s: None)
         with pytest.raises(TransientIOError):
             chaos.on_append(1, b"blob")
         with pytest.raises(TransientIOError):
@@ -401,5 +396,5 @@ class TestChaosInjector:
         with pytest.raises(TransientIOError):
             chaos.on_sync(0)
         with pytest.raises(TransientIOError):
-            chaos.on_snapshot_io("snap")
+            chaos.on_snapshot("snap", b"blob")
         assert chaos.total_injected == len(ALL_SITES)

@@ -135,7 +135,7 @@ def test_killed_worker_mid_batch_loses_whole_batch_then_replays(tmp_path):
         documents,
         shards=2,
         policy=policy,
-        fault_spec="crash_after_appends:2",
+        fault_spec="crash=append@3",
         mutation_policy="buffer",
     ) as service:
         target = 1  # every op targets one document, hence one shard
@@ -149,7 +149,7 @@ def test_killed_worker_mid_batch_loses_whole_batch_then_replays(tmp_path):
                        "index": 0, "tag": tag}
             )
 
-        # The batch's group commit is append 3: the injector kills the
+        # The batch's group commit is append 3: the fault plan kills the
         # worker before the record reaches the log, so the ack never
         # comes and the whole batch must be absent from recovered state.
         entries = [

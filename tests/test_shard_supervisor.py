@@ -76,11 +76,11 @@ def test_killed_worker_restarts_through_recovery(tmp_path):
 
 
 def test_crash_looper_is_quarantined_and_names_its_budget(tmp_path):
-    # ``crash_after_appends:0`` poisons every WAL append: the worker
+    # ``crash=append@1`` poisons every WAL append: the worker
     # dies unacked on the first mutation and again on every restart's
     # redo replay — a deterministic crash loop.
     with make_service(
-        tmp_path, fault_spec="crash_after_appends:0", mutation_policy="buffer"
+        tmp_path, fault_spec="crash=append@1", mutation_policy="buffer"
     ) as service:
         shard_id, _ = service.doc_map.to_local(0)
         ack = service.insert_child(0, parent=0, index=0, tag="w")

@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import CrashAfterAppends
+from repro.durable.faults import FaultPlan
 from repro.durable.recovery import shard_directory
 from repro.durable.snapshot import (
     collection_fingerprint,
@@ -28,7 +28,6 @@ from repro.shard import (
     Request,
     WorkerConfig,
     WorkerServer,
-    build_fault_injector,
     rehydrate_error,
 )
 from repro.xmlkit.parser import parse_document
@@ -55,7 +54,7 @@ def test_worker_config_pickle_round_trip():
         root="/somewhere/shards",
         fsync="batch:7",
         verify=False,
-        fault_spec="crash_after_appends:2",
+        fault_spec="crash=append@3",
     )
     assert pickle.loads(pickle.dumps(config)) == config
 
@@ -220,11 +219,11 @@ def test_worker_bad_index_is_an_error_response(worker, bad):
     assert pong.ok and pong.value["last_seq"] == 0
 
 def test_fault_spec_parsing():
-    assert build_fault_injector(None) is None
-    assert build_fault_injector("") is None
-    injector = build_fault_injector("crash_after_appends:2")
-    assert isinstance(injector, CrashAfterAppends) and injector.count == 2
-    with pytest.raises(ShardError, match="integer"):
-        build_fault_injector("crash_after_appends:soon")
-    with pytest.raises(ShardError, match="unknown"):
-        build_fault_injector("meteor_strike")
+    assert FaultPlan.from_spec(None) is None
+    assert FaultPlan.from_spec("") is None
+    plan = FaultPlan.from_spec("crash=append@3")
+    assert plan.script == {("append", 3): ("crash", 0)} and plan.rate == 0.0
+    with pytest.raises(ValueError, match="call number"):
+        FaultPlan.from_spec("crash=append@soon")
+    with pytest.raises(ValueError, match="unknown"):
+        FaultPlan.from_spec("meteor_strike")
