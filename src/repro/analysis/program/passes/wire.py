@@ -1,16 +1,16 @@
-"""R16 — wire-protocol exhaustiveness: encoder/decoder parity per version.
+"""R16 — wire-protocol exhaustiveness: encoder/decoder parity.
 
 The on-disk formats (RPSN snapshots, RPLS label stores, RPWL WAL segments,
 varint label codec) each have a hand-written encoder and decoder.  This pass
-extracts a *token stream* from both sides and proves they agree, per format
-version:
+extracts a *token stream* from both sides and proves they agree at the
+version every writer emits (the module's default version):
 
 * writer tokens come from ``struct.pack(fmt, ...)`` emitted into a buffer
   — ``out.append`` arguments, list initialisers, and the one-buffer idiom
   ``out += struct.pack(...)`` (``fmt``) —,
-  ``write_int``/``_write_int``/``_write_varint``/``write_uvarint`` calls
-  (``INT``), ``_write_string(out, x, W)`` (``STR:W``), ``_write_tree``
-  (``TREE``) and ``codec.encode`` (``LABEL``);
+  ``_write_varint``/``write_uvarint`` calls (``INT``),
+  ``_write_string(out, x, W)`` (``STR:W``), ``_write_tree`` (``TREE``)
+  and ``codec.encode`` (``LABEL``);
 * reader tokens come from ``reader.unpack(fmt)``, ``read_int``/
   ``_read_int``/``_read_varint``/``read_uvarint``, ``reader.string(W)``,
   ``_read_tree`` and ``codec.decode``.  ``reader.take`` and direct
@@ -24,25 +24,26 @@ reader that is missing from its module (renamed without updating
 shape the extractor cannot read).  Two empty streams would otherwise
 compare equal and the pair would pass in silence.
 
-Version dispatch (``if version >= 3: ...``) is resolved symbolically: the
-extractor evaluates comparisons of ``version`` against integer constants
-(module constants like ``_SUPPORTED_VERSIONS`` resolve through the symbol
-table) and walks only the live branch for each candidate version; any other
-condition descends both branches.
+Version dispatch in a reader (``if version >= 3: ...``) is resolved
+symbolically: the extractor evaluates comparisons of ``version`` against
+integer constants (module constants like ``_SUPPORTED_VERSIONS`` resolve
+through the symbol table) and walks only the branch live at the write
+version; any other condition descends both branches.  The legacy read-only
+branches have no writer to agree with; committed legacy files pin them
+instead (``tests/fixtures/legacy``).
 
 On top of stream parity the pass checks the WAL v3 opcode tables (every
 emitted opcode decodable and vice versa, values unique and non-zero, both
 codecs driven by the shared ``_OP_FIELDS`` table), per-module version
-tables (default version supported, newest version is the default), the
-``DurableCollection._FORMAT_VERSIONS`` cross-module map, and the label-kind
-vocabulary shared by ``_kind_of``/``ints_to_label``.
+tables (default version supported, newest version is the default), and
+the label-kind vocabulary shared by ``_kind_of``/``ints_to_label``.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set
 
 from ...context import FileContext
 from ...engine import ProgramRule, register
@@ -51,7 +52,7 @@ from ...findings import Finding
 if TYPE_CHECKING:
     from .. import Program
 
-_INT_WRITERS = {"write_int", "_write_int", "_write_varint", "write_uvarint"}
+_INT_WRITERS = {"_write_varint", "write_uvarint"}
 _INT_READERS = {"read_int", "_read_int", "_read_varint", "read_uvarint"}
 
 
@@ -435,7 +436,6 @@ class WireParityRule(ProgramRule):
                 yield from self._check_wal_tables(ctx, constants)
             if module_name == "repro.labeling.codec":
                 yield from self._check_kind_vocabulary(ctx)
-        yield from self._check_format_map(program)
 
     # -- version tables ------------------------------------------------
 
@@ -479,11 +479,13 @@ class WireParityRule(ProgramRule):
     def _check_pairs(
         self, ctx: FileContext, spec: _ModuleSpec, constants: Dict[str, object]
     ) -> Iterator[Finding]:
-        versions: List[Optional[int]] = [None]
-        if spec.supported_const is not None:
-            supported = constants.get(spec.supported_const)
-            if isinstance(supported, tuple) and supported:
-                versions = [int(v) for v in supported]
+        version: Optional[int] = None
+        if spec.default_const is not None:
+            default = constants.get(spec.default_const)
+            if isinstance(default, int):
+                version = default
+        label = f"version {version}" if version is not None else "all versions"
+        evaluator = _Evaluator(version, constants)
         for pair in spec.pairs:
             writer = _find_function(ctx.tree, pair.writer)
             reader = _find_function(ctx.tree, pair.reader)
@@ -507,54 +509,44 @@ class WireParityRule(ProgramRule):
                     severity=self.severity,
                 )
                 continue
-            silent: List[str] = []
-            for version in versions:
-                label = f"version {version}" if version is not None else "all versions"
-                evaluator = _Evaluator(version, constants)
-                wrote = _StreamExtractor("writer", evaluator).run(writer)
-                if not wrote:
-                    silent.append(label)
-                    continue
-                read = _StreamExtractor("reader", evaluator).run(reader)
-                if wrote == read:
-                    continue
-                index = next(
-                    (
-                        i
-                        for i, (a, b) in enumerate(zip(wrote, read))
-                        if a != b
-                    ),
-                    min(len(wrote), len(read)),
-                )
-                wrote_at = wrote[index] if index < len(wrote) else "<end>"
-                read_at = read[index] if index < len(read) else "<end>"
+            wrote = _StreamExtractor("writer", evaluator).run(writer)
+            if not wrote:
                 yield Finding(
                     rule=self.id,
                     message=(
-                        f"{pair.writer}/{pair.reader} disagree for {label}: "
-                        f"field {index + 1} is {wrote_at!r} on the write side "
-                        f"but {read_at!r} on the read side "
-                        f"(writer emits {len(wrote)} fields, reader consumes "
-                        f"{len(read)})"
+                        f"{pair.writer} yields no field tokens for {label}: "
+                        "R16 cannot read its write shape, so the pair would "
+                        "compare equal in silence"
                     ),
                     path=ctx.rel,
                     line=writer.lineno,
                     column=writer.col_offset,
                     severity=self.severity,
                 )
-            if silent:
-                yield Finding(
-                    rule=self.id,
-                    message=(
-                        f"{pair.writer} yields no field tokens for "
-                        f"{', '.join(silent)}: R16 cannot read its write "
-                        "shape, so the pair would compare equal in silence"
-                    ),
-                    path=ctx.rel,
-                    line=writer.lineno,
-                    column=writer.col_offset,
-                    severity=self.severity,
-                )
+                continue
+            read = _StreamExtractor("reader", evaluator).run(reader)
+            if wrote == read:
+                continue
+            index = next(
+                (i for i, (a, b) in enumerate(zip(wrote, read)) if a != b),
+                min(len(wrote), len(read)),
+            )
+            wrote_at = wrote[index] if index < len(wrote) else "<end>"
+            read_at = read[index] if index < len(read) else "<end>"
+            yield Finding(
+                rule=self.id,
+                message=(
+                    f"{pair.writer}/{pair.reader} disagree for {label}: "
+                    f"field {index + 1} is {wrote_at!r} on the write side "
+                    f"but {read_at!r} on the read side "
+                    f"(writer emits {len(wrote)} fields, reader consumes "
+                    f"{len(read)})"
+                ),
+                path=ctx.rel,
+                line=writer.lineno,
+                column=writer.col_offset,
+                severity=self.severity,
+            )
 
     # -- WAL opcode tables ---------------------------------------------
 
@@ -676,70 +668,3 @@ class WireParityRule(ProgramRule):
                 line=ints_to_label.lineno,
                 severity=self.severity,
             )
-
-    # -- cross-module version map --------------------------------------
-
-    def _check_format_map(self, program: "Program") -> Iterator[Finding]:
-        ctx = program.context_for_module("repro.durable.collection")
-        if ctx is None:
-            return
-        info = program.symbols.modules.get("repro.durable.collection")
-        if info is None or "DurableCollection" not in info.classes:
-            return
-        cls = info.classes["DurableCollection"]
-        assign = None
-        for stmt in cls.node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "_FORMAT_VERSIONS"
-                    ):
-                        assign = stmt
-        if assign is None:
-            return
-        try:
-            format_map = ast.literal_eval(assign.value)
-        except (ValueError, SyntaxError):
-            return
-        if not isinstance(format_map, dict):
-            return
-        snap_info = program.symbols.modules.get("repro.durable.snapshot")
-        wal_info = program.symbols.modules.get("repro.durable.wal")
-        snap_supported = (
-            snap_info.constants.get("_SUPPORTED_VERSIONS") if snap_info else None
-        )
-        wal_supported = (
-            wal_info.constants.get("SUPPORTED_WAL_VERSIONS") if wal_info else None
-        )
-        for collection_version, pair in sorted(format_map.items()):
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                continue
-            snap_version, wal_version = pair
-            if (
-                isinstance(snap_supported, tuple)
-                and snap_version not in snap_supported
-            ):
-                yield Finding(
-                    rule=self.id,
-                    message=(
-                        f"_FORMAT_VERSIONS[{collection_version}] pins "
-                        f"snapshot version {snap_version}, which "
-                        "repro.durable.snapshot does not support"
-                    ),
-                    path=ctx.rel,
-                    line=assign.lineno,
-                    severity=self.severity,
-                )
-            if isinstance(wal_supported, tuple) and wal_version not in wal_supported:
-                yield Finding(
-                    rule=self.id,
-                    message=(
-                        f"_FORMAT_VERSIONS[{collection_version}] pins WAL "
-                        f"version {wal_version}, which repro.durable.wal "
-                        "does not support"
-                    ),
-                    path=ctx.rel,
-                    line=assign.lineno,
-                    severity=self.severity,
-                )

@@ -12,9 +12,14 @@ format-v3 generation:
 * whether both formats recover to the same fingerprint (they must — the
   encodings differ, the state must not).
 
-Both rows run the exact same seeded workload, so every delta is the
-encoding's and nothing else's.  Every column is a count, so the table
-depends on its seed alone.
+The v3 row runs the seeded workload live.  No code writes the legacy
+formats any more, so the v2 row reads files recorded once by the last
+legacy writer running the same workload at the default arguments
+(``legacy_v2/``: the collection directory as the run left it, plus
+``final.rpsn``, the post-workload state as a v2 snapshot).  Every column
+is a count, so the table depends on its seed alone; with other arguments
+the recorded row no longer matches and says so (``identical NO`` and a
+WARNING).
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from repro.obs import metrics
 
 __all__ = ["compaction_table"]
 
-#: (row label, DurableCollection format_version) per exhibit row.
-_FORMATS = (("v2 (legacy)", 2), ("v3 (varint)", 3))
+#: The recorded format-2 run: ``snap-00000001.rpsn`` (v2), ``wal.log`` (v1
+#: payloads), ``CURRENT`` and ``final.rpsn`` (v2, post-workload).
+LEGACY_V2 = Path(__file__).with_name("legacy_v2")
 
 
 def compaction_table(
@@ -45,7 +51,8 @@ def compaction_table(
     # pulls this package in for ResultTable.
     from repro.datasets.shakespeare import play
     from repro.durable import DurableCollection, collection_fingerprint, recover
-    from repro.durable.snapshot import snapshot_bytes
+    from repro.durable.snapshot import read_snapshot, restore_collection, snapshot_bytes
+    from repro.durable.wal import WAL_HEADER, scan_wal
 
     table = ResultTable(
         title=f"Format-v3 compaction ({operations} updates on a "
@@ -61,43 +68,53 @@ def compaction_table(
         note="'identical' compares each recovery to its own pre-crash "
         "fingerprint; both rows must also recover to the same state.",
     )
-    fingerprints = []
-    for label, format_version in _FORMATS:
-        workdir = Path(tempfile.mkdtemp(prefix="repro-compaction-"))
-        try:
-            with metrics.collecting() as registry:
-                collection = DurableCollection.create(
-                    workdir / "col",
-                    [play(seed=seed, acts=1, node_budget=node_budget)],
-                    fsync="never",
-                    format_version=format_version,
-                )
-                run_workload(collection, seed=seed, operations=operations)
-                fingerprint = collection_fingerprint(collection.live)
-                snapshot_kib = len(
-                    snapshot_bytes(
-                        collection.live,
-                        version=collection.snapshot_version,
-                    )
-                ) / 1024.0
-                # Simulate the crash: sync, then abandon without closing.
-                collection.wal.sync()
-                counters = registry.snapshot()["counters"]
-            recovered = recover(workdir / "col")
-            identical = collection_fingerprint(recovered.collection) == fingerprint
-            fingerprints.append(fingerprint)
-            wal_bytes = counters.get("wal.append_bytes", 0)
-            appends = counters.get("wal.appends", 0) or 1
-            table.add_row(
-                label,
-                round(snapshot_kib, 1),
-                round(wal_bytes / 1024.0, 1),
-                round(wal_bytes / appends, 1),
-                recovered.info.replayed_records,
-                "yes" if identical else "NO",
+    workdir = Path(tempfile.mkdtemp(prefix="repro-compaction-"))
+    try:
+        with metrics.collecting() as registry:
+            collection = DurableCollection.create(
+                workdir / "col",
+                [play(seed=seed, acts=1, node_budget=node_budget)],
+                fsync="never",
             )
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-    if len(set(fingerprints)) != 1:
+            run_workload(collection, seed=seed, operations=operations)
+            fingerprint = collection_fingerprint(collection.live)
+            snapshot_kib = len(snapshot_bytes(collection.live)) / 1024.0
+            # Simulate the crash: sync, then abandon without closing.
+            collection.wal.sync()
+            counters = registry.snapshot()["counters"]
+        recovered = recover(workdir / "col")
+        identical = collection_fingerprint(recovered.collection) == fingerprint
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    wal_bytes = counters.get("wal.append_bytes", 0)
+    appends = counters.get("wal.appends", 0) or 1
+
+    # The v2 row: recover() only reads the recorded directory.
+    legacy = recover(LEGACY_V2)
+    final = restore_collection(read_snapshot(LEGACY_V2 / "final.rpsn"))
+    legacy_fingerprints = {
+        collection_fingerprint(legacy.collection),
+        collection_fingerprint(final),
+    }
+    legacy_wal = LEGACY_V2 / "wal.log"
+    legacy_bytes = legacy_wal.stat().st_size - len(WAL_HEADER)
+    legacy_records = len(scan_wal(legacy_wal).records) or 1
+    table.add_row(
+        "v2 (legacy)",
+        round((LEGACY_V2 / "final.rpsn").stat().st_size / 1024.0, 1),
+        round(legacy_bytes / 1024.0, 1),
+        round(legacy_bytes / legacy_records, 1),
+        legacy.info.replayed_records,
+        "yes" if legacy_fingerprints == {fingerprint} else "NO",
+    )
+    table.add_row(
+        "v3 (varint)",
+        round(snapshot_kib, 1),
+        round(wal_bytes / 1024.0, 1),
+        round(wal_bytes / appends, 1),
+        recovered.info.replayed_records,
+        "yes" if identical else "NO",
+    )
+    if legacy_fingerprints != {fingerprint}:
         table.note += "  WARNING: formats diverged — same workload, different state!"
     return table

@@ -85,12 +85,6 @@ __all__ = ["DurableCollection"]
 #: cost; the recovery protocol works unchanged for any retention depth.
 RETAINED_GENERATIONS = 2
 
-#: Collection format generation -> (snapshot version, WAL version).
-#: Format 3 is the current default (varint snapshots, binary WAL
-#: payloads); format 2 pins the legacy encodings and exists for
-#: compatibility tests and the before/after compaction benchmarks.
-_FORMAT_VERSIONS = {2: (2, 1), 3: (3, 3)}
-
 
 class DurableCollection(NodeMutations):
     """A live collection whose every update survives process death."""
@@ -102,15 +96,12 @@ class DurableCollection(NodeMutations):
         wal: WriteAheadLog,
         last_seq: int,
         faults: Optional[FaultPlan] = None,
-        snapshot_version: int = 3,
     ):
         self.directory = directory
         self.live = live
         self.wal = wal
         self.last_seq = last_seq
         self.faults = faults
-        #: Snapshot format every checkpoint of this instance writes.
-        self.snapshot_version = snapshot_version
         #: Recovery report from :meth:`open`; ``None`` for fresh collections.
         self.last_recovery: Optional[RecoveryInfo] = None
         self._closed = False
@@ -128,21 +119,13 @@ class DurableCollection(NodeMutations):
         strategy: str = "scan",
         fsync: "str | FsyncPolicy" = "always",
         faults: Optional[FaultPlan] = None,
-        format_version: int = 3,
     ) -> "DurableCollection":
         """Initialise a fresh durable collection in ``directory``.
 
         Writes snapshot generation 1 (the empty-WAL base state) and opens
         the log.  Refuses a directory that already holds a collection —
-        use :meth:`open` for that.  ``format_version`` picks the on-disk
-        generation: 3 (default) writes varint snapshots and binary WAL
-        payloads, 2 the legacy fixed/JSON encodings.
+        use :meth:`open` for that.
         """
-        if format_version not in _FORMAT_VERSIONS:
-            raise DurabilityError(
-                f"unknown collection format version {format_version}"
-            )
-        snapshot_version, wal_version = _FORMAT_VERSIONS[format_version]
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if list_generations(directory) or (directory / WAL_NAME).exists():
@@ -151,25 +134,10 @@ class DurableCollection(NodeMutations):
                 "open() it instead of create()"
             )
         live = LiveCollection(documents, group_size=group_size, strategy=strategy)
-        write_snapshot(
-            live,
-            snapshot_path(directory, 1),
-            last_seq=0,
-            faults=faults,
-            version=snapshot_version,
-        )
+        write_snapshot(live, snapshot_path(directory, 1), last_seq=0, faults=faults)
         write_pointer(directory, generation=1, last_seq=0)
-        wal = WriteAheadLog(
-            directory / WAL_NAME, fsync=fsync, faults=faults, version=wal_version
-        )
-        return cls(
-            directory,
-            live,
-            wal,
-            last_seq=0,
-            faults=faults,
-            snapshot_version=snapshot_version,
-        )
+        wal = WriteAheadLog(directory / WAL_NAME, fsync=fsync, faults=faults)
+        return cls(directory, live, wal, last_seq=0, faults=faults)
 
     @classmethod
     def open(
@@ -182,9 +150,10 @@ class DurableCollection(NodeMutations):
         """Recover the collection in ``directory`` and resume appending.
 
         Runs the full recovery protocol (snapshot + WAL replay + audit +
-        generation fallback), truncates any torn WAL tail, and advances
-        the log past every sequence number the recovered state already
-        covers.  The recovery report is kept on ``last_recovery``.
+        generation fallback), truncates any torn WAL tail, rewrites a
+        legacy (version-1) WAL at version 3, and advances the log past
+        every sequence number the recovered state already covers.  The
+        recovery report is kept on ``last_recovery``.
         """
         directory = Path(directory)
         recovered = recover(directory, verify=verify)
@@ -460,7 +429,6 @@ class DurableCollection(NodeMutations):
                 snapshot_path(self.directory, generation),
                 last_seq=self.last_seq,
                 faults=self.faults,
-                version=self.snapshot_version,
             )
             # Publish the pointer before deleting stale generations, so an
             # external bootstrapper that reads it never chases a file this

@@ -31,21 +31,19 @@ arbitrary-precision integers and a CRC32 footer over the whole body::
                         int max_prime ×(int modulus, int residue)
     footer   4 bytes CRC32 of everything above
 
-where ``int`` is, in versions 1–2, a 2-byte length + big-endian magnitude
-(labels are products of primes and routinely exceed machine words) and,
-in version 3, the LEB128 varint of :func:`repro.labeling.codec.write_uvarint`.
-The legacy length prefix caps one integer at 64 KiB of magnitude — the v1/v2
-writer now rejects larger values with a typed
-:class:`~repro.errors.SnapshotCorruptError` instead of leaking a bare
-``struct.error``; the varint encoding removes the limit (up to the codec's
-anti-flood bound).  Version 3 additionally appends, per document, the
-Opt2 leaf-allocation counters of
+where ``int`` is the LEB128 varint of
+:func:`repro.labeling.codec.write_uvarint` (labels are products of primes
+and routinely exceed machine words).  Each document also carries the Opt2
+leaf-allocation counters of
 :meth:`repro.labeling.prime.PrimeScheme.export_state`::
 
     leaf     4B entry count ×(varint parent_value, varint next_index)
 
 so a restored scheme resumes power-of-two leaf issuance exactly where the
-snapshotted one stood.  Readers accept versions 1–3; writers default to 3.
+snapshotted one stood.  That is version 3, the only layout any code
+writes.  Readers still accept versions 1–2, whose ``int`` is a 2-byte
+length + big-endian magnitude and which carry no leaf section (their
+schemes restore with empty counters).
 
 Writes are atomic: the blob goes to ``<name>.tmp``, is fsynced, and is
 ``os.replace``d over the final name — a crash mid-snapshot leaves the
@@ -79,6 +77,7 @@ from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
 from repro.order.sc_table import SCTable
+from repro.primes.gen import PrimeGenerator
 from repro.query.engine import upgrade_strategy
 from repro.query.live import LiveCollection
 from repro.query.persist import _Reader
@@ -93,12 +92,10 @@ __all__ = [
 ]
 
 _MAGIC = b"RPSN"
+#: The version every snapshot is written at.
 _VERSION = 3
-#: Versions whose integers use the legacy 2-byte-length encoding and which
-#: carry no leaf-counter section.  Layout-identical; the version byte split
-#: exists so files written before and after the CRC-era conventions read
-#: the same way.
-_LEGACY_VERSIONS = (1, 2)
+#: Versions :func:`read_snapshot` decodes; 1 and 2 (2-byte-length integers,
+#: no leaf section) are read-only.
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _NO_GROUP_SIZE = 0xFFFFFFFF
 
@@ -130,30 +127,14 @@ class SnapshotState:
 
 
 # ----------------------------------------------------------------------
-# Encoding helpers: every field is appended to one bytearray.  Legacy
-# (v1/v2) int = 2B length + big-endian magnitude; v3 int = LEB128 varint.
+# Encoding helpers: every field is appended to one bytearray.  Integers
+# are LEB128 varints; legacy (v1/v2) files read 2B length + magnitude.
 # ----------------------------------------------------------------------
 
 
 def _write_string(out: bytearray, text: str, width: str) -> None:
     data = text.encode("utf-8")
     out += struct.pack(width, len(data))
-    out += data
-
-
-def _write_int(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise SnapshotCorruptError(f"cannot encode negative integer {value}")
-    data = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-    if len(data) > 0xFFFF:
-        # The 2-byte length prefix tops out at 64 KiB of magnitude; without
-        # this guard the struct.pack below escapes as a bare struct.error
-        # from deep inside the write path.  Format v3 has no such ceiling.
-        raise SnapshotCorruptError(
-            f"integer of {len(data)} bytes exceeds the legacy snapshot "
-            "encoding's 65535-byte field limit; write format v3 instead"
-        )
-    out += struct.pack(">H", len(data))
     out += data
 
 
@@ -219,15 +200,10 @@ def _read_tree(reader: _Reader) -> XmlElement:
 # ----------------------------------------------------------------------
 
 
-def _encode_snapshot(
-    collection: LiveCollection, last_seq: int, version: int
-) -> bytearray:
+def _encode_snapshot(collection: LiveCollection, last_seq: int) -> bytearray:
     """The whole snapshot, footer included, in one buffer."""
-    if version not in _SUPPORTED_VERSIONS:
-        raise SnapshotCorruptError(f"cannot write snapshot version {version}")
-    write_int = _write_varint if version >= 3 else _write_int
     out = bytearray(_MAGIC)
-    out += struct.pack(">B", version)
+    out += struct.pack(">B", _VERSION)
     out += struct.pack(">QQ", last_seq, collection.total_update_cost)
     group_size = collection.group_size
     out += struct.pack(">I", _NO_GROUP_SIZE if group_size is None else group_size)
@@ -241,40 +217,33 @@ def _encode_snapshot(
         out += struct.pack(">I", len(nodes))
         for node in nodes:
             label: PrimeLabel = document.label_of(node)
-            write_int(out, label.value)
-            write_int(out, label.self_label)
+            _write_varint(out, label.value)
+            _write_varint(out, label.self_label)
         groups = document.sc_table.groups()
         out += struct.pack(">I", len(groups))
         for max_prime, members in groups:
             out += struct.pack(">I", len(members))
-            write_int(out, max_prime)
+            _write_varint(out, max_prime)
             for modulus, residue in members:
-                write_int(out, modulus)
-                write_int(out, residue)
-        if version >= 3:
-            _, leaf_counters = document.scheme.export_state()
-            out += struct.pack(">I", len(leaf_counters))
-            for parent_value, next_index in leaf_counters:
-                write_int(out, parent_value)
-                write_int(out, next_index)
+                _write_varint(out, modulus)
+                _write_varint(out, residue)
+        _, leaf_counters = document.scheme.export_state()
+        out += struct.pack(">I", len(leaf_counters))
+        for parent_value, next_index in leaf_counters:
+            _write_varint(out, parent_value)
+            _write_varint(out, next_index)
     out += struct.pack(">I", zlib.crc32(out))
     return out
 
 
-def snapshot_bytes(
-    collection: LiveCollection, last_seq: int = 0, version: int = _VERSION
-) -> bytes:
-    """Encode ``collection`` as a complete snapshot blob (footer included).
+def snapshot_bytes(collection: LiveCollection, last_seq: int = 0) -> bytes:
+    """Encode ``collection`` as a complete version-3 snapshot blob.
 
-    ``version`` defaults to the current format (3: varint integers plus
-    the Opt2 leaf-counter section); 1 and 2 write the legacy layout and
-    are kept for compatibility tests.  One writer serves all three: the
-    versions differ only in the integer helper and the v3 leaf section.
     Every field is appended to a single ``bytearray`` in one iterative
     preorder walk per tree, so the transient cost is about the blob's own
     size and no document depth is too deep to write.
     """
-    return bytes(_encode_snapshot(collection, last_seq, version))
+    return bytes(_encode_snapshot(collection, last_seq))
 
 
 def write_snapshot(
@@ -282,17 +251,15 @@ def write_snapshot(
     path: str | Path,
     last_seq: int = 0,
     faults: Optional[FaultPlan] = None,
-    version: int = _VERSION,
 ) -> int:
     """Atomically write a snapshot of ``collection``; returns bytes written.
 
     ``last_seq`` is the WAL sequence number of the last operation already
     reflected in the collection — recovery replays strictly after it.
-    ``version`` selects the snapshot format (see :func:`snapshot_bytes`).
     """
     with metrics.timed("snapshot.write"):
         path = Path(path)
-        blob = _encode_snapshot(collection, last_seq, version)
+        blob = _encode_snapshot(collection, last_seq)
         if faults is not None:
             # The hook fires before the temp file is opened, so an
             # injected failure (or stall) is always retry-safe.
@@ -419,6 +386,9 @@ def restore_collection(state: SnapshotState) -> LiveCollection:
                         f"snapshot holds {len(doc_state.labels)} labels for "
                         f"{len(nodes)} nodes"
                     )
+                # Validate before the constructor sieves reserved_limit
+                # primes: a corrupt state must fail typed, not exhaust memory.
+                PrimeGenerator.check_state(doc_state.generator_state)
                 scheme = PrimeScheme(
                     reserved_primes=doc_state.generator_state[0],
                     power2_leaves=False,
@@ -456,4 +426,4 @@ def collection_fingerprint(collection: LiveCollection) -> str:
     SHA-256 of the canonical snapshot encoding at ``last_seq=0`` (the
     sequence number is bookkeeping, not state).
     """
-    return hashlib.sha256(_encode_snapshot(collection, 0, _VERSION)).hexdigest()
+    return hashlib.sha256(_encode_snapshot(collection, 0)).hexdigest()

@@ -17,17 +17,18 @@ File layout (all integers big-endian)::
              len bytes payload — one encoded operation
 
 The record framing (seq/len/crc) is identical in every version; the
-header's version byte selects only the *payload* encoding:
+header's version byte selects only the *payload* encoding.  Every log is
+written at version 3, the compact binary operation codec: 1 opcode byte,
+then the operation's fields as LEB128 varints (ints) and
+varint-length-prefixed UTF-8 (strings).  Batch records nest their
+sub-operations with the same grammar; opcode 0 is a varint-length-prefixed
+JSON fallback for shapes the binary codec does not know, so no payload is
+ever unrepresentable.
 
-* version 1 — canonical JSON (sorted keys, no whitespace),
-* version 3 — the compact binary operation codec: 1 opcode byte, then the
-  operation's fields as LEB128 varints (ints) and varint-length-prefixed
-  UTF-8 (strings).  Batch records nest their sub-operations with the same
-  grammar; opcode 0 is a varint-length-prefixed JSON fallback for shapes
-  the binary codec does not know, so no payload is ever unrepresentable.
-
-Fresh logs are written at version 3; appending to an existing log always
-keeps the version its header declares, and readers accept both.
+Version 1 (canonical-JSON payloads) is read-only: the scanners still
+decode it, and :class:`WriteAheadLog` rewrites a version-1 log at version
+3 (same sequence numbers, same operations) when it opens one, so appends
+never mix encodings.
 
 Sequence numbers are assigned by the log and never reused; a snapshot
 records the last sequence it covers, so the replay suffix is "every
@@ -91,7 +92,6 @@ __all__ = [
     "scan_records",
     "scan_wal",
     "scan_wal_from",
-    "wal_header",
 ]
 
 
@@ -106,11 +106,11 @@ def batch_record(ops: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {"op": "batch", "count": len(ops), "ops": list(ops)}
 
 _MAGIC = b"RPWL"
-#: The version fresh logs are created at (binary payloads).
+#: The version every log is written at (binary payloads).
 _DEFAULT_VERSION = 3
-#: Versions this scanner can read: 1 (JSON payloads) and 3 (binary
-#: payloads; 3 to match the repo-wide format-v3 generation of the RPLS
-#: store and RPSN snapshot).
+#: Versions this scanner can read: 1 (JSON payloads, read-only) and 3
+#: (binary payloads; 3 to match the repo-wide format-v3 generation of the
+#: RPLS store and RPSN snapshot).
 SUPPORTED_WAL_VERSIONS = (1, 3)
 _HEADER_LEN = 5
 #: The 4 magic bytes every log starts with — public so transports that
@@ -118,18 +118,9 @@ _HEADER_LEN = 5
 #: importing scanner internals; the fifth header byte is the version,
 #: checked against :data:`SUPPORTED_WAL_VERSIONS`.
 WAL_MAGIC = _MAGIC
-#: The exact 5 header bytes of a *version-1* log, kept for callers that
-#: predate multi-version headers; new code should use :func:`wal_header`
-#: or validate magic and version separately.
-WAL_HEADER = _MAGIC + bytes([1])
+#: The 5 header bytes (magic ‖ version) every log is written with.
+WAL_HEADER = _MAGIC + bytes([_DEFAULT_VERSION])
 _RECORD_HEADER = struct.Struct(">QII")  # seq, payload length, crc32
-
-
-def wal_header(version: int = _DEFAULT_VERSION) -> bytes:
-    """The 5 header bytes of a log at ``version`` (magic ‖ version)."""
-    if version not in SUPPORTED_WAL_VERSIONS:
-        raise DurabilityError(f"unsupported WAL version {version}")
-    return _MAGIC + bytes([version])
 #: Upper bound on one payload — anything larger is treated as corruption
 #: (a flipped length byte must not make the scanner swallow the file).
 _MAX_PAYLOAD = 64 * 1024 * 1024
@@ -218,7 +209,7 @@ class WalScan:
 
 
 # ----------------------------------------------------------------------
-# Payload codecs: v1 = canonical JSON, v3 = binary opcode + varints
+# Payload codecs: v3 = binary opcode + varints; v1 (read-only) = JSON
 # ----------------------------------------------------------------------
 
 _OPCODES = {
@@ -335,14 +326,16 @@ def _decode_op_v3(payload: bytes, offset: int, depth: int = 0):
     return op, offset
 
 
-def _encode_payload(op: Dict[str, Any], version: int = 1) -> bytes:
-    if version >= 3:
-        out = bytearray()
-        _encode_op_v3(op, out)
-        return bytes(out)
-    # Canonical JSON: sorted keys, no whitespace — byte-stable across runs
-    # so fingerprints of equivalent logs agree.
-    return json.dumps(op, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _encode_payload(op: Dict[str, Any]) -> bytes:
+    out = bytearray()
+    _encode_op_v3(op, out)
+    return bytes(out)
+
+
+def _frame(seq: int, payload: bytes) -> bytes:
+    """One complete record: seq ‖ len ‖ crc ‖ payload."""
+    crc = zlib.crc32(header_prefix(seq, payload))
+    return _RECORD_HEADER.pack(seq, len(payload), crc) + payload
 
 
 def _decode_payload(payload: bytes, version: int) -> Dict[str, Any]:
@@ -359,7 +352,7 @@ def _decode_payload(payload: bytes, version: int) -> Dict[str, Any]:
 
 
 def _scan_suffix(
-    buffer: bytes, base: int, total: int, expected_seq: Optional[int], version: int = 1
+    buffer: bytes, base: int, total: int, expected_seq: Optional[int], version: int
 ) -> WalScan:
     """Decode records from ``buffer``, whose first byte sits at file
     offset ``base``; ``total`` is the file's full size.  Shared by the
@@ -409,8 +402,8 @@ def scan_records(
     buffer: bytes,
     base: int,
     total: int,
-    expected_seq: Optional[int] = None,
-    version: int = 1,
+    expected_seq: Optional[int],
+    version: int,
 ) -> WalScan:
     """Decode shipped WAL bytes that are *not* on a local filesystem.
 
@@ -502,11 +495,10 @@ class WriteAheadLog:
     """The append half of the log (reading goes through :func:`scan_wal`).
 
     Opening an existing log scans it, truncates any torn tail in place,
-    and resumes sequence numbering after the last valid record.  An
-    existing log also fixes the payload format: appended records must be
-    decodable by the version its header declares, so :attr:`version`
-    follows the file and the ``version`` argument only applies to logs
-    created fresh (default: version 3, binary payloads).
+    and resumes sequence numbering after the last valid record.  A log
+    whose header declares a legacy payload version is rewritten at
+    version 3 first (same sequence numbers, same operations), so every
+    append encodes one way.
     """
 
     def __init__(
@@ -514,10 +506,7 @@ class WriteAheadLog:
         path: str | Path,
         fsync: "str | FsyncPolicy" = "always",
         faults: Optional[FaultPlan] = None,
-        version: Optional[int] = None,
     ):
-        if version is not None and version not in SUPPORTED_WAL_VERSIONS:
-            raise DurabilityError(f"unsupported WAL version {version}")
         self.path = Path(path)
         self.policy = FsyncPolicy.parse(fsync)
         self.faults = faults
@@ -529,16 +518,13 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
             metrics.incr("wal.torn_tail_truncations")
             metrics.incr("wal.torn_tail_bytes", scan.torn_bytes)
-        fresh = scan.valid_bytes == 0
-        #: Payload-format version every append encodes with.
-        self.version = (
-            (version if version is not None else _DEFAULT_VERSION)
-            if fresh
-            else scan.version
-        )
+        if scan.valid_bytes and scan.version != _DEFAULT_VERSION:
+            # Appends encode at v3, so the legacy records are re-encoded
+            # first: one log, one payload encoding.
+            _rewrite(self.path, scan.records)
         self._handle = open(self.path, "ab")
-        if fresh:
-            self._handle.write(wal_header(self.version))
+        if scan.valid_bytes == 0:
+            self._handle.write(WAL_HEADER)
             self._handle.flush()
             os.fsync(self._handle.fileno())
         self._next_seq = scan.last_seq + 1
@@ -574,12 +560,8 @@ class WriteAheadLog:
         if self._closed:
             raise WalCorruptError("write-ahead log is closed")
         with metrics.timed("wal.append"):
-            payload = _encode_payload(op, self.version)
             seq = self._next_seq
-            header = _RECORD_HEADER.pack(
-                seq, len(payload), zlib.crc32(header_prefix(seq, payload))
-            )
-            blob = header + payload
+            blob = _frame(seq, _encode_payload(op))
             start = self._handle.tell()
             try:
                 faults = self.faults
@@ -706,7 +688,7 @@ class WriteAheadLog:
             metrics.incr("wal.torn_tail_bytes", scan.torn_bytes)
         self._handle = open(self.path, "ab")
         if scan.valid_bytes == 0:
-            self._handle.write(wal_header(self.version))
+            self._handle.write(WAL_HEADER)
             self._handle.flush()
             os.fsync(self._handle.fileno())
         # Chain strictly after the last surviving record: a gap would make
@@ -741,7 +723,7 @@ class WriteAheadLog:
             )
         self._handle.close()
         with open(self.path, "wb") as handle:
-            handle.write(wal_header(self.version))
+            handle.write(WAL_HEADER)
             handle.flush()
             os.fsync(handle.fileno())
         self._handle = open(self.path, "ab")
@@ -754,34 +736,16 @@ class WriteAheadLog:
 
         Called after a checkpoint: records already covered by the oldest
         *retained* snapshot generation can never be replayed again.  The
-        log is rewritten to a temp file and atomically renamed, so a crash
-        mid-prune leaves either the old or the new log — never a hybrid.
+        log is rewritten by :func:`_rewrite`, so a crash mid-prune leaves
+        either the old or the new log — never a hybrid.
         """
         scan = scan_wal(self.path)
         kept = [record for record in scan.records if record.seq > keep_after_seq]
         if len(kept) == len(scan.records):
             return 0
-        out = [wal_header(self.version)]
-        for record in kept:
-            payload = _encode_payload(record.op, self.version)
-            out.append(
-                _RECORD_HEADER.pack(
-                    record.seq,
-                    len(payload),
-                    zlib.crc32(header_prefix(record.seq, payload)),
-                )
-                + payload
-            )
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        blob = b"".join(out)
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
+        freed = scan.valid_bytes - _rewrite(self.path, kept)
         self._handle.close()
-        os.replace(tmp, self.path)
         self._handle = open(self.path, "ab")
-        freed = scan.valid_bytes - len(blob)
         metrics.incr("wal.pruned_records", len(scan.records) - len(kept))
         metrics.incr("wal.pruned_bytes", freed)
         return freed
@@ -865,6 +829,25 @@ class WalReader:
         suffix appended since this reader last looked (0 for empty)."""
         self.poll()
         return self._last_seq
+
+
+def _rewrite(path: Path, records: List[WalRecord]) -> int:
+    """Atomically replace the log at ``path`` with ``records``; returns its size.
+
+    The records are re-encoded at version 3 into a temp file that is
+    fsynced and ``os.replace``d over the log, so a crash mid-rewrite leaves
+    either the old or the new log — never a hybrid.
+    """
+    blob = bytearray(WAL_HEADER)
+    for record in records:
+        blob += _frame(record.seq, _encode_payload(record.op))
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(blob)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    return len(blob)
 
 
 def header_prefix(seq: int, payload: bytes) -> bytes:

@@ -142,6 +142,23 @@ class PrimeGenerator:
             self._issued,
         )
 
+    @staticmethod
+    def check_state(state: Tuple[int, int, int, int]) -> None:
+        """Raise ``ValueError`` unless :meth:`state` could have returned ``state``.
+
+        Every issuance keeps ``issued == next_reserved + (next_general -
+        reserved_limit)``.  Checking that identity before anything sizes
+        the prime table matters for decoded snapshots: one flipped bit in
+        ``reserved_limit`` or ``next_general`` would otherwise ask the
+        sieve for up to 2**31 primes before the state is rejected.
+        """
+        reserved_limit, next_reserved, next_general, issued = state
+        if not (
+            0 <= next_reserved <= reserved_limit <= next_general
+            and issued == next_reserved + next_general - reserved_limit
+        ):
+            raise ValueError(f"inconsistent generator state {state}")
+
     @classmethod
     def from_state(cls, state: Tuple[int, int, int, int]) -> "PrimeGenerator":
         """Rebuild a generator that continues exactly where ``state`` left off.
@@ -150,9 +167,8 @@ class PrimeGenerator:
         the same primes the original would have — the property crash
         recovery relies on to replay updates byte-identically.
         """
+        cls.check_state(state)
         reserved_limit, next_reserved, next_general, issued = state
-        if not 0 <= next_reserved <= reserved_limit <= next_general:
-            raise ValueError(f"inconsistent generator state {state}")
         generator = cls(reserved=reserved_limit)
         generator._next_reserved_index = next_reserved
         generator._next_general_index = next_general

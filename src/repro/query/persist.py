@@ -20,16 +20,14 @@ File layout (all integers big-endian)::
               2B text length + UTF-8 text (the value column)
     footer  4 bytes CRC32 of everything above      (version >= 2 only)
 
-Version 2 adds the CRC32 footer so a silently truncated or bit-flipped
-file is rejected outright instead of being decoded into plausible-looking
-garbage; version-1 files (no footer) are still readable.
-
-Version 3 replaces the fixed-width label column with the self-delimiting
-varint records of :class:`repro.labeling.codec.VarintCodec` (and drops the
-now-meaningless ``widths`` header field): every label pays for its own
-bits instead of the document's widest, which is what shrinks prime-label
-columns whose sizes span orders of magnitude.  Readers dispatch on the
-version byte; versions 1 and 2 stay loadable, writers default to 3.
+:func:`save_store` writes version 3 only: labels are the self-delimiting
+varint records of :class:`repro.labeling.codec.VarintCodec`, so every
+label pays for its own bits instead of the document's widest, which is
+what shrinks prime-label columns whose sizes span orders of magnitude.
+:func:`load_store` also reads the older files: version 2 stores labels in
+the paper's fixed-width column (:class:`~repro.labeling.codec.FixedWidthCodec`,
+sized by the ``widths`` header), and version 1 is version 2 without the
+CRC footer.
 
 Loading rebuilds a fully queryable store.  The ``node`` back-references of
 a loaded store are *placeholder* elements (tag only) — queries never touch
@@ -44,7 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.errors import LabelingError, QueryEvaluationError
-from repro.labeling.codec import FixedWidthCodec, VarintCodec, label_to_ints
+from repro.labeling.codec import FixedWidthCodec, VarintCodec
 from repro.order.sc_table import SCTable
 from repro.query.store import (
     ElementRow,
@@ -59,7 +57,9 @@ from repro.xmlkit.tree import XmlElement
 __all__ = ["save_store", "load_store"]
 
 _MAGIC = b"RPLS"
+#: The version every store is written at.
 _VERSION = 3
+#: Versions :func:`load_store` decodes; 1 and 2 are read-only.
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _NO_PARENT = 0xFFFFFFFF
 
@@ -102,34 +102,12 @@ def _scheme_name(ops: StoreOps) -> str:
     raise QueryEvaluationError(f"cannot persist ops of type {type(ops).__name__}")
 
 
-def save_store(store: LabelStore, path: str | Path, version: int = _VERSION) -> int:
-    """Write ``store`` to ``path``; returns the number of bytes written.
-
-    ``version`` defaults to the current format (3: varint labels,
-    CRC-protected).  Passing ``2`` writes fixed-width labels with the CRC
-    footer and ``1`` the legacy footer-less layout — both kept for
-    compatibility tests and for producing files older readers accept.
-    """
-    if version not in _SUPPORTED_VERSIONS:
-        raise QueryEvaluationError(f"cannot write label store version {version}")
+def save_store(store: LabelStore, path: str | Path) -> int:
+    """Write ``store`` to ``path`` as a version-3 file; returns its size."""
     scheme = _scheme_name(store.ops)
     kind = _KIND_BY_SCHEME[scheme]
     rows = store.rows  # per document in preorder: the order loads rebuild
-    codec: FixedWidthCodec | VarintCodec
-    if version >= 3:
-        codec = VarintCodec(kind)
-    else:
-        field_count = max(
-            (len(label_to_ints(row.label)) for row in rows), default=1
-        )
-        field_count = max(field_count, 1)
-        widest = max(
-            (part for row in rows for part in label_to_ints(row.label)),
-            default=0,
-        )
-        codec = FixedWidthCodec(
-            kind, field_count, max((widest.bit_length() + 7) // 8, 1)
-        )
+    codec = VarintCodec(kind)
 
     tags: List[str] = []
     tag_index: Dict[str, int] = {}
@@ -138,11 +116,9 @@ def save_store(store: LabelStore, path: str | Path, version: int = _VERSION) -> 
             tag_index[row.tag] = len(tags)
             tags.append(row.tag)
 
-    out: List[bytes] = [_MAGIC, struct.pack(">B", version)]
+    out: List[bytes] = [_MAGIC, struct.pack(">B", _VERSION)]
     _write_string(out, scheme, ">B")
     _write_string(out, kind, ">B")
-    if version < 3:
-        out.append(struct.pack(">HH", codec.field_count, codec.field_bytes))
     out.append(struct.pack(">I", len(tags)))
     for tag in tags:
         _write_string(out, tag, ">H")
@@ -157,8 +133,7 @@ def save_store(store: LabelStore, path: str | Path, version: int = _VERSION) -> 
         out.append(codec.encode(row.label))
         _write_string(out, row.text, ">H")
     blob = b"".join(out)
-    if version >= 2:
-        blob += struct.pack(">I", zlib.crc32(blob))
+    blob += struct.pack(">I", zlib.crc32(blob))
     Path(path).write_bytes(blob)
     return len(blob)
 

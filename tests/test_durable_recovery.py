@@ -9,8 +9,13 @@ crash at **every** record boundary of a 200+-operation randomized
 workload — plus the corruption-fallback half of the protocol.
 """
 
+import json
 import os
 import random
+import shutil
+import struct
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +26,8 @@ from repro.durable import (
     collection_fingerprint,
     recover,
 )
-from repro.durable.recovery import apply_operation, snapshot_path
+from repro.durable.recovery import WAL_NAME, apply_operation, snapshot_path
+from repro.durable.wal import header_prefix, scan_wal
 from repro.durable.faults import flip_bit, truncate_file
 from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.query.live import LiveCollection
@@ -332,16 +338,27 @@ class TestMalformedRecordFields:
     ):
         # format 2 logs v1 JSON payloads; format 3 logs binary payloads,
         # with the JSON fallback (opcode 0) for shapes it cannot encode.
-        collection = DurableCollection.create(
-            tmp_path / "col",
-            [parse_document(BASE_DOC)],
-            fsync="never",
-            format_version=format_version,
-        )
-        collection.insert_child(collection.documents[0], 0, tag="ok")
-        collection.checkpoint()
-        collection.wal.append(record)
-        collection.close()
+        if format_version == 2:
+            # Recorded by the last format-2 writer: BASE_DOC, fsync="never",
+            # insert_child(root, 0, tag="ok"), checkpoint(), close().  The
+            # bad record is framed by hand as a v1 (canonical JSON) one.
+            legacy = Path(__file__).parent / "fixtures" / "legacy"
+            shutil.copytree(legacy / "checkpointed-v2", tmp_path / "col")
+            wal_path = tmp_path / "col" / WAL_NAME
+            seq = scan_wal(wal_path).last_seq + 1
+            payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            payload = payload.encode("utf-8")
+            crc = zlib.crc32(header_prefix(seq, payload))
+            with open(wal_path, "ab") as handle:
+                handle.write(struct.pack(">QII", seq, len(payload), crc) + payload)
+        else:
+            collection = DurableCollection.create(
+                tmp_path / "col", [parse_document(BASE_DOC)], fsync="never"
+            )
+            collection.insert_child(collection.documents[0], 0, tag="ok")
+            collection.checkpoint()
+            collection.wal.append(record)
+            collection.close()
         # Every generation replays the bad record, so recovery must try
         # both and fail typed — not abort on the first with a bare error.
         with pytest.raises(RecoveryError, match="generation 2: .*generation 1: "):

@@ -4,6 +4,7 @@ import random
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -138,11 +139,11 @@ class TestCorruptionDetection:
     def test_every_cut_under_a_recomputed_crc_is_typed(self, tmp_path, version):
         # The CRC cannot catch a body cut short and re-footered; the decoder
         # must still fail with the documented error, not the label store
-        # reader's QueryEvaluationError.
-        collection = LiveCollection(
-            [parse_document("<r x='1'><a>t</a><b/></r>")], group_size=2
-        )
-        body = snapshot_bytes(collection, version=version)[:-4]
+        # reader's QueryEvaluationError.  The fixtures hold
+        # LiveCollection([parse_document("<r x='1'><a>t</a><b/></r>")],
+        # group_size=2) at each version.
+        legacy = Path(__file__).parent / "fixtures" / "legacy"
+        body = (legacy / f"snap-v{version}.rpsn").read_bytes()[:-4]
         path = tmp_path / "snap.rpsn"
         for cut in range(len(body)):
             part = body[:cut]

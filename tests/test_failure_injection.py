@@ -6,6 +6,7 @@ leaking out, and never silently return wrong data structures).
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from repro.query.store import LabelStore
 from repro.xmlkit.parser import parse_document
 
 DOC = "<r><a>x</a><b><c/><c/></b></r>"
+#: ``store-prime-v{1,2}.rpls`` there: DOC's prime store, recorded by the
+#: last legacy writers.
+LEGACY = Path(__file__).parent / "fixtures" / "legacy"
 
 
 @pytest.fixture
@@ -73,18 +77,14 @@ class TestStoreChecksum:
         loaded = load_store(path)
         assert len(QueryEngine(loaded).evaluate("/r//c")) == 2
 
-    def test_v2_files_remain_readable(self, tmp_path):
-        store = LabelStore.build([parse_document(DOC)], scheme="prime")
-        path = tmp_path / "store-v2.bin"
-        save_store(store, path, version=2)
+    def test_v2_files_remain_readable(self):
+        path = LEGACY / "store-prime-v2.rpls"
         assert path.read_bytes()[4] == 2
         loaded = load_store(path)
         assert len(QueryEngine(loaded).evaluate("/r//c")) == 2
 
-    def test_v1_files_remain_readable(self, tmp_path):
-        store = LabelStore.build([parse_document(DOC)], scheme="prime")
-        path = tmp_path / "store-v1.bin"
-        save_store(store, path, version=1)
+    def test_v1_files_remain_readable(self):
+        path = LEGACY / "store-prime-v1.rpls"
         assert path.read_bytes()[4] == 1
         loaded = load_store(path)
         assert len(QueryEngine(loaded).evaluate("/r//c")) == 2

@@ -2,18 +2,21 @@
 
 Three fixes ride the varint generation and each gets pinned here:
 
-1. the legacy snapshot writer's ``>H`` length field silently capped
-   integers at 64 KiB and escaped a bare ``struct.error`` past it — now a
-   typed :class:`SnapshotCorruptError`, and format v3 removes the limit;
+1. the legacy snapshot encoding's ``>H`` length field capped integers at
+   64 KiB; format v3, the only one written, has no such limit;
 2. the Opt2 leaf counter is keyed by parent label *value* and carried
    through snapshot/restore, so a restored scheme issues the same
    power-of-two self-labels as a never-snapshotted twin;
 3. cross-version reads: v2 stores/snapshots and v1 WALs written by older
-   code must load byte-for-byte with the current readers, while every
-   writer emits v3 — and v3 must actually be smaller.
+   code (committed under ``tests/fixtures/legacy``) must load with the
+   current readers, while every writer emits v3 — and v3 must actually be
+   smaller.
 """
 
+import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -21,14 +24,12 @@ from repro.durable import DurableCollection, collection_fingerprint, recover
 from repro.durable import wal as wal_module
 from repro.durable.recovery import WAL_NAME, op_record, resolve_op, snapshot_path
 from repro.durable.snapshot import (
-    _write_int,
     read_snapshot,
     restore_collection,
     snapshot_bytes,
     write_snapshot,
 )
-from repro.durable.wal import WriteAheadLog, scan_wal, wal_header
-from repro.errors import SnapshotCorruptError
+from repro.durable.wal import WAL_HEADER, WriteAheadLog, scan_wal
 from repro.labeling.codec import read_uvarint
 from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.query.live import BatchOp, LiveCollection
@@ -42,6 +43,17 @@ DOC = "<r><a><a1/><a2/></a><b/><c/></r>"
 #: ``>H`` length field (bugfix 1's trigger).
 HUGE = (1 << (65_540 * 8)) - 7
 
+#: Files recorded by the last legacy writers: ``churn{10,20}-v2.*`` hold
+#: ``build_collection(churn)`` as an RPSN v2 snapshot and an RPLS v2 store
+#: of its engine's store; ``wal-v1.rpwl`` holds two records; ``col-v2/``
+#: is a format-2 collection directory (v2 snapshot, v1 WAL) after eight
+#: seeded inserts.
+LEGACY = Path(__file__).parent / "fixtures" / "legacy"
+#: ``recover(LEGACY / "col-v2")``'s fingerprint.
+COL_V2_FINGERPRINT = (
+    "84aacaf9be94648cf1841e3c819b8b1fac454cf472eb21aa96d8da758a752d92"
+)
+
 
 def build_collection(churn=10):
     collection = LiveCollection([parse_document(DOC)], group_size=4)
@@ -54,29 +66,16 @@ def build_collection(churn=10):
 
 
 class TestLegacyIntGuard:
-    """Bugfix 1: the 64 KiB ``>H`` ceiling fails typed, and v3 removes it."""
+    """Bugfix 1: v3 has no 64 KiB ``>H`` ceiling."""
 
-    def test_legacy_writer_raises_typed_error(self):
-        with pytest.raises(SnapshotCorruptError, match="65535"):
-            _write_int(bytearray(), HUGE)
-
-    def test_legacy_writer_still_takes_the_limit_itself(self):
-        out = bytearray()
-        _write_int(out, int.from_bytes(b"\xff" * 0xFFFF, "big"))
-        assert len(out) == 2 + 0xFFFF
-
-    def test_huge_label_snapshot_v2_rejected_v3_round_trips(self, tmp_path):
+    def test_huge_label_snapshot_v3_round_trips(self, tmp_path):
         collection = build_collection(churn=2)
         document = collection.ordered_documents[0]
         leaf = document.root.children[-1]
         document.scheme._set_label(leaf, PrimeLabel(value=HUGE, self_label=HUGE))
-        # The legacy format cannot hold this label — and must say so with
-        # a typed error, not let struct.error escape.
-        with pytest.raises(SnapshotCorruptError, match="65535"):
-            snapshot_bytes(collection, version=2)
         # Format v3 has no per-field ceiling below the anti-flood cap.
         path = tmp_path / "huge.rpsn"
-        write_snapshot(collection, path, version=3)
+        write_snapshot(collection, path)
         state = read_snapshot(path)
         assert any(
             value == HUGE for value, _self in state.documents[0].labels
@@ -150,13 +149,12 @@ class TestLeafCounterRestore:
 
 
 class TestCrossVersionReads:
-    """Bugfix 3 + tentpole: old files readable, new files smaller."""
+    """Bugfix 3 + tentpole: old files readable, new files v3."""
 
     def test_v2_snapshot_restores_identically(self, tmp_path):
         collection = build_collection()
-        old, new = tmp_path / "v2.rpsn", tmp_path / "v3.rpsn"
-        write_snapshot(collection, old, version=2)
-        write_snapshot(collection, new, version=3)
+        old, new = LEGACY / "churn10-v2.rpsn", tmp_path / "v3.rpsn"
+        write_snapshot(collection, new)
         assert old.read_bytes()[4] == 2
         assert new.read_bytes()[4] == 3
         from_old = restore_collection(read_snapshot(old))
@@ -166,9 +164,8 @@ class TestCrossVersionReads:
     def test_v2_store_loads_with_current_reader(self, tmp_path):
         collection = build_collection()
         store = collection.engine.store
-        old, new = tmp_path / "v2.rpls", tmp_path / "v3.rpls"
-        save_store(store, old, version=2)
-        save_store(store, new)  # default writer: v3
+        old, new = LEGACY / "churn10-v2.rpls", tmp_path / "v3.rpls"
+        save_store(store, new)  # the only writer: v3
         assert old.read_bytes()[4] == 2
         assert new.read_bytes()[4] == 3
         expected = [
@@ -183,66 +180,76 @@ class TestCrossVersionReads:
 
     def test_v1_wal_is_adopted_and_replayed(self, tmp_path):
         path = tmp_path / "old.rpwl"
-        wal = WriteAheadLog(path, fsync="never", version=1)
+        shutil.copyfile(LEGACY / "wal-v1.rpwl", path)
         ops = [
             {"op": "insert_child", "doc": 0, "parent": 3, "index": 1, "tag": "x"},
             {"op": "delete", "doc": 0, "node": 7},
         ]
-        for op in ops:
-            wal.append(op)
-        wal.close()
-        assert path.read_bytes()[:5] == wal_header(1)
+        assert path.read_bytes()[:5] == b"RPWL\x01"
         scan = scan_wal(path)
         assert [record.op for record in scan.records] == ops
-        # Reopening adopts the file's version: appends stay v1-decodable.
+        # Opening rewrites the log at v3, same seqs and ops, so appends
+        # never mix encodings.
         reopened = WriteAheadLog(path, fsync="never")
-        assert reopened.version == 1
+        assert path.read_bytes()[:5] == WAL_HEADER
         reopened.append({"op": "compact"})
         reopened.close()
-        assert len(scan_wal(path).records) == 3
+        scan = scan_wal(path)
+        assert scan.version == 3
+        assert [(r.seq, r.op) for r in scan.records] == list(
+            enumerate([*ops, {"op": "compact"}], 1)
+        )
+
+    @staticmethod
+    def _col_v2(tmp_path):
+        directory = tmp_path / "col"
+        shutil.copytree(LEGACY / "col-v2", directory)
+        return directory
 
     def test_v2_collection_opens_with_current_code(self, tmp_path):
-        col = DurableCollection.create(
-            tmp_path / "col", [parse_document(DOC)], format_version=2
-        )
-        col.insert_child(col.documents[0], 0, tag="n")
-        fingerprint = collection_fingerprint(col.live)
-        col.close()
-        assert snapshot_path(tmp_path / "col", 1).read_bytes()[4] == 2
-        assert (tmp_path / "col" / WAL_NAME).read_bytes()[:5] == wal_header(1)
-        reopened = DurableCollection.open(tmp_path / "col")
-        assert collection_fingerprint(reopened.live) == fingerprint
+        directory = self._col_v2(tmp_path)
+        assert snapshot_path(directory, 1).read_bytes()[4] == 2
+        assert (directory / WAL_NAME).read_bytes()[:5] == b"RPWL\x01"
+        seqs = [record.seq for record in scan_wal(directory / WAL_NAME).records]
+        reopened = DurableCollection.open(directory)
+        assert collection_fingerprint(reopened.live) == COL_V2_FINGERPRINT
         reopened.close()
+        # The log now holds the same records at v3.
+        scan = scan_wal(directory / WAL_NAME)
+        assert (directory / WAL_NAME).read_bytes()[:5] == WAL_HEADER
+        assert scan.version == 3 and [r.seq for r in scan.records] == seqs
+        assert seqs == list(range(1, 9))
+        assert collection_fingerprint(recover(directory).collection) == (
+            COL_V2_FINGERPRINT
+        )
 
     def test_v2_collection_recovers_byte_identically(self, tmp_path):
-        col = DurableCollection.create(
-            tmp_path / "col", [parse_document(DOC)], format_version=2, fsync="always"
-        )
         rng = random.Random(2)
+        # The never-crashed twin of the recorded run (create()'s defaults).
+        twin = LiveCollection([parse_document(DOC)], strategy="scan")
         for _ in range(8):
-            target = rng.choice(list(col.documents[0].iter_preorder()))
-            col.insert_child(target, rng.randint(0, len(target.children)))
-        fingerprint = collection_fingerprint(col.live)
-        # Crash: abandon without close; recovery replays the v1 WAL.
-        recovered = recover(tmp_path / "col")
-        assert collection_fingerprint(recovered.collection) == fingerprint
+            target = rng.choice(list(twin.documents[0].iter_preorder()))
+            twin.insert_child(target, rng.randint(0, len(target.children)))
+        recovered = recover(self._col_v2(tmp_path))
+        assert recovered.info.replayed_records == 8
+        assert collection_fingerprint(recovered.collection) == (
+            collection_fingerprint(twin)
+        )
+        assert collection_fingerprint(twin) == COL_V2_FINGERPRINT
 
     def test_v3_is_the_default_format(self, tmp_path):
         col = DurableCollection.create(tmp_path / "col", [parse_document(DOC)])
         col.close()
         assert snapshot_path(tmp_path / "col", 1).read_bytes()[4] == 3
-        assert (tmp_path / "col" / WAL_NAME).read_bytes()[:5] == wal_header(3)
+        assert (tmp_path / "col" / WAL_NAME).read_bytes()[:5] == WAL_HEADER
 
     def test_checkpoint_upgrades_v2_snapshots(self, tmp_path):
-        col = DurableCollection.create(
-            tmp_path / "col", [parse_document(DOC)], format_version=2
-        )
-        col.insert_child(col.documents[0], 0)
-        col.close()
-        reopened = DurableCollection.open(tmp_path / "col")
+        directory = self._col_v2(tmp_path)
+        reopened = DurableCollection.open(directory)
+        reopened.insert_child(reopened.documents[0], 0)
         generation = reopened.checkpoint()
         reopened.close()
-        assert snapshot_path(tmp_path / "col", generation).read_bytes()[4] == 3
+        assert snapshot_path(directory, generation).read_bytes()[4] == 3
 
 
 class TestV3IsSmaller:
@@ -250,16 +257,20 @@ class TestV3IsSmaller:
 
     def test_snapshot_shrinks(self):
         collection = build_collection(churn=20)
-        v2 = snapshot_bytes(collection, version=2)
-        v3 = snapshot_bytes(collection, version=3)
-        assert len(v3) < len(v2)
+        v2 = LEGACY / "churn20-v2.rpsn"
+        assert collection_fingerprint(
+            restore_collection(read_snapshot(v2))
+        ) == collection_fingerprint(collection)
+        assert len(snapshot_bytes(collection)) < v2.stat().st_size
 
     def test_store_shrinks(self, tmp_path):
         collection = build_collection(churn=20)
         store = collection.engine.store
-        old, new = tmp_path / "v2.rpls", tmp_path / "v3.rpls"
-        save_store(store, old, version=2)
-        save_store(store, new, version=3)
+        old, new = LEGACY / "churn20-v2.rpls", tmp_path / "v3.rpls"
+        assert [row.label for row in load_store(old).rows] == [
+            row.label for row in store.rows
+        ]
+        save_store(store, new)
         assert new.stat().st_size < old.stat().st_size
 
     def test_wal_payloads_shrink(self):
@@ -271,8 +282,9 @@ class TestV3IsSmaller:
             {"op": "compact"},
         ]
         for op in ops:
-            v1 = wal_module._encode_payload(op, 1)
-            v3 = wal_module._encode_payload(op, 3)
+            # Version 1 payloads were canonical JSON.
+            v1 = json.dumps(op, sort_keys=True, separators=(",", ":")).encode()
+            v3 = wal_module._encode_payload(op)
             assert len(v3) < len(v1)
             assert wal_module._decode_payload(v3, 3) == op
             assert wal_module._decode_payload(v1, 1) == op
@@ -280,7 +292,7 @@ class TestV3IsSmaller:
     def test_unknown_op_shapes_fall_back_to_json(self):
         odd = {"op": "insert_child", "doc": 0, "parent": 3, "index": 1,
                "tag": "x", "extra": True}
-        payload = wal_module._encode_payload(odd, 3)
+        payload = wal_module._encode_payload(odd)
         assert payload[0] == 0  # JSON-fallback opcode
         assert wal_module._decode_payload(payload, 3) == odd
 
@@ -290,7 +302,7 @@ class TestV3IsSmaller:
         import struct
 
         collection = LiveCollection([parse_document("<r><a/><b/></r>")])
-        blob = snapshot_bytes(collection, version=3)
+        blob = snapshot_bytes(collection)
         document = collection.ordered_documents[0]
         root_value = document.label_of(document.root).value
         # Anchor on the 20-byte generator-state struct (nonzero once primes
@@ -366,6 +378,6 @@ class TestOpRecord:
             original.kind, original.index, original.tag
         )
         # The built record is one the binary codec encodes without fallback.
-        payload = wal_module._encode_payload(record, 3)
+        payload = wal_module._encode_payload(record)
         assert payload[0] != 0
         assert wal_module._decode_payload(payload, 3) == record

@@ -120,7 +120,7 @@ class TestWalTailer:
         # log's own (v3) encoding or the eventual full read would be a
         # decode error, not a consumed record.
         payload = wal_module._encode_payload(
-            {"op": "noop", "i": 99, "note": "x" * 30}, wal.version
+            {"op": "noop", "i": 99, "note": "x" * 30}
         )
         crc = zlib.crc32(struct.pack(">QI", 3, len(payload)) + payload)
         frame = _HEADER.pack(3, len(payload), crc) + payload
