@@ -88,9 +88,8 @@ XML (:class:`repro.errors.XmlSyntaxError`), 4 durability failure
 unrecoverable directory, ...), 5 replication failure
 (:class:`repro.errors.ReplicationError` — broken stream, failed
 re-bootstrap, or a ``lag --max-bytes`` bound exceeded), 6 sharding
-failure (:class:`repro.errors.ShardError` — missing/corrupt manifest,
-quarantined shard, or an unavailable worker in ``fail_fast``/``reject``
-mode).
+failure (:class:`repro.errors.ShardError` — a missing/corrupt manifest
+or shard root, or a mutation routed to a quarantined or stopped shard).
 """
 
 from __future__ import annotations

@@ -219,12 +219,14 @@ class ResilienceError(ReproError):
 
 
 class DegradedModeError(ResilienceError):
-    """A mutation was rejected because the collection is serving degraded.
+    """Storage work was refused because the collection is serving degraded.
 
-    Raised by :class:`repro.resilient.ResilientCollection` in
-    ``fail_fast`` degraded policy after the circuit breaker has tripped:
-    queries keep answering from the in-memory store, but mutations are
-    refused until a half-open probe re-establishes the storage path.
+    Raised by :class:`repro.resilient.ResilientCollection` after the
+    circuit breaker has tripped, only for work with no in-memory
+    fallback: a ``checkpoint``, and the WAL drain of ``close`` when the
+    breaker trips during it.  Queries keep answering and ordinary
+    mutations apply in memory until a half-open probe re-establishes the
+    storage path.
     """
 
 

@@ -23,7 +23,7 @@ degraded-mode semantics, and the chaos test matrix.
 
 from repro.durable.faults import ALL_SITES, FaultPlan, TransientIOError
 from repro.resilient.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilient.collection import DEGRADED_MODES, ResilientCollection
+from repro.resilient.collection import ResilientCollection
 from repro.resilient.policy import (
     BreakerPolicy,
     FaultDomain,
@@ -33,7 +33,6 @@ from repro.resilient.policy import (
 
 __all__ = [
     "ResilientCollection",
-    "DEGRADED_MODES",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",

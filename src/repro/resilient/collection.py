@@ -11,10 +11,9 @@ faults from tracebacks into policy:
   retry appends to a trustworthy log, never after damage;
 * a :class:`~repro.resilient.breaker.CircuitBreaker` counts transient
   failures per *attempt*; when it trips, the collection enters **degraded
-  mode**: queries keep answering from the in-memory collection, while
-  mutations either apply in-memory-only (``degraded_mode="buffer"``) or
-  fail fast with :class:`repro.errors.DegradedModeError`
-  (``degraded_mode="fail_fast"``);
+  mode**: queries keep answering from the in-memory collection and
+  mutations apply in memory only (a checkpoint, which has no in-memory
+  form, raises :class:`repro.errors.DegradedModeError`);
 * after the breaker's cooldown, the next mutation admits one half-open
   **probe** (:meth:`probe`): repair the WAL, force an fsync through, and
   re-checkpoint twice so *both* retained snapshot generations cover the
@@ -27,9 +26,9 @@ Acknowledgement contract, explicitly: an acknowledgement from the normal
 path means the mutation is in the WAL (durable per the fsync policy).  An
 acknowledgement while **degraded-buffering** is weaker — the mutation is
 served and will be persisted by the recovery checkpoint, but dies with
-the process if it crashes before storage heals.  That trade (keep
-serving vs. strict durability) is exactly the ``degraded_mode`` knob;
-``fail_fast`` refuses the weaker acknowledgement outright.
+the process if it crashes before storage heals.  A caller that wants
+only the strong acknowledgement checks :attr:`ResilientCollection.degraded`
+(or :meth:`ResilientCollection.health`) before mutating.
 
 Deadlines are enforced *between* attempts: a single blocked syscall
 cannot be interrupted in-process, so the deadline bounds how long the
@@ -64,10 +63,7 @@ from repro.resilient.policy import (
 )
 from repro.xmlkit.tree import XmlElement
 
-__all__ = ["ResilientCollection", "DEGRADED_MODES"]
-
-#: Legal values for the ``degraded_mode`` knob.
-DEGRADED_MODES = ("buffer", "fail_fast")
+__all__ = ["ResilientCollection"]
 
 T = TypeVar("T")
 
@@ -83,11 +79,6 @@ class ResilientCollection(NodeMutations):
     retry / breaker:
         Policies; defaults are :class:`RetryPolicy()` and
         :class:`BreakerPolicy()`.
-    degraded_mode:
-        ``"buffer"`` — while the breaker is open, mutations apply to the
-        in-memory collection only (weaker acknowledgement, see the module
-        docstring); ``"fail_fast"`` — mutations raise
-        :class:`repro.errors.DegradedModeError` immediately.
     clock / sleep:
         Injectable time sources so tests drive cooldowns, deadlines, and
         backoff without wall-clock waits.
@@ -98,28 +89,21 @@ class ResilientCollection(NodeMutations):
         durable: DurableCollection,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        degraded_mode: str = "buffer",
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if degraded_mode not in DEGRADED_MODES:
-            raise ValueError(
-                f"degraded_mode must be one of {DEGRADED_MODES}, "
-                f"got {degraded_mode!r}"
-            )
         self.durable = durable
         self.retry = retry or RetryPolicy()
         self.breaker = CircuitBreaker(breaker, clock=clock)
-        self.degraded_mode = degraded_mode
         self._clock = clock
         self._sleep = sleep
         self._jitter_rng = self.retry.rng()
         self._degraded = False
         self._closed = False
-        #: Names of operations acknowledged while degraded-buffering,
-        #: oldest first — the in-memory "queue" the recovery checkpoint
-        #: persists wholesale (state is snapshotted, not replayed).
-        self._buffer: List[str] = []
+        #: Mutations acknowledged in memory only since entering degraded;
+        #: the recovery checkpoint persists them wholesale (state is
+        #: snapshotted, not replayed).
+        self._buffered = 0
         #: Lifetime stats, mirrored into :mod:`repro.obs` metrics and the
         #: :meth:`health` report.
         self.retries = 0
@@ -148,7 +132,6 @@ class ResilientCollection(NodeMutations):
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        degraded_mode: str = "buffer",
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> "ResilientCollection":
@@ -171,7 +154,6 @@ class ResilientCollection(NodeMutations):
             durable,
             retry=retry,
             breaker=breaker,
-            degraded_mode=degraded_mode,
             clock=clock,
             sleep=sleep,
         )
@@ -185,7 +167,6 @@ class ResilientCollection(NodeMutations):
         verify: bool = True,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        degraded_mode: str = "buffer",
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> "ResilientCollection":
@@ -201,7 +182,6 @@ class ResilientCollection(NodeMutations):
             durable,
             retry=retry,
             breaker=breaker,
-            degraded_mode=degraded_mode,
             clock=clock,
             sleep=sleep,
         )
@@ -218,7 +198,7 @@ class ResilientCollection(NodeMutations):
     @property
     def buffered(self) -> int:
         """Mutations acknowledged in-memory-only since entering degraded."""
-        return len(self._buffer)
+        return self._buffered
 
     @property
     def live(self):
@@ -335,15 +315,14 @@ class ResilientCollection(NodeMutations):
     def _degraded_apply(
         self, op_name: str, live_op: Optional[Callable[[], T]]
     ) -> T:
-        if live_op is None or self.degraded_mode == "fail_fast":
+        if live_op is None:
             self.rejected_total += 1
             metrics.incr("resilient.degraded.rejected")
             raise DegradedModeError(
                 f"storage is degraded (circuit open); {op_name} rejected"
-                + ("" if live_op is None else " (fail_fast mode)")
             )
         result = live_op()
-        self._buffer.append(op_name)
+        self._buffered += 1
         self.buffered_total += 1
         metrics.incr("resilient.degraded.buffered")
         return result
@@ -378,7 +357,7 @@ class ResilientCollection(NodeMutations):
             self.breaker.record_failure()  # half-open -> straight back open
             return False
         self.breaker.record_success()
-        self._buffer.clear()
+        self._buffered = 0
         if self._degraded:
             self._degraded = False
             metrics.incr("resilient.degraded.exited")
@@ -414,7 +393,7 @@ class ResilientCollection(NodeMutations):
         )
 
     def apply_batch(self, ops: Sequence[BatchOp]) -> BatchReport:
-        """Guarded atomic batch: retried, buffered, or rejected as one unit.
+        """Guarded atomic batch: retried or buffered as one unit.
 
         The batch is encoded to ``(document, preorder position)`` addresses
         once, up front — a failed attempt rolls the durable collection's
@@ -423,11 +402,10 @@ class ResilientCollection(NodeMutations):
         addresses.  Every retry, and the degraded fallback, re-resolves the
         same addressed batch against the state it is about to mutate.
 
-        Degraded semantics match single ops, per whole batch: ``buffer``
-        applies the batch in memory only (one buffer entry; note a buffered
-        batch that fails mid-way has no durable state to roll back to, so
-        only the normal path is all-or-nothing), ``fail_fast`` rejects it
-        outright.
+        While degraded the whole batch applies in memory only and counts
+        as one buffered mutation.  A degraded batch that fails mid-way has
+        no durable state to roll back to, so it keeps the prefix it
+        applied: only the normal path is all-or-nothing.
         """
         encoded = self.durable.encode_batch(list(ops))
         if not encoded:
@@ -444,9 +422,8 @@ class ResilientCollection(NodeMutations):
         """Guarded snapshot checkpoint; no degraded fallback exists.
 
         A checkpoint *is* storage work — while degraded it raises
-        :class:`repro.errors.DegradedModeError` regardless of
-        ``degraded_mode`` (the recovery probe performs the checkpoints
-        that matter).
+        :class:`repro.errors.DegradedModeError` (the recovery probe
+        performs the checkpoints that matter).
         """
         return self._mutate("checkpoint", self.durable.checkpoint, None)
 
@@ -481,7 +458,6 @@ class ResilientCollection(NodeMutations):
                 if self._closed
                 else "degraded" if self._degraded else "ok"
             ),
-            "degraded_mode": self.degraded_mode,
             "breaker": {
                 "state": self.breaker.state,
                 "consecutive_failures": self.breaker.consecutive_failures,
@@ -499,7 +475,7 @@ class ResilientCollection(NodeMutations):
             "faults": dict(self.fault_counts),
             "degraded": {
                 "entered": self.degraded_entered,
-                "buffered": len(self._buffer),
+                "buffered": self._buffered,
                 "buffered_total": self.buffered_total,
                 "rejected": self.rejected_total,
                 "queries": self.degraded_queries,

@@ -18,10 +18,9 @@ The robustness core is the failure-domain boundary at the process line:
   restart-through-recovery with resilient-layer backoff, quarantine of
   crash-loopers after a capped restart budget,
 * :mod:`repro.shard.router` — scatter-gather with fair-share deadline
-  accounting, ``partial | fail_fast`` degraded queries that always name
-  the missing shard set, ``buffer | reject`` mutation degradation, and
-  an exactly-once redo journal reconciled against recovered WAL
-  sequence numbers,
+  accounting, partial answers that always name the missing shard set,
+  mutations for a down shard buffered in an exactly-once redo journal
+  reconciled against recovered WAL sequence numbers,
 * :mod:`repro.shard.service` — :class:`ShardedCollection`, the facade
   that wires all of the above and mirrors the durable-collection API.
 

@@ -10,14 +10,14 @@ in gather order.  The gather loop therefore gives each shard
 guarantees the last shard polled still gets time whenever earlier
 shards were fast (their unused share rolls forward into the remainder).
 
-**Graceful degradation.**  Query modes mirror the PR 3 breaker contract:
-``partial`` answers with whatever arrived, *tagged* with the missing
-shard set (never silently incomplete — an empty ``missing_shards`` is
-the completeness proof); ``fail_fast`` raises a typed
-:class:`~repro.errors.ShardUnavailableError` instead.  A down shard
-with an attached replica tailer (PR 7) is read through the replica and
-tagged *stale* rather than missing.  Mutations follow the analogous
-``buffer | reject`` policy.
+**Graceful degradation.**  A query answers with whatever arrived,
+*tagged* with the missing shard set (never silently incomplete — an
+empty ``missing_shards`` is the completeness proof); a caller that wants
+fail-fast reads :attr:`PartialResult.complete`.  A down shard with an
+attached replica tailer is read through the replica and tagged *stale*
+rather than missing.  A mutation for a DOWN shard is parked in that
+shard's journal and acked ``buffered``; only a QUARANTINED or STOPPED
+shard refuses it with :class:`~repro.errors.ShardUnavailableError`.
 
 **The redo journal.**  Mutations are acked with the shard's WAL
 sequence number.  Per shard the router tracks the highest acked seq,
@@ -50,11 +50,6 @@ from repro.shard.partitioner import DocumentMap
 from repro.shard.supervisor import ShardSupervisor
 
 __all__ = ["PartialResult", "RemoteRow", "ShardRouter"]
-
-#: Query degradation modes, mirroring the resilient layer's contract.
-QUERY_MODES = ("partial", "fail_fast")
-#: What happens to a mutation routed to a shard that is DOWN.
-MUTATION_POLICIES = ("buffer", "reject")
 
 #: A mutation bundle: ``(request kind, payload)`` — exactly one WAL
 #: record on the worker, the unit the redo journal reasons about.
@@ -109,26 +104,13 @@ class ShardRouter:
         self,
         supervisor: ShardSupervisor,
         doc_map: DocumentMap,
-        query_mode: str = "partial",
-        mutation_policy: str = "buffer",
         query_budget: float = 5.0,
         mutation_timeout: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ):
         """Wire a router over ``supervisor``; wires itself as callbacks."""
-        if query_mode not in QUERY_MODES:
-            raise ShardError(
-                f"query mode must be one of {QUERY_MODES}, got {query_mode!r}"
-            )
-        if mutation_policy not in MUTATION_POLICIES:
-            raise ShardError(
-                f"mutation policy must be one of {MUTATION_POLICIES}, "
-                f"got {mutation_policy!r}"
-            )
         self.supervisor = supervisor
         self.doc_map = doc_map
-        self.query_mode = query_mode
-        self.mutation_policy = mutation_policy
         self.query_budget = query_budget
         self.mutation_timeout = mutation_timeout
         self.clock = clock
@@ -232,9 +214,9 @@ class ShardRouter:
         """Route one addressed mutation (``doc`` is a *global* index).
 
         Returns ``{"status": "applied", ...ack...}``, or a ``buffered`` /
-        ``pending`` status under the ``buffer`` policy while the shard is
-        away (``pending``: sent but unacked when the worker died; the
-        restart reconciliation decides whether it must replay).
+        ``pending`` status while the shard is away (``pending``: sent but
+        unacked when the worker died; the restart reconciliation decides
+        whether it must replay).
         """
         kind = op.get("op")
         if kind == "add_document":
@@ -292,9 +274,6 @@ class ShardRouter:
         if state is not ShardState.UP or journal.buffer:
             # Away, or an un-drained backlog this op must queue behind to
             # preserve per-shard order.
-            if self.mutation_policy == "reject":
-                metrics.incr("shard.rejected_mutations")
-                raise self.supervisor.unavailable(shard_id, f"apply {bundle[0]}")
             journal.buffer.append(bundle)
             metrics.incr("shard.buffered_ops")
             return {"status": "buffered", "shard": shard_id}
@@ -304,32 +283,19 @@ class ShardRouter:
             response = self.supervisor.request(
                 shard_id, kind, payload, timeout=self.mutation_timeout
             )
-        except ShardUnavailableError:
-            return self._mutation_interrupted(shard_id, journal)
-        except DeadlineExceededError:
-            # Slow is dead: ack accounting cannot survive an abandoned
-            # in-flight response followed by more traffic, so the worker
-            # is killed and the restart reconciliation takes over.
-            self.supervisor.fail(shard_id, "mutation deadline exceeded")
-            return self._mutation_interrupted(shard_id, journal)
-        journal.acked_seq = max(journal.acked_seq, int(response.value["last_seq"]))
-        journal.inflight = None
-        return {"status": "applied", "shard": shard_id, **response.value}
-
-    def _mutation_interrupted(
-        self, shard_id: int, journal: _Journal
-    ) -> Dict[str, Any]:
-        """The worker died holding our bundle; degrade per policy."""
-        if self.mutation_policy == "buffer":
+        except (ShardUnavailableError, DeadlineExceededError) as error:
+            if isinstance(error, DeadlineExceededError):
+                # Slow is dead: ack accounting cannot survive an abandoned
+                # in-flight response followed by more traffic, so the
+                # worker is killed.
+                self.supervisor.fail(shard_id, "mutation deadline exceeded")
             # Leave ``inflight`` set: the restart reconciliation decides
             # replay-vs-drop from the recovered sequence number.
             metrics.incr("shard.pending_mutations")
             return {"status": "pending", "shard": shard_id}
-        # Reject policy is at-most-once with an ambiguous failure window:
-        # the caller is told the op failed, so it must never be replayed.
+        journal.acked_seq = max(journal.acked_seq, int(response.value["last_seq"]))
         journal.inflight = None
-        metrics.incr("shard.rejected_mutations")
-        raise self.supervisor.unavailable(shard_id, "apply (worker died mid-op)")
+        return {"status": "applied", "shard": shard_id, **response.value}
 
     # ------------------------------------------------------------------
     # Queries
@@ -398,13 +364,6 @@ class ShardRouter:
                 missing.add(shard_id)
         if missing:
             metrics.incr("shard.partial_responses")
-            if self.query_mode == "fail_fast":
-                raise ShardUnavailableError(
-                    f"fail_fast {kind}: shards {sorted(missing)} did not "
-                    f"answer within the {budget:.3f}s budget",
-                    shard=min(missing),
-                    state=self.supervisor.state_of(min(missing)).value,
-                )
         rows.sort(key=lambda row: row.doc)  # stable: in-doc order survives
         return PartialResult(
             rows=tuple(rows),

@@ -90,10 +90,12 @@ class ShardedCollection:
     ) -> "ShardedCollection":
         """Initialise a fresh sharded collection and start its workers.
 
-        ``serving`` keywords pass through to :meth:`_start`:
-        ``query_mode``, ``mutation_policy``, ``policy`` (a
-        :class:`HealthPolicy`), ``fault_spec``, ``start_method``,
-        ``query_budget``, ``mutation_timeout``, ``verify``.
+        ``serving`` keywords pass through to :meth:`_start`: ``policy``
+        (a :class:`HealthPolicy`), ``fault_spec``, ``start_method``,
+        ``query_budget``, ``mutation_timeout``, ``verify``.  There is one
+        degraded behaviour: queries answer partially, naming the missing
+        shards, and mutations for a down shard are buffered in the
+        router's redo journal.
         """
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
@@ -143,8 +145,6 @@ class ShardedCollection:
         cls,
         root: Path,
         manifest: ShardManifest,
-        query_mode: str = "partial",
-        mutation_policy: str = "buffer",
         policy: Optional[HealthPolicy] = None,
         fault_spec: Optional[str] = None,
         start_method: Optional[str] = None,
@@ -170,8 +170,6 @@ class ShardedCollection:
         router = ShardRouter(
             supervisor,
             doc_map,
-            query_mode=query_mode,
-            mutation_policy=mutation_policy,
             query_budget=query_budget,
             mutation_timeout=mutation_timeout,
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.xmlkit.tree import XmlElement
 
@@ -36,29 +36,34 @@ def serialize(node: XmlElement, indent: int | None = None) -> str:
     the document has no mixed content.  With an integer ``indent``, children
     are pretty-printed ``indent`` spaces per level (text-bearing elements are
     kept on one line so their text survives a re-parse).
+
+    The walk is iterative, so documents deeper than Python's recursion
+    limit serialize too.
     """
-    chunks: List[str] = []
-    _serialize_into(node, chunks, indent, 0)
-    return "".join(chunks)
-
-
-def _serialize_into(
-    node: XmlElement, chunks: List[str], indent: int | None, level: int
-) -> None:
-    pad = "" if indent is None else " " * (indent * level)
     newline = "" if indent is None else "\n"
-    if not node.children and not node.text:
-        chunks.append(f"{pad}{_open_tag(node, self_closing=True)}{newline}")
-        return
-    if not node.children:
-        chunks.append(
-            f"{pad}{_open_tag(node, False)}{escape_text(node.text)}</{node.tag}>{newline}"
-        )
-        return
-    chunks.append(f"{pad}{_open_tag(node, False)}")
-    if node.text:
-        chunks.append(escape_text(node.text))
-    chunks.append(newline)
-    for child in node.children:
-        _serialize_into(child, chunks, indent, level + 1)
-    chunks.append(f"{pad}</{node.tag}>{newline}")
+    chunks: List[str] = []
+    # (element, level, closing): a closing entry emits the end tag once
+    # every child above it on the stack has been written.
+    stack: List[Tuple[XmlElement, int, bool]] = [(node, 0, False)]
+    while stack:
+        current, level, closing = stack.pop()
+        pad = "" if indent is None else " " * (indent * level)
+        if closing:
+            chunks.append(f"{pad}</{current.tag}>{newline}")
+        elif not current.children and not current.text:
+            chunks.append(f"{pad}{_open_tag(current, self_closing=True)}{newline}")
+        elif not current.children:
+            chunks.append(
+                f"{pad}{_open_tag(current, False)}{escape_text(current.text)}"
+                f"</{current.tag}>{newline}"
+            )
+        else:
+            chunks.append(f"{pad}{_open_tag(current, False)}")
+            if current.text:
+                chunks.append(escape_text(current.text))
+            chunks.append(newline)
+            stack.append((current, level, True))
+            stack.extend(
+                (child, level + 1, False) for child in reversed(current.children)
+            )
+    return "".join(chunks)

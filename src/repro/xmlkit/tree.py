@@ -316,22 +316,35 @@ class XmlElement:
         )
 
     def copy(self) -> "XmlElement":
-        """Deep-copy this subtree (the copy is detached)."""
+        """Deep-copy this subtree (the copy is detached).
+
+        Iterative, so it copies documents of any depth; each clone takes
+        its source's subtree size, which the copy shares exactly.
+        """
         clone = XmlElement(self.tag, self.attributes, self.text)
-        for child in self._children:
-            clone.append(child.copy())
+        clone._size = self._size
+        stack = [(self, clone)]
+        while stack:
+            source, target = stack.pop()
+            for child in source._children:
+                twin = XmlElement(child.tag, child.attributes, child.text)
+                twin._size = child._size
+                twin.parent = target
+                target._children.append(twin)
+                stack.append((child, twin))
         return clone
 
     def structurally_equal(self, other: "XmlElement") -> bool:
         """True iff both subtrees have the same shape, tags, attrs and text."""
-        if (
-            self.tag != other.tag
-            or self.attributes != other.attributes
-            or self.text != other.text
-            or len(self._children) != len(other._children)
-        ):
-            return False
-        return all(
-            mine.structurally_equal(theirs)
-            for mine, theirs in zip(self._children, other._children)
-        )
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if (
+                mine.tag != theirs.tag
+                or mine.attributes != theirs.attributes
+                or mine.text != theirs.text
+                or len(mine._children) != len(theirs._children)
+            ):
+                return False
+            stack.extend(zip(mine._children, theirs._children))
+        return True

@@ -4,9 +4,12 @@ Deliverable (e) requires doc comments on every public item; these tests
 make that a regression-checked property rather than a hope.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +77,55 @@ def test_package_exports_resolve():
 def test_version_is_semver_like():
     major, minor, patch = repro.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+
+ROOT = Path(__file__).resolve().parents[1]
+METRIC_CALLS = {"incr", "gauge", "timed"}
+
+
+def emitted_metric_names(path):
+    """First-argument name literals of ``metrics.incr/gauge/timed`` calls.
+
+    Maps each name, as written in the source, to a regex a catalogued
+    name must match; an f-string's placeholders each stand for one
+    dotted-name segment.
+    """
+    names = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "metrics"
+            and node.func.attr in METRIC_CALLS
+            and node.args
+        ):
+            continue
+        name = node.args[0]
+        if isinstance(name, ast.Constant) and isinstance(name.value, str):
+            names[name.value] = re.escape(name.value)
+        elif isinstance(name, ast.JoinedStr):
+            names[ast.unparse(name)] = "".join(
+                re.escape(part.value) if isinstance(part, ast.Constant) else "[a-z_]+"
+                for part in name.values
+            )
+    return names
+
+
+def test_router_and_resilient_metrics_are_catalogued():
+    sources = [ROOT / "src/repro/shard/router.py"]
+    sources += sorted((ROOT / "src/repro/resilient").glob("*.py"))
+    catalogued = set()
+    for doc in ("SHARDING.md", "RESILIENCE.md"):
+        catalogued |= set(
+            re.findall(r"`([a-z_][a-z0-9_.]*)`", (ROOT / "docs" / doc).read_text())
+        )
+    emitted = {}
+    for path in sources:
+        emitted.update(emitted_metric_names(path))
+    assert len(emitted) > 20
+    missing = sorted(
+        source
+        for source, pattern in emitted.items()
+        if not any(re.fullmatch(pattern, name) for name in catalogued)
+    )
+    assert not missing, f"metrics not in SHARDING.md/RESILIENCE.md: {missing}"

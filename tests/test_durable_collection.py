@@ -1,5 +1,8 @@
 """DurableCollection: log-before-apply wiring, checkpoints, retention."""
 
+import os
+import sys
+
 import pytest
 
 from repro.durable import (
@@ -13,8 +16,11 @@ from repro.durable.recovery import WAL_NAME, list_generations, snapshot_path
 from repro.errors import DurabilityError, OrderingError, QueryEvaluationError
 from repro.obs import metrics
 from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serialize import serialize
 
 DOC = "<r><a><a1/><a2/></a><b/><c/></r>"
+#: The CI fault-injection matrix exports REPRO_WAL_FSYNC.
+FSYNC = os.environ.get("REPRO_WAL_FSYNC", "always")
 
 
 @pytest.fixture
@@ -175,3 +181,28 @@ class TestCheckpointing:
             col.insert_child(col.documents[0], 0)
         with pytest.raises(DurabilityError):
             col.insert_child(col.documents[0], 0)
+
+
+class TestDeepDocuments:
+    def test_chain_past_the_recursion_limit_round_trips(self, tmp_path):
+        depth = sys.getrecursionlimit() + 200
+        xml = "<n>" * (depth - 1) + "<n/>" + "</n>" * (depth - 1)
+        chain = parse_document(xml)
+        assert serialize(chain) == xml
+        twin = chain.copy()
+        assert twin is not chain and twin.structurally_equal(chain)
+
+        col = DurableCollection.create(
+            tmp_path / "col", [parse_document(DOC)], fsync=FSYNC
+        )
+        col.add_document(chain)
+        fingerprint = collection_fingerprint(col.live)
+        col.close()
+        reopened = DurableCollection.open(tmp_path / "col", fsync=FSYNC)
+        assert collection_fingerprint(reopened.live) == fingerprint
+        assert reopened.documents[1].structurally_equal(twin)
+        reopened.close()
+
+        *_, deepest = twin.iter_preorder()
+        deepest.tag = "m"
+        assert not twin.structurally_equal(chain)

@@ -37,8 +37,7 @@ def dead_disk():
     return FaultPlan(rate=1.0, sleep=lambda _s: None)
 
 
-def make(tmp_path, faults=None, retry=None, breaker=None, degraded_mode="buffer",
-         clock=None, name="col"):
+def make(tmp_path, faults=None, retry=None, breaker=None, clock=None, name="col"):
     now = {"t": 0.0}
     the_clock = clock if clock is not None else (lambda: now["t"])
     collection = ResilientCollection.create(
@@ -47,7 +46,6 @@ def make(tmp_path, faults=None, retry=None, breaker=None, degraded_mode="buffer"
         faults=faults,
         retry=retry or RetryPolicy(base_delay=0.0, max_delay=0.0),
         breaker=breaker or BreakerPolicy(failure_threshold=3, cooldown_seconds=10.0),
-        degraded_mode=degraded_mode,
         clock=the_clock,
         sleep=lambda _s: None,
     )
@@ -129,10 +127,6 @@ class TestRetries:
 
 
 class TestDegradedMode:
-    def _trip(self, collection):
-        with pytest.raises(Exception):
-            collection.insert_child(collection.documents[0], 0)
-
     def test_breaker_trip_enters_buffered_degraded_mode(self, tmp_path):
         dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
@@ -176,25 +170,12 @@ class TestDegradedMode:
         assert collection.buffered_total == 1
         assert collection_fingerprint(collection.live) == before
 
-    def test_fail_fast_mode_rejects_mutations(self, tmp_path):
-        dead = dead_disk()
-        collection, _ = make(tmp_path, faults=dead, degraded_mode="fail_fast")
-        self._trip(collection)
-        assert collection.degraded
-        with pytest.raises(DegradedModeError):
-            collection.insert_child(collection.documents[0], 0)
-        assert collection.count("//b") == 1  # queries unaffected
-
     def test_checkpoint_is_refused_while_degraded(self, tmp_path):
         dead = dead_disk()
         collection, _ = make(tmp_path, faults=dead)
         collection.insert_child(collection.documents[0], 0)
         with pytest.raises(DegradedModeError):
             collection.checkpoint()
-
-    def test_unknown_degraded_mode_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            make(tmp_path, degraded_mode="shrug")
 
 
 class TestProbeAndResync:

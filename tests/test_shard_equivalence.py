@@ -136,7 +136,6 @@ def test_killed_worker_mid_batch_loses_whole_batch_then_replays(tmp_path):
         shards=2,
         policy=policy,
         fault_spec="crash=append@3",
-        mutation_policy="buffer",
     ) as service:
         target = 1  # every op targets one document, hence one shard
         shard_id, _ = service.doc_map.to_local(target)

@@ -45,7 +45,6 @@ def test_shard_soak_converges_through_random_worker_kills(tmp_path):
         shards=2,
         fsync=FSYNC,
         policy=policy,
-        mutation_policy="buffer",
     ) as service:
         for step, op in enumerate(ops):
             if step and step % KILL_EVERY == 0:

@@ -79,9 +79,7 @@ def test_crash_looper_is_quarantined_and_names_its_budget(tmp_path):
     # ``crash=append@1`` poisons every WAL append: the worker
     # dies unacked on the first mutation and again on every restart's
     # redo replay — a deterministic crash loop.
-    with make_service(
-        tmp_path, fault_spec="crash=append@1", mutation_policy="buffer"
-    ) as service:
+    with make_service(tmp_path, fault_spec="crash=append@1") as service:
         shard_id, _ = service.doc_map.to_local(0)
         ack = service.insert_child(0, parent=0, index=0, tag="w")
         assert ack == {"status": "pending", "shard": shard_id}
