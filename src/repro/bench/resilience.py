@@ -41,7 +41,7 @@ def resilience_table(
     # Lazy imports for the same init-order reason as the durability
     # exhibit: repro.durable reaches back into repro.obs.audit.
     from repro.datasets.shakespeare import play
-    from repro.durable import collection_fingerprint
+    from repro.durable import DurableCollection, collection_fingerprint
     from repro.resilient import (
         BreakerPolicy,
         FaultPlan,
@@ -74,9 +74,11 @@ def resilience_table(
                 now[0] += seconds
 
             chaos = FaultPlan(rate=rate, seed=seed, sleep=sleep)
-            collection = ResilientCollection.create(
-                workdir / "col",
-                [play(seed=seed, acts=1, node_budget=node_budget)],
+            collection = ResilientCollection(
+                DurableCollection.create(
+                    workdir / "col",
+                    [play(seed=seed, acts=1, node_budget=node_budget)],
+                ),
                 faults=chaos,
                 retry=RetryPolicy(max_attempts=10, seed=seed),
                 breaker=BreakerPolicy(failure_threshold=8),

@@ -90,6 +90,8 @@ unrecoverable directory, ...), 5 replication failure
 re-bootstrap, or a ``lag --max-bytes`` bound exceeded), 6 sharding
 failure (:class:`repro.errors.ShardError` — a missing/corrupt manifest
 or shard root, or a mutation routed to a quarantined or stopped shard).
+A reader that closes the output pipe early (``repro label doc.xml | head
+-1``) ends the run quietly with 1, as the Python ``signal`` docs advise.
 """
 
 from __future__ import annotations
@@ -356,16 +358,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
+    from repro.durable import DurableCollection
     from repro.resilient import FaultPlan, ResilientCollection, RetryPolicy
 
     documents = _read_documents(args.files)
     chaos = FaultPlan.from_env()
     with metrics.collecting() as registry:
-        collection = ResilientCollection.create(
-            args.dir,
-            documents,
-            group_size=args.group_size,
-            fsync=args.fsync,
+        collection = ResilientCollection(
+            DurableCollection.create(
+                args.dir, documents, group_size=args.group_size, fsync=args.fsync
+            ),
             faults=chaos,
             # Generous retry budget: the CLI prefers a slow success over
             # asking the operator to re-run a whole dump.
@@ -417,12 +419,16 @@ def cmd_health(args: argparse.Namespace) -> int:
     """Recover through the resilient layer and report serving health."""
     import json
 
+    from repro.durable import DurableCollection
     from repro.resilient import FaultPlan, ResilientCollection
 
     chaos = FaultPlan.from_env()
     with metrics.collecting() as registry:
-        collection = ResilientCollection.open(
-            args.dir, fsync=args.fsync, verify=not args.no_verify, faults=chaos
+        collection = ResilientCollection(
+            DurableCollection.open(
+                args.dir, fsync=args.fsync, verify=not args.no_verify
+            ),
+            faults=chaos,
         )
         info = collection.durable.last_recovery
         ordered_ok = collection.check()
@@ -624,7 +630,10 @@ def cmd_shard_serve(args: argparse.Namespace) -> int:
             for i in range(args.churn):
                 if args.kill is not None and i == args.churn // 2:
                     service.kill_worker(args.kill)
-                service.insert_child(i % service.doc_count, 0, 0, tag=f"churn{i}")
+                service.apply_batch(
+                    [{"kind": "insert_child", "doc": i % service.doc_count,
+                      "pos": 0, "index": 0, "tag": f"churn{i}"}]
+                )
             settled = service.settle()
             rows = missing = None
             if args.query:
@@ -950,7 +959,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # repro: ignore[R10] -- console output, not durability: a closed
+        # pipe must fail here, inside the handler below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the exit-time flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

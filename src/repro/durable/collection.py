@@ -74,7 +74,6 @@ from repro.errors import (
 from repro.obs import metrics
 from repro.order.document import OrderedUpdateReport
 from repro.query.live import BatchOp, BatchReport, LiveCollection, NodeMutations
-from repro.query.store import ElementRow
 from repro.xmlkit.serialize import serialize
 from repro.xmlkit.tree import XmlElement
 
@@ -363,27 +362,6 @@ class DurableCollection(NodeMutations):
         self.live = recovered.collection
         self.last_seq = recovered.info.last_seq
         metrics.incr("durable.batch_rollbacks")
-
-    # ------------------------------------------------------------------
-    # Queries (pass-through: reading needs no logging)
-    # ------------------------------------------------------------------
-
-    def query(self, text: str) -> List[ElementRow]:
-        """Evaluate an XPath-subset query over the collection."""
-        return self.live.query(text)
-
-    def count(self, text: str) -> int:
-        """Number of nodes the query retrieves."""
-        return self.live.count(text)
-
-    def check(self) -> bool:
-        """Verify every document's SC-derived order."""
-        return self.live.check()
-
-    @property
-    def documents(self) -> List[XmlElement]:
-        """The document roots, in collection order."""
-        return self.live.documents
 
     # ------------------------------------------------------------------
     # Repair

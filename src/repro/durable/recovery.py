@@ -312,8 +312,8 @@ def op_record(
     (the parent for ``insert_child``, the reference sibling for the
     sibling inserts, the doomed node for ``delete``); ``index`` is logged
     for ``insert_child`` only and ``tag`` for every insert.  Every writer
-    of node-op records — the durable collection, its group commit, the
-    sharded collection — builds them here.
+    of node-op records — the durable collection and its group commit —
+    builds them here.
     """
     record: Dict[str, Any] = {"op": kind, "doc": doc, _TARGET_KEY[kind]: position}
     if kind == "insert_child":

@@ -31,12 +31,25 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import LabelingError
 from repro.xmlkit.tree import XmlElement
 
 __all__ = ["Relationship", "RelabelReport", "LabelingScheme"]
+
+
+def depth_first_events(root: XmlElement) -> Iterator[Tuple[XmlElement, bool]]:
+    """``(node, True)`` on entering each node (preorder) and ``(node, False)``
+    on leaving it (postorder): a recursive walk's event order, iteratively,
+    so a labeling pass takes documents deeper than the recursion limit."""
+    stack: List[Tuple[XmlElement, bool]] = [(root, True)]
+    while stack:
+        node, entering = stack.pop()
+        yield node, entering
+        if entering:
+            stack.append((node, False))
+            stack.extend((child, True) for child in reversed(node.children))
 
 
 class Relationship(enum.Enum):

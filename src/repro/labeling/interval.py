@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import LabelOverflowError
-from repro.labeling.base import LabelingScheme, RelabelReport
+from repro.labeling.base import LabelingScheme, RelabelReport, depth_first_events
 from repro.xmlkit.tree import XmlElement
 
 __all__ = [
@@ -63,19 +63,15 @@ class XissIntervalScheme(LabelingScheme):
     name = "interval"
 
     def _assign_labels(self, root: XmlElement) -> None:
-        counter = 0
-
-        def visit(node: XmlElement) -> int:
-            nonlocal counter
-            counter += 1
-            my_order = counter
-            descendants = 0
-            for child in node.children:
-                descendants += visit(child)
-            self._set_label(node, OrderSizeLabel(order=my_order, size=descendants))
-            return descendants + 1
-
-        visit(root)
+        counter = 0  # nodes entered so far: a node's descendants follow its order
+        orders: Dict[int, int] = {}
+        for node, entering in depth_first_events(root):
+            if entering:
+                counter += 1
+                orders[id(node)] = counter
+            else:
+                order = orders.pop(id(node))
+                self._set_label(node, OrderSizeLabel(order=order, size=counter - order))
 
     def is_ancestor_label(self, ancestor_label, descendant_label) -> bool:
         return (
@@ -100,18 +96,8 @@ class StartEndIntervalScheme(LabelingScheme):
     name = "interval-startend"
 
     def _assign_labels(self, root: XmlElement) -> None:
-        counter = 0
-
-        def visit(node: XmlElement) -> None:
-            nonlocal counter
-            counter += 1
-            start = counter
-            for child in node.children:
-                visit(child)
-            counter += 1
-            self._set_label(node, StartEndLabel(start=start, end=counter))
-
-        visit(root)
+        for node, start, end in _start_end(root):
+            self._set_label(node, StartEndLabel(start=start, end=end))
 
     def is_ancestor_label(self, ancestor_label, descendant_label) -> bool:
         return (
@@ -145,18 +131,10 @@ class FloatIntervalScheme(LabelingScheme):
         self.full_relabels = 0
 
     def _assign_labels(self, root: XmlElement) -> None:
-        counter = 0
-
-        def visit(node: XmlElement) -> None:
-            nonlocal counter
-            counter += 1
-            start = Fraction(counter)
-            for child in node.children:
-                visit(child)
-            counter += 1
-            self._set_label(node, StartEndLabel(start=start, end=Fraction(counter)))
-
-        visit(root)
+        for node, start, end in _start_end(root):
+            self._set_label(
+                node, StartEndLabel(start=Fraction(start), end=Fraction(end))
+            )
 
     def is_ancestor_label(self, ancestor_label, descendant_label) -> bool:
         return (
@@ -227,3 +205,16 @@ class FloatIntervalScheme(LabelingScheme):
                 f"with {self.mantissa_bits} mantissa bits"
             )
         return self.insert_leaf(parent, tag, index)
+
+
+def _start_end(root: XmlElement) -> Iterator[Tuple[XmlElement, int, int]]:
+    """``(node, start, end)`` in postorder from one depth-first counter that
+    ticks on entering and on leaving each node (XRel's assignment)."""
+    counter = 0
+    starts: Dict[int, int] = {}
+    for node, entering in depth_first_events(root):
+        counter += 1
+        if entering:
+            starts[id(node)] = counter
+        else:
+            yield node, starts.pop(id(node)), counter

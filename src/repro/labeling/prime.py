@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import LabelingError
-from repro.labeling.base import LabelingScheme, RelabelReport
+from repro.labeling.base import LabelingScheme, RelabelReport, depth_first_events
 from repro.obs import metrics
 from repro.primes.gen import PrimeGenerator
 from repro.xmlkit.tree import XmlElement
@@ -393,20 +393,19 @@ class BottomUpPrimeScheme(LabelingScheme):
 
     def _assign_labels(self, root: XmlElement) -> None:
         self._generator = PrimeGenerator()
-
-        def visit(node: XmlElement) -> int:
+        # Postorder: children are labeled (and their primes issued) first.
+        for node, entering in depth_first_events(root):
+            if entering:
+                continue
             if node.is_leaf:
                 label = self._generator.get_prime()
             else:
                 label = 1
                 for child in node.children:
-                    label *= visit(child)
+                    label *= self.label_of(child)
                 if len(node.children) == 1:
                     label *= self._generator.get_prime()
             self._set_label(node, label)
-            return label
-
-        visit(root)
 
     def is_ancestor_label(self, ancestor_label: int, descendant_label: int) -> bool:
         if ancestor_label == descendant_label:

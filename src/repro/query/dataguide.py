@@ -44,17 +44,21 @@ class DataGuide:
         self._root = _GuideNode("")  # virtual super-root above all documents
         self._path_count = 0
         for doc_id, document in enumerate(documents):
-            self._insert(document, self._root, doc_id)
+            self._insert(document, doc_id)
 
-    def _insert(self, node: XmlElement, guide_parent: _GuideNode, doc_id: int) -> None:
-        guide = guide_parent.children.get(node.tag)
-        if guide is None:
-            guide = _GuideNode(node.tag)
-            guide_parent.children[node.tag] = guide
-            self._path_count += 1
-        guide.document_ids.add(doc_id)
-        for child in node.children:
-            self._insert(child, guide, doc_id)
+    def _insert(self, document: XmlElement, doc_id: int) -> None:
+        # Iterative preorder (any depth), pairing each node with the guide
+        # node of its parent's path.
+        stack = [(document, self._root)]
+        while stack:
+            node, guide_parent = stack.pop()
+            guide = guide_parent.children.get(node.tag)
+            if guide is None:
+                guide = _GuideNode(node.tag)
+                guide_parent.children[node.tag] = guide
+                self._path_count += 1
+            guide.document_ids.add(doc_id)
+            stack.extend((child, guide) for child in reversed(node.children))
 
     # ------------------------------------------------------------------
     # Summary queries
@@ -68,14 +72,15 @@ class DataGuide:
     def paths(self) -> List[TagPath]:
         """Every distinct tag path, lexicographically ordered."""
         collected: List[TagPath] = []
-
-        def walk(guide: _GuideNode, prefix: TagPath) -> None:
-            for tag in sorted(guide.children):
-                path = prefix + (tag,)
+        stack: List[Tuple[TagPath, _GuideNode]] = [((), self._root)]
+        while stack:
+            path, guide = stack.pop()
+            if path:
                 collected.append(path)
-                walk(guide.children[tag], path)
-
-        walk(self._root, ())
+            stack.extend(
+                (path + (tag,), guide.children[tag])
+                for tag in sorted(guide.children, reverse=True)
+            )
         return collected
 
     def has_path(self, path: Iterable[str]) -> bool:
@@ -99,34 +104,31 @@ class DataGuide:
     def documents_with_tag(self, tag: str) -> Set[int]:
         """Document ids containing ``tag`` anywhere."""
         matches: Set[int] = set()
-
-        def walk(guide: _GuideNode) -> None:
-            for child in guide.children.values():
+        stack = [self._root]
+        while stack:
+            for child in stack.pop().children.values():
                 if child.tag == tag:
                     matches.update(child.document_ids)
-                walk(child)
-
-        walk(self._root)
+                stack.append(child)
         return matches
 
     def documents_with_subsequence(self, tags: Sequence[str]) -> Set[int]:
         """Document ids with a path whose tags contain ``tags`` in order
         (not necessarily contiguously) — the descendant-axis pre-filter."""
         matches: Set[int] = set()
-
-        def walk(guide: _GuideNode, needed: int) -> None:
+        # (guide node, tags of ``tags`` matched on the path to it)
+        stack = [(self._root, 0)] if tags else []
+        while stack:
+            guide, needed = stack.pop()
             for child in guide.children.values():
                 remaining = needed + 1 if child.tag == tags[needed] else needed
                 if remaining == len(tags):
                     matches.update(child.document_ids)
                     # deeper matches add nothing new for this subtree's docs,
                     # but sibling branches may cover other documents
-                    walk(child, needed)
+                    stack.append((child, needed))
                 else:
-                    walk(child, remaining)
-
-        if tags:
-            walk(self._root, 0)
+                    stack.append((child, remaining))
         return matches
 
 

@@ -121,13 +121,15 @@ class BatchOp:
 
 
 class NodeMutations:
-    """The named node mutations, defined once over ``apply``/``apply_batch``.
+    """The collection protocol: node mutations and reads, written once.
 
     Section 4.2's four order-sensitive updates plus their bulk forms.  Each
     builds :class:`BatchOp`\\ s and hands them to the class's own
     :meth:`apply` (one op) or :meth:`apply_batch` (many), so every
     collection layer has exactly one mutation path to validate, log,
-    guard, or trace.
+    guard, or trace.  The reads (:meth:`query`, :meth:`count`,
+    :meth:`check`, :attr:`documents`) pass through to the wrapped
+    :class:`LiveCollection` at ``self.live``, which answers them itself.
     """
 
     def apply(self, op: BatchOp) -> OrderedUpdateReport:
@@ -167,6 +169,23 @@ class NodeMutations:
     def bulk_delete(self, nodes: Sequence[XmlElement]) -> "BatchReport":
         """Batched deletion of ``nodes`` (each with its subtree)."""
         return self.apply_batch([BatchOp.delete(node) for node in nodes])
+
+    def query(self, text: str) -> List[ElementRow]:
+        """Evaluate an XPath-subset query over the whole collection."""
+        return self.live.query(text)
+
+    def count(self, text: str) -> int:
+        """Number of nodes the query retrieves."""
+        return len(self.query(text))
+
+    def check(self) -> bool:
+        """Verify every document's SC-derived order."""
+        return self.live.check()
+
+    @property
+    def documents(self) -> List[XmlElement]:
+        """The document roots, in collection order."""
+        return self.live.documents
 
 
 @dataclass
@@ -572,10 +591,6 @@ class LiveCollection(NodeMutations):
     def query(self, text: str) -> List[ElementRow]:
         """Evaluate an XPath-subset query over the whole collection."""
         return self.engine.evaluate(text)
-
-    def count(self, text: str) -> int:
-        """Number of nodes the query retrieves."""
-        return len(self.query(text))
 
     def document_index_of(self, node: XmlElement) -> int:
         """Collection index of the document owning ``node``.

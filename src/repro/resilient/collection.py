@@ -22,6 +22,14 @@ faults from tracebacks into policy:
 * an optional per-operation deadline converts a stalling-but-answering
   disk into a typed :class:`repro.errors.DeadlineExceededError`.
 
+The two layers compose rather than re-plumb: build or recover the durable
+collection, then wrap it —
+``ResilientCollection(DurableCollection.create(...), faults=plan)`` — and
+the fault plan is armed only once that bootstrap or recovery is done.
+The named mutations and the ``count``/``check``/``documents`` reads come
+from :class:`~repro.query.live.NodeMutations`; this layer defines only
+``apply``/``apply_batch`` and the ``query`` that counts degraded reads.
+
 Acknowledgement contract, explicitly: an acknowledgement from the normal
 path means the mutation is in the WAL (durable per the fsync policy).  An
 acknowledgement while **degraded-buffering** is weaker — the mutation is
@@ -38,12 +46,10 @@ retry loop keeps trying, not the worst-case latency of one attempt.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.durable.collection import DurableCollection
 from repro.durable.faults import FaultPlan, InjectedCrash
-from repro.durable.wal import FsyncPolicy
 from repro.errors import (
     DeadlineExceededError,
     DegradedModeError,
@@ -74,8 +80,15 @@ class ResilientCollection(NodeMutations):
     Parameters
     ----------
     durable:
-        The wrapped durable collection (use :meth:`create` / :meth:`open`
-        unless composing by hand).
+        The wrapped durable collection, already created or recovered
+        (``DurableCollection.create(...)`` / ``DurableCollection.open(...)``).
+    faults:
+        An optional :class:`~repro.durable.faults.FaultPlan`, armed on
+        ``durable`` here — *after* its bootstrap snapshot and log exist or
+        its recovery has run.  A half-created directory is a deployment
+        error, not a serving-path fault, and recovery only reads state, so
+        the plan's write-path hooks have nothing legitimate to injure
+        before this point.
     retry / breaker:
         Policies; defaults are :class:`RetryPolicy()` and
         :class:`BreakerPolicy()`.
@@ -87,11 +100,15 @@ class ResilientCollection(NodeMutations):
     def __init__(
         self,
         durable: DurableCollection,
+        faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if faults is not None:
+            durable.faults = faults
+            durable.wal.faults = faults
         self.durable = durable
         self.retry = retry or RetryPolicy()
         self.breaker = CircuitBreaker(breaker, clock=clock)
@@ -118,75 +135,6 @@ class ResilientCollection(NodeMutations):
         }
 
     # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        directory: "str | Path",
-        documents: Sequence[XmlElement],
-        group_size: int | None = 5,
-        strategy: str = "scan",
-        fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[BreakerPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> "ResilientCollection":
-        """Create a fresh durable collection and wrap it.
-
-        The fault plan is armed *after* the bootstrap snapshot and
-        log exist: a half-created directory is a deployment error, not a
-        serving-path fault, and retrying it would fight
-        :meth:`DurableCollection.create`'s already-exists guard.
-        """
-        durable = DurableCollection.create(
-            directory,
-            documents,
-            group_size=group_size,
-            strategy=strategy,
-            fsync=fsync,
-        )
-        _arm(durable, faults)
-        return cls(
-            durable,
-            retry=retry,
-            breaker=breaker,
-            clock=clock,
-            sleep=sleep,
-        )
-
-    @classmethod
-    def open(
-        cls,
-        directory: "str | Path",
-        fsync: "str | FsyncPolicy" = "always",
-        faults: Optional[FaultPlan] = None,
-        verify: bool = True,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[BreakerPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> "ResilientCollection":
-        """Recover the collection in ``directory`` and wrap it.
-
-        Like :meth:`create`, the fault plan is armed only once recovery
-        has produced a healthy collection — recovery reads state, and the
-        plan's write-path hooks have nothing legitimate to injure there.
-        """
-        durable = DurableCollection.open(directory, fsync=fsync, verify=verify)
-        _arm(durable, faults)
-        return cls(
-            durable,
-            retry=retry,
-            breaker=breaker,
-            clock=clock,
-            sleep=sleep,
-        )
-
-    # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
 
@@ -204,11 +152,6 @@ class ResilientCollection(NodeMutations):
     def live(self):
         """The in-memory :class:`~repro.query.live.LiveCollection`."""
         return self.durable.live
-
-    @property
-    def documents(self) -> List[XmlElement]:
-        """The document roots, in collection order."""
-        return self.durable.documents
 
     # ------------------------------------------------------------------
     # The guard
@@ -438,14 +381,6 @@ class ResilientCollection(NodeMutations):
             metrics.incr("resilient.degraded.queries")
         return self.durable.query(text)
 
-    def count(self, text: str) -> int:
-        """Number of nodes the query retrieves."""
-        return len(self.query(text))
-
-    def check(self) -> bool:
-        """Verify every document's SC-derived order."""
-        return self.durable.check()
-
     # ------------------------------------------------------------------
     # Health and lifecycle
     # ------------------------------------------------------------------
@@ -524,11 +459,3 @@ class ResilientCollection(NodeMutations):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _arm(durable: DurableCollection, faults: Optional[FaultPlan]) -> None:
-    """Attach a fault plan to an already-bootstrapped collection."""
-    if faults is None:
-        return
-    durable.faults = faults
-    durable.wal.faults = faults

@@ -27,8 +27,13 @@ worker, its recovered WAL seq resolves the in-flight ambiguity exactly:
 ``recovered > acked`` means the bundle's record reached the log before
 death (drop it — replaying would double-apply); ``recovered == acked``
 means it never landed (requeue it first).  Each bundle is one WAL
-record (single op or group-committed batch), which is what makes this
-single-comparison reconciliation sound.
+record (a node-op batch, an added document or a compaction), which is
+what makes this single-comparison reconciliation sound.
+
+Node ops reach a worker by one route only, :meth:`ShardRouter.apply_batch`
+(``apply_batch`` requests; a single op is a one-entry batch).  The
+``apply`` request kind carries the two non-node mutations,
+:meth:`~ShardRouter.add_document` and :meth:`~ShardRouter.compact_shard`.
 """
 
 from __future__ import annotations
@@ -210,20 +215,6 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Mutations
 
-    def apply(self, op: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one addressed mutation (``doc`` is a *global* index).
-
-        Returns ``{"status": "applied", ...ack...}``, or a ``buffered`` /
-        ``pending`` status while the shard is away (``pending``: sent but
-        unacked when the worker died; the restart reconciliation decides
-        whether it must replay).
-        """
-        kind = op.get("op")
-        if kind == "add_document":
-            raise ShardError("route add_document through add_document()")
-        shard_id, local = self.doc_map.to_local(int(op["doc"]))
-        return self._mutate(shard_id, ("apply", {"op": {**op, "doc": local}}))
-
     def add_document(self, xml: str) -> Dict[str, Any]:
         """Place and ship a new document; returns the ack + global id.
 
@@ -245,8 +236,12 @@ class ShardRouter:
 
         Each shard's sub-batch group-commits as one WAL record — atomic
         *per shard*, the strongest unit a shared-nothing layout offers
-        (there is no cross-shard transaction).  Returns each involved
-        shard's ack, keyed by shard id.
+        (there is no cross-shard transaction).  This is the only route for
+        node ops: a single op is a one-entry batch.  Returns each involved
+        shard's ack, keyed by shard id: ``{"status": "applied", ...}``,
+        or ``buffered`` / ``pending`` while the shard is away
+        (``pending``: sent but unacked when the worker died; the restart
+        reconciliation decides whether it must replay).
         """
         by_shard: Dict[int, List[Dict[str, Any]]] = {}
         for entry in entries:

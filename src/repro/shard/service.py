@@ -21,11 +21,15 @@ reads the manifest and starts workers, each of which recovers its own
 subdirectory independently — shard recovery is single-collection
 recovery, N times, in parallel failure domains.
 
-The mutation surface speaks the addressed currency used everywhere else
-in the durability stack: global ``(document index, preorder position)``
-pairs.  Addresses rather than node references are what make the facade's
-operations routable, retriable, and bufferable — a node object cannot
-cross a process boundary, an address can.
+The mutation surface speaks one currency, the addressed batch the
+durability stack already uses (``DurableCollection.encode_batch``'s
+entries, with a *global* document index): ``apply_batch`` takes a list
+of ``{"kind", "doc", "pos", ...}`` entries, and a single node op is a
+one-entry batch.  Each shard's slice of a batch is one WAL record, the
+unit the router's redo journal reconciles.  Addresses rather than node
+references are what make the facade's operations routable, retriable,
+and bufferable — a node object cannot cross a process boundary, an
+address can.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.durable.collection import DurableCollection
-from repro.durable.recovery import op_record, shard_directory
+from repro.durable.recovery import shard_directory
 from repro.errors import ShardError
 from repro.obs import metrics
 from repro.shard.health import HealthPolicy, ShardHealth, ShardState
@@ -179,25 +183,7 @@ class ShardedCollection:
         return cls(root, manifest, doc_map, supervisor, router)
 
     # ------------------------------------------------------------------
-    # Mutations (global addressed currency)
-
-    def insert_child(
-        self, doc: int, parent: int, index: int, tag: str = "new"
-    ) -> Dict[str, Any]:
-        """Insert under global ``doc``'s preorder-``parent`` at ``index``."""
-        return self.router.apply(op_record("insert_child", doc, parent, index, tag))
-
-    def insert_before(self, doc: int, ref: int, tag: str = "new") -> Dict[str, Any]:
-        """Insert a sibling before preorder position ``ref`` of ``doc``."""
-        return self.router.apply(op_record("insert_before", doc, ref, tag=tag))
-
-    def insert_after(self, doc: int, ref: int, tag: str = "new") -> Dict[str, Any]:
-        """Insert a sibling after preorder position ``ref`` of ``doc``."""
-        return self.router.apply(op_record("insert_after", doc, ref, tag=tag))
-
-    def delete(self, doc: int, node: int) -> Dict[str, Any]:
-        """Delete the subtree at preorder position ``node`` of ``doc``."""
-        return self.router.apply(op_record("delete", doc, node))
+    # Mutations (global addressed batches)
 
     def add_document(self, document: "XmlElement | str") -> Dict[str, Any]:
         """Add a document (tree or XML text); updates the manifest.
@@ -221,7 +207,8 @@ class ShardedCollection:
         with a *global* ``doc``: ``{"kind": "insert_child", "doc": g,
         "pos": parent, "index": i, "tag": t}``, ``{"kind": "delete",
         "doc": g, "pos": node}``, or ``{"kind": "insert_before" |
-        "insert_after", "doc": g, "pos": ref, "tag": t}``.
+        "insert_after", "doc": g, "pos": ref, "tag": t}``.  A single node
+        op is a one-entry batch.
         """
         return self.router.apply_batch(entries)
 

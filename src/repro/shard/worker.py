@@ -5,8 +5,10 @@ It owns exactly one durable directory (``shard-NN/`` under the sharded
 root), opens it through the standard recovery path on every start (a
 restart after a crash *is* just recovery), and serves a small
 request/response protocol over the control pipe it was born with:
-queries, addressed mutations (the same ``(document, preorder position)``
-currency the WAL uses), checkpoints, and health pings.
+queries, addressed node-op batches (``apply_batch``, in the same
+``(document, preorder position)`` currency the WAL uses; a single op is
+a one-entry batch), document additions and compactions (``apply``),
+checkpoints, and health pings.
 
 Crash semantics: an :class:`~repro.durable.faults.InjectedCrash` from
 the fault plan simulates process death and is honoured literally —
@@ -33,12 +35,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durable.collection import DurableCollection
 from repro.durable.faults import FaultPlan, InjectedCrash
-from repro.durable.recovery import list_generations, resolve_op, shard_directory
+from repro.durable.recovery import list_generations, shard_directory
 from repro.durable.snapshot import collection_fingerprint
 from repro.errors import ShardError
 from repro.obs import metrics
 from repro.obs.audit import audit_ordered_document
-from repro.query.live import BatchOp
 from repro.shard.messages import Request, Response, encode_error
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serialize import serialize
@@ -179,14 +180,16 @@ class WorkerServer:
         return violations
 
     def _apply_single(self, op: Dict[str, Any]) -> Dict[str, Any]:
-        """One logged mutation, addressed in WAL-record form."""
+        """One logged whole-collection mutation: add a document, or compact.
+
+        Node ops arrive as ``apply_batch`` entries instead (a single op is
+        a one-entry batch), so this handles only the two WAL records that
+        carry no node address.
+        """
         collection = self.collection
         kind = op.get("op")
         extra: Dict[str, Any] = {}
-        if kind in BatchOp.KINDS:
-            self._document(op.get("doc"))  # a document this shard lacks: ShardError
-            collection.apply(resolve_op(collection.documents, op))
-        elif kind == "add_document":
+        if kind == "add_document":
             extra["local_doc"] = collection.add_document(parse_document(op["xml"]))
         elif kind == "compact":
             extra["record_counts"] = collection.compact()

@@ -391,10 +391,8 @@ def test_failed_batch_rolls_back_and_addressed_retry_applies_once(tmp_path):
 
 
 def _resilient(tmp_path, name, chaos):
-    return ResilientCollection.create(
-        tmp_path / name,
-        [parse_document(DOC)],
-        fsync=FSYNC,
+    return ResilientCollection(
+        DurableCollection.create(tmp_path / name, [parse_document(DOC)], fsync=FSYNC),
         faults=chaos,
         retry=RetryPolicy(max_attempts=12, base_delay=0.0, max_delay=0.0, seed=5),
         breaker=BreakerPolicy(failure_threshold=11),

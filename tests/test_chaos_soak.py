@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.durable import collection_fingerprint, recover
+from repro.durable import DurableCollection, collection_fingerprint, recover
 from repro.obs.audit import audit_ordered_document
 from repro.resilient import (
     BreakerPolicy,
@@ -63,9 +63,8 @@ def run_workload(collection, seed, operations=OPERATIONS):
 
 
 def build(tmp_path, name, chaos):
-    return ResilientCollection.create(
-        tmp_path / name,
-        [parse_document(DOC)],
+    return ResilientCollection(
+        DurableCollection.create(tmp_path / name, [parse_document(DOC)]),
         faults=chaos,
         retry=RetryPolicy(max_attempts=12, base_delay=0.0, max_delay=0.0,
                           seed=5),

@@ -430,3 +430,23 @@ class TestModuleEntrypoint:
         )
         assert result.returncode == 0
         assert "nodes=6" in result.stdout
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        import subprocess
+        import sys
+
+        # Far more output than a pipe buffers, so the CLI is still writing
+        # when the reader goes away, as under ``repro label doc.xml | head -1``.
+        wide = tmp_path / "wide.xml"
+        wide.write_text("<r>" + "<a/>" * 20000 + "</r>", encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "label", str(wide)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"r: ")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

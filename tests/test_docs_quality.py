@@ -111,11 +111,10 @@ def emitted_metric_names(path):
     return names
 
 
-def test_router_and_resilient_metrics_are_catalogued():
-    sources = [ROOT / "src/repro/shard/router.py"]
-    sources += sorted((ROOT / "src/repro/resilient").glob("*.py"))
+def uncatalogued_metrics(sources, docs):
+    """Metric names emitted in ``sources`` that no ``docs`` page names."""
     catalogued = set()
-    for doc in ("SHARDING.md", "RESILIENCE.md"):
+    for doc in docs:
         catalogued |= set(
             re.findall(r"`([a-z_][a-z0-9_.]*)`", (ROOT / "docs" / doc).read_text())
         )
@@ -123,9 +122,24 @@ def test_router_and_resilient_metrics_are_catalogued():
     for path in sources:
         emitted.update(emitted_metric_names(path))
     assert len(emitted) > 20
-    missing = sorted(
+    return sorted(
         source
         for source, pattern in emitted.items()
         if not any(re.fullmatch(pattern, name) for name in catalogued)
     )
+
+
+def test_router_and_resilient_metrics_are_catalogued():
+    sources = [ROOT / "src/repro/shard/router.py"]
+    sources += sorted((ROOT / "src/repro/resilient").glob("*.py"))
+    missing = uncatalogued_metrics(sources, ("SHARDING.md", "RESILIENCE.md"))
     assert not missing, f"metrics not in SHARDING.md/RESILIENCE.md: {missing}"
+
+
+def test_durable_replica_and_shard_metrics_are_catalogued():
+    sources = []
+    for package in ("durable", "replica", "shard"):
+        sources += sorted((ROOT / "src/repro" / package).glob("*.py"))
+    docs = ("DURABILITY.md", "BATCHING.md", "REPLICATION.md", "SHARDING.md")
+    missing = uncatalogued_metrics(sources, docs)
+    assert not missing, f"metrics not in {'/'.join(docs)}: {missing}"

@@ -1,13 +1,18 @@
 """Tests for the LabelingScheme protocol itself and cross-scheme agreement."""
 
+import sys
+
 import pytest
 
+from repro import labeling
+from repro.datasets.random_tree import chain_tree
 from repro.errors import LabelingError
 from repro.labeling.base import Relationship
 from repro.labeling.dewey import DeweyScheme
 from repro.labeling.interval import StartEndIntervalScheme, XissIntervalScheme
 from repro.labeling.prefix import Prefix1Scheme, Prefix2Scheme
 from repro.labeling.prime import BottomUpPrimeScheme, PrimeScheme
+from repro.query.dataguide import DataGuide
 from repro.xmlkit.builder import element
 
 ALL_SCHEMES = [
@@ -120,3 +125,34 @@ class TestCrossSchemeAgreement:
             scheme.insert_internal(tree, 0, 2)
             _pairs, mismatches = scheme.check_against_tree()
             assert mismatches == 0, f"{scheme.name} broken after wrap"
+
+
+#: Every scheme the package exports, by name.
+EXPORTED_SCHEMES = sorted(
+    name
+    for name in labeling.__all__
+    if name.endswith("Scheme") and name != "LabelingScheme"
+)
+
+
+@pytest.mark.parametrize("subject", EXPORTED_SCHEMES + ["DataGuide"])
+def test_chain_past_the_recursion_limit(subject):
+    """Labeling and path summaries are iterative: no depth is too deep."""
+    depth = sys.getrecursionlimit() + 200
+    root = chain_tree(depth, tag="n")
+    deepest = root
+    while deepest.children:
+        deepest = deepest.children[0]
+    if subject == "DataGuide":
+        guide = DataGuide([root])
+        assert guide.path_count == depth
+        paths = guide.paths()
+        assert len(paths) == depth and paths[-1] == ("n",) * depth
+        assert guide.documents_with_tag("n") == {0}
+        assert guide.documents_with_subsequence(["n"] * depth) == {0}
+        assert guide.documents_with_subsequence(["n"] * (depth + 1)) == set()
+        return
+    scheme = getattr(labeling, subject)().label_tree(root)
+    assert scheme.is_ancestor(root, deepest)
+    assert scheme.is_ancestor(deepest.parent, deepest)
+    assert not scheme.is_ancestor(deepest, root)

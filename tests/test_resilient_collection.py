@@ -40,9 +40,8 @@ def dead_disk():
 def make(tmp_path, faults=None, retry=None, breaker=None, clock=None, name="col"):
     now = {"t": 0.0}
     the_clock = clock if clock is not None else (lambda: now["t"])
-    collection = ResilientCollection.create(
-        tmp_path / name,
-        [parse_document(DOC)],
+    collection = ResilientCollection(
+        DurableCollection.create(tmp_path / name, [parse_document(DOC)]),
         faults=faults,
         retry=retry or RetryPolicy(base_delay=0.0, max_delay=0.0),
         breaker=breaker or BreakerPolicy(failure_threshold=3, cooldown_seconds=10.0),
@@ -301,7 +300,7 @@ class TestHealthAndLifecycle:
         collection, _ = make(tmp_path)
         collection.insert_child(collection.documents[0], 0, tag="kept")
         collection.close()
-        reopened = ResilientCollection.open(tmp_path / "col")
+        reopened = ResilientCollection(DurableCollection.open(tmp_path / "col"))
         assert reopened.count("//kept") == 1
         assert reopened.health()["state"] == "ok"
         reopened.close()
@@ -343,9 +342,8 @@ class TestChaosInjector:
     def test_same_seed_injects_identically(self, tmp_path):
         def run(name):
             chaos = FaultPlan(rate=0.2, seed=42, sleep=lambda _s: None)
-            collection = ResilientCollection.create(
-                tmp_path / name,
-                [parse_document(DOC)],
+            collection = ResilientCollection(
+                DurableCollection.create(tmp_path / name, [parse_document(DOC)]),
                 faults=chaos,
                 retry=RetryPolicy(max_attempts=12, base_delay=0.0,
                                   max_delay=0.0),

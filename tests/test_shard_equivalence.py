@@ -29,6 +29,9 @@ SEED_DOCS = [
     "<r><g><h/><i/></g></r>",
 ]
 OPS = 300
+#: The WAL-record key naming each node op's target (an entry's ``pos``).
+TARGET_KEY = {"insert_child": "parent", "insert_before": "ref",
+              "insert_after": "ref", "delete": "node"}
 
 
 def preorder_nodes(root):
@@ -79,16 +82,14 @@ def generate_workload(seed, twin, count):
 
 
 def route(service, op):
+    """Send one WAL-form op through the facade; a node op is a one-entry batch."""
     kind = op["op"]
-    if kind == "insert_child":
-        return service.insert_child(op["doc"], op["parent"], op["index"], op["tag"])
-    if kind == "insert_before":
-        return service.insert_before(op["doc"], op["ref"], op["tag"])
-    if kind == "insert_after":
-        return service.insert_after(op["doc"], op["ref"], op["tag"])
-    if kind == "delete":
-        return service.delete(op["doc"], op["node"])
-    return service.add_document(op["xml"])
+    if kind == "add_document":
+        return service.add_document(op["xml"])
+    entry = {"kind": kind, "doc": op["doc"], "pos": op[TARGET_KEY[kind]]}
+    entry.update((key, op[key]) for key in ("index", "tag") if key in op)
+    (ack,) = service.apply_batch([entry]).values()
+    return ack
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -141,8 +142,11 @@ def test_killed_worker_mid_batch_loses_whole_batch_then_replays(tmp_path):
         shard_id, _ = service.doc_map.to_local(target)
 
         for tag in ("s1", "s2"):  # two singles: appends 1 and 2 succeed
-            ack = service.insert_child(target, parent=0, index=0, tag=tag)
-            assert ack["status"] == "applied"
+            acks = service.apply_batch(
+                [{"kind": "insert_child", "doc": target, "pos": 0, "index": 0,
+                  "tag": tag}]
+            )
+            assert acks[shard_id]["status"] == "applied"
             apply_operation(
                 twin, {"op": "insert_child", "doc": target, "parent": 0,
                        "index": 0, "tag": tag}

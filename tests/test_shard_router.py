@@ -109,8 +109,10 @@ def test_down_shard_buffers_mutations_and_degrades_reads(tmp_path):
         shard_id, _ = service.doc_map.to_local(0)
         service.kill_worker(shard_id)
         wait_down(service, shard_id)
-        ack = service.insert_child(0, parent=0, index=0, tag="w")
-        assert ack == {"status": "buffered", "shard": shard_id}
+        acks = service.apply_batch(
+            [{"kind": "insert_child", "doc": 0, "pos": 0, "index": 0, "tag": "w"}]
+        )
+        assert acks == {shard_id: {"status": "buffered", "shard": shard_id}}
         assert service.router.buffered_ops(shard_id) == 1
         # Reads degrade alongside: the answer names the missing shard.
         result = service.query("//r", budget=0.5)

@@ -35,6 +35,9 @@ FAST = HealthPolicy(
     ),
 )
 
+#: One node op on the sharded stack: a one-entry addressed batch.
+INSERT_W = {"kind": "insert_child", "doc": 0, "pos": 0, "index": 0, "tag": "w"}
+
 
 def make_service(root, **serving):
     documents = [parse_document(xml) for xml in DOCS]
@@ -57,7 +60,7 @@ def drive(service, want, timeout=15.0):
 def test_killed_worker_restarts_through_recovery(tmp_path):
     with make_service(tmp_path) as service:
         shard_id, _ = service.doc_map.to_local(0)
-        ack = service.insert_child(0, parent=0, index=0, tag="w")
+        ack = service.apply_batch([INSERT_W])[shard_id]
         assert ack["status"] == "applied" and ack["last_seq"] == 1
 
         service.kill_worker(shard_id)
@@ -81,8 +84,8 @@ def test_crash_looper_is_quarantined_and_names_its_budget(tmp_path):
     # redo replay — a deterministic crash loop.
     with make_service(tmp_path, fault_spec="crash=append@1") as service:
         shard_id, _ = service.doc_map.to_local(0)
-        ack = service.insert_child(0, parent=0, index=0, tag="w")
-        assert ack == {"status": "pending", "shard": shard_id}
+        acks = service.apply_batch([INSERT_W])
+        assert acks == {shard_id: {"status": "pending", "shard": shard_id}}
 
         events = drive(service, "quarantined")
         assert any(e == ("quarantined", shard_id, 0) for e in events)
@@ -100,7 +103,9 @@ def test_crash_looper_is_quarantined_and_names_its_budget(tmp_path):
         # Satellite 1: routing to the quarantined shard refuses with the
         # shard id and the restart-budget state in the message itself.
         with pytest.raises(ShardUnavailableError) as excinfo:
-            service.insert_child(0, parent=0, index=1, tag="x")
+            service.apply_batch(
+                [{"kind": "insert_child", "doc": 0, "pos": 0, "index": 1, "tag": "x"}]
+            )
         message = str(excinfo.value)
         assert f"shard {shard_id}" in message
         assert "quarantined" in message

@@ -106,15 +106,12 @@ def test_worker_serves_pings_queries_and_mutations(worker):
     ack = worker.handle(
         Request(
             id=3,
-            kind="apply",
+            kind="apply_batch",
             payload={
-                "op": {
-                    "op": "insert_child",
-                    "doc": 1,
-                    "parent": 0,
-                    "index": 0,
-                    "tag": "w",
-                }
+                "entries": [
+                    {"kind": "insert_child", "doc": 1, "pos": 0, "index": 0,
+                     "tag": "w"}
+                ]
             },
         )
     )
@@ -165,8 +162,8 @@ def test_worker_survives_a_failed_request(worker):
     bad = worker.handle(
         Request(
             id=1,
-            kind="apply",
-            payload={"op": {"op": "delete", "doc": 0, "node": 999}},
+            kind="apply_batch",
+            payload={"entries": [{"kind": "delete", "doc": 0, "pos": 999}]},
         )
     )
     assert not bad.ok
@@ -180,43 +177,44 @@ def test_worker_survives_a_failed_request(worker):
 def test_worker_bad_positions_are_typed_missing_node_errors(worker, bad):
     # True == 1 and 3.0 == 3: an equality lookup would resolve both to a
     # real node.  A malformed position must read as a missing node instead.
-    single = worker.handle(
-        Request(id=1, kind="apply", payload={"op": {"op": "delete", "doc": 0, "node": bad}})
-    )
-    batch = worker.handle(
+    response = worker.handle(
         Request(
-            id=2,
+            id=1,
             kind="apply_batch",
             payload={"entries": [{"kind": "delete", "doc": 0, "pos": bad}]},
         )
     )
-    for response in (single, batch):
-        assert not response.ok
-        error = rehydrate_error(response.error, shard=0)
-        assert isinstance(error, DurabilityError)
-        assert "does not exist" in str(error)
-    pong = worker.handle(Request(id=3, kind="ping", payload={}))
+    assert not response.ok
+    error = rehydrate_error(response.error, shard=0)
+    assert isinstance(error, DurabilityError)
+    assert "does not exist" in str(error)
+    pong = worker.handle(Request(id=2, kind="ping", payload={}))
     assert pong.ok and pong.value["last_seq"] == 0
 
 
 @pytest.mark.parametrize("bad", [True, 0.0, "0", None])
-def test_worker_bad_document_is_a_shard_error(worker, bad):
+def test_worker_bad_document_is_a_typed_error(worker, bad):
+    entry = {"kind": "delete", "doc": bad, "pos": 1}
     response = worker.handle(
-        Request(id=1, kind="apply", payload={"op": {"op": "delete", "doc": bad, "node": 1}})
+        Request(id=1, kind="apply_batch", payload={"entries": [entry]})
     )
-    assert not response.ok
-    assert isinstance(rehydrate_error(response.error, shard=0), ShardError)
-
-
-
-@pytest.mark.parametrize("bad", [True, None, 99, -1, "1"])
-def test_worker_bad_index_is_an_error_response(worker, bad):
-    op = {"op": "insert_child", "doc": 0, "parent": 0, "index": bad, "tag": "w"}
-    response = worker.handle(Request(id=1, kind="apply", payload={"op": op}))
     assert not response.ok
     assert isinstance(rehydrate_error(response.error, shard=0), ReproError)
     pong = worker.handle(Request(id=2, kind="ping", payload={}))
     assert pong.ok and pong.value["last_seq"] == 0
+
+
+@pytest.mark.parametrize("bad", [True, None, 99, -1, "1"])
+def test_worker_bad_index_is_an_error_response(worker, bad):
+    entry = {"kind": "insert_child", "doc": 0, "pos": 0, "index": bad, "tag": "w"}
+    response = worker.handle(
+        Request(id=1, kind="apply_batch", payload={"entries": [entry]})
+    )
+    assert not response.ok
+    assert isinstance(rehydrate_error(response.error, shard=0), ReproError)
+    pong = worker.handle(Request(id=2, kind="ping", payload={}))
+    assert pong.ok and pong.value["last_seq"] == 0
+
 
 def test_fault_spec_parsing():
     assert FaultPlan.from_spec(None) is None
