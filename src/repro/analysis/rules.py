@@ -538,10 +538,13 @@ class FsyncContainmentRule(Rule):
         "The fsync policy (always/batch:N/never) is enforced in exactly "
         "one place so the durability loss-window story stays provable; "
         "scattered fsyncs make the policy a lie.  Snapshot atomic-rename "
-        "and test fault harnesses carry per-site justifications."
+        "and test fault harnesses carry per-site justifications.  Flushing "
+        "the console streams is not durability and is exempt."
     )
 
     _ALLOWED = ("repro.durable.wal",)
+    #: Console flushes: they push text to a terminal or pipe, not to disk.
+    _CONSOLE_FLUSHES = frozenset({"sys.stdout.flush", "sys.stderr.flush"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.is_module(*self._ALLOWED):
@@ -556,7 +559,12 @@ class FsyncContainmentRule(Rule):
                     node,
                     f"{name}() outside durable/wal.py's policy layer",
                 )
-            elif name.endswith(".flush") and not node.args and not node.keywords:
+            elif (
+                name.endswith(".flush")
+                and not node.args
+                and not node.keywords
+                and name not in self._CONSOLE_FLUSHES
+            ):
                 yield self.emit(
                     ctx,
                     node,

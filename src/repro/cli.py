@@ -960,8 +960,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.handler(args)
-        # repro: ignore[R10] -- console output, not durability: a closed
-        # pipe must fail here, inside the handler below, not at exit
+        # A closed pipe must fail here, inside the handler below, not at exit.
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -44,6 +44,8 @@ safely retriable as a unit (the resilient layer does exactly that).
 claims coverage of records the log does not durably hold), then writes a
 new snapshot generation, drops generations beyond the last two, and
 prunes WAL records already covered by the *oldest* retained generation.
+That generation's coverage is read from its CRC-checked header
+(:func:`~repro.durable.snapshot.read_snapshot_seq`), not a full decode.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from repro.durable.recovery import (
     snapshot_path,
     write_pointer,
 )
-from repro.durable.snapshot import read_snapshot, write_snapshot
+from repro.durable.snapshot import read_snapshot_seq, write_snapshot
 from repro.durable.wal import FsyncPolicy, WriteAheadLog, batch_record
 from repro.errors import (
     DurabilityError,
@@ -394,7 +396,9 @@ class DurableCollection(NodeMutations):
         the log does not durably hold.  Keeps the newest
         :data:`RETAINED_GENERATIONS` snapshots and prunes WAL records the
         oldest retained generation already covers (they can never be
-        needed by any surviving replay path).
+        needed by any surviving replay path).  That generation's
+        ``last_seq`` comes from its CRC-checked header; if the header
+        fails its checks, nothing is pruned.
         """
         if self._closed:
             raise DurabilityError("durable collection is closed")
@@ -417,9 +421,9 @@ class DurableCollection(NodeMutations):
                 if stale not in retained:
                     snapshot_path(self.directory, stale).unlink(missing_ok=True)
             try:
-                oldest_covered = read_snapshot(
+                oldest_covered = read_snapshot_seq(
                     snapshot_path(self.directory, retained[0])
-                ).last_seq
+                )
             except SnapshotCorruptError:
                 # A corrupt fallback snapshot means every WAL record might
                 # still matter; prune nothing rather than guess.

@@ -87,6 +87,7 @@ __all__ = [
     "SnapshotState",
     "write_snapshot",
     "read_snapshot",
+    "read_snapshot_seq",
     "restore_collection",
     "collection_fingerprint",
 ]
@@ -294,7 +295,30 @@ def read_snapshot(path: str | Path) -> SnapshotState:
     The tree is read with a loop, so every file :func:`snapshot_bytes`
     can write (at any document depth) reads back.
     """
-    path = Path(path)
+    state = _decode_checked(Path(path), header_only=False)
+    metrics.incr("snapshot.loads")
+    return state
+
+
+def read_snapshot_seq(path: str | Path) -> int:
+    """The ``last_seq`` a snapshot covers, read from its CRC-checked header.
+
+    Makes the same first checks as :func:`read_snapshot` — length, the
+    CRC32 over the whole body, magic and version — and reads the header
+    through the same decoder, then stops before the documents.  Raises
+    :class:`repro.errors.SnapshotCorruptError` on any failure.  Checkpoint
+    pruning needs only this one integer from the oldest retained
+    generation, so it pays one CRC pass instead of a full decode.
+    """
+    return _decode_checked(Path(path), header_only=True).last_seq
+
+
+def _decode_checked(path: Path, header_only: bool) -> SnapshotState:
+    """Read ``path``, verify its length and CRC32 footer, then decode it.
+
+    Every decoding failure is re-raised as
+    :class:`~repro.errors.SnapshotCorruptError`.
+    """
     try:
         blob = path.read_bytes()
     except OSError as error:
@@ -308,7 +332,7 @@ def read_snapshot(path: str | Path) -> SnapshotState:
             f"snapshot {path} failed its CRC32 check (truncated or corrupt)"
         )
     try:
-        state = _decode_body(body, path)
+        return _decode_body(body, path, header_only)
     except (
         ValueError,
         IndexError,
@@ -318,11 +342,15 @@ def read_snapshot(path: str | Path) -> SnapshotState:
         QueryEvaluationError,
     ) as error:
         raise SnapshotCorruptError(f"corrupt snapshot {path}: {error}") from error
-    metrics.incr("snapshot.loads")
-    return state
 
 
-def _decode_body(body: bytes, path: Path) -> SnapshotState:
+def _decode_body(body: bytes, path: Path, header_only: bool) -> SnapshotState:
+    """Decode a CRC-verified body.
+
+    ``header_only`` stops after the fixed header (magic through the
+    strategy name) and returns a state with no documents: the one field
+    layout serves both the full decode and :func:`read_snapshot_seq`.
+    """
     reader = _Reader(body)
     if reader.take(4) != _MAGIC:
         raise SnapshotCorruptError(f"{path} is not a snapshot file")
@@ -334,6 +362,8 @@ def _decode_body(body: bytes, path: Path) -> SnapshotState:
     (raw_group_size,) = reader.unpack(">I")
     group_size = None if raw_group_size == _NO_GROUP_SIZE else raw_group_size
     strategy = upgrade_strategy(reader.string(">B"))
+    if header_only:
+        return SnapshotState(last_seq, total_cost, group_size, strategy, [])
     (doc_count,) = reader.unpack(">I")
     documents: List[DocumentState] = []
     for _ in range(doc_count):

@@ -152,6 +152,17 @@ class LabelingScheme(ABC):
         """All nodes that currently carry a label."""
         return list(self._nodes.values())
 
+    def labels_in_order(self) -> Iterable[Any]:
+        """Every current label, in the order its node was first labeled.
+
+        The label map keeps insertion order (a relabel keeps its node's
+        place), so right after :meth:`label_tree` this is the order the
+        bulk walk visited the nodes: preorder for the top-down
+        :class:`~repro.labeling.prime.PrimeScheme`, which is how an ordered
+        document loads its SC table without walking the tree again.
+        """
+        return self._labels.values()
+
     # ------------------------------------------------------------------
     # Relationship tests (label-only)
     # ------------------------------------------------------------------

@@ -174,7 +174,10 @@ class PrimeScheme(LabelingScheme):
         node's Opt2 leaf ordinal (``0`` when it takes a prime instead) and
         whether the parent is the root (Opt1's reserved pool).  The
         ordinals are counted when the parent's children are pushed, so no
-        node looks its parent up in the label mapping.
+        node looks its parent up in the label mapping.  Labels enter the
+        mapping in preorder, so :meth:`labels_in_order` is document order
+        right after :meth:`label_tree` (the ordered document's SC load
+        relies on it).
         """
         generator = self._generator = PrimeGenerator(reserved=self.reserved_primes)
         self._discard_prime_two()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import OrderingError
 from repro.labeling.prime import PrimeLabel, PrimeScheme
@@ -80,10 +80,13 @@ class OrderedDocument:
         self.scheme = scheme
         self.root = root
         scheme.label_tree(root)
-        # A fresh document is compacted by construction: compact() loads
-        # orders 1..N in document order into a table of this group size.
-        self.sc_table = SCTable(group_size=group_size)
-        self.compact()
+        # A fresh document is compacted by construction: orders 1..N in
+        # document order, loaded into a table of this group size.  The
+        # label walk ran in preorder and the label map keeps insertion
+        # order, so the map already lists the nodes in document order and
+        # the load needs no second tree walk.
+        self.sc_table = SCTable(group_size=group_size)  # validates group_size
+        self._load_sc_table(scheme.labels_in_order())
 
     @classmethod
     def from_state(
@@ -291,19 +294,31 @@ class OrderedDocument:
         in the rebuilt table.  Labels are untouched — order is the SC
         table's business alone.
 
-        The rebuild is a bulk load: the preorder ``(self_label, order)``
-        pairs are chunked into ``group_size`` groups, the grouping one
+        The rebuild is the same bulk load a fresh document gets (see
+        :meth:`_load_sc_table`), fed by a preorder walk of the current tree.
+        """
+        label_of = self.scheme.label_of
+        with metrics.timed("order.compact"):
+            return self._load_sc_table(
+                label_of(node) for node in self.root.iter_preorder()
+            )
+
+    def _load_sc_table(self, labels: Iterable[PrimeLabel]) -> int:
+        """Replace the SC table with orders 0..N-1 of ``labels``.
+
+        ``labels`` lists every node's label in document order, the root's
+        first.  The pairs ``(self_label, order)`` are chunked
+        into ``group_size`` groups, the grouping one
         :meth:`SCTable.register` call per node would produce, and loaded by
         one :meth:`SCTable.from_groups` call.  The ``sc.*`` counters are
         charged as the per-node registrations would charge them, and an
         order that reaches its self-label raises the same
-        :class:`~repro.errors.CapacityError`.
+        :class:`~repro.errors.CapacityError`.  Returns the record count.
         """
         group_size = self.sc_table.group_size
-        label_of = self.scheme.label_of
         members = [
-            (label_of(node).self_label, order)
-            for order, node in enumerate(self.root.iter_preorder())
+            (label.self_label, order)
+            for order, label in enumerate(labels)
             if order  # the root's order is 0 by definition and not stored
         ]
         size = group_size or max(len(members), 1)
@@ -326,7 +341,7 @@ class OrderedDocument:
         groups: List[Tuple[int, List[Tuple[int, int]]]] = []
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
-            groups.append((max(self_label for self_label, _ in chunk), chunk))
+            groups.append((max(chunk)[0], chunk))  # the routing key: largest self-label
         self.sc_table = SCTable.from_groups(groups, group_size=group_size)
         return len(self.sc_table)
 

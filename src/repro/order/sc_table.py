@@ -35,6 +35,7 @@ is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import CapacityError, OrderingError
@@ -194,44 +195,75 @@ class SCTable:
         """Rebuild a table from a :meth:`groups` dump, grouping preserved.
 
         Each group becomes one SC record over the stored residues (its CRT
-        value is solved when first read); ``max_prime`` is validated
-        against the group's members (a corrupt snapshot must not smuggle in
-        a broken routing key).  Empty groups are legal — :meth:`unregister` can drain a
-        record without removing it, and the drained record still absorbs
-        future registrations — and round-trip with ``max_prime == 0``.
-        :meth:`repro.order.document.OrderedDocument.compact` builds every
+        value is solved when first read).  Every group is validated in one
+        loop over its members, so a corrupt snapshot cannot smuggle in a
+        broken table; each rejection is an :class:`OrderingError`:
+
+        * more members than ``group_size``;
+        * a residue outside ``[0, modulus)``;
+        * a modulus ``<= 1``;
+        * a self-label already seen (in this group or an earlier one);
+        * a modulus not coprime with the group's earlier moduli, checked as
+          ``gcd(running product, modulus) == 1`` — the pairwise check's
+          verdict in one gcd per member;
+        * a ``max_prime`` routing key other than the largest modulus.
+
+        The :class:`~repro.primes.crt.CongruenceSystem` is then built from
+        the validated map without re-checking it.  Empty groups are legal
+        — :meth:`unregister` can drain a record without removing it, and
+        the drained record still absorbs future registrations — and
+        round-trip with ``max_prime == 0``.
+        The ordered document's bulk load (a fresh document, and
+        :meth:`repro.order.document.OrderedDocument.compact`) builds every
         fresh table through here too, from its preorder chunks.
         """
         table = cls(group_size=group_size)
+        record_of = table._record_of
+        limit = table.group_size
         for index, (max_prime, members) in enumerate(groups):
-            moduli = [modulus for modulus, _residue in members]
-            if max_prime != max(moduli, default=0):
-                raise OrderingError(
-                    f"SC group #{index} routing key {max_prime} != max modulus"
-                )
-            if table.group_size is not None and len(members) > table.group_size:
+            if limit is not None and len(members) > limit:
                 raise OrderingError(
                     f"SC group #{index} holds {len(members)} nodes; "
-                    f"group_size is {table.group_size}"
+                    f"group_size is {limit}"
                 )
+            congruences: Dict[int, int] = {}
+            product = 1
             cur_max, cur_min, cur_slack = -1, _NO_SLACK, _NO_SLACK
             for modulus, residue in members:
                 if not 0 <= residue < modulus:
                     raise OrderingError(
                         f"residue {residue} is not valid for modulus {modulus}"
                     )
-                if modulus in table._record_of:
+                if modulus <= 1:
+                    raise OrderingError(f"modulus must be > 1, got {modulus}")
+                if modulus in record_of:
                     raise OrderingError(f"self-label {modulus} appears twice")
-                table._record_of[modulus] = index
+                if gcd(product, modulus) != 1:
+                    raise OrderingError(
+                        f"SC group #{index}: modulus {modulus} is not coprime "
+                        "with the group's other moduli"
+                    )
+                product *= modulus
+                record_of[modulus] = index
+                congruences[modulus] = residue
                 if residue > cur_max:
                     cur_max = residue
                 if residue < cur_min:
                     cur_min = residue
                 if modulus - residue < cur_slack:
                     cur_slack = modulus - residue
-            system = CongruenceSystem(moduli, [residue for _m, residue in members])
+            if max_prime != max(congruences, default=0):
+                raise OrderingError(
+                    f"SC group #{index} routing key {max_prime} != max modulus"
+                )
             table._records.append(
-                SCRecord(system, max_prime, cur_max, cur_min, cur_slack)
+                SCRecord(
+                    CongruenceSystem.from_validated(congruences),
+                    max_prime,
+                    cur_max,
+                    cur_min,
+                    cur_slack,
+                )
             )
         return table
 

@@ -149,6 +149,23 @@ class CongruenceSystem:
         self._offset = 0
         self._value: int | None = None
 
+    @classmethod
+    def from_validated(cls, congruences: Dict[int, int]) -> "CongruenceSystem":
+        """Adopt a residue map the caller has already validated.
+
+        The map must hold moduli ``> 1`` that are pairwise coprime, each
+        with a residue in ``[0, modulus)``; it is taken over as the
+        system's state, not copied or re-checked.  The SC table's bulk
+        load (:meth:`repro.order.sc_table.SCTable.from_groups`) checks
+        every member as it builds the map, so the constructor's per-member
+        checks would only repeat that work.
+        """
+        system = cls.__new__(cls)
+        system._congruences = congruences
+        system._offset = 0
+        system._value = None
+        return system
+
     def _check_new_modulus(self, modulus: int) -> None:
         if modulus <= 1:
             raise ValueError(f"modulus must be > 1, got {modulus}")

@@ -454,15 +454,6 @@ class LiveCollection(NodeMutations):
 
     def _build_engine(self) -> QueryEngine:
         metrics.incr("live.engine_rebuilds")
-        rows: List[ElementRow] = []
-        ordered_by_doc: Dict[int, OrderedDocument] = {}
-        next_id = 0
-        for doc_id, document in enumerate(self._ordered):
-            ordered_by_doc[doc_id] = document
-            doc_rows, next_id = LabelStore._make_rows(
-                doc_id, document.root, document.scheme.label_of, next_id
-            )
-            rows.extend(doc_rows)
         # PrimeOps resolves each comparison through the *owning* document's
         # scheme (they are per-document instances and can diverge after
         # updates); the first scheme is only the fallback for order holders
@@ -472,7 +463,10 @@ class LiveCollection(NodeMutations):
         fallback = (
             self._ordered[0].scheme if self._ordered else PrimeScheme()
         )
-        store = LabelStore(rows, PrimeOps(fallback, ordered_by_doc))
+        store = LabelStore.from_trees(
+            [(document.root, document.scheme.label_of) for document in self._ordered],
+            PrimeOps(fallback, dict(enumerate(self._ordered))),
+        )
         return QueryEngine(store, strategy=self.strategy)
 
     # ------------------------------------------------------------------
@@ -525,10 +519,12 @@ class LiveCollection(NodeMutations):
         """Publish the current state as an immutable :class:`ReadView`.
 
         Copy-on-publish: the writer's own store keeps being patched in
-        place (the PR 6 hot path); publication takes a frozen copy of it
-        (copied rows, materialized order keys — see
-        :meth:`repro.query.store.LabelStore.frozen_copy`), wraps it in a
-        fresh engine, and atomically swaps it in as :meth:`latest_view`.
+        place (the mutation hot path); publication takes a frozen copy of
+        it, wraps it in a fresh engine, and atomically swaps it in as
+        :meth:`latest_view`.  The copy takes each document's window
+        straight — rows copied in ``pre`` order with their maintained
+        ``pre``/``size`` columns, order keys materialized, no re-sweep
+        (see :meth:`repro.query.store.LabelStore.frozen_copy`).
         Reference swaps are GIL-atomic, so readers on other threads pick
         up either the old version or the new one — never a torn mix —
         without taking any lock on their query path.

@@ -14,6 +14,11 @@ instance (the Niagara repository is multi-document), and rows carry:
 * ``pre`` and ``size`` — the XPath-Accelerator window columns of
   :mod:`repro.query.window`, kept in preorder per document.
 
+Every row that comes from a labeled tree is made in one preorder walk per
+document (:meth:`LabelStore.from_trees`), which knows all of these columns
+as it goes; only rows of other provenance (a file, a test) are numbered by
+a separate validation sweep.
+
 The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 
 * ``prime`` — ancestor test by modulo (Property 2), parenthood and
@@ -28,7 +33,7 @@ The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryEvaluationError
@@ -257,6 +262,12 @@ class LabelStore:
     Each document's rows live in one :class:`~repro.query.window.DocWindow`
     (rows in preorder plus per-tag lists); the whole-table ``rows`` view is
     derived from those, in (document, ``pre``) order.
+
+    Two constructors with two jobs: :meth:`from_trees` loads labeled
+    trees in one walk per document (every build and the live engine), and
+    ``__init__`` takes rows that did not come from a tree walk (decoded
+    from disk, or assembled by hand) and validates them with one
+    :meth:`~repro.query.window.DocWindow.number` sweep per document.
     """
 
     def __init__(self, rows: Iterable[ElementRow], ops: StoreOps):
@@ -305,56 +316,93 @@ class LabelStore:
         return builder()
 
     @classmethod
-    def _make_rows(
+    def from_trees(
         cls,
-        doc_id: int,
-        root: XmlElement,
-        label_of: Callable[[XmlElement], Any],
-        next_id: int,
-    ) -> Tuple[List[ElementRow], int]:
-        """One row per node of ``root``'s tree, in preorder, ids from ``next_id``.
+        documents: Iterable[Tuple[XmlElement, Callable[[XmlElement], Any]]],
+        ops: StoreOps,
+    ) -> "LabelStore":
+        """Load the table in one preorder walk per ``(root, label_of)`` pair.
 
-        ``ancestors`` holds the rows on the path from the root to the
-        current node's parent; depth and parent id are read off it.
+        Section 5.2's bulk load: document ``i`` gets doc id ``i``, rows are
+        made in preorder with element ids counted across documents, and
+        each row's ``pre``, ``depth`` and ``parent_id`` are known when it is
+        made.  ``size`` is closed off the stack of open ancestors as the
+        walk leaves each subtree, and the tag and id indexes are filled
+        from the finished rows.  A tree walk is a preorder by
+        construction, so the store is windowed without the validation
+        sweep :meth:`__init__` runs over rows of unknown provenance.
         """
-        rows: List[ElementRow] = []
-        ancestors: List[ElementRow] = []
-        for node in root.iter_preorder():
-            parent = node.parent
-            while ancestors and ancestors[-1].node is not parent:
-                ancestors.pop()
-            row = ElementRow(
-                doc_id=doc_id,
-                element_id=next_id,
-                tag=node.tag,
-                label=label_of(node),
-                depth=len(ancestors),
-                parent_id=ancestors[-1].element_id if ancestors else None,
-                node=node,
-                text=node.text,
-            )
-            next_id += 1
-            rows.append(row)
-            ancestors.append(row)
-        return rows, next_id
+        store = cls._empty(ops)
+        element_id = 0
+        for doc_id, (root, label_of) in enumerate(documents):
+            window = store._docs[doc_id] = DocWindow()
+            by_pre = window.by_pre
+            path: List[ElementRow] = []  # open rows: the current node's ancestors
+            for pre, node in enumerate(root.iter_preorder()):
+                parent = node.parent
+                while path and path[-1].node is not parent:
+                    closed = path.pop()
+                    closed.size = pre - closed.pre
+                row = ElementRow(
+                    doc_id,
+                    element_id,
+                    node.tag,
+                    label_of(node),
+                    len(path),
+                    path[-1].element_id if path else None,
+                    node,
+                    node.text,
+                    pre,
+                )
+                by_pre.append(row)
+                path.append(row)
+                element_id += 1
+            total = len(by_pre)
+            for closed in path:
+                closed.size = total - closed.pre
+            store._index(window)
+        store._next_id = element_id
+        return store
+
+    @classmethod
+    def _empty(cls, ops: StoreOps, windowed: bool = True) -> "LabelStore":
+        """A store with no rows, for builders that fill the indexes directly."""
+        store = cls.__new__(cls)
+        store.ops = ops
+        store._docs = {}
+        store._row_by_id = {}
+        store._row_by_node = {}
+        store._next_id = 0
+        store.windowed = windowed
+        return store
+
+    def _index(self, window: DocWindow) -> None:
+        """Fill ``window.by_tag`` and the store's id maps from ``window.by_pre``.
+
+        Tag lists are appended in ``by_pre`` order, so they stay sorted by
+        ``pre``.
+        """
+        by_tag, row_by_id, row_by_node = window.by_tag, self._row_by_id, self._row_by_node
+        for row in window.by_pre:
+            bucket = by_tag.get(row.tag)
+            if bucket is None:
+                by_tag[row.tag] = [row]
+            else:
+                bucket.append(row)
+            row_by_id[row.element_id] = row
+            row_by_node[id(row.node)] = row
 
     @classmethod
     def _build_prime(cls, documents: Sequence[XmlElement]) -> "LabelStore":
-        rows: List[ElementRow] = []
-        ordered: Dict[int, OrderedDocument] = {}
-        next_id = 0
-        scheme_for_ops: Optional[PrimeScheme] = None
-        for doc_id, root in enumerate(documents):
-            document = OrderedDocument(root)
-            ordered[doc_id] = document
-            scheme_for_ops = scheme_for_ops or document.scheme
-            doc_rows, next_id = cls._make_rows(
-                doc_id, root, document.scheme.label_of, next_id
-            )
-            rows.extend(doc_rows)
-        if scheme_for_ops is None:
+        ordered = {
+            doc_id: OrderedDocument(root) for doc_id, root in enumerate(documents)
+        }
+        if not ordered:
             raise QueryEvaluationError("cannot build a store over zero documents")
-        return cls(rows, PrimeOps(scheme_for_ops, ordered))
+        return cls.from_trees(
+            [(document.root, document.scheme.label_of) for document in ordered.values()],
+            PrimeOps(ordered[0].scheme, ordered),
+        )
 
     @classmethod
     def _build_simple(
@@ -363,16 +411,10 @@ class LabelStore:
         scheme_class: Callable[[], LabelingScheme],
         ops: StoreOps,
     ) -> "LabelStore":
-        rows: List[ElementRow] = []
-        next_id = 0
-        for doc_id, root in enumerate(documents):
-            scheme = scheme_class()
-            scheme.label_tree(root)
-            doc_rows, next_id = cls._make_rows(doc_id, root, scheme.label_of, next_id)
-            rows.extend(doc_rows)
-        if not rows:
+        trees = [(root, scheme_class().label_tree(root).label_of) for root in documents]
+        if not trees:
             raise QueryEvaluationError("cannot build a store over zero documents")
-        return cls(rows, ops)
+        return cls.from_trees(trees, ops)
 
     def frozen_copy(self) -> "LabelStore":
         """An independent copy of the table for MVCC publication.
@@ -382,17 +424,47 @@ class LabelStore:
         published version must not see that), label objects are shared
         (they are immutable values), and prime order keys are materialized
         into a :class:`FrozenPrimeOps` so the copy never consults the
-        writer's live SC tables.  Rows are copied in per-document preorder,
-        so the copy's indexes and ``pre``/``size`` columns equal the
-        writer's, and subsequent writer-side ``insert_row`` /
-        ``delete_subtree`` patches cannot reach it.
+        writer's live SC tables.
+
+        Each writer :class:`~repro.query.window.DocWindow` is copied
+        straight: row by row in ``by_pre`` order with the positional
+        :class:`ElementRow` constructor, ``pre``/``size`` carried over and
+        ``by_tag`` rebuilt from the copied rows (so it stays sorted by
+        ``pre``).  ``windowed`` and the id counter are carried over too;
+        the writer's columns are already maintained, so nothing is
+        re-swept.  Later writer-side ``insert_row`` / ``delete_subtree``
+        patches cannot reach the copy.
         """
-        rows = self.rows
         ops: StoreOps = self.ops
         if isinstance(ops, PrimeOps):
-            orders = {row.element_id: ops.order_key(row) for row in rows}
+            order_key = ops.order_key
+            orders = {
+                row.element_id: order_key(row)
+                for window in self._docs.values()
+                for row in window.by_pre
+            }
             ops = FrozenPrimeOps(ops._scheme, ops._ordered, orders)
-        return LabelStore([replace(row) for row in rows], ops)
+        copy = LabelStore._empty(ops, self.windowed)
+        copy._next_id = self._next_id
+        for doc_id, window in self._docs.items():
+            twin = copy._docs[doc_id] = DocWindow()
+            twin.by_pre = [
+                ElementRow(
+                    row.doc_id,
+                    row.element_id,
+                    row.tag,
+                    row.label,
+                    row.depth,
+                    row.parent_id,
+                    row.node,
+                    row.text,
+                    row.pre,
+                    row.size,
+                )
+                for row in window.by_pre
+            ]
+            copy._index(twin)
+        return copy
 
     # ------------------------------------------------------------------
     # Access paths

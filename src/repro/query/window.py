@@ -21,7 +21,10 @@ nodes with ``pre(c) < pre <= end(c)``; following nodes start at
 :class:`DocWindow` is the store's one index per document: the rows in
 preorder (``by_pre``) plus per-tag row lists sorted by ``pre``, so an
 axis window becomes two binary searches (:mod:`bisect`) into the tag's
-list.  It is *incrementally maintained*: order-sensitive insertion shifts
+list.  A tree-built store fills it in the walk that makes the rows, and a
+published copy takes the writer's lists row by row, columns and all; only
+rows of other provenance are numbered by :meth:`DocWindow.number`.  It is
+*incrementally maintained*: order-sensitive insertion shifts
 the ``pre`` of the rows after the insertion point (exactly the nodes
 whose SC records the paper's update algorithm rewrites) and bumps
 ancestor sizes; subtree deletion removes a contiguous ``by_pre`` slice.
@@ -50,9 +53,12 @@ def _pre_of(row: "ElementRow") -> int:
 class DocWindow:
     """One document's rows in preorder and its per-tag pre-sorted lists.
 
-    A store whose row stream is not a clean preorder (see :meth:`number`)
-    keeps the same lists in input order; its ``pre``/``size`` columns are
-    then meaningless and the engine uses the label scan instead.
+    Stores built from trees (and their published copies) fill the lists
+    and columns directly, already in preorder.  Rows of other provenance
+    are appended in input order and numbered by :meth:`number`; a stream
+    that is not a clean preorder keeps its input order, its ``pre``/
+    ``size`` columns are then meaningless and the engine uses the label
+    scan instead.
     """
 
     __slots__ = ("by_pre", "by_tag")
@@ -68,6 +74,10 @@ class DocWindow:
 
     def number(self) -> bool:
         """Assign ``pre``/``size`` in one depth-stack sweep over ``by_pre``.
+
+        The validation sweep for rows that did not come from a tree walk
+        (a loaded file, a hand-assembled store); a tree-built store knows
+        its columns already.
 
         Returns False when the rows are not a consistent preorder (wrong
         depth jumps, parent links that disagree with the nesting, or a

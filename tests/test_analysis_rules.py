@@ -298,6 +298,25 @@ def test_sanctioned_patterns_stay_clean(rel, source):
     assert report.findings == [], report.findings
 
 
+# R10 exempts exactly the two console streams: any other argument-less
+# flush, and any fsync, outside durable/wal.py is still a finding (here at
+# the CLI, where the console flush lives).
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        ("sys.stdout.flush()", []),
+        ("sys.stderr.flush()", []),
+        ("handle.flush()", ["R10"]),
+        ("self._file.flush()", ["R10"]),
+        ("os.fsync(handle.fileno())", ["R10"]),
+    ],
+)
+def test_r10_exempts_only_console_flushes(call, expected):
+    source = f"import os\nimport sys\n\ndef run(self, handle):\n    {call}\n"
+    report = _lint(source, "src/repro/cli.py")
+    assert [f.rule for f in report.findings] == expected, report.findings
+
+
 def test_naked_suppression_raises_sup_and_keeps_finding():
     source = "def debug(x):\n    print(x)  # repro: ignore[R9]\n"
     report = _lint(source, "src/repro/order/bad.py")

@@ -174,6 +174,31 @@ class TestCheckpointing:
         assert counters["snapshot.writes"] == 2  # create + checkpoint
         assert counters["wal.appends"] == 1
 
+    def test_checkpoint_reads_no_whole_snapshot(self, collection):
+        for _ in range(3):
+            collection.insert_child(collection.documents[0], 0)
+        collection.checkpoint()
+        with metrics.collecting() as registry:
+            collection.insert_child(collection.documents[0], 0)
+            collection.checkpoint()  # prunes by gen 2's header: seq 3
+            counters = registry.snapshot()["counters"]
+        assert counters.get("snapshot.loads", 0) == 0
+        assert [record.seq for record in scan_wal(collection.wal.path).records] == [4]
+
+    def test_corrupt_oldest_generation_prunes_nothing(self, collection):
+        for _ in range(6):
+            collection.insert_child(collection.documents[0], 0)
+        collection.checkpoint()  # gen 2 at seq 6; gen 1 (seq 0) still retained
+        for _ in range(4):
+            collection.insert_child(collection.documents[0], 0)
+        oldest = snapshot_path(collection.directory, 2)  # retained after gen 3
+        blob = bytearray(oldest.read_bytes())
+        blob[len(blob) // 2] ^= 0x01  # one body byte: the CRC check fails
+        oldest.write_bytes(bytes(blob))
+        collection.checkpoint()
+        remaining = scan_wal(collection.wal.path).records
+        assert [record.seq for record in remaining] == list(range(1, 11))
+
     def test_context_manager_closes(self, tmp_path):
         with DurableCollection.create(
             tmp_path / "col", [parse_document(DOC)]

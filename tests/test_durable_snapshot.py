@@ -15,6 +15,7 @@ from repro.durable.recovery import list_generations, snapshot_path
 from repro.durable.snapshot import (
     collection_fingerprint,
     read_snapshot,
+    read_snapshot_seq,
     restore_collection,
     snapshot_bytes,
     write_snapshot,
@@ -164,6 +165,37 @@ class TestCorruptionDetection:
         path.write_bytes(body + struct.pack(">I", zlib.crc32(body)))
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
+
+    def test_header_reader_agrees_with_the_full_decode(self, tmp_path):
+        path = tmp_path / "snap.rpsn"
+        write_snapshot(build_collection(), path, last_seq=42)
+        assert read_snapshot_seq(path) == read_snapshot(path).last_seq == 42
+        legacy = Path(__file__).parent / "fixtures" / "legacy"
+        for version in (1, 2, 3):
+            fixture = legacy / f"snap-v{version}.rpsn"
+            assert read_snapshot_seq(fixture) == read_snapshot(fixture).last_seq
+
+    def test_header_reader_rejects_what_the_full_decode_rejects_first(self, tmp_path):
+        collection = LiveCollection([parse_document("<r><a/><b/></r>")])
+        path = tmp_path / "snap.rpsn"
+        write_snapshot(collection, path, last_seq=7)
+        blob = path.read_bytes()
+        for offset in range(len(blob)):  # any flipped bit fails the CRC
+            flip_bit(path, offset, offset % 8)
+            with pytest.raises(SnapshotCorruptError):
+                read_snapshot_seq(path)
+            path.write_bytes(blob)
+        body = blob[:-4]
+        for damaged in (
+            b"NOPE" + body[4:],  # magic
+            body[:4] + b"\x09" + body[5:],  # unsupported version
+            body[:12],  # cut inside last_seq
+        ):
+            path.write_bytes(damaged + struct.pack(">I", zlib.crc32(damaged)))
+            with pytest.raises(SnapshotCorruptError):
+                read_snapshot_seq(path)
+        with pytest.raises(SnapshotCorruptError):
+            read_snapshot_seq(tmp_path / "absent.rpsn")
 
     def test_injected_corruption_on_the_write_path(self, tmp_path):
         collection = build_collection(churn=3)

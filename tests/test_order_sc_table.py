@@ -1,10 +1,12 @@
 """Unit tests for the SC table (Section 4)."""
 
 import random
+from math import gcd
 
 import pytest
 
-from repro.errors import CapacityError, OrderingError
+from repro.durable.snapshot import DocumentState, SnapshotState, restore_collection
+from repro.errors import CapacityError, OrderingError, SnapshotCorruptError
 from repro.obs import metrics
 from repro.obs.audit import audit_ordered_document
 from repro.order.document import OrderedDocument
@@ -379,3 +381,68 @@ class TestLazySolveChurn:
         report = audit_ordered_document(doc)
         assert report.ok, report.summary()
         assert len(solves) >= len(doc.sc_table)
+
+
+# ---------------------------------------------------------------------------
+# from_groups: one validating loop, every rejection typed
+# ---------------------------------------------------------------------------
+
+REJECTED_GROUPS = [
+    pytest.param([(7, [(5, 1), (3, 2)])], 5, "routing key", id="routing-key-mismatch"),
+    pytest.param([(7, [(2, 1), (3, 2), (7, 3)])], 2, "holds 3 nodes", id="oversized-group"),
+    pytest.param([(5, [(5, 5)])], 5, "not valid for modulus", id="residue-at-modulus"),
+    pytest.param([(5, [(5, -1)])], 5, "not valid for modulus", id="negative-residue"),
+    pytest.param([(1, [(1, 0)])], 5, "must be > 1", id="modulus-one"),
+    pytest.param([(5, [(5, 1), (5, 2)])], 5, "appears twice", id="duplicate-in-group"),
+    pytest.param(
+        [(5, [(5, 1)]), (5, [(5, 2)])], 5, "appears twice", id="duplicate-across-groups"
+    ),
+    pytest.param(
+        [(21, [(15, 1), (7, 2), (21, 3)])], 5, "not coprime", id="non-prime-non-coprime"
+    ),
+    pytest.param([(6, [(2, 1), (6, 3)])], 5, "not coprime", id="shares-a-prime"),
+]
+
+
+@pytest.mark.parametrize("groups,group_size,message", REJECTED_GROUPS)
+def test_from_groups_rejections_are_typed(groups, group_size, message):
+    with pytest.raises(OrderingError, match=message):
+        SCTable.from_groups(groups, group_size=group_size)
+
+
+@pytest.mark.parametrize("groups,group_size,message", REJECTED_GROUPS)
+def test_corrupt_sc_groups_restore_as_snapshot_corruption(groups, group_size, message):
+    document = OrderedDocument(element("r"), group_size=group_size)
+    state = SnapshotState(
+        last_seq=0,
+        total_update_cost=0,
+        group_size=group_size,
+        strategy="auto",
+        documents=[
+            DocumentState(
+                root=element("r"),
+                labels=[(1, 1)],
+                generator_state=document.scheme._generator.state(),
+                sc_groups=groups,
+            )
+        ],
+    )
+    with pytest.raises(SnapshotCorruptError, match=message):
+        restore_collection(state)
+
+
+def test_running_product_rejects_exactly_the_non_pairwise_coprime_groups():
+    rng = random.Random(11)
+    for _ in range(400):
+        moduli = rng.sample(range(2, 40), rng.randint(1, 5))
+        groups = [(max(moduli), [(modulus, 0) for modulus in moduli])]
+        pairwise = all(
+            gcd(first, second) == 1
+            for index, first in enumerate(moduli)
+            for second in moduli[index + 1 :]
+        )
+        if pairwise:
+            assert SCTable.from_groups(groups).orders() == dict.fromkeys(moduli, 0)
+        else:
+            with pytest.raises(OrderingError, match="not coprime"):
+                SCTable.from_groups(groups)
