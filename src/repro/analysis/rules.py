@@ -143,8 +143,8 @@ class ResidueMutationRule(Rule):
     """R2 — SC residue state mutates only inside primes/ and sc_table.py.
 
     ``_congruences`` is flagged on any receiver.  ``_offset`` is a common
-    name (``WalReader`` and the replica tailer keep their own), so it is
-    flagged only when read off another object, never as ``self._offset``.
+    name (the replica tailer keeps its own), so it is flagged only when
+    read off another object, never as ``self._offset``.
     """
 
     id = "R2"

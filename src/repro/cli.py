@@ -541,17 +541,12 @@ def cmd_lag(args: argparse.Namespace) -> int:
     """Report replica lag against a primary's directory."""
     import json
 
-    from repro.durable import WalReader, read_pointer
+    from repro.durable import read_pointer, scan_wal
     from repro.durable.recovery import WAL_NAME
     from repro.durable.wal import WAL_HEADER
 
-    wal_path = os.path.join(args.dir, WAL_NAME)
-    reader = WalReader(wal_path)
-    primary_seq = reader.last_lsn()
-    try:
-        primary_bytes = os.path.getsize(wal_path)
-    except OSError:
-        primary_bytes = 0
+    scan = scan_wal(os.path.join(args.dir, WAL_NAME))
+    primary_seq, primary_bytes = scan.last_seq, scan.total_bytes
     applied_seq = 0
     offset = None
     source = "none"
@@ -697,7 +692,7 @@ def cmd_shard_status(args: argparse.Namespace) -> int:
     """Inspect a sharded collection root offline (no workers started)."""
     import json
 
-    from repro.durable import WalReader, read_pointer
+    from repro.durable import read_pointer, scan_wal
     from repro.durable.recovery import WAL_NAME, list_shard_directories
     from repro.shard import read_manifest
 
@@ -707,7 +702,7 @@ def cmd_shard_status(args: argparse.Namespace) -> int:
         pointer = read_pointer(path)
         wal_path = os.path.join(str(path), WAL_NAME)
         try:
-            wal_seq = WalReader(wal_path).last_lsn()
+            wal_seq = scan_wal(wal_path).last_seq
         except (OSError, DurabilityError):
             wal_seq = 0
         shards.append(

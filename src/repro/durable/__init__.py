@@ -6,6 +6,8 @@ package makes a :class:`~repro.query.live.LiveCollection` durable:
 
 * :mod:`repro.durable.wal` — append-only, CRC32-checksummed write-ahead
   log of every order-sensitive update, with configurable fsync policy,
+  and its one record scanner (:func:`scan_wal` reads a whole log;
+  :class:`repro.replica.WalTailer` is the only incremental cursor),
 * :mod:`repro.durable.snapshot` — atomic, checksummed full-state
   snapshots (trees + prime labels + generator positions + SC grouping),
 * :mod:`repro.durable.recovery` — snapshot load + WAL replay + invariant
@@ -42,13 +44,11 @@ from repro.durable.snapshot import (
 )
 from repro.durable.wal import (
     FsyncPolicy,
-    WalReader,
     WalRecord,
     WalScan,
     WriteAheadLog,
     batch_record,
     scan_wal,
-    scan_wal_from,
 )
 
 __all__ = [
@@ -73,11 +73,9 @@ __all__ = [
     "restore_collection",
     "write_snapshot",
     "FsyncPolicy",
-    "WalReader",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
     "batch_record",
     "scan_wal",
-    "scan_wal_from",
 ]

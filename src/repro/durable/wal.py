@@ -25,14 +25,19 @@ sub-operations with the same grammar; opcode 0 is a varint-length-prefixed
 JSON fallback for shapes the binary codec does not know, so no payload is
 ever unrepresentable.
 
-Version 1 (canonical-JSON payloads) is read-only: the scanners still
-decode it, and :class:`WriteAheadLog` rewrites a version-1 log at version
+Version 1 (canonical-JSON payloads) is read-only: the scanner still
+decodes it, and :class:`WriteAheadLog` rewrites a version-1 log at version
 3 (same sequence numbers, same operations) when it opens one, so appends
 never mix encodings.
 
 Sequence numbers are assigned by the log and never reused; a snapshot
 records the last sequence it covers, so the replay suffix is "every
 record with ``seq`` greater than that".
+
+**One reader.**  :func:`read_header` checks the header and
+:func:`scan_records` decodes records; :func:`scan_wal` runs them over a
+whole local file, and :class:`repro.replica.WalTailer` is the one
+incremental cursor (over a local file, ``WalTailer(FileTransport(path))``).
 
 **Torn-tail rule**: a crash can leave a half-written final record (or,
 under ``fsync='never'``/``'batch'``, lose several).  :func:`scan_wal`
@@ -83,15 +88,13 @@ __all__ = [
     "FsyncPolicy",
     "SUPPORTED_WAL_VERSIONS",
     "WAL_HEADER",
-    "WAL_MAGIC",
-    "WalReader",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
     "batch_record",
+    "read_header",
     "scan_records",
     "scan_wal",
-    "scan_wal_from",
 ]
 
 
@@ -112,14 +115,9 @@ _DEFAULT_VERSION = 3
 #: (binary payloads; 3 to match the repo-wide format-v3 generation of the
 #: RPLS store and RPSN snapshot).
 SUPPORTED_WAL_VERSIONS = (1, 3)
-_HEADER_LEN = 5
-#: The 4 magic bytes every log starts with — public so transports that
-#: ship raw WAL bytes (``repro.replica``) can validate a stream without
-#: importing scanner internals; the fifth header byte is the version,
-#: checked against :data:`SUPPORTED_WAL_VERSIONS`.
-WAL_MAGIC = _MAGIC
 #: The 5 header bytes (magic ‖ version) every log is written with.
 WAL_HEADER = _MAGIC + bytes([_DEFAULT_VERSION])
+_HEADER_LEN = len(WAL_HEADER)
 _RECORD_HEADER = struct.Struct(">QII")  # seq, payload length, crc32
 #: Upper bound on one payload — anything larger is treated as corruption
 #: (a flipped length byte must not make the scanner swallow the file).
@@ -351,12 +349,35 @@ def _decode_payload(payload: bytes, version: int) -> Dict[str, Any]:
     return op
 
 
-def _scan_suffix(
+def read_header(blob: bytes, source: str | Path) -> Optional[int]:
+    """The payload version the log header at the start of ``blob`` declares.
+
+    ``None`` when ``blob`` is shorter than the header (a log being
+    created, or nothing shipped yet).  Raises
+    :class:`~repro.errors.WalCorruptError` naming ``source`` when the
+    bytes are not a WAL header or declare a version outside
+    :data:`SUPPORTED_WAL_VERSIONS`.  The whole-file :func:`scan_wal` and
+    the replica tailer both check the header here.
+    """
+    if len(blob) < _HEADER_LEN:
+        return None
+    if blob[:4] != _MAGIC:
+        raise WalCorruptError(f"{source} is not a write-ahead log")
+    if blob[4] not in SUPPORTED_WAL_VERSIONS:
+        raise WalCorruptError(f"unsupported WAL version {blob[4]} in {source}")
+    return blob[4]
+
+
+def scan_records(
     buffer: bytes, base: int, total: int, expected_seq: Optional[int], version: int
 ) -> WalScan:
-    """Decode records from ``buffer``, whose first byte sits at file
-    offset ``base``; ``total`` is the file's full size.  Shared by the
-    whole-file :func:`scan_wal` and the incremental :func:`scan_wal_from`.
+    """Decode the records in ``buffer``, whose first byte sits at file
+    offset ``base``; ``total`` is the file's full size.
+
+    The one record scanner: :func:`scan_wal` runs it over a whole local
+    file, the replica tailer over shipped byte ranges, so both apply the
+    same CRC, chain and torn-tail rules.  ``version`` is the payload
+    format the log's header declared (see :func:`read_header`).
     """
     records: List[WalRecord] = []
     pos = 0
@@ -398,25 +419,6 @@ def _scan_suffix(
     )
 
 
-def scan_records(
-    buffer: bytes,
-    base: int,
-    total: int,
-    expected_seq: Optional[int],
-    version: int,
-) -> WalScan:
-    """Decode shipped WAL bytes that are *not* on a local filesystem.
-
-    The replication tailer receives raw byte ranges over a transport;
-    this applies the exact same record validation as :func:`scan_wal`
-    (CRC, chain, torn-tail rules) to an in-memory buffer whose first byte
-    sits at file offset ``base``.  ``total`` is the primary's file size
-    as reported alongside the bytes; ``version`` is the payload format the
-    stream's header declared (the tailer learns it at offset 0).
-    """
-    return _scan_suffix(buffer, base, total, expected_seq, version)
-
-
 def scan_wal(path: str | Path) -> WalScan:
     """Read every trustworthy record of the log at ``path``.
 
@@ -429,7 +431,8 @@ def scan_wal(path: str | Path) -> WalScan:
     if not path.exists():
         return WalScan(records=[], valid_bytes=0, total_bytes=0)
     blob = path.read_bytes()
-    if len(blob) < _HEADER_LEN:
+    version = read_header(blob, path)
+    if version is None:
         # A crash while creating the log can leave a short header; there
         # are no records to lose, so treat it as empty-and-repairable.
         return WalScan(
@@ -438,61 +441,14 @@ def scan_wal(path: str | Path) -> WalScan:
             total_bytes=len(blob),
             stop_reason="short" if blob else "clean",
         )
-    if blob[:4] != _MAGIC:
-        raise WalCorruptError(f"{path} is not a write-ahead log")
-    if blob[4] not in SUPPORTED_WAL_VERSIONS:
-        raise WalCorruptError(f"unsupported WAL version {blob[4]} in {path}")
-    return _scan_suffix(blob[_HEADER_LEN:], _HEADER_LEN, len(blob), None, blob[4])
-
-
-def scan_wal_from(
-    path: str | Path, offset: int, expected_seq: Optional[int] = None
-) -> WalScan:
-    """Scan only the records at file offsets ``>= offset``.
-
-    The incremental half of the scanner: a tailer that has already
-    consumed the prefix passes the ``valid_bytes`` of its previous scan
-    (and the next sequence number it expects) and pays only for the
-    unread suffix.  ``offset`` below the header length degrades to a
-    full :func:`scan_wal` (which also validates the header).  ``offset``
-    beyond the end of the file scans as empty with ``stop_reason``
-    ``"clean"`` — the caller detects shrinkage by comparing sizes.
-    """
-    path = Path(path)
-    if offset < _HEADER_LEN:
-        scan = scan_wal(path)
-        if expected_seq is not None and scan.records:
-            if scan.records[0].seq != expected_seq:
-                return WalScan(
-                    records=[],
-                    valid_bytes=_HEADER_LEN,
-                    total_bytes=scan.total_bytes,
-                    stop_reason="chain",
-                )
-        return scan
-    if not path.exists():
-        return WalScan(records=[], valid_bytes=offset, total_bytes=0)
-    with open(path, "rb") as handle:
-        size = handle.seek(0, os.SEEK_END)
-        if offset >= size:
-            # Nothing new — or the file shrank under us (reset/prune
-            # rewrote it); ``total_bytes < offset`` signals the latter.
-            return WalScan(records=[], valid_bytes=offset, total_bytes=size)
-        # The suffix's payload encoding is dictated by the file header, so
-        # an incremental scan still reads the 5 header bytes.
-        handle.seek(0)
-        head = handle.read(_HEADER_LEN)
-        if len(head) < _HEADER_LEN or head[:4] != _MAGIC:
-            raise WalCorruptError(f"{path} is not a write-ahead log")
-        if head[4] not in SUPPORTED_WAL_VERSIONS:
-            raise WalCorruptError(f"unsupported WAL version {head[4]} in {path}")
-        handle.seek(offset)
-        suffix = handle.read()
-    return _scan_suffix(suffix, offset, offset + len(suffix), expected_seq, head[4])
+    return scan_records(blob[_HEADER_LEN:], _HEADER_LEN, len(blob), None, version)
 
 
 class WriteAheadLog:
-    """The append half of the log (reading goes through :func:`scan_wal`).
+    """The append half of the log.
+
+    Reading goes through :func:`scan_wal` for a whole file, or through
+    :class:`repro.replica.WalTailer` for an incremental cursor.
 
     Opening an existing log scans it, truncates any torn tail in place,
     and resumes sequence numbering after the last valid record.  A log
@@ -755,80 +711,6 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class WalReader:
-    """Incremental, read-only cursor over a WAL file.
-
-    The replication tailer polls the primary's log many times per second;
-    re-reading the whole file each poll would make shipping cost quadratic
-    in history length.  A reader remembers the offset and sequence number
-    of the last record it trusted and each :meth:`poll` (or
-    :meth:`last_lsn`) scans only the unread suffix.  It also notices when
-    the file shrank — :meth:`WriteAheadLog.reset` and
-    :meth:`WriteAheadLog.prune` rewrite the log in place — and restarts
-    from the header so the caller sees a coherent stream again.
-
-    Readers never write: repair of a torn tail is the owner's job
-    (:meth:`WriteAheadLog.reopen`); a reader merely refuses to trust the
-    bytes, reporting *why* via :attr:`last_stop_reason` so a live tailer
-    can tell "writer mid-append, try again" (``"short"``) from damage.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._offset = 0  # 0 = header not yet validated
-        self._last_seq = 0
-        self._last_stop_reason = "clean"
-
-    @property
-    def offset(self) -> int:
-        """File offset one past the last record this reader trusted."""
-        return self._offset
-
-    @property
-    def last_stop_reason(self) -> str:
-        """``stop_reason`` of the most recent scan (``"clean"`` initially)."""
-        return self._last_stop_reason
-
-    def read_from(self, offset: int, expected_seq: Optional[int] = None) -> WalScan:
-        """One-shot scan from ``offset`` without touching the cursor.
-
-        For callers that manage their own position (the tailer keeps its
-        applied-LSN durable elsewhere); :meth:`poll` is the cursor-ful
-        variant.
-        """
-        return scan_wal_from(self.path, offset, expected_seq)
-
-    def poll(self) -> WalScan:
-        """Scan the unread suffix and advance the cursor past it.
-
-        Returns only the *new* records since the previous poll.  When the
-        file shrank (the owner reset or pruned it) the cursor rewinds to
-        the header and the scan restarts from the first surviving record,
-        so the same poll can return records whose sequence numbers the
-        caller has already applied — callers filter by their applied LSN.
-        """
-        size = os.path.getsize(self.path) if self.path.exists() else 0
-        if size < self._offset:
-            metrics.incr("wal.reader_rewinds")
-            self._offset = 0
-            self._last_seq = 0
-        expected = self._last_seq + 1 if self._offset > 0 and self._last_seq else None
-        scan = scan_wal_from(self.path, self._offset, expected)
-        self._last_stop_reason = scan.stop_reason
-        if scan.records:
-            self._offset = scan.valid_bytes
-            self._last_seq = scan.records[-1].seq
-        elif self._offset == 0 and scan.valid_bytes >= _HEADER_LEN:
-            self._offset = scan.valid_bytes
-        return scan
-
-    def last_lsn(self) -> int:
-        """Sequence number of the last valid record, scanning only the
-        suffix appended since this reader last looked (0 for empty)."""
-        self.poll()
-        return self._last_seq
 
 
 def _rewrite(path: Path, records: List[WalRecord]) -> int:

@@ -1,10 +1,13 @@
 """Incremental WAL consumption over a shipping transport.
 
-The :class:`WalTailer` is the replica-side cursor into the primary's log.
-It fetches raw byte ranges through a :class:`~repro.replica.transport.WalTransport`
-and decodes them with the *same* scanner the primary's recovery uses
-(:func:`repro.durable.wal.scan_records`), so the replica accepts exactly
-the records a crash-restarted primary would.
+The :class:`WalTailer` is the replica-side cursor into the primary's log,
+and the only incremental WAL reader: a local cursor is
+``WalTailer(FileTransport(path))``.  It fetches raw byte ranges through a
+:class:`~repro.replica.transport.WalTransport`, checks the header with
+:func:`repro.durable.wal.read_header` and decodes records with
+:func:`repro.durable.wal.scan_records`, the header check and scanner the
+primary's recovery uses, so the replica accepts exactly the records a
+crash-restarted primary would.  Each shipped record is decoded once, here.
 
 Three situations at the tail of the stream look superficially alike and
 must be told apart:
@@ -35,13 +38,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.durable.wal import (
-    SUPPORTED_WAL_VERSIONS,
-    WAL_MAGIC,
-    WalRecord,
-    scan_records,
-)
-from repro.errors import ReplicationError
+from repro.durable.wal import WAL_HEADER, WalRecord, read_header, scan_records
+from repro.errors import ReplicationError, WalCorruptError
 from repro.obs import metrics
 
 from repro.replica.transport import WalTransport
@@ -132,22 +130,17 @@ class WalTailer:
             payload = frame.payload
             base = fetch_start
             if fetch_start == 0:
-                header_len = len(WAL_MAGIC) + 1
-                if len(payload) < header_len:
+                try:
+                    version = read_header(payload, "shipped log")
+                except WalCorruptError as error:
+                    raise ReplicationError(str(error)) from error
+                if version is None:
                     # Log not created / header not fully written yet.
                     return out
-                if (
-                    payload[: len(WAL_MAGIC)] != WAL_MAGIC
-                    or payload[len(WAL_MAGIC)] not in SUPPORTED_WAL_VERSIONS
-                ):
-                    raise ReplicationError(
-                        "shipped log does not start with a valid WAL header; "
-                        "the source is not a repro write-ahead log"
-                    )
                 # A new generation may carry a different payload format.
-                self._version = payload[len(WAL_MAGIC)]
-                payload = payload[header_len:]
-                base = header_len
+                self._version = version
+                base = len(WAL_HEADER)
+                payload = payload[base:]
                 # Commit header consumption even if no records follow yet.
                 self._offset = base
             if not payload:

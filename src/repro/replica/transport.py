@@ -1,10 +1,10 @@
 """WAL shipping transports: how replicas fetch the primary's log bytes.
 
 The shipping channel is deliberately dumb — it moves *byte ranges* of the
-primary's ``wal.log``, never decoded records, so every validation rule
-(CRC, sequence chain, torn tail) runs replica-side through the exact
-scanner the primary's own recovery uses.  Two transports implement the
-same three-field frame:
+primary's ``wal.log`` and decodes nothing, so every validation rule
+(CRC, sequence chain, torn tail) runs replica-side, once per record,
+through the exact scanner the primary's own recovery uses.  Two
+transports implement the same three-field frame:
 
 * :class:`FileTransport` — the replica can see the primary's directory
   (shared filesystem, or a local pair in one process).  Reads reopen the
@@ -16,10 +16,10 @@ same three-field frame:
   :class:`FileTransport`; one request frame (``offset``, ``limit``) gets
   one response frame (``size``, ``last_seq``, ``payload``).
 
-Every read also carries the primary's last valid sequence number
-(``last_seq``, computed server-side by an incremental
-:class:`~repro.durable.wal.WalReader`), so lag is measurable in records
-as well as bytes without shipping or parsing anything extra.
+A *probe* (``limit <= 0``) carries the primary's last valid sequence
+number (``last_seq``, from one server-side :func:`~repro.durable.wal.scan_wal`
+of the current log generation), so lag is measurable in records as well
+as bytes; data reads carry ``last_seq = 0`` and are never parsed.
 
 Transport failures surface as :class:`OSError` — the TRANSIENT fault
 domain — and the replica keeps serving its last published view; protocol
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.durable.wal import WalReader
+from repro.durable.wal import scan_wal
 from repro.errors import ReplicationError, WalCorruptError
 from repro.obs import metrics
 
@@ -62,7 +62,12 @@ _MAX_FRAME_PAYLOAD = 128 * 1024 * 1024
 
 @dataclass(frozen=True)
 class ShipFrame:
-    """One transport response: primary file size, last LSN, raw bytes."""
+    """One transport response: primary file size, last LSN, raw bytes.
+
+    ``last_seq`` is filled on probes (``limit <= 0``) only; a data read
+    carries ``0`` there, because the bytes it ships are decoded once, by
+    the consumer.
+    """
 
     size: int
     last_seq: int
@@ -76,8 +81,9 @@ class WalTransport:
         """Fetch up to ``limit`` bytes starting at ``offset``.
 
         ``limit=0`` is a probe: the frame carries the current file size
-        and last valid sequence number with an empty payload.  A missing
-        log reads as size 0 (the primary has not created it yet).
+        and last valid sequence number with an empty payload.  A data
+        read's frame carries ``last_seq = 0``.  A missing log reads as
+        size 0 (the primary has not created it yet).
         """
         raise NotImplementedError
 
@@ -90,7 +96,6 @@ class FileTransport(WalTransport):
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._reader = WalReader(self.path)
 
     def read(self, offset: int, limit: int) -> ShipFrame:
         """Read the byte range from the file, reopening per call.
@@ -99,24 +104,30 @@ class FileTransport(WalTransport):
         pruned log) visible immediately; the caller sees the new file's
         size and resynchronizes by offset arithmetic.
         """
-        try:
-            last_seq = self._reader.last_lsn()
-        except WalCorruptError:
-            # The transport ships bytes; judging them (a foreign or damaged
-            # header) is the consumer's job.  Report no usable LSN.
-            metrics.incr("replica.transport_unreadable_lsn")
-            last_seq = 0
+        if limit <= 0:
+            return self._probe()
         try:
             with open(self.path, "rb") as handle:
                 size = handle.seek(0, os.SEEK_END)
-                if limit <= 0 or offset >= size:
-                    return ShipFrame(size=size, last_seq=last_seq, payload=b"")
+                if offset >= size:
+                    return ShipFrame(size=size, last_seq=0, payload=b"")
                 handle.seek(offset)
                 payload = handle.read(limit)
         except FileNotFoundError:
             return ShipFrame(size=0, last_seq=0, payload=b"")
         metrics.incr("replica.transport_bytes", len(payload))
-        return ShipFrame(size=size, last_seq=last_seq, payload=payload)
+        return ShipFrame(size=size, last_seq=0, payload=payload)
+
+    def _probe(self) -> ShipFrame:
+        """Size and last valid sequence number of the current generation."""
+        try:
+            scan = scan_wal(self.path)
+        except WalCorruptError:
+            # The transport ships bytes; judging them (a foreign or damaged
+            # header) is the consumer's job.  Report no usable LSN.
+            metrics.incr("replica.transport_unreadable_lsn")
+            return ShipFrame(size=os.path.getsize(self.path), last_seq=0, payload=b"")
+        return ShipFrame(size=scan.total_bytes, last_seq=scan.last_seq, payload=b"")
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -237,6 +248,9 @@ class SocketTransport(WalTransport):
                     raise ConnectionError("ship server closed the connection")
                 size, last_seq, nbytes = _RESPONSE.unpack(header)
                 if nbytes > _MAX_FRAME_PAYLOAD:
+                    # The unread payload is still on the wire: a reused
+                    # socket would parse it as the next response header.
+                    self._drop()
                     raise ReplicationError(
                         f"ship server announced an implausible {nbytes}-byte "
                         "payload; refusing to buffer it"

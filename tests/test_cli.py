@@ -375,6 +375,57 @@ class TestShardVerbs:
         assert "sharding failure" in capsys.readouterr().err
 
 
+def _tear(wal_path, seq):
+    """Append a record header for ``seq`` whose payload never landed."""
+    import struct
+
+    with open(wal_path, "ab") as handle:
+        handle.write(struct.pack(">QII", seq, 100, 0) + b"torn")
+
+
+class TestTornTailSequence:
+    """Offline verbs report the last whole record, not a torn one."""
+
+    def test_lag_json_reports_the_last_whole_record(self, play_file, tmp_path, capsys):
+        import json
+
+        from repro.durable import DurableCollection
+        from repro.durable.recovery import WAL_NAME
+
+        state = tmp_path / "state"
+        assert main(["dump", str(state), play_file, "--churn", "5"]) == 0
+        col = DurableCollection.open(state)
+        last_seq = col.last_seq
+        col.close()
+        assert last_seq > 0
+        _tear(state / WAL_NAME, last_seq + 1)
+        capsys.readouterr()
+        assert main(["lag", str(state), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["primary_seq"] == last_seq
+
+    def test_shard_status_json_reports_the_last_whole_record(
+        self, xml_file, tmp_path, capsys
+    ):
+        import json
+        import os
+
+        from repro.durable import list_shard_directories
+        from repro.durable.recovery import WAL_NAME
+
+        root = tmp_path / "sharded"
+        assert main(["shard-serve", str(root), xml_file, xml_file, "--churn", "4"]) == 0
+        capsys.readouterr()
+        assert main(["shard-status", str(root), "--json"]) == 0
+        before = json.loads(capsys.readouterr().out)["shard_dirs"]
+        assert sum(entry["wal_seq"] for entry in before) >= 4
+        seqs = {entry["shard"]: entry["wal_seq"] for entry in before}
+        for shard_id, path in list_shard_directories(root):
+            _tear(os.path.join(str(path), WAL_NAME), seqs[shard_id] + 1)
+        assert main(["shard-status", str(root), "--json"]) == 0
+        after = json.loads(capsys.readouterr().out)["shard_dirs"]
+        assert [e["wal_seq"] for e in after] == [e["wal_seq"] for e in before]
+
+
 class TestExitCodeContract:
     """Exit codes are API: 1 generic, 2 missing file, 3 bad XML,
     4 durability, 5 replication, 6 sharding."""

@@ -143,3 +143,35 @@ def test_durable_replica_and_shard_metrics_are_catalogued():
     docs = ("DURABILITY.md", "BATCHING.md", "REPLICATION.md", "SHARDING.md")
     missing = uncatalogued_metrics(sources, docs)
     assert not missing, f"metrics not in {'/'.join(docs)}: {missing}"
+
+
+def metric_table_names(doc):
+    """Names in the first cell of ``doc``'s metric-table rows.
+
+    A metric-table row is one whose first cell starts with a backticked
+    dotted name; a cell may list several (``a.b`` / ``a.c``).
+    """
+    names = []
+    for line in (ROOT / "docs" / doc).read_text().splitlines():
+        cells = line.split("|")
+        if len(cells) < 3 or cells[0].strip():
+            continue
+        first = cells[1].strip()
+        if re.match(r"`[a-z_][a-z0-9_]*\.[^`]*`", first):
+            names += re.findall(r"`([^`]+)`", first)
+    return names
+
+
+def test_catalogued_metrics_are_emitted():
+    patterns = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        patterns.update(emitted_metric_names(path))
+    docs = ("DURABILITY.md", "REPLICATION.md", "SHARDING.md", "RESILIENCE.md", "BATCHING.md")
+    rows = [(doc, name) for doc in docs for name in metric_table_names(doc)]
+    assert len(rows) > 50
+    stale = [
+        f"{doc}: {name}"
+        for doc, name in rows
+        if not any(re.fullmatch(pattern, name) for pattern in patterns.values())
+    ]
+    assert not stale, f"catalogued metrics nothing in src/ emits: {stale}"

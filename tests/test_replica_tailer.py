@@ -1,19 +1,12 @@
-"""WalReader incremental scans and WalTailer stream semantics."""
+"""WalTailer stream semantics: the one incremental WAL cursor."""
 
-import os
 import struct
 import zlib
 
 import pytest
 
 from repro.durable import wal as wal_module
-from repro.durable.wal import (
-    WAL_HEADER,
-    WalReader,
-    WriteAheadLog,
-    scan_wal,
-    scan_wal_from,
-)
+from repro.durable.wal import WAL_HEADER, WriteAheadLog
 from repro.errors import ReplicationError
 from repro.replica import FileTransport, WalTailer
 
@@ -28,63 +21,6 @@ def _append(wal, count, start=0):
 @pytest.fixture
 def wal_path(tmp_path):
     return tmp_path / "wal.log"
-
-
-class TestWalReader:
-    def test_read_from_resumes_at_an_offset(self, wal_path):
-        wal = WriteAheadLog(wal_path, fsync="never")
-        _append(wal, 5)
-        full = scan_wal(wal_path)
-        mid = full.records[2].end_offset
-        scan = scan_wal_from(wal_path, mid, expected_seq=4)
-        assert [r.seq for r in scan.records] == [4, 5]
-        assert scan.stop_reason == "clean"
-        wal.close()
-
-    def test_read_from_past_eof_reports_current_size(self, wal_path):
-        wal = WriteAheadLog(wal_path, fsync="never")
-        _append(wal, 1)
-        size = os.path.getsize(wal_path)
-        scan = scan_wal_from(wal_path, size)
-        assert scan.records == [] and scan.total_bytes == size
-        # A shrink is visible as total_bytes < offset.
-        shrink = scan_wal_from(wal_path, size + 100)
-        assert shrink.total_bytes == size < size + 100
-        wal.close()
-
-    def test_last_lsn_advances_without_rescanning(self, wal_path):
-        wal = WriteAheadLog(wal_path, fsync="never")
-        reader = WalReader(wal_path)
-        assert reader.last_lsn() == 0
-        _append(wal, 3)
-        assert reader.last_lsn() == 3
-        checkpoint = reader.offset
-        _append(wal, 2)
-        assert reader.last_lsn() == 5
-        # The cursor moved strictly forward: the second poll started where
-        # the first stopped.
-        assert reader.offset > checkpoint
-        wal.close()
-
-    def test_reader_rewinds_after_reset(self, wal_path):
-        wal = WriteAheadLog(wal_path, fsync="never")
-        _append(wal, 4)
-        reader = WalReader(wal_path)
-        assert reader.last_lsn() == 4
-        wal.reset(next_seq=10)
-        _append(wal, 1, start=9)
-        assert reader.last_lsn() == 10
-        wal.close()
-
-    def test_torn_tail_reports_short_not_corruption(self, wal_path):
-        wal = WriteAheadLog(wal_path, fsync="never")
-        _append(wal, 2)
-        wal.close()
-        with open(wal_path, "ab") as handle:
-            handle.write(_HEADER.pack(3, 100, 0))  # length promises more
-        reader = WalReader(wal_path)
-        assert reader.last_lsn() == 2
-        assert reader.last_stop_reason == "short"
 
 
 class TestWalTailer:
