@@ -544,6 +544,7 @@ def cmd_lag(args: argparse.Namespace) -> int:
     from repro.durable import read_pointer, scan_wal
     from repro.durable.recovery import WAL_NAME
     from repro.durable.wal import WAL_HEADER
+    from repro.replica.tailer import unread_bytes
 
     scan = scan_wal(os.path.join(args.dir, WAL_NAME))
     primary_seq, primary_bytes = scan.last_seq, scan.total_bytes
@@ -565,7 +566,7 @@ def cmd_lag(args: argparse.Namespace) -> int:
         # Without a replica position, a fresh bootstrapper would replay
         # every record currently in the log: count those bytes as lag.
         offset = min(primary_bytes, len(WAL_HEADER))
-    byte_lag = max(0, primary_bytes - int(offset))
+    byte_lag = unread_bytes(primary_bytes, int(offset))
     record_lag = max(0, primary_seq - applied_seq)
     if args.json:
         print(

@@ -125,8 +125,10 @@ class DurableCollection(NodeMutations):
 
         Writes snapshot generation 1 (the empty-WAL base state) and opens
         the log.  Refuses a directory that already holds a collection —
-        use :meth:`open` for that.
+        use :meth:`open` for that.  A bad ``fsync`` policy is refused
+        before anything is written.
         """
+        fsync = FsyncPolicy.parse(fsync)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if list_generations(directory) or (directory / WAL_NAME).exists():

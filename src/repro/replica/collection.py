@@ -42,7 +42,7 @@ from repro.obs import metrics
 from repro.query.live import LiveCollection, ReadView
 from repro.resilient.breaker import CircuitBreaker
 
-from repro.replica.tailer import WalTailer
+from repro.replica.tailer import WalTailer, unread_bytes
 from repro.replica.transport import FileTransport, WalTransport
 
 __all__ = ["ReplicaCollection", "ReplicationLag"]
@@ -106,7 +106,7 @@ class ReplicaCollection:
         point, state = resolve_bootstrap(self.directory)
         self.live = restore_collection(state)
         self.applied_seq = point.last_seq
-        self.tailer = WalTailer(self.transport, after_seq=0)
+        self.tailer = WalTailer(self.transport)
         self.live.publish_view(applied_seq=self.applied_seq)
         metrics.incr("replica.bootstraps")
         metrics.gauge("replica.bootstrap_seq", self.applied_seq)
@@ -211,7 +211,7 @@ class ReplicaCollection:
             return ReplicationLag(
                 applied_seq=self.applied_seq, primary_seq=None, byte_lag=0
             )
-        byte_lag = max(0, frame.size - self.tailer.offset)
+        byte_lag = unread_bytes(frame.size, self.tailer.offset)
         metrics.gauge("replica.byte_lag", byte_lag)
         return ReplicationLag(
             applied_seq=self.applied_seq,

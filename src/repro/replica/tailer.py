@@ -30,8 +30,11 @@ must be told apart:
 
 A file that *shrinks* (``size < offset``) means the primary checkpointed
 and pruned/reset the log.  The tailer rewinds to offset 0 and rereads the
-new generation from its header; records already applied are filtered out
-upstream by sequence number, which is global across generations.
+new generation from its header.  A pruned log keeps records the tailer
+already scanned, so the sequence chain restarts with the generation: its
+first record may carry any number.  Records already applied are filtered
+out upstream by sequence number, which is global across generations, and
+a real gap is caught there too.
 """
 
 from __future__ import annotations
@@ -44,10 +47,22 @@ from repro.obs import metrics
 
 from repro.replica.transport import WalTransport
 
-__all__ = ["WalTailer"]
+__all__ = ["WalTailer", "unread_bytes"]
 
 #: Default fetch window per transport round trip.
 _DEFAULT_CHUNK = 1 << 20
+
+
+def unread_bytes(size: int, offset: int) -> int:
+    """Record bytes of a ``size``-byte log past a cursor at ``offset``.
+
+    A log shorter than the cursor is a newer generation than the one the
+    cursor points into (the primary checkpointed), so every record in it
+    is still unread.
+    """
+    if size < offset:
+        offset = len(WAL_HEADER)
+    return max(0, size - offset)
 
 
 class WalTailer:
@@ -60,19 +75,15 @@ class WalTailer:
     after a rewind the same sequence numbers may be scanned twice.
     """
 
-    def __init__(
-        self,
-        transport: WalTransport,
-        after_seq: int = 0,
-        chunk_bytes: int = _DEFAULT_CHUNK,
-    ):
+    def __init__(self, transport: WalTransport, chunk_bytes: int = _DEFAULT_CHUNK):
         self.transport = transport
         #: Byte offset of the next unread position; 0 = header not yet
         #: validated for the current file generation.
         self._offset = 0
-        #: Last sequence number *scanned* (chain expectation), distinct
-        #: from the caller's applied sequence number.
-        self._scan_seq = after_seq
+        #: Last sequence number *scanned* in this generation (the chain
+        #: expectation; 0 = none yet), distinct from the caller's applied
+        #: sequence number.
+        self._scan_seq = 0
         self._chunk_bytes = max(64, chunk_bytes)
         #: (offset, size-at-detection) of a tail that failed validation —
         #: possibly a torn write still racing us.
@@ -98,10 +109,10 @@ class WalTailer:
         """Primary log size observed on the most recent transport read."""
         return self._primary_bytes
 
-    def rewind(self, after_seq: int = 0) -> None:
+    def rewind(self) -> None:
         """Reset to the start of the (possibly new) log generation."""
         self._offset = 0
-        self._scan_seq = after_seq
+        self._scan_seq = 0
         self._suspect = None
 
     def poll(self) -> List[WalRecord]:
@@ -123,7 +134,7 @@ class WalTailer:
                 # The primary checkpointed: the log was pruned or reset to
                 # a new, shorter generation.  Start over from its header.
                 metrics.incr("replica.tailer_rewinds")
-                self.rewind(after_seq=self._scan_seq)
+                self.rewind()
                 fetch = self._chunk_bytes
                 continue
             fetch_end = fetch_start + len(frame.payload)

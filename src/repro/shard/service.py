@@ -14,12 +14,14 @@ self-contained durable subdirectory per shard plus the atomic
       shard-01/
       ...
 
-``create`` builds every shard's initial durable state *in the parent
-process* (so creation errors surface synchronously, and workers only
-ever take the recovery path), then starts the worker fleet.  ``open``
-reads the manifest and starts workers, each of which recovers its own
-subdirectory independently — shard recovery is single-collection
-recovery, N times, in parallel failure domains.
+``create`` places the documents, then starts the worker fleet with each
+shard's documents in its first launch: every worker writes and audits
+its own subdirectory, so the shards build concurrently.  ``SHARDS.json``
+is written only once every shard is durable; a shard its worker could
+not write fails ``create``.  ``open`` reads the manifest and starts
+workers, each of which recovers its own subdirectory independently —
+shard recovery is single-collection recovery, N times, in parallel
+failure domains.  Every restart, after either, is recovery too.
 
 The mutation surface speaks one currency, the addressed batch the
 durability stack already uses (``DurableCollection.encode_batch``'s
@@ -39,8 +41,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.durable.collection import DurableCollection
-from repro.durable.recovery import shard_directory
+from repro.durable.recovery import list_generations, shard_directory
 from repro.errors import ShardError
 from repro.obs import metrics
 from repro.shard.health import HealthPolicy, ShardHealth, ShardState
@@ -58,6 +59,11 @@ from repro.xmlkit.serialize import serialize
 from repro.xmlkit.tree import XmlElement
 
 __all__ = ["ShardedCollection"]
+
+
+def _holds_snapshot(directory: Path) -> bool:
+    """Whether ``directory`` holds a snapshot generation, so is recoverable."""
+    return directory.is_dir() and bool(list_generations(directory))
 
 
 class ShardedCollection:
@@ -94,6 +100,14 @@ class ShardedCollection:
     ) -> "ShardedCollection":
         """Initialise a fresh sharded collection and start its workers.
 
+        Each worker writes its own shard (``DurableCollection.create``,
+        then the ``verify`` audit) on its first launch, concurrently with
+        the others.  A shard its worker could not write raises
+        :class:`ShardError` naming it, after every worker is stopped and
+        before ``SHARDS.json`` exists.  A shard that was written but
+        whose bootstrap then failed (a bad ``fault_spec``, say) starts
+        DOWN and recovers like any other.
+
         ``serving`` keywords pass through to :meth:`_start`: ``policy``
         (a :class:`HealthPolicy`), ``fault_spec``, ``start_method``,
         ``query_budget``, ``mutation_timeout``, ``verify``.  There is one
@@ -107,19 +121,19 @@ class ShardedCollection:
             raise ShardError(
                 f"{root} already holds a sharded collection; open() it instead"
             )
+        for shard_id in range(shards):
+            # A leftover shard would read as one its worker just wrote.
+            if _holds_snapshot(shard_directory(root, shard_id)):
+                raise ShardError(
+                    f"shard {shard_id} of {root} already holds a durable "
+                    f"collection; remove {shard_directory(root, shard_id).name}/ "
+                    "(left by an earlier create) and retry"
+                )
         doc_map = DocumentMap(shards)
         placed: List[List[XmlElement]] = [[] for _ in range(shards)]
         for document in documents:
             _, shard_id, _ = doc_map.add()
             placed[shard_id].append(document)
-        for shard_id in range(shards):
-            DurableCollection.create(
-                shard_directory(root, shard_id),
-                placed[shard_id],
-                group_size=group_size,
-                strategy=strategy,
-                fsync=fsync,
-            ).close()
         manifest = ShardManifest(
             shards=shards,
             doc_count=doc_map.doc_count,
@@ -127,8 +141,7 @@ class ShardedCollection:
             strategy=strategy,
             fsync=fsync,
         )
-        write_manifest(root, manifest)
-        return cls._start(root, manifest, **serving)
+        return cls._start(root, manifest, placed, **serving)
 
     @classmethod
     def open(
@@ -142,13 +155,14 @@ class ShardedCollection:
         manifest = read_manifest(root)
         if fsync is not None:
             manifest = replace(manifest, fsync=fsync)
-        return cls._start(root, manifest, **serving)
+        return cls._start(root, manifest, None, **serving)
 
     @classmethod
     def _start(
         cls,
         root: Path,
         manifest: ShardManifest,
+        placed: Optional[List[List[XmlElement]]],
         policy: Optional[HealthPolicy] = None,
         fault_spec: Optional[str] = None,
         start_method: Optional[str] = None,
@@ -156,7 +170,12 @@ class ShardedCollection:
         mutation_timeout: float = 30.0,
         verify: bool = True,
     ) -> "ShardedCollection":
-        """Spawn the fleet, wire supervisor ⇄ router, prime watermarks."""
+        """Spawn the fleet, wire supervisor ⇄ router, prime watermarks.
+
+        ``placed`` holds each shard's documents when the workers are to
+        write their shards first (``create``), and is ``None`` when they
+        recover them (``open``).
+        """
         doc_map = DocumentMap(manifest.shards, manifest.doc_count)
         configs = [
             WorkerConfig(
@@ -165,6 +184,13 @@ class ShardedCollection:
                 fsync=manifest.fsync,
                 verify=verify,
                 fault_spec=fault_spec,
+                create=None
+                if placed is None
+                else {
+                    "documents": placed[shard_id],
+                    "group_size": manifest.group_size,
+                    "strategy": manifest.strategy,
+                },
             )
             for shard_id in range(manifest.shards)
         ]
@@ -177,7 +203,21 @@ class ShardedCollection:
             query_budget=query_budget,
             mutation_timeout=mutation_timeout,
         )
-        supervisor.start()
+        failures = supervisor.start()
+        if placed is not None:
+            unwritten = [
+                f"shard {shard_id}: {reason}"
+                for shard_id, reason in sorted(failures.items())
+                if not _holds_snapshot(shard_directory(root, shard_id))
+            ]
+            if unwritten:
+                supervisor.stop()
+                raise ShardError(
+                    f"cannot create the sharded collection in {root}; no "
+                    "SHARDS.json was written; "
+                    + "; ".join(unwritten)
+                )
+            write_manifest(root, manifest)
         router.prime()
         metrics.gauge("shard.workers", manifest.shards)
         return cls(root, manifest, doc_map, supervisor, router)

@@ -6,8 +6,9 @@ treat shards as logical endpoints that are merely sometimes away:
 * **spawn** — each shard runs :func:`repro.shard.worker.worker_main` in
   its own process (``fork`` start method where available, ``spawn``
   otherwise) with one end of a private control pipe; a handshake ping
-  confirms the worker recovered its durable state and reports the
-  recovered WAL sequence number,
+  confirms the worker bootstrapped its durable state (wrote it, on a
+  fresh collection's first launch, or recovered it) and reports the
+  WAL sequence number it holds,
 * **health** — event-driven, no supervisor thread: :meth:`tick` (called
   by the router before every operation, and by soak loops directly)
   reaps dead processes, runs throttled heartbeat rounds, and counts
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -126,21 +127,26 @@ class ShardSupervisor:
         """All supervised shard ids, ascending."""
         return sorted(self._slots)
 
-    def start(self) -> None:
-        """Spawn every worker, then collect their recovery handshakes.
+    def start(self) -> Dict[int, str]:
+        """Spawn every worker, then collect their bootstrap handshakes.
 
         All workers are forked and pinged before the first handshake is
-        awaited, so the shards recover their durable state concurrently.
-        Each handshake keeps its own deadline, counted from its own ping,
-        and a failed one is charged to that shard alone.
+        awaited, so the shards bootstrap (write or recover their durable
+        state) concurrently.  Each handshake keeps its own deadline,
+        counted from its own ping, and a failed one is charged to that
+        shard alone.  Returns why each failed shard failed, by shard id.
         """
         pings = {shard_id: self._launch(shard_id) for shard_id in self.shard_ids}
+        failures: Dict[int, str] = {}
         for shard_id, ping in pings.items():
-            self._handshake(shard_id, ping)
+            reason = self._handshake(shard_id, ping)
+            if reason is not None:
+                failures[shard_id] = reason
         # Every worker just answered its handshake ping, so the fleet's
         # health is proven as of now: the first *proactive* heartbeat
         # round is owed one interval later, not on the first tick.
         self._last_heartbeat_at = self.clock()
+        return failures
 
     def _launch(self, shard_id: int) -> Optional[Tuple[int, float]]:
         """Fork one worker and send its handshake ping without waiting.
@@ -159,6 +165,10 @@ class ShardSupervisor:
         )
         proc.start()
         child_conn.close()
+        if slot.config.create is not None:
+            # The first launch has its documents (forked or pickled by
+            # now); every restart recovers the shard from disk instead.
+            slot.config = replace(slot.config, create=None)
         slot.proc, slot.conn = proc, parent_conn
         slot.state = ShardState.UP  # provisionally, for the handshake ping
         slot.missed_heartbeats = 0
@@ -168,11 +178,13 @@ class ShardSupervisor:
         except ShardUnavailableError:
             return None
 
-    def _handshake(self, shard_id: int, ping: Optional[Tuple[int, float]]) -> bool:
-        """Await a launched worker's ping answer; returns whether it is healthy."""
+    def _handshake(
+        self, shard_id: int, ping: Optional[Tuple[int, float]]
+    ) -> Optional[str]:
+        """Await a launched worker's ping answer; returns why it failed, or None."""
         if ping is None:
             metrics.incr("shard.handshake_failures")
-            return False
+            return "the handshake ping could not be sent"
         request_id, deadline = ping
         try:
             pong = self.receive(
@@ -184,7 +196,7 @@ class ShardSupervisor:
             # The worker died during bootstrap; the receive path has
             # already recorded the death (and charged the budget).
             metrics.incr("shard.handshake_failures")
-            return False
+            return "the worker died during its bootstrap"
         except ReproError as error:
             # A wedged handshake or a worker-side bootstrap error (e.g.
             # unrecoverable shard state) is a persistent failure: kill
@@ -192,10 +204,11 @@ class ShardSupervisor:
             # can never bootstrap quarantines instead of flapping.
             metrics.incr("shard.handshake_failures")
             self.kill(shard_id)
-            self._note_death(shard_id, f"handshake failed: {error}")
-            return False
+            reason = f"handshake failed: {error}"
+            self._note_death(shard_id, reason)
+            return reason
         self._slots[shard_id].last_seq = int(pong.value["last_seq"])
-        return True
+        return None
 
     def stop(self) -> None:
         """Shut every worker down cleanly; quarantined ones are killed."""
@@ -330,7 +343,7 @@ class ShardSupervisor:
         slot = self._slots[shard_id]
         slot.restarts += 1
         metrics.incr("shard.restarts")
-        if self._handshake(shard_id, self._launch(shard_id)):
+        if self._handshake(shard_id, self._launch(shard_id)) is None:
             slot.events.append(("restarted", shard_id, slot.last_seq))
             if self.on_restart is not None:
                 self.on_restart(shard_id, slot.last_seq)

@@ -2,8 +2,10 @@
 
 A worker is intentionally boring — that is the fault-isolation design.
 It owns exactly one durable directory (``shard-NN/`` under the sharded
-root), opens it through the standard recovery path on every start (a
-restart after a crash *is* just recovery), and serves a small
+root).  On the first launch of a fresh sharded collection it writes that
+directory itself, so the shards build concurrently; it opens it through
+the standard recovery path on every restart (a restart after a crash
+*is* just recovery).  It serves a small
 request/response protocol over the control pipe it was born with:
 queries, addressed node-op batches (``apply_batch``, in the same
 ``(document, preorder position)`` currency the WAL uses; a single op is
@@ -30,12 +32,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durable.collection import DurableCollection
 from repro.durable.faults import FaultPlan, InjectedCrash
-from repro.durable.recovery import list_generations, shard_directory
+from repro.durable.recovery import _verify, list_generations, shard_directory
 from repro.durable.snapshot import collection_fingerprint
 from repro.errors import ShardError
 from repro.obs import metrics
@@ -50,13 +52,15 @@ __all__ = ["WorkerConfig", "WorkerServer", "worker_main"]
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker needs to bootstrap, as picklable primitives.
+    """Everything a worker needs to bootstrap, as picklable values.
 
     This dataclass crosses the process boundary (as a ``Process`` arg
-    under ``fork``, pickled under ``spawn``), so it holds only strings
-    and numbers — never live handles, trees, or generator objects.  The
-    heavyweight bootstrap state (documents, labels, generator position,
-    SC groups) stays on disk and is reloaded through recovery.
+    under ``fork``, pickled under ``spawn``), so it never holds live
+    handles or generator objects.  A restart needs only the strings and
+    numbers below: the heavyweight bootstrap state (documents, labels,
+    generator position, SC groups) stays on disk and is reloaded through
+    recovery.  Only the first launch of a fresh collection carries trees,
+    in ``create``.
     """
 
     shard_id: int
@@ -70,19 +74,43 @@ class WorkerConfig:
     #: keeps crash-looping across restarts instead of being disarmed by
     #: its own spent call count travelling along.
     fault_spec: Optional[str] = None
+    #: First launch of a fresh sharded collection only: the
+    #: :meth:`DurableCollection.create` keywords (``documents``,
+    #: ``group_size``, ``strategy``) the worker writes its shard from.
+    #: The supervisor drops them once the process has started, so every
+    #: restart recovers from disk.  Left out of equality and ``repr``.
+    create: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
 
 
 class WorkerServer:
     """Protocol engine mapping requests onto one durable collection."""
 
     def __init__(self, config: WorkerConfig):
-        """Open (recover) the shard's collection per ``config``."""
+        """Write (first launch) or recover the shard's collection, then arm faults.
+
+        A written shard gets the audit recovery runs with ``verify``, so
+        both paths serve only audited state.  On a first launch that
+        audit covers the tree built in memory, not the snapshot bytes
+        just written: a snapshot the codec cannot read back shows only
+        at the first restart.  The fault plan is parsed
+        and armed last: a bad spec fails a bootstrap whose shard is
+        already durable, and a fault never fires inside the bootstrap.
+        """
         self.config = config
-        self.collection = DurableCollection.open(
-            shard_directory(config.root, config.shard_id),
-            fsync=config.fsync,
-            faults=FaultPlan.from_spec(config.fault_spec),
-            verify=config.verify,
+        directory = shard_directory(config.root, config.shard_id)
+        if config.create is None:
+            collection = DurableCollection.open(
+                directory, fsync=config.fsync, verify=config.verify
+            )
+        else:
+            collection = DurableCollection.create(
+                directory, fsync=config.fsync, **config.create
+            )
+            if config.verify:
+                _verify(collection.live)
+        self.collection = collection
+        collection.faults = collection.wal.faults = FaultPlan.from_spec(
+            config.fault_spec
         )
 
     # ------------------------------------------------------------------

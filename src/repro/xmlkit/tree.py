@@ -334,6 +334,20 @@ class XmlElement:
                 stack.append((child, twin))
         return clone
 
+    def __reduce__(self) -> Tuple[Callable[..., "XmlElement"], Tuple[list]]:
+        """Pickle the subtree as one flat preorder record.
+
+        The default slot-wise pickling recurses through ``_children`` and
+        ``parent``, so a deep document overflows the interpreter stack;
+        one ``(tag, attributes, text, size)`` row per node does not.
+        Like :meth:`copy`, the unpickled subtree is detached.
+        """
+        record = [
+            (node.tag, node.attributes, node.text, node._size)
+            for node in self.iter_preorder()
+        ]
+        return _from_preorder, (record,)
+
     def structurally_equal(self, other: "XmlElement") -> bool:
         """True iff both subtrees have the same shape, tags, attrs and text."""
         stack = [(self, other)]
@@ -348,3 +362,25 @@ class XmlElement:
                 return False
             stack.extend(zip(mine._children, theirs._children))
         return True
+
+
+def _from_preorder(record: List[Tuple[str, Dict[str, str], str, int]]) -> XmlElement:
+    """Rebuild the subtree :meth:`XmlElement.__reduce__` flattened.
+
+    Each row's size says how many rows its subtree spans, so the parent
+    of the next row is the innermost open node with rows still owed.
+    """
+    # (node, rows of its subtree not yet placed), outermost first
+    open_nodes: List[Tuple[XmlElement, int]] = []
+    for tag, attributes, text, size in record:
+        node = XmlElement(tag, attributes, text)
+        node._size = size
+        if open_nodes:
+            while open_nodes[-1][1] == 0:
+                open_nodes.pop()
+            parent, owed = open_nodes[-1]
+            open_nodes[-1] = (parent, owed - size)
+            node.parent = parent
+            parent._children.append(node)
+        open_nodes.append((node, size - 1))
+    return open_nodes[0][0]

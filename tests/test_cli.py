@@ -273,6 +273,27 @@ class TestReplicationVerbs:
         out = capsys.readouterr().out
         assert "lag: 0 record(s), 0 byte(s)" in out
 
+    def test_lag_state_counts_a_rotated_log_as_unread(
+        self, state_dir, tmp_path, capsys
+    ):
+        # The recorded offset points into the log generation a checkpoint
+        # then pruned away: the new, shorter log is all unread.
+        state = tmp_path / "rep.json"
+        assert main(["replicate", state_dir, "--state", str(state)]) == 0
+        from repro.durable import DurableCollection
+
+        col = DurableCollection.open(state_dir)
+        col.checkpoint()
+        col.checkpoint()
+        col.insert_child(col.documents[0], 0, tag="late")
+        col.close()
+        capsys.readouterr()
+        assert main(["lag", state_dir, "--state", str(state), "--json"]) == 0
+        import json
+
+        report = json.loads(capsys.readouterr().out)
+        assert report["record_lag"] == 1 and report["byte_lag"] > 0
+
     def test_lag_json_fields(self, state_dir, capsys):
         assert main(["lag", state_dir, "--json"]) == 0
         import json

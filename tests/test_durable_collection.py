@@ -42,6 +42,13 @@ class TestCreateOpen:
         with pytest.raises(DurabilityError):
             DurableCollection.create(tmp_path / "col", [parse_document(DOC)])
 
+    def test_create_refuses_a_bad_fsync_policy_before_writing(self, tmp_path):
+        with pytest.raises(DurabilityError, match="unknown fsync policy"):
+            DurableCollection.create(
+                tmp_path / "col", [parse_document(DOC)], fsync="bogus"
+            )
+        assert not (tmp_path / "col").exists()
+
     def test_open_round_trips_state(self, tmp_path):
         col = DurableCollection.create(tmp_path / "col", [parse_document(DOC)])
         col.insert_child(col.documents[0], 1, tag="mid")

@@ -96,6 +96,24 @@ class TestConvergence:
             primary.live
         )
 
+    def test_repeated_checkpoints_rewind_without_resyncing(self, primary):
+        """A pruned log keeps records the replica already scanned, so the
+        rewound tailer must not demand that the chain resume after them."""
+        replica = ReplicaCollection(primary.directory)
+        start = 0
+        for _ in range(4):
+            _churn(primary, 5, start=start)
+            replica.catch_up()
+            primary.checkpoint()
+            _churn(primary, 2, start=start + 5)
+            start += 7
+            replica.catch_up()
+            assert replica.applied_seq == primary.last_seq
+        assert replica.resyncs == 0
+        assert collection_fingerprint(replica.live) == collection_fingerprint(
+            primary.live
+        )
+
     def test_views_never_show_half_applied_state(self, primary):
         replica = ReplicaCollection(primary.directory)
         _churn(primary, 5)

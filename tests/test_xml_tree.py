@@ -1,5 +1,8 @@
 """Unit tests for repro.xmlkit.tree.XmlElement."""
 
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,12 +167,36 @@ class TestStatsCopy:
         clone.append(XmlElement("extra"))
         assert not clone.structurally_equal(sample[0])
 
+    def test_pickle_round_trip_is_detached_and_keeps_sizes(self, sample):
+        sample[0].attributes["k"] = "v"
+        sample[0].text = "t"
+        clone = pickle.loads(pickle.dumps(sample[0]))
+        assert clone.parent is None
+        assert clone.structurally_equal(sample[0])
+        assert_addressing_consistent(clone)
+
+    def test_pickle_round_trip_of_a_chain_deeper_than_the_stack(self):
+        """A deep document crosses a process boundary under ``spawn``."""
+        root = chain(sys.getrecursionlimit() + 200)
+        clone = pickle.loads(pickle.dumps(root))
+        assert clone.structurally_equal(root)
+        assert clone._size == root._size == sys.getrecursionlimit() + 201
+        assert clone.node_at(root._size - 1).depth == root._size - 1
+
     def test_structurally_equal_checks_text_and_attrs(self):
         a = XmlElement("t", {"k": "v"}, text="x")
         b = XmlElement("t", {"k": "v"}, text="x")
         assert a.structurally_equal(b)
         b.text = "y"
         assert not a.structurally_equal(b)
+
+
+def chain(depth):
+    """A root with ``depth`` nested single children below it."""
+    root = node = XmlElement("n")
+    for _ in range(depth):
+        node = node.append(XmlElement("n"))
+    return root
 
 
 def assert_addressing_consistent(root):
