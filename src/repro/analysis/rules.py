@@ -530,19 +530,20 @@ class PrintRule(Rule):
 
 @register
 class FsyncContainmentRule(Rule):
-    """R10 — fsync/flush stay inside the WAL's policy layer."""
+    """R10 — fsync/flush stay inside the WAL and the durable-file module."""
 
     id = "R10"
-    title = "fsync/flush outside durable/wal.py"
+    title = "fsync/flush outside durable/wal.py and durable/files.py"
     rationale = (
         "The fsync policy (always/batch:N/never) is enforced in exactly "
         "one place so the durability loss-window story stays provable; "
-        "scattered fsyncs make the policy a lie.  Snapshot atomic-rename "
-        "and test fault harnesses carry per-site justifications.  Flushing "
-        "the console streams is not durability and is exempt."
+        "scattered fsyncs make the policy a lie.  Whole-file publishes "
+        "and tail truncations go through durable/files.py's "
+        "replace_durably and truncate_durably.  Flushing the console "
+        "streams is not durability and is exempt."
     )
 
-    _ALLOWED = ("repro.durable.wal",)
+    _ALLOWED = ("repro.durable.wal", "repro.durable.files")
     #: Console flushes: they push text to a terminal or pipe, not to disk.
     _CONSOLE_FLUSHES = frozenset({"sys.stdout.flush", "sys.stderr.flush"})
 
@@ -557,7 +558,7 @@ class FsyncContainmentRule(Rule):
                 yield self.emit(
                     ctx,
                     node,
-                    f"{name}() outside durable/wal.py's policy layer",
+                    f"{name}() outside durable/wal.py and durable/files.py",
                 )
             elif (
                 name.endswith(".flush")
@@ -568,7 +569,7 @@ class FsyncContainmentRule(Rule):
                 yield self.emit(
                     ctx,
                     node,
-                    f"{name}() outside durable/wal.py's policy layer",
+                    f"{name}() outside durable/wal.py and durable/files.py",
                 )
 
 

@@ -38,7 +38,8 @@ from repro.obs import metrics
 __all__ = ["compaction_table"]
 
 #: The recorded format-2 run: ``snap-00000001.rpsn`` (v2), ``wal.log`` (v1
-#: payloads), ``CURRENT`` and ``final.rpsn`` (v2, post-workload).
+#: payloads), ``CURRENT`` (the pointer file that version wrote; recovery
+#: ignores it) and ``final.rpsn`` (v2, post-workload).
 LEGACY_V2 = Path(__file__).with_name("legacy_v2")
 
 

@@ -71,8 +71,8 @@ fleet, optionally applies ``--churn N`` synthetic insertions through
 the router — ``--kill S`` SIGKILLs shard S's worker halfway through to
 exercise restart + redo replay — runs an optional ``--query``, and
 prints per-shard health lines; ``shard-status`` inspects a root
-*offline* (no workers): manifest, per-shard snapshot generation,
-pointer seq, and WAL last seq.  See ``docs/SHARDING.md``.
+*offline* (no workers): manifest, per-shard newest snapshot
+generation, the seq it covers, and WAL last seq.  See ``docs/SHARDING.md``.
 
 ``lint`` runs the :mod:`repro.analysis` invariant linter (rules
 R1–R13: label-write discipline, layering, determinism, fsync,
@@ -103,9 +103,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import (
     DurabilityError,
+    RecoveryError,
     ReplicationError,
     ReproError,
     ShardError,
+    SnapshotCorruptError,
     XmlSyntaxError,
 )
 from repro.labeling.base import LabelingScheme
@@ -541,7 +543,7 @@ def cmd_lag(args: argparse.Namespace) -> int:
     """Report replica lag against a primary's directory."""
     import json
 
-    from repro.durable import read_pointer, scan_wal
+    from repro.durable import resolve_bootstrap, scan_wal
     from repro.durable.recovery import WAL_NAME
     from repro.durable.wal import WAL_HEADER
     from repro.replica.tailer import unread_bytes
@@ -558,10 +560,13 @@ def cmd_lag(args: argparse.Namespace) -> int:
         offset = state.get("offset")
         source = args.state
     else:
-        pointer = read_pointer(args.dir)
-        if pointer is not None:
-            applied_seq = int(pointer["last_seq"])
-            source = "CURRENT pointer"
+        # Where a replica bootstrapping now would start; "none" (seq 0)
+        # when no snapshot generation decodes.
+        try:
+            applied_seq = resolve_bootstrap(args.dir).last_seq
+            source = "newest snapshot"
+        except RecoveryError:
+            pass
     if offset is None:
         # Without a replica position, a fresh bootstrapper would replay
         # every record currently in the log: count those bytes as lag.
@@ -693,14 +698,22 @@ def cmd_shard_status(args: argparse.Namespace) -> int:
     """Inspect a sharded collection root offline (no workers started)."""
     import json
 
-    from repro.durable import read_pointer, scan_wal
-    from repro.durable.recovery import WAL_NAME, list_shard_directories
+    from repro.durable import list_shard_directories, scan_wal
+    from repro.durable.recovery import WAL_NAME, list_generations, snapshot_path
+    from repro.durable.snapshot import read_snapshot_seq
     from repro.shard import read_manifest
 
     manifest = read_manifest(args.dir)
     shards = []
     for shard_id, path in list_shard_directories(args.dir):
-        pointer = read_pointer(path)
+        generation = snapshot_seq = None
+        generations = list_generations(path)
+        if generations:
+            generation = generations[-1]
+            try:
+                snapshot_seq = read_snapshot_seq(snapshot_path(path, generation))
+            except SnapshotCorruptError:
+                pass
         wal_path = os.path.join(str(path), WAL_NAME)
         try:
             wal_seq = scan_wal(wal_path).last_seq
@@ -709,8 +722,8 @@ def cmd_shard_status(args: argparse.Namespace) -> int:
         shards.append(
             {
                 "shard": shard_id,
-                "generation": pointer["generation"] if pointer else None,
-                "pointer_seq": pointer["last_seq"] if pointer else None,
+                "generation": generation,
+                "snapshot_seq": snapshot_seq,
                 "wal_seq": wal_seq,
             }
         )
@@ -742,7 +755,7 @@ def cmd_shard_status(args: argparse.Namespace) -> int:
         for entry in shards:
             print(
                 f"  shard {entry['shard']}: generation={entry['generation']} "
-                f"pointer_seq={entry['pointer_seq']} wal_seq={entry['wal_seq']}"
+                f"snapshot_seq={entry['snapshot_seq']} wal_seq={entry['wal_seq']}"
             )
     return 0
 

@@ -14,6 +14,9 @@ package makes a :class:`~repro.query.live.LiveCollection` durable:
   audit, with fallback to the previous snapshot generation on corruption,
 * :mod:`repro.durable.collection` — :class:`DurableCollection`, the
   log-before-apply wrapper tying it together,
+* :mod:`repro.durable.files` — :func:`replace_durably` and
+  :func:`truncate_durably`, the only durable-file calls outside the
+  WAL's append path,
 * :mod:`repro.durable.faults` — :class:`FaultPlan`, one seeded plan of
   scripted crashes, torn writes, bit flips and probabilistic transient
   faults, so all of the above is actually exercised under failure.
@@ -22,18 +25,16 @@ See ``docs/DURABILITY.md`` for the design rationale and fault matrix.
 """
 
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import FaultPlan, InjectedCrash, flip_bit, truncate_file
+from repro.durable.faults import FaultPlan, InjectedCrash, flip_bit
+from repro.durable.files import replace_durably, truncate_durably
 from repro.durable.recovery import (
-    BootstrapPoint,
     RecoveredState,
     RecoveryInfo,
     list_shard_directories,
-    read_pointer,
     recover,
     recover_shard,
     resolve_bootstrap,
     shard_directory,
-    write_pointer,
 )
 from repro.durable.snapshot import (
     SnapshotState,
@@ -52,21 +53,19 @@ from repro.durable.wal import (
 )
 
 __all__ = [
-    "BootstrapPoint",
     "DurableCollection",
     "FaultPlan",
     "InjectedCrash",
     "flip_bit",
-    "truncate_file",
+    "replace_durably",
+    "truncate_durably",
     "RecoveredState",
     "RecoveryInfo",
     "list_shard_directories",
-    "read_pointer",
     "recover",
     "recover_shard",
     "resolve_bootstrap",
     "shard_directory",
-    "write_pointer",
     "SnapshotState",
     "collection_fingerprint",
     "read_snapshot",

@@ -63,7 +63,6 @@ from repro.durable.recovery import (
     op_record,
     recover,
     snapshot_path,
-    write_pointer,
 )
 from repro.durable.snapshot import read_snapshot_seq, write_snapshot
 from repro.durable.wal import FsyncPolicy, WriteAheadLog, batch_record
@@ -138,7 +137,6 @@ class DurableCollection(NodeMutations):
             )
         live = LiveCollection(documents, group_size=group_size, strategy=strategy)
         write_snapshot(live, snapshot_path(directory, 1), last_seq=0, faults=faults)
-        write_pointer(directory, generation=1, last_seq=0)
         wal = WriteAheadLog(directory / WAL_NAME, fsync=fsync, faults=faults)
         return cls(directory, live, wal, last_seq=0, faults=faults)
 
@@ -414,10 +412,6 @@ class DurableCollection(NodeMutations):
                 last_seq=self.last_seq,
                 faults=self.faults,
             )
-            # Publish the pointer before deleting stale generations, so an
-            # external bootstrapper that reads it never chases a file this
-            # same checkpoint is about to unlink.
-            write_pointer(self.directory, generation=generation, last_seq=self.last_seq)
             retained = (generations + [generation])[-RETAINED_GENERATIONS:]
             for stale in generations:
                 if stale not in retained:

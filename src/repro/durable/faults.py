@@ -27,8 +27,8 @@ sequence of hook calls, so a deterministic workload sees the same faults
 on every run.  :meth:`FaultPlan.from_spec` parses the one grammar that
 ``$REPRO_CHAOS`` and a shard worker's ``fault_spec`` share.
 
-:func:`flip_bit` and :func:`truncate_file` operate on closed files and
-model at-rest corruption (bit rot, partial ``rename`` on a dying disk).
+:func:`flip_bit` operates on a closed file and models at-rest corruption
+(bit rot); a lost tail is :func:`repro.durable.files.truncate_durably`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "InjectedCrash",
     "TransientIOError",
     "flip_bit",
-    "truncate_file",
 ]
 
 #: Every injection site a plan knows.
@@ -252,14 +251,3 @@ def flip_bit(path: str | Path, offset: int, bit: int = 0) -> None:
         raise ValueError(f"cannot flip a bit of empty file {path}")
     blob[offset % len(blob)] ^= 1 << (bit % 8)
     path.write_bytes(bytes(blob))
-
-
-def truncate_file(path: str | Path, size: int) -> None:
-    """Cut the file at ``path`` down to ``size`` bytes (lost tail)."""
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
-        # repro: ignore[R10] -- crash-simulation harness: the torn tail must
-        # really reach the disk or the simulated power cut proves nothing
-        handle.flush()
-        # repro: ignore[R10] -- same crash-simulation requirement as above
-        os.fsync(handle.fileno())

@@ -7,6 +7,10 @@ The open path of a durable collection directory::
       snap-00000001.rpsn oldest retained snapshot generation
       snap-00000002.rpsn latest snapshot generation
 
+Any other name is ignored: a ``<name>.tmp`` a crash left behind, or the
+``CURRENT`` pointer file older versions wrote (the newest generation is
+found by listing, :func:`resolve_bootstrap`).
+
 Recovery protocol (see ``docs/DURABILITY.md``):
 
 1. Scan the WAL once; a torn tail is noted (the opener truncates it).
@@ -31,8 +35,6 @@ crashed (the crash-matrix tests assert exactly this, via
 
 from __future__ import annotations
 
-import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,39 +50,27 @@ from repro.xmlkit.parser import parse_document
 from repro.xmlkit.tree import XmlElement
 
 __all__ = [
-    "BootstrapPoint",
     "RecoveryInfo",
     "RecoveredState",
     "apply_operation",
     "batch_op",
     "list_shard_directories",
     "op_record",
-    "read_pointer",
     "recover",
     "recover_shard",
     "resolve_bootstrap",
     "resolve_op",
     "shard_directory",
-    "write_pointer",
 ]
 
 WAL_NAME = "wal.log"
 SNAPSHOT_PATTERN = re.compile(r"^snap-(\d{8})\.rpsn$")
 #: Per-shard subdirectory naming under a sharded-collection root.  Each
 #: ``shard-NN/`` is a complete, self-contained durable directory (its own
-#: ``wal.log`` + snapshot generations + ``CURRENT``), so shard recovery
-#: is exactly single-collection recovery run against the subdirectory —
-#: one shard's corruption can never spill into a sibling's state.
+#: ``wal.log`` + snapshot generations), so shard recovery is exactly
+#: single-collection recovery run against the subdirectory — one shard's
+#: corruption can never spill into a sibling's state.
 SHARD_DIR_PATTERN = re.compile(r"^shard-(\d{2,})$")
-#: Atomic manifest naming the latest complete snapshot generation.  An
-#: *external* reader (a replica bootstrapping over a shared filesystem)
-#: cannot safely race ``list_generations`` against the primary's
-#: checkpoint — the newest generation it lists may be half-written or
-#: already deleted by the time it opens the file.  The pointer is written
-#: by ``os.replace`` *after* the snapshot it names is durable, so
-#: whatever JSON a reader decodes names a snapshot that was complete at
-#: pointer-write time.
-POINTER_NAME = "CURRENT"
 
 
 def snapshot_path(directory: Path, generation: int) -> Path:
@@ -135,77 +125,17 @@ def recover_shard(
     return recover(shard_directory(root, shard_id), verify=verify)
 
 
-@dataclass(frozen=True)
-class BootstrapPoint:
-    """An atomically-resolved "start here" for replica bootstrap."""
+def resolve_bootstrap(directory: str | Path, attempts: int = 3) -> SnapshotState:
+    """The newest snapshot generation in ``directory`` that decodes.
 
-    generation: int
-    path: Path
-    last_seq: int
-
-
-def write_pointer(directory: Path, generation: int, last_seq: int) -> None:
-    """Atomically publish ``generation`` as the latest complete snapshot.
-
-    Written after every checkpoint (and at create time), before stale
-    generations are deleted, so a reader that decodes the pointer never
-    chases a file the very same checkpoint is about to remove.
-    """
-    directory = Path(directory)
-    pointer = {
-        "generation": generation,
-        "snapshot": snapshot_path(directory, generation).name,
-        "last_seq": last_seq,
-    }
-    blob = json.dumps(pointer, sort_keys=True).encode("utf-8")
-    tmp = directory / (POINTER_NAME + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        # repro: ignore[R10] -- atomic-rename protocol: the pointer must
-        # be durable before os.replace or a crash could leave a pointer
-        # naming a never-written snapshot; no fsync policy applies here
-        handle.flush()
-        # repro: ignore[R10] -- second half of the atomic-rename fsync
-        os.fsync(handle.fileno())
-    os.replace(tmp, directory / POINTER_NAME)
-    metrics.incr("durable.pointer_writes")
-
-
-def read_pointer(directory: Path) -> Optional[Dict[str, Any]]:
-    """Decode the ``CURRENT`` pointer, or ``None`` when absent/corrupt.
-
-    A corrupt pointer is not an error: the file predates this scheme or a
-    crash interrupted an OS that reorders metadata — callers fall back to
-    scanning generations, exactly as if the pointer did not exist.
-    """
-    path = Path(directory) / POINTER_NAME
-    try:
-        decoded = json.loads(path.read_text("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        metrics.incr("durable.pointer_misses")
-        return None
-    if (
-        not isinstance(decoded, dict)
-        or not isinstance(decoded.get("generation"), int)
-        or not isinstance(decoded.get("last_seq"), int)
-    ):
-        metrics.incr("durable.pointer_misses")
-        return None
-    return decoded
-
-
-def resolve_bootstrap(
-    directory: str | Path, attempts: int = 3
-) -> Tuple[BootstrapPoint, SnapshotState]:
-    """Atomically resolve "latest complete snapshot + its starting LSN".
-
-    The replica-bootstrap entry point: prefers the ``CURRENT`` pointer and
-    verifies the named snapshot actually decodes; when the pointer is
-    missing, stale (its file was already rotated away), or corrupt, falls
-    back to scanning generations newest-first.  The whole resolution
-    retries up to ``attempts`` times because a checkpoint can rotate files
-    between any two steps; each retry re-reads the pointer, which by then
-    names the *new* complete generation.
+    The replica-bootstrap entry point: generations are tried newest-first
+    and one that fails its checks is skipped.  No pointer is needed to
+    find a complete one: a snapshot gets its final name only by an atomic
+    rename after its bytes are durable (a ``.tmp`` name never matches
+    :data:`SNAPSHOT_PATTERN`), and the CRC footer rejects a damaged or
+    half-copied file.  The scan retries up to ``attempts`` times because
+    a checkpoint can delete the generations it listed before it reads
+    them; a retry lists the new ones.
 
     Raises :class:`repro.errors.RecoveryError` when no generation can be
     decoded at all.
@@ -213,22 +143,6 @@ def resolve_bootstrap(
     directory = Path(directory)
     last_error: Optional[Exception] = None
     for _ in range(max(1, attempts)):
-        pointer = read_pointer(directory)
-        if pointer is not None:
-            generation = pointer["generation"]
-            path = snapshot_path(directory, generation)
-            try:
-                state = read_snapshot(path)
-            except ReproError as error:
-                # Pointer raced a rotation or names damage; fall through
-                # to the generation scan and, failing that, retry.
-                last_error = error
-                metrics.incr("durable.bootstrap_pointer_races")
-            else:
-                point = BootstrapPoint(
-                    generation=generation, path=path, last_seq=state.last_seq
-                )
-                return point, state
         try:
             generations = list_generations(directory)
         except OSError as error:
@@ -238,17 +152,11 @@ def resolve_bootstrap(
             metrics.incr("durable.bootstrap_scan_fallbacks")
             generations = []
         for generation in reversed(generations):
-            path = snapshot_path(directory, generation)
             try:
-                state = read_snapshot(path)
+                return read_snapshot(snapshot_path(directory, generation))
             except ReproError as error:
                 last_error = error
                 metrics.incr("durable.bootstrap_scan_fallbacks")
-                continue
-            point = BootstrapPoint(
-                generation=generation, path=path, last_seq=state.last_seq
-            )
-            return point, state
     raise RecoveryError(
         f"no complete snapshot generation could be resolved in {directory}"
         + (f": {last_error}" if last_error else "")

@@ -45,8 +45,9 @@ writes.  Readers still accept versions 1–2, whose ``int`` is a 2-byte
 length + big-endian magnitude and which carry no leaf section (their
 schemes restore with empty counters).
 
-Writes are atomic: the blob goes to ``<name>.tmp``, is fsynced, and is
-``os.replace``d over the final name — a crash mid-snapshot leaves the
+Writes are atomic (:func:`repro.durable.files.replace_durably`): the
+blob goes to ``<name>.tmp``, is fsynced, and is renamed over the final
+name, then the directory is fsynced — a crash mid-snapshot leaves the
 previous generation untouched.  :func:`read_snapshot` verifies the footer
 before decoding a single field, so truncation and bit-flips surface as
 :class:`repro.errors.SnapshotCorruptError`, never as plausible garbage.
@@ -58,7 +59,6 @@ any other name the engine does not accept is corruption.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.durable.faults import FaultPlan
+from repro.durable.files import replace_durably
 from repro.errors import (
     LabelingError,
     OrderingError,
@@ -259,22 +260,12 @@ def write_snapshot(
     reflected in the collection — recovery replays strictly after it.
     """
     with metrics.timed("snapshot.write"):
-        path = Path(path)
         blob = _encode_snapshot(collection, last_seq)
         if faults is not None:
             # The hook fires before the temp file is opened, so an
             # injected failure (or stall) is always retry-safe.
             blob = faults.on_snapshot(str(path), blob)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            # repro: ignore[R10] -- atomic-rename protocol: the temp file
-            # must be durable before os.replace or a crash could retain a
-            # snapshot pointer to unwritten bytes; no fsync policy applies
-            handle.flush()
-            # repro: ignore[R10] -- second half of the atomic-rename fsync
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        replace_durably(path, blob)
         metrics.incr("snapshot.writes")
         metrics.incr("snapshot.bytes", len(blob))
     return len(blob)

@@ -43,7 +43,7 @@ incremental cursor (over a local file, ``WalTailer(FileTransport(path))``).
 under ``fsync='never'``/``'batch'``, lose several).  :func:`scan_wal`
 stops at the first record that is short, fails its CRC, or breaks the
 sequence chain; everything before that point is trusted, everything from
-it on is dead weight and :meth:`WriteAheadLog.open`'s repair pass
+it on is dead weight and :class:`WriteAheadLog`'s repair pass on open
 truncates it.  Corruption *before* the valid tail cannot be distinguished
 from a torn tail by the scanner — it simply shortens the usable prefix,
 and the snapshot fallback in :mod:`repro.durable.recovery` covers the
@@ -80,6 +80,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.durable.faults import FaultPlan, InjectedCrash
+from repro.durable.files import replace_durably, truncate_durably
 from repro.errors import DurabilityError, LabelingError, WalCorruptError
 from repro.labeling.codec import read_uvarint, write_uvarint
 from repro.obs import metrics
@@ -466,29 +467,34 @@ class WriteAheadLog:
         self.path = Path(path)
         self.policy = FsyncPolicy.parse(fsync)
         self.faults = faults
-        scan = scan_wal(self.path)
-        if scan.torn_bytes:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(scan.valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-            metrics.incr("wal.torn_tail_truncations")
-            metrics.incr("wal.torn_tail_bytes", scan.torn_bytes)
-        if scan.valid_bytes and scan.version != _DEFAULT_VERSION:
-            # Appends encode at v3, so the legacy records are re-encoded
-            # first: one log, one payload encoding.
-            _rewrite(self.path, scan.records)
-        self._handle = open(self.path, "ab")
-        if scan.valid_bytes == 0:
-            self._handle.write(WAL_HEADER)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        self._next_seq = scan.last_seq + 1
-        self._pending = 0
         self._closed = False
         #: File offset a failed rollback could not truncate to; ``reopen``
         #: finishes the repair before trusting the tail again.
         self._poisoned: Optional[int] = None
+        self._open()
+
+    def _open(self) -> None:
+        """The repair pass of ``__init__`` and :meth:`reopen`.
+
+        A missing, empty or header-only log is written as a bare header
+        (so its directory entry is durable too), a legacy log is rewritten
+        at version 3 and a torn tail is truncated; then the sequence
+        counter chains strictly after the last surviving record — a gap
+        would make the scanner distrust everything appended from here on.
+        """
+        scan = scan_wal(self.path)
+        if not scan.records:
+            replace_durably(self.path, WAL_HEADER)
+        elif scan.version != _DEFAULT_VERSION:
+            _rewrite(self.path, scan.records)  # drops any torn tail too
+        elif scan.torn_bytes:
+            truncate_durably(self.path, scan.valid_bytes)
+        if scan.torn_bytes:
+            metrics.incr("wal.torn_tail_truncations")
+            metrics.incr("wal.torn_tail_bytes", scan.torn_bytes)
+        self._handle = open(self.path, "ab")
+        self._next_seq = scan.last_seq + 1
+        self._pending = 0
 
     # ------------------------------------------------------------------
     # Appending
@@ -562,10 +568,7 @@ class WriteAheadLog:
         except OSError:
             pass
         try:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(offset)
-                handle.flush()
-                os.fsync(handle.fileno())
+            truncate_durably(self.path, offset)
         except OSError:
             self._poisoned = offset
             return
@@ -629,28 +632,11 @@ class WriteAheadLog:
         except OSError:
             pass
         if self._poisoned is not None and self.path.exists():
-            with open(self.path, "r+b") as handle:
-                handle.truncate(min(self._poisoned, os.path.getsize(self.path)))
-                handle.flush()
-                os.fsync(handle.fileno())
+            truncate_durably(
+                self.path, min(self._poisoned, os.path.getsize(self.path))
+            )
         self._poisoned = None
-        scan = scan_wal(self.path)
-        if scan.torn_bytes:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(scan.valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-            metrics.incr("wal.torn_tail_truncations")
-            metrics.incr("wal.torn_tail_bytes", scan.torn_bytes)
-        self._handle = open(self.path, "ab")
-        if scan.valid_bytes == 0:
-            self._handle.write(WAL_HEADER)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        # Chain strictly after the last surviving record: a gap would make
-        # the scanner distrust everything appended from here on.
-        self._next_seq = scan.last_seq + 1
-        self._pending = 0
+        self._open()
         metrics.incr("wal.reopens")
 
     # ------------------------------------------------------------------
@@ -678,10 +664,7 @@ class WriteAheadLog:
                 f"({next_seq} < {self._next_seq})"
             )
         self._handle.close()
-        with open(self.path, "wb") as handle:
-            handle.write(WAL_HEADER)
-            handle.flush()
-            os.fsync(handle.fileno())
+        replace_durably(self.path, WAL_HEADER)
         self._handle = open(self.path, "ab")
         self._next_seq = next_seq
         self._pending = 0
@@ -716,19 +699,14 @@ class WriteAheadLog:
 def _rewrite(path: Path, records: List[WalRecord]) -> int:
     """Atomically replace the log at ``path`` with ``records``; returns its size.
 
-    The records are re-encoded at version 3 into a temp file that is
-    fsynced and ``os.replace``d over the log, so a crash mid-rewrite leaves
-    either the old or the new log — never a hybrid.
+    The records are re-encoded at version 3 and written by
+    :func:`~repro.durable.files.replace_durably`, so a crash mid-rewrite
+    leaves either the old or the new log — never a hybrid.
     """
     blob = bytearray(WAL_HEADER)
     for record in records:
         blob += _frame(record.seq, _encode_payload(record.op))
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    replace_durably(path, blob)
     return len(blob)
 
 

@@ -1,8 +1,8 @@
 """``repro.replica`` — WAL-shipping primary/replica pairs with MVCC reads.
 
 Replication here is crash recovery run continuously: a replica bootstraps
-from the primary's latest complete snapshot (resolved through the atomic
-``CURRENT`` pointer), then tails the primary's write-ahead log over a
+from the primary's newest snapshot generation that decodes (a newest-first
+scan of the directory), then tails the primary's write-ahead log over a
 file- or socket-based transport and replays each record through the same
 ``apply_operation`` path recovery uses.  Every applied batch publishes an
 immutable MVCC read view, so any number of reader threads can query a

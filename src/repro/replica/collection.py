@@ -6,9 +6,9 @@ primary's directory; it builds its state from two inputs the primary
 already maintains for crash recovery:
 
 1. **Bootstrap** — :func:`repro.durable.recovery.resolve_bootstrap` picks
-   the latest complete snapshot via the atomically-replaced ``CURRENT``
-   pointer (falling back to a generation scan), yielding a collection and
-   the sequence number it covers.
+   the newest snapshot generation that decodes (scanning newest-first and
+   falling back past a damaged one), yielding a collection and the
+   sequence number it covers.
 2. **Tailing** — a :class:`~repro.replica.tailer.WalTailer` ships the
    primary's log and decodes it with the recovery scanner; records with
    ``seq > applied`` replay through the *same*
@@ -77,8 +77,8 @@ class ReplicaCollection:
     for WAL shipping too).  Pass a
     :class:`~repro.replica.transport.SocketTransport` to tail a remote
     primary instead; bootstrap still reads snapshots from ``directory``
-    (ship the snapshot files by any means — they are immutable once the
-    ``CURRENT`` pointer names them).
+    (ship the snapshot files by any means — they are immutable once they
+    carry their final ``snap-*.rpsn`` name).
     """
 
     def __init__(
@@ -103,9 +103,9 @@ class ReplicaCollection:
 
     def _bootstrap(self) -> None:
         """(Re)build state from the latest complete snapshot."""
-        point, state = resolve_bootstrap(self.directory)
+        state = resolve_bootstrap(self.directory)
         self.live = restore_collection(state)
-        self.applied_seq = point.last_seq
+        self.applied_seq = state.last_seq
         self.tailer = WalTailer(self.transport)
         self.live.publish_view(applied_seq=self.applied_seq)
         metrics.incr("replica.bootstraps")

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.durable.files import replace_durably
 from repro.errors import QueryEvaluationError, ShardError
 from repro.query.engine import upgrade_strategy
 
@@ -91,28 +91,18 @@ class ShardManifest:
 def write_manifest(root: str | Path, manifest: ShardManifest) -> None:
     """Atomically publish ``manifest`` as ``root/SHARDS.json``.
 
-    Same tmp-write / fsync / ``os.replace`` protocol as the durable
-    ``CURRENT`` pointer: a crashed writer leaves either the old complete
-    manifest or the new complete manifest, never a torn one.
+    Written by :func:`~repro.durable.files.replace_durably`, like every
+    snapshot: a crashed writer leaves either the old complete manifest or
+    the new complete manifest, never a torn one.
     """
-    root = Path(root)
     blob = json.dumps(asdict(manifest), sort_keys=True).encode("utf-8")
-    tmp = root / (MANIFEST_NAME + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        # repro: ignore[R10] -- atomic-rename protocol: the manifest must
-        # be durable before os.replace, or a crash could publish a name
-        # with no bytes behind it; WAL fsync policy does not apply here
-        handle.flush()
-        # repro: ignore[R10] -- second half of the atomic-rename fsync
-        os.fsync(handle.fileno())
-    os.replace(tmp, root / MANIFEST_NAME)
+    replace_durably(Path(root) / MANIFEST_NAME, blob)
 
 
 def read_manifest(root: str | Path) -> ShardManifest:
     """Decode ``root/SHARDS.json``; raises :class:`ShardError` if unusable.
 
-    Unlike the durable ``CURRENT`` pointer there is no scan fallback: the
+    Unlike a snapshot generation there is no scan fallback: the
     manifest is the only record of the shard count, and guessing it
     wrong would silently route documents to the wrong workers.  A retired
     strategy name (``merge``/``window``/``twig``) reads as ``auto``.

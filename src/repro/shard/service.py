@@ -10,7 +10,6 @@ self-contained durable subdirectory per shard plus the atomic
       shard-00/          a complete DurableCollection directory
         wal.log
         snap-*.rpsn
-        CURRENT
       shard-01/
       ...
 

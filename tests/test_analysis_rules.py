@@ -258,6 +258,12 @@ CLEAN = [
         "import os\n\ndef ok(handle):\n    handle.flush()\n"
         "    os.fsync(handle.fileno())\n",
     ),
+    # R10: so does the durable-file module (atomic replace, truncate).
+    (
+        "src/repro/durable/files.py",
+        "import os\n\ndef ok(handle, directory):\n    handle.flush()\n"
+        "    os.fsync(handle.fileno())\n    os.fsync(directory)\n",
+    ),
     # R11: the store owns the WindowIndex; live owns the patch hooks; the
     # engine may import the entry types it binary-searches.
     (
@@ -299,8 +305,8 @@ def test_sanctioned_patterns_stay_clean(rel, source):
 
 
 # R10 exempts exactly the two console streams: any other argument-less
-# flush, and any fsync, outside durable/wal.py is still a finding (here at
-# the CLI, where the console flush lives).
+# flush, and any fsync, outside durable/wal.py and durable/files.py is
+# still a finding (here at the CLI, where the console flush lives).
 @pytest.mark.parametrize(
     "call,expected",
     [

@@ -301,6 +301,25 @@ class TestReplicationVerbs:
         report = json.loads(capsys.readouterr().out)
         assert {"applied_seq", "primary_seq", "record_lag", "byte_lag"} <= set(report)
 
+    def test_lag_without_state_starts_from_the_newest_snapshot(
+        self, state_dir, capsys
+    ):
+        import json
+
+        from repro.durable import DurableCollection
+
+        # dump --churn 5 checkpoints after its churn; two more records follow.
+        col = DurableCollection.open(state_dir)
+        col.insert_child(col.documents[0], 0, tag="late")
+        col.insert_child(col.documents[0], 0, tag="later")
+        col.close()
+        capsys.readouterr()
+        assert main(["lag", state_dir, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["source"] == "newest snapshot"
+        assert report["applied_seq"] == 5 and report["primary_seq"] == 7
+        assert report["record_lag"] == 2
+
     def test_lag_max_bytes_exceeded_is_five(self, state_dir, tmp_path, capsys):
         # Make the replica stale: record its position, then let the
         # primary keep writing.
@@ -377,6 +396,34 @@ class TestShardVerbs:
         assert len(report["shard_dirs"]) == 2
         # The churn's WAL records are visible offline, no workers needed.
         assert sum(e["wal_seq"] for e in report["shard_dirs"]) >= 4
+
+    def test_status_reports_each_shards_newest_snapshot(
+        self, xml_file, tmp_path, capsys
+    ):
+        import json
+
+        from repro.durable import DurableCollection, list_shard_directories
+
+        root = tmp_path / "sharded"
+        assert main(["shard-serve", str(root), xml_file, xml_file]) == 0
+        shard_id, path = list_shard_directories(root)[0]
+        col = DurableCollection.open(path)
+        col.insert_child(col.documents[0], 0, tag="late")
+        col.checkpoint()
+        col.insert_child(col.documents[0], 0, tag="later")
+        col.close()
+        capsys.readouterr()
+        assert main(["shard-status", str(root), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["shard_dirs"]
+        assert [set(e) for e in entries] == [
+            {"shard", "generation", "snapshot_seq", "wal_seq"}
+        ] * 2
+        by_shard = {e["shard"]: e for e in entries}
+        assert by_shard[shard_id]["generation"] == 2
+        assert by_shard[shard_id]["snapshot_seq"] == 1
+        assert by_shard[shard_id]["wal_seq"] == 2
+        assert by_shard[1 - shard_id]["generation"] == 1
+        assert by_shard[1 - shard_id]["snapshot_seq"] == 0
 
     def test_serve_create_over_existing_root_is_refused(
         self, xml_file, tmp_path, capsys

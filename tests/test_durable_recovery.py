@@ -28,7 +28,8 @@ from repro.durable import (
 )
 from repro.durable.recovery import WAL_NAME, apply_operation, snapshot_path
 from repro.durable.wal import header_prefix, scan_wal
-from repro.durable.faults import flip_bit, truncate_file
+from repro.durable.faults import flip_bit
+from repro.durable.files import truncate_durably
 from repro.errors import DurabilityError, RecoveryError, ReproError
 from repro.query.live import LiveCollection
 from repro.xmlkit.parser import parse_document
@@ -208,7 +209,7 @@ class TestSnapshotFallback:
         elif damage == "flip-middle":
             flip_bit(latest, latest.stat().st_size // 2, 5)
         else:
-            truncate_file(latest, latest.stat().st_size // 3)
+            truncate_durably(latest, latest.stat().st_size // 3)
         recovered = recover(tmp_path)
         assert recovered.info.generation == 1
         assert recovered.info.skipped_generations == [2]

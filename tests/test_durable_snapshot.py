@@ -10,7 +10,8 @@ import pytest
 
 from repro.datasets.shakespeare import play
 from repro.durable.collection import DurableCollection
-from repro.durable.faults import FaultPlan, flip_bit, truncate_file
+from repro.durable.faults import FaultPlan, flip_bit
+from repro.durable.files import truncate_durably
 from repro.durable.recovery import list_generations, snapshot_path
 from repro.durable.snapshot import (
     collection_fingerprint,
@@ -131,7 +132,7 @@ class TestCorruptionDetection:
         write_snapshot(collection, path)
         size = path.stat().st_size
         for cut in range(size):
-            truncate_file(path, cut)
+            truncate_durably(path, cut)
             with pytest.raises(SnapshotCorruptError):
                 read_snapshot(path)
             write_snapshot(collection, path)

@@ -7,10 +7,12 @@ import pytest
 from repro.durable import (
     DurableCollection,
     collection_fingerprint,
-    read_pointer,
     resolve_bootstrap,
+    truncate_durably,
 )
-from repro.durable.recovery import WAL_NAME
+from repro.durable.recovery import WAL_NAME, list_generations, snapshot_path
+from repro.durable.snapshot import read_snapshot_seq
+from repro.obs import metrics
 from repro.errors import ReplicationError
 from repro.replica import (
     ReplicaCollection,
@@ -38,7 +40,7 @@ def _churn(col, count, start=0):
 
 
 class TestBootstrap:
-    def test_bootstraps_from_pointer_snapshot(self, primary):
+    def test_bootstraps_from_newest_snapshot(self, primary):
         _churn(primary, 4)
         primary.checkpoint()
         replica = ReplicaCollection(primary.directory)
@@ -46,13 +48,43 @@ class TestBootstrap:
         view = replica.read_view()
         assert view.applied_seq == 4 and view.audit() == []
 
-    def test_bootstrap_point_matches_pointer_file(self, primary):
+    def test_bootstrap_resolves_the_newest_generation(self, primary):
         _churn(primary, 3)
         primary.checkpoint()
-        point, _ = resolve_bootstrap(primary.directory)
-        pointer = read_pointer(primary.directory)
-        assert point.last_seq == pointer["last_seq"] == 3
-        assert point.generation == pointer["generation"]
+        newest = snapshot_path(
+            primary.directory, list_generations(primary.directory)[-1]
+        )
+        state = resolve_bootstrap(primary.directory)
+        assert state.last_seq == read_snapshot_seq(newest) == 3
+
+    def test_truncated_newest_generation_falls_back_one(self, primary):
+        _churn(primary, 3)
+        primary.checkpoint()
+        _churn(primary, 2, start=3)
+        primary.checkpoint()
+        _churn(primary, 2, start=5)
+        newest = snapshot_path(
+            primary.directory, list_generations(primary.directory)[-1]
+        )
+        truncate_durably(newest, newest.stat().st_size // 2)
+        with metrics.collecting() as registry:
+            replica = ReplicaCollection(primary.directory)
+        counters = registry.snapshot()["counters"]
+        assert counters["durable.bootstrap_scan_fallbacks"] >= 1
+        assert replica.applied_seq == 3  # the previous generation's coverage
+        replica.catch_up()
+        assert replica.applied_seq == primary.last_seq == 7
+        assert collection_fingerprint(replica.live) == collection_fingerprint(
+            primary.live
+        )
+
+    def test_a_leftover_current_file_is_ignored(self, primary):
+        _churn(primary, 2)
+        primary.checkpoint()
+        (primary.directory / "CURRENT").write_text(
+            '{"generation": 99, "last_seq": 99, "snapshot": "snap-00000099.rpsn"}'
+        )
+        assert resolve_bootstrap(primary.directory).last_seq == 2
 
     def test_missing_directory_is_replication_error_material(self, tmp_path):
         from repro.errors import RecoveryError
