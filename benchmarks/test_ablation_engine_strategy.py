@@ -2,8 +2,8 @@
 
 ``scan`` tests every (context, candidate) pair by label comparison and
 sorts by the scheme's order key (for prime: the SC table), as the
-paper's SQL translation does; ``auto`` on a windowed store answers each
-step from binary-searched pre/post ranges and never computes an order
+paper's SQL translation does; ``auto`` answers each step from the
+store's binary-searched pre/post ranges and never computes an order
 key.  On selective steps they are close; on dense steps (many contexts ×
 many candidates, e.g. ``/ACT//LINE``) the windows win by the avoided
 quadratic factor.

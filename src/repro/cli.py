@@ -303,8 +303,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"doc {row.doc_id}: {row.node.path()}")
     print(f"-- {len(rows)} node(s) retrieved with the {args.scheme} store")
     if getattr(args, "explain", False):
-        windows = engine.strategy == "auto" and store.windowed
-        print(f"-- path: {'window' if windows else 'scan'}")
+        print(f"-- path: {'window' if engine.strategy == 'auto' else 'scan'}")
     if getattr(args, "audit", False) and _audit_store(store, indent=""):
         return 1
     return 0

@@ -38,7 +38,7 @@ from repro.obs import metrics
 from repro.primes.gen import PrimeGenerator
 from repro.xmlkit.tree import XmlElement
 
-__all__ = ["PrimeLabel", "PrimeScheme", "BottomUpPrimeScheme"]
+__all__ = ["PrimeLabel", "PrimeScheme", "BottomUpPrimeScheme", "label_divides"]
 
 #: Default size of the Opt1 reserved pool of small primes for top-level nodes.
 DEFAULT_RESERVED_PRIMES = 64
@@ -66,6 +66,18 @@ class PrimeLabel:
             raise ValueError(
                 f"self_label {self.self_label} does not divide label {self.value}"
             )
+
+
+def label_divides(ancestor_label: PrimeLabel, descendant_label: PrimeLabel) -> bool:
+    """Property 2's ancestor test: the labels differ and one divides the other.
+
+    Complete for top-down labels without Opt2; :meth:`PrimeScheme.is_ancestor_label`
+    adds Opt2's even-label check in front of it.
+    """
+    return (
+        ancestor_label.value != descendant_label.value
+        and descendant_label.value % ancestor_label.value == 0
+    )
 
 
 class PrimeScheme(LabelingScheme):
@@ -231,12 +243,10 @@ class PrimeScheme(LabelingScheme):
     # ------------------------------------------------------------------
 
     def is_ancestor_label(self, ancestor_label: PrimeLabel, descendant_label: PrimeLabel) -> bool:
-        if ancestor_label.value == descendant_label.value:
-            return False
         if self.power2_leaves and ancestor_label.value % 2 == 0:
             # Property 3: even labels are leaves, never ancestors.
             return False
-        return descendant_label.value % ancestor_label.value == 0
+        return label_divides(ancestor_label, descendant_label)
 
     def is_parent_label(self, parent_label: PrimeLabel, child_label: PrimeLabel) -> bool:
         """Parent/child test: the child's inherited part equals the parent."""

@@ -18,7 +18,7 @@ store's :class:`~repro.query.store.StoreOps` and takes document order from
 the labels (for prime: the SC table), as the paper's Section 4.3 SQL
 translation does; the window path reads the store's pre/post accelerator
 columns (:mod:`repro.query.window`) instead.  ``scan`` pins the first;
-``auto`` takes the second whenever the store is windowed.
+``auto`` takes the second (every store carries the columns).
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ class QueryEngine:
       (context, candidate) pair, document order from the labels; the
       paper's relational evaluation, O(|ctx| · |cand|).
     * ``"auto"`` (default) — binary-searched pre/post range windows over
-      the store's accelerator columns when the store is windowed (every
-      axis, O(|ctx| · log |cand| + |out|), no order-key computation);
-      the scan path otherwise.
+      the store's accelerator columns (every axis, O(|ctx| · log |cand|
+      + |out|), no order-key computation).
 
     Each step counts its path in ``planner.pick.window`` or
     ``planner.pick.scan``.
@@ -100,7 +99,7 @@ class QueryEngine:
         # may hand us a large list (the DataGuide pre-filter does).
         if doc_ids is not None and not isinstance(doc_ids, (set, frozenset)):
             doc_ids = set(doc_ids)
-        windows = self.strategy == "auto" and self.store.windowed
+        windows = self.strategy == "auto"
         pick = "planner.pick.window" if windows else "planner.pick.scan"
         with metrics.timed("query.evaluate"):
             context = self._seed_context(query.steps[0], doc_ids, windows)
@@ -134,7 +133,7 @@ class QueryEngine:
         selected = self.store.doc_ids if doc_ids is None else [
             doc_id for doc_id in self.store.doc_ids if doc_id in doc_ids
         ]
-        # A windowed store's per-tag lists are already in document order;
+        # The store's per-tag lists are already in document order;
         # the scan path instead pays the scheme's order-key sort (for
         # prime: the paper's SC-table overhead).
         with metrics.timed("query.op.seed"):

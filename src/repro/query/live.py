@@ -21,11 +21,12 @@ choice.
 Batched mutations: :meth:`LiveCollection.apply_batch` (and the
 :meth:`~LiveCollection.bulk_insert` / :meth:`~LiveCollection.bulk_delete`
 conveniences) run a sequence of :class:`BatchOp`\\ s through the *same*
-sequential update algorithm, but with each touched document's SC table in
-batch mode — so grouping, prime issuance, overflow repair, and per-op cost
-reports are byte-identical to applying the ops one by one, while each
-touched SC record pays one CRT solve per batch instead of one per node.
-See ``docs/BATCHING.md``.
+sequential update algorithm, op by op, inside each touched document's
+:meth:`~repro.order.document.OrderedDocument.batch` scope, which defers
+nothing — so grouping, prime issuance, overflow repair, SC solves and
+per-op cost reports are byte-identical to applying the ops one by one.
+What a batch saves is above this layer: one WAL record and one fsync
+for the whole batch at the durable layer.  See ``docs/BATCHING.md``.
 
 One mutation path: every node update is a :class:`BatchOp` handed to a
 layer's ``apply`` (one op) or ``apply_batch`` (many).  The named methods
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, QueryEvaluationError
-from repro.labeling.prime import PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument, OrderedUpdateReport
 from repro.query.engine import QueryEngine, check_strategy
@@ -193,8 +193,9 @@ class BatchReport:
     """Per-op cost reports for one batch, plus the aggregate totals.
 
     The per-op :class:`~repro.order.document.OrderedUpdateReport`\\ s are
-    exactly what the sequential path would have produced — batching changes
-    *when* CRT solves happen, never what the paper's cost model charges.
+    exactly what the sequential path would have produced: a batch applies
+    the same updates in the same order, so the paper's cost model charges
+    the same.
     """
 
     reports: List[OrderedUpdateReport] = field(default_factory=list)
@@ -254,7 +255,7 @@ class ReadView:
         per-document order keys are distinct, and sorting each document
         by order key yields a valid preorder of the ``parent_id`` tree
         (parents always open before their children, DFS-contiguously).
-        A windowed store's columns must match that order too: the
+        The store's window columns must match that order too: the
         document's rows, held in ``pre`` order, are the order-key order
         with ``pre`` = 0..n-1, and each ``size`` is its subtree's row
         count.
@@ -291,7 +292,7 @@ class ReadView:
                 continue
             ordered = [row for _, row in sorted(zip(keys, doc_rows))]
             sizes = _preorder_subtree_sizes(doc_id, ordered, violations)
-            if sizes is None or not store.windowed:
+            if sizes is None:
                 continue
             for position, (row, expected) in enumerate(zip(doc_rows, ordered)):
                 if row is not expected or row.pre != position:
@@ -361,20 +362,22 @@ class LiveCollection(NodeMutations):
     ):
         self.group_size = group_size
         self.strategy = check_strategy(strategy)
-        self._ordered: List[OrderedDocument] = [
-            OrderedDocument(root, group_size=group_size) for root in documents
-        ]
         self._engine: Optional[QueryEngine] = None
         self.total_update_cost = 0
-        self._index_by_root: Dict[int, int] = {
-            id(ordered.root): index for index, ordered in enumerate(self._ordered)
-        }
-        if len(self._index_by_root) != len(self._ordered):
-            raise QueryEvaluationError("the same document appears twice")
         self._publish_lock = threading.Lock()
         # repro: guarded-by(_publish_lock): _latest_view, _version
         self._latest_view: Optional[ReadView] = None
         self._version = 0
+        self._adopt([OrderedDocument(root, group_size=group_size) for root in documents])
+
+    def _adopt(self, ordered: Sequence[OrderedDocument]) -> None:
+        """Take ``ordered`` as the collection's documents, indexed by root."""
+        self._ordered: List[OrderedDocument] = list(ordered)
+        self._index_by_root: Dict[int, int] = {
+            id(document.root): index for index, document in enumerate(self._ordered)
+        }
+        if len(self._index_by_root) != len(self._ordered):
+            raise QueryEvaluationError("the same document appears twice")
 
     @classmethod
     def from_ordered(
@@ -387,8 +390,9 @@ class LiveCollection(NodeMutations):
         """Assemble a collection around existing ordered documents.
 
         Used by snapshot restore (:mod:`repro.durable`), where the documents
-        arrive already labeled and ordered: re-running ``__init__`` would
-        relabel them from scratch and destroy the restored state.
+        arrive already labeled and ordered: ``__init__`` would relabel them
+        from scratch and destroy the restored state, so the collection
+        starts empty and adopts them as they are.
 
         Every restored document must share the collection's ``group_size``:
         ``add_document`` enforces one SC grouping policy per collection, and
@@ -403,20 +407,9 @@ class LiveCollection(NodeMutations):
                     f"being assembled with {group_size}; one SC grouping "
                     "policy applies collection-wide"
                 )
-        collection = cls.__new__(cls)
-        collection.group_size = group_size
-        collection.strategy = check_strategy(strategy)
-        collection._ordered = list(ordered)
-        collection._engine = None
+        collection = cls((), group_size, strategy)
+        collection._adopt(ordered)
         collection.total_update_cost = total_update_cost
-        collection._index_by_root = {
-            id(document.root): index for index, document in enumerate(ordered)
-        }
-        if len(collection._index_by_root) != len(collection._ordered):
-            raise QueryEvaluationError("the same document appears twice")
-        collection._publish_lock = threading.Lock()
-        collection._latest_view = None
-        collection._version = 0
         return collection
 
     # ------------------------------------------------------------------
@@ -454,18 +447,9 @@ class LiveCollection(NodeMutations):
 
     def _build_engine(self) -> QueryEngine:
         metrics.incr("live.engine_rebuilds")
-        # PrimeOps resolves each comparison through the *owning* document's
-        # scheme (they are per-document instances and can diverge after
-        # updates); the first scheme is only the fallback for order holders
-        # without one.  An empty collection (a legal state: a freshly
-        # created shard whose documents have not arrived yet) gets a
-        # throwaway scheme — there are no rows to compare against it.
-        fallback = (
-            self._ordered[0].scheme if self._ordered else PrimeScheme()
-        )
         store = LabelStore.from_trees(
             [(document.root, document.scheme.label_of) for document in self._ordered],
-            PrimeOps(fallback, dict(enumerate(self._ordered))),
+            PrimeOps(dict(enumerate(self._ordered))),
         )
         return QueryEngine(store, strategy=self.strategy)
 

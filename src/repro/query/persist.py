@@ -147,8 +147,6 @@ def _rebuild_ops(scheme: str, rows: List[ElementRow]) -> StoreOps:
     # Each row's order is its position in its document's stream, which
     # save_store writes in preorder; the primes themselves are no guide
     # (an insert draws a larger prime than every node after it).
-    from repro.labeling.prime import PrimeScheme
-
     ordered: Dict[int, Any] = {}
     by_doc: Dict[int, List[ElementRow]] = {}
     for row in rows:
@@ -160,7 +158,7 @@ def _rebuild_ops(scheme: str, rows: List[ElementRow]) -> StoreOps:
                 table.register(row.label.self_label, order)
         holder = _LoadedOrderHolder(table)
         ordered[doc_id] = holder
-    return PrimeOps(PrimeScheme(reserved_primes=0, power2_leaves=False), ordered)
+    return PrimeOps(ordered)
 
 
 class _LoadedOrderHolder:

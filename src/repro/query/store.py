@@ -17,11 +17,11 @@ instance (the Niagara repository is multi-document), and rows carry:
 Every row that comes from a labeled tree is made in one preorder walk per
 document (:meth:`LabelStore.from_trees`), which knows all of these columns
 as it goes; only rows of other provenance (a file, a test) are numbered by
-a separate validation sweep.
+a separate sweep, which refuses rows that are not a preorder.
 
 The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 
-* ``prime`` — ancestor test by modulo (Property 2), parenthood and
+* ``prime`` — ancestor test by divisibility (Property 2), parenthood and
   siblinghood by the ``parent-label`` identity, document order by the SC
   table (``SC mod self_label``), computed per access so the paper's "SC
   overhead" is really paid at query time;
@@ -40,7 +40,7 @@ from repro.errors import QueryEvaluationError
 from repro.labeling.base import LabelingScheme
 from repro.labeling.interval import XissIntervalScheme
 from repro.labeling.prefix import Bits, Prefix2Scheme
-from repro.labeling.prime import PrimeScheme
+from repro.labeling.prime import label_divides
 from repro.order.document import OrderedDocument
 from repro.query.window import DocWindow
 from repro.xmlkit.tree import XmlElement
@@ -131,17 +131,15 @@ class StoreOps:
 class PrimeOps(StoreOps):
     """Prime labels: modulo tests plus SC-table order.
 
-    Each document is labeled by its *own* scheme instance (multi-document
-    repository), so comparisons resolve the owning document's scheme per
-    call rather than trusting one shared instance whose configuration may
-    have diverged after updates.  ``scheme`` remains as the fallback for
-    stores loaded from disk, whose order holders carry only an SC table.
+    ``ordered`` maps each doc id to its order holder (an
+    :class:`OrderedDocument`, or anything with its ``sc_table``).  The
+    ancestor test needs no scheme instance: ordered documents refuse
+    Opt2, so it is plain divisibility (:func:`label_divides`).
     """
 
     name = "prime"
 
-    def __init__(self, scheme: PrimeScheme, ordered: Dict[int, OrderedDocument]):
-        self._scheme = scheme
+    def __init__(self, ordered: Dict[int, OrderedDocument]):
         self._ordered = ordered
 
     @property
@@ -149,19 +147,8 @@ class PrimeOps(StoreOps):
         """The per-doc ordered documents backing the SC order lookups."""
         return dict(self._ordered)
 
-    def scheme_for(self, doc_id: int) -> PrimeScheme:
-        """The scheme that labeled ``doc_id``'s rows (fallback: shared)."""
-        document = self._ordered.get(doc_id)
-        scheme = getattr(document, "scheme", None) if document is not None else None
-        return scheme if scheme is not None else self._scheme
-
     def is_ancestor(self, ancestor: ElementRow, descendant: ElementRow) -> bool:
-        # Resolve through the descendant's document: the engine only ever
-        # compares rows of the same document, and the descendant row is the
-        # one whose leaf/internal encoding the test inspects.
-        return self.scheme_for(descendant.doc_id).is_ancestor_label(
-            ancestor.label, descendant.label
-        )
+        return label_divides(ancestor.label, descendant.label)
 
     def is_parent(self, parent: ElementRow, child: ElementRow) -> bool:
         # the root's parent-label equals its own label (both 1); identity
@@ -204,16 +191,12 @@ class FrozenPrimeOps(PrimeOps):
     the writer rewrites SC records underneath.  The order of every row is
     therefore materialized into a plain dict at publish time; ancestor /
     parent / sibling tests stay pure label arithmetic and are shared with
-    the base class.
+    the base class.  The copy keeps no reference to the writer's
+    documents, so it has no ordered documents of its own.
     """
 
-    def __init__(
-        self,
-        scheme: PrimeScheme,
-        ordered: Dict[int, OrderedDocument],
-        orders: Dict[int, int],
-    ):
-        super().__init__(scheme, ordered)
+    def __init__(self, orders: Dict[int, int]):
+        super().__init__({})
         self._orders = orders
 
     def order_key(self, row: ElementRow) -> int:
@@ -266,8 +249,9 @@ class LabelStore:
     Two constructors with two jobs: :meth:`from_trees` loads labeled
     trees in one walk per document (every build and the live engine), and
     ``__init__`` takes rows that did not come from a tree walk (decoded
-    from disk, or assembled by hand) and validates them with one
-    :meth:`~repro.query.window.DocWindow.number` sweep per document.
+    from disk, or assembled by hand), numbers them with one
+    :meth:`~repro.query.window.DocWindow.number` sweep per document and
+    raises :class:`QueryEvaluationError` on rows that are not a preorder.
     """
 
     def __init__(self, rows: Iterable[ElementRow], ops: StoreOps):
@@ -275,19 +259,15 @@ class LabelStore:
         self._docs: Dict[int, DocWindow] = {}
         self._row_by_id: Dict[int, ElementRow] = {}
         self._row_by_node: Dict[int, ElementRow] = {}
-        docs, row_by_id, row_by_node = self._docs, self._row_by_id, self._row_by_node
         for row in rows:
-            doc = docs.get(row.doc_id)
-            if doc is None:
-                doc = docs[row.doc_id] = DocWindow()
-            doc.append(row)
-            row_by_id[row.element_id] = row
-            row_by_node[id(row.node)] = row
-        self._next_id = max(row_by_id, default=-1) + 1
-        # Whether every document's rows form a clean preorder and so carry
-        # valid pre/size columns; hand-assembled stores may not, and the
-        # engine then falls back to label comparisons.
-        self.windowed = all(doc.number() for doc in docs.values())
+            window = self._docs.get(row.doc_id)
+            if window is None:
+                window = self._docs[row.doc_id] = DocWindow()
+            window.by_pre.append(row)
+        for window in self._docs.values():
+            window.number()
+            self._index(window)
+        self._next_id = max(self._row_by_id, default=-1) + 1
 
     # ------------------------------------------------------------------
     # Construction
@@ -329,10 +309,10 @@ class LabelStore:
         made.  ``size`` is closed off the stack of open ancestors as the
         walk leaves each subtree, and the tag and id indexes are filled
         from the finished rows.  A tree walk is a preorder by
-        construction, so the store is windowed without the validation
-        sweep :meth:`__init__` runs over rows of unknown provenance.
+        construction, so it needs none of the numbering sweep
+        :meth:`__init__` runs over rows of unknown provenance.
         """
-        store = cls._empty(ops)
+        store = cls((), ops)
         element_id = 0
         for doc_id, (root, label_of) in enumerate(documents):
             window = store._docs[doc_id] = DocWindow()
@@ -364,18 +344,6 @@ class LabelStore:
         store._next_id = element_id
         return store
 
-    @classmethod
-    def _empty(cls, ops: StoreOps, windowed: bool = True) -> "LabelStore":
-        """A store with no rows, for builders that fill the indexes directly."""
-        store = cls.__new__(cls)
-        store.ops = ops
-        store._docs = {}
-        store._row_by_id = {}
-        store._row_by_node = {}
-        store._next_id = 0
-        store.windowed = windowed
-        return store
-
     def _index(self, window: DocWindow) -> None:
         """Fill ``window.by_tag`` and the store's id maps from ``window.by_pre``.
 
@@ -401,7 +369,7 @@ class LabelStore:
             raise QueryEvaluationError("cannot build a store over zero documents")
         return cls.from_trees(
             [(document.root, document.scheme.label_of) for document in ordered.values()],
-            PrimeOps(ordered[0].scheme, ordered),
+            PrimeOps(ordered),
         )
 
     @classmethod
@@ -430,10 +398,10 @@ class LabelStore:
         straight: row by row in ``by_pre`` order with the positional
         :class:`ElementRow` constructor, ``pre``/``size`` carried over and
         ``by_tag`` rebuilt from the copied rows (so it stays sorted by
-        ``pre``).  ``windowed`` and the id counter are carried over too;
-        the writer's columns are already maintained, so nothing is
-        re-swept.  Later writer-side ``insert_row`` / ``delete_subtree``
-        patches cannot reach the copy.
+        ``pre``).  The id counter is carried over too; the writer's
+        columns are already maintained, so nothing is re-swept.  Later
+        writer-side ``insert_row`` / ``delete_subtree`` patches cannot
+        reach the copy.
         """
         ops: StoreOps = self.ops
         if isinstance(ops, PrimeOps):
@@ -443,8 +411,8 @@ class LabelStore:
                 for window in self._docs.values()
                 for row in window.by_pre
             }
-            ops = FrozenPrimeOps(ops._scheme, ops._ordered, orders)
-        copy = LabelStore._empty(ops, self.windowed)
+            ops = FrozenPrimeOps(orders)
+        copy = LabelStore((), ops)
         copy._next_id = self._next_id
         for doc_id, window in self._docs.items():
             twin = copy._docs[doc_id] = DocWindow()
@@ -476,16 +444,13 @@ class LabelStore:
 
     @property
     def rows(self) -> List[ElementRow]:
-        """Every row of the table, in (document, ``pre``) order.
-
-        A store that is not windowed keeps each document's input order.
-        """
+        """Every row of the table, in (document, ``pre``) order."""
         return [row for doc in self._docs.values() for row in doc.by_pre]
 
     def rows_with_tag(self, doc_id: int, tag: str) -> List[ElementRow]:
         """The tag-index scan every step starts from (``*`` = any tag).
 
-        Sorted by ``pre`` (document order) when the store is windowed.
+        Sorted by ``pre`` (document order).
         """
         doc = self._docs.get(doc_id)
         return doc.tag_entries(tag) if doc is not None else []
@@ -543,41 +508,25 @@ class LabelStore:
         )
         self._row_by_id[element_id] = row
         self._row_by_node[id(node)] = row
-        if self.windowed:
-            index = node.child_index
-            previous = parent.children[index - 1] if index > 0 else None
-            previous_row = (
-                self._row_by_node.get(id(previous)) if previous is not None else None
-            )
-            doc.apply_insert(row, parent_row, previous_row, self._row_by_id)
-        else:
-            doc.append(row)
+        index = node.child_index
+        previous = parent.children[index - 1] if index > 0 else None
+        previous_row = (
+            self._row_by_node.get(id(previous)) if previous is not None else None
+        )
+        doc.apply_insert(row, parent_row, previous_row, self._row_by_id)
         return row
 
     def delete_subtree(self, node: XmlElement) -> List[ElementRow]:
         """Drop ``node`` and its whole subtree from the table and indexes.
 
         Works on the already-detached subtree (detached trees stay
-        iterable); returns the removed rows in document order.  A windowed
-        store removes one contiguous ``by_pre`` slice.
+        iterable); returns the removed rows in document order: one
+        contiguous ``by_pre`` slice.
         """
         row = self._row_by_node.get(id(node))
         if row is None:
             raise QueryEvaluationError("deleted node is not part of this store")
-        if self.windowed:
-            removed = self._docs[row.doc_id].apply_delete(row, self._row_by_id)
-        else:
-            removed = []
-            for descendant in node.iter_preorder():
-                gone = self._row_by_node.get(id(descendant))
-                if gone is not None:
-                    removed.append(gone)
-            removed_ids = {gone.element_id for gone in removed}
-            kept = DocWindow()
-            for other in self._docs[row.doc_id].by_pre:
-                if other.element_id not in removed_ids:
-                    kept.append(other)
-            self._docs[row.doc_id] = kept
+        removed = self._docs[row.doc_id].apply_delete(row, self._row_by_id)
         for gone in removed:
             del self._row_by_id[gone.element_id]
             del self._row_by_node[id(gone.node)]

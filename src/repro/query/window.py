@@ -23,7 +23,8 @@ preorder (``by_pre``) plus per-tag row lists sorted by ``pre``, so an
 axis window becomes two binary searches (:mod:`bisect`) into the tag's
 list.  A tree-built store fills it in the walk that makes the rows, and a
 published copy takes the writer's lists row by row, columns and all; only
-rows of other provenance are numbered by :meth:`DocWindow.number`.  It is
+rows of other provenance are numbered by :meth:`DocWindow.number`, which
+refuses rows that are not a preorder.  It is
 *incrementally maintained*: order-sensitive insertion shifts
 the ``pre`` of the rows after the insertion point (exactly the nodes
 whose SC records the paper's update algorithm rewrites) and bumps
@@ -38,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
+from repro.errors import QueryEvaluationError
 from repro.obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a store cycle
@@ -50,15 +52,19 @@ def _pre_of(row: "ElementRow") -> int:
     return row.pre
 
 
+def _not_preorder(row: "ElementRow", fault: str) -> QueryEvaluationError:
+    return QueryEvaluationError(
+        f"doc {row.doc_id}: rows are not a preorder (row {row.element_id}: {fault})"
+    )
+
+
 class DocWindow:
     """One document's rows in preorder and its per-tag pre-sorted lists.
 
     Stores built from trees (and their published copies) fill the lists
     and columns directly, already in preorder.  Rows of other provenance
-    are appended in input order and numbered by :meth:`number`; a stream
-    that is not a clean preorder keeps its input order, its ``pre``/
-    ``size`` columns are then meaningless and the engine uses the label
-    scan instead.
+    are put in ``by_pre`` in input order and numbered by :meth:`number`,
+    which refuses a stream that is not a preorder.
     """
 
     __slots__ = ("by_pre", "by_tag")
@@ -67,22 +73,17 @@ class DocWindow:
         self.by_pre: List["ElementRow"] = []
         self.by_tag: Dict[str, List["ElementRow"]] = {}
 
-    def append(self, row: "ElementRow") -> None:
-        """Add one row at the end of the document's lists (construction)."""
-        self.by_pre.append(row)
-        self.by_tag.setdefault(row.tag, []).append(row)
-
-    def number(self) -> bool:
+    def number(self) -> None:
         """Assign ``pre``/``size`` in one depth-stack sweep over ``by_pre``.
 
-        The validation sweep for rows that did not come from a tree walk
-        (a loaded file, a hand-assembled store); a tree-built store knows
-        its columns already.
+        The sweep for rows that did not come from a tree walk (a loaded
+        file, a hand-assembled store); a tree-built store knows its
+        columns already.
 
-        Returns False when the rows are not a consistent preorder (wrong
-        depth jumps, parent links that disagree with the nesting, or a
-        second root), so a hand-assembled store degrades to the label
-        scan instead of answering wrongly.
+        Raises :class:`QueryEvaluationError` when the rows are not a
+        consistent preorder (a depth jump, a parent link that disagrees
+        with the nesting, or a second root): window columns over them
+        would answer wrongly.
         """
         stack: List["ElementRow"] = []
         for pre, row in enumerate(self.by_pre):
@@ -92,18 +93,17 @@ class DocWindow:
                 top.size = pre - top.pre
             if depth > 0:
                 if not stack or stack[-1].depth != depth - 1:
-                    return False  # depth jump: not a preorder stream
+                    raise _not_preorder(row, "depth jump")
                 if row.parent_id is not None and stack[-1].element_id != row.parent_id:
-                    return False  # parent link disagrees with nesting
+                    raise _not_preorder(row, "parent link disagrees with nesting")
             elif stack or pre != 0:
-                return False  # a second root mid-document
+                raise _not_preorder(row, "a second root")
             row.pre = pre
             stack.append(row)
         total = len(self.by_pre)
         while stack:
             top = stack.pop()
             top.size = total - top.pre
-        return True
 
     def tag_entries(self, tag: str) -> List["ElementRow"]:
         """Rows with ``tag``, sorted by ``pre`` (``*`` = every row)."""

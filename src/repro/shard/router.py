@@ -60,6 +60,13 @@ __all__ = ["PartialResult", "RemoteRow", "ShardRouter"]
 #: record on the worker, the unit the redo journal reasons about.
 Bundle = Tuple[str, Dict[str, Any]]
 
+#: Seconds a scatter-gather waits in all before it answers partially
+#: (a call's own ``budget=`` overrides it).
+QUERY_BUDGET_S = 5.0
+#: Seconds a routed mutation waits for its worker's ack; past it the
+#: worker is killed and the mutation stays in flight (``pending``).
+MUTATION_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class RemoteRow:
@@ -109,15 +116,11 @@ class ShardRouter:
         self,
         supervisor: ShardSupervisor,
         doc_map: DocumentMap,
-        query_budget: float = 5.0,
-        mutation_timeout: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ):
         """Wire a router over ``supervisor``; wires itself as callbacks."""
         self.supervisor = supervisor
         self.doc_map = doc_map
-        self.query_budget = query_budget
-        self.mutation_timeout = mutation_timeout
         self.clock = clock
         self._journals: Dict[int, _Journal] = {
             shard_id: _Journal() for shard_id in supervisor.shard_ids
@@ -196,7 +199,7 @@ class ShardRouter:
             kind, payload = bundle
             try:
                 response = self.supervisor.request(
-                    shard_id, kind, payload, timeout=self.mutation_timeout
+                    shard_id, kind, payload, timeout=MUTATION_TIMEOUT_S
                 )
             except ShardUnavailableError:
                 # Died mid-replay; the next restart reconciles inflight.
@@ -276,7 +279,7 @@ class ShardRouter:
         kind, payload = bundle
         try:
             response = self.supervisor.request(
-                shard_id, kind, payload, timeout=self.mutation_timeout
+                shard_id, kind, payload, timeout=MUTATION_TIMEOUT_S
             )
         except (ShardUnavailableError, DeadlineExceededError) as error:
             if isinstance(error, DeadlineExceededError):
@@ -316,7 +319,7 @@ class ShardRouter:
         self, kind: str, payload: Dict[str, Any], budget: Optional[float]
     ) -> PartialResult:
         self.pump()
-        budget = self.query_budget if budget is None else budget
+        budget = QUERY_BUDGET_S if budget is None else budget
         start = self.clock()
         sent: List[Tuple[int, int]] = []  # (shard, request id), send order
         away: List[int] = []

@@ -109,10 +109,11 @@ class ShardedCollection:
 
         ``serving`` keywords pass through to :meth:`_start`: ``policy``
         (a :class:`HealthPolicy`), ``fault_spec``, ``start_method``,
-        ``query_budget``, ``mutation_timeout``, ``verify``.  There is one
-        degraded behaviour: queries answer partially, naming the missing
-        shards, and mutations for a down shard are buffered in the
-        router's redo journal.
+        ``verify``.  The query budget and mutation timeout are router
+        constants (``QUERY_BUDGET_S``, ``MUTATION_TIMEOUT_S``).  There is
+        one degraded behaviour: queries answer partially, naming the
+        missing shards, and mutations for a down shard are buffered in
+        the router's redo journal.
         """
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
@@ -165,8 +166,6 @@ class ShardedCollection:
         policy: Optional[HealthPolicy] = None,
         fault_spec: Optional[str] = None,
         start_method: Optional[str] = None,
-        query_budget: float = 5.0,
-        mutation_timeout: float = 30.0,
         verify: bool = True,
     ) -> "ShardedCollection":
         """Spawn the fleet, wire supervisor ⇄ router, prime watermarks.
@@ -196,12 +195,7 @@ class ShardedCollection:
         supervisor = ShardSupervisor(
             configs, policy=policy, start_method=start_method
         )
-        router = ShardRouter(
-            supervisor,
-            doc_map,
-            query_budget=query_budget,
-            mutation_timeout=mutation_timeout,
-        )
+        router = ShardRouter(supervisor, doc_map)
         failures = supervisor.start()
         if placed is not None:
             unwritten = [

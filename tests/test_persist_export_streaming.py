@@ -1,5 +1,8 @@
 """Tests for persistence, exhibit export, and streaming labelers."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.bench.export import (
@@ -11,6 +14,7 @@ from repro.bench.export import (
 from repro.bench.harness import ResultTable
 from repro.datasets.shakespeare import play
 from repro.errors import QueryEvaluationError
+from repro.labeling.codec import VarintCodec
 from repro.labeling.dewey import DeweyScheme
 from repro.labeling.interval import StartEndIntervalScheme
 from repro.labeling.prime import PrimeScheme
@@ -133,6 +137,30 @@ class TestPersist:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(QueryEvaluationError):
+            load_store(path)
+
+    def test_rows_that_are_not_a_preorder_rejected(self, tmp_path):
+        # A file whose CRC holds but whose rows are no preorder must not
+        # load: window columns over such rows would answer wrongly.
+        store = LabelStore.build([parse_document(DOC)], scheme="prime")
+        path = tmp_path / "store.bin"
+        save_store(store, path)
+        blob = bytearray(path.read_bytes()[:-4])
+        offset = 6 + blob[5]  # magic, version, scheme name
+        offset += 1 + blob[offset]  # codec kind
+        (tag_count,) = struct.unpack_from(">I", blob, offset)
+        offset += 4
+        for _ in range(tag_count):
+            (length,) = struct.unpack_from(">H", blob, offset)
+            offset += 2 + length
+        offset += 4 + 18  # row count, then the root row's fixed fields
+        _, offset = VarintCodec("prime").decode(bytes(blob), offset)
+        (text_length,) = struct.unpack_from(">H", blob, offset)
+        offset += 2 + text_length
+        # The second row (<title/>, depth 1) now claims depth 3 under a root.
+        struct.pack_into(">H", blob, offset + 12, 3)
+        path.write_bytes(bytes(blob) + struct.pack(">I", zlib.crc32(blob)))
+        with pytest.raises(QueryEvaluationError, match="not a preorder"):
             load_store(path)
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -1,6 +1,6 @@
 """Tests for the engine's two evaluation paths: label scan and windows.
 
-Parity is the contract: ``auto`` on a windowed store reads the pre/post
+Parity is the contract: ``auto`` reads the store's pre/post
 accelerator columns and must return byte-identical rows *in identical
 order* to the paper-faithful ``scan`` evaluation, for every axis, every
 scheme, and every Table 2 query — it is a physical optimization, never a
@@ -96,15 +96,8 @@ class TestWindowDetails:
     def test_columns_match_identity(self):
         # post = pre + size - 1 - level on every row (Grust's identity).
         store = self.make().store
-        assert store.windowed
         for row in store.rows:
             assert row.post == row.pre + row.size - 1 - row.depth, (row.doc_id, row.pre)
-
-    def test_window_strategy_survives_missing_index(self):
-        engine = self.make()
-        expected = engine.count("/play//line")
-        engine.store.windowed = False
-        assert engine.count("/play//line") == expected  # falls back to scan
 
     def test_doc_ids_restriction(self, subtests=None):
         documents = [parse_document(DOC), parse_document(DOC)]
@@ -128,15 +121,8 @@ class TestPaths:
 
     def test_auto_on_a_windowed_store_takes_windows_per_step(self):
         store = LabelStore.build([parse_document(DOC)], scheme="prime")
-        assert store.windowed
         engine = QueryEngine(store, strategy="auto")
         assert self.picks(engine, "/play/act/scene//line") == {"scan": 0, "window": 3}
-
-    def test_auto_without_windows_takes_the_scan(self):
-        store = LabelStore.build([parse_document(DOC)], scheme="interval")
-        store.windowed = False
-        engine = QueryEngine(store, strategy="auto")
-        assert self.picks(engine, "/play/act//line") == {"scan": 2, "window": 0}
 
     def test_scan_pins_the_label_path(self):
         store = LabelStore.build([parse_document(DOC)], scheme="prime")

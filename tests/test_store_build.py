@@ -2,9 +2,9 @@
 
 ``LabelStore.from_trees`` makes every row of a labeled tree in one preorder
 walk and fills the window columns and indexes as it goes;
-``LabelStore.__init__`` validates a row stream with a ``DocWindow.number``
-sweep instead.  Fed the same preorder rows, the two must build the same
-table.  ``frozen_copy`` copies each writer window row by row; the copy must
+``LabelStore.__init__`` numbers a row stream with a ``DocWindow.number``
+sweep instead, and refuses one that is not a preorder.  Fed the same
+preorder rows, the two must build the same table.  ``frozen_copy`` copies each writer window row by row; the copy must
 equal the writer's table and stay fixed while the writer moves on.
 """
 
@@ -104,21 +104,20 @@ def table(store):
         },
         "by_id": {key: row.element_id for key, row in store._row_by_id.items()},
         "by_node": {key: row.element_id for key, row in store._row_by_node.items()},
-        "windowed": store.windowed,
         "next_id": store._next_id,
     }
 
 
-def ops_for(name, schemes):
+def ops_for(name):
     if name == "prime":
-        return PrimeOps(schemes[0], {})
+        return PrimeOps({})
     return IntervalOps() if name == "interval" else PrefixOps()
 
 
 def assert_builder_matches_row_stream(roots):
     for name, factory in SCHEMES.items():
         schemes = [factory().label_tree(root) for root in roots]
-        ops = ops_for(name, schemes)
+        ops = ops_for(name)
         built = LabelStore.from_trees(
             [(root, scheme.label_of) for root, scheme in zip(roots, schemes)], ops
         )
@@ -127,7 +126,6 @@ def assert_builder_matches_row_stream(roots):
             doc_rows, next_id = preorder_rows(doc_id, root, scheme.label_of, next_id)
             rows.extend(doc_rows)
         swept = LabelStore(rows, ops)
-        assert swept.windowed
         assert table(built) == table(swept), name
 
 
@@ -147,14 +145,14 @@ def test_every_build_path_is_the_one_walk():
         schemes = [factory().label_tree(root) for root in roots]
         reference = LabelStore.from_trees(
             [(root, scheme.label_of) for root, scheme in zip(roots, schemes)],
-            ops_for(name, schemes),
+            ops_for(name),
         )
         assert table(LabelStore.build(roots, name)) == table(reference), name
     live = LiveCollection(roots)
     documents = live.ordered_documents
     reference = LabelStore.from_trees(
         [(document.root, document.scheme.label_of) for document in documents],
-        PrimeOps(documents[0].scheme, {}),
+        PrimeOps({}),
     )
     assert table(live.engine.store) == table(reference)
 

@@ -10,6 +10,7 @@ resolution in ``PrimeOps`` and ``BatchOp.insert_child`` index
 validation — are pinned at the bottom.
 """
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -47,7 +48,6 @@ def columns_by_node(store):
     and a rebuilt one (preorder renumbering); the tree nodes are the
     stable identity shared by both.
     """
-    assert store.windowed
     return {
         (row.doc_id, id(row.node)): (row.pre, row.post, row.depth, row.size)
         for row in store.rows
@@ -197,26 +197,44 @@ class TestIncrementalMaintenanceSoak:
 
 
 class TestPerDocumentSchemeResolution:
-    """Satellite regression: ``PrimeOps`` trusted only the first doc's scheme.
+    """Regression: ``PrimeOps`` once trusted only the first doc's scheme.
 
-    Each document labels itself with its own ``PrimeScheme`` instance;
-    after divergent mutations the shared-instance shortcut answers
-    ancestor tests against the wrong label assignments.  ``scheme_for``
-    must resolve the owning document's scheme per call.
+    Each document labels itself with its own ``PrimeScheme`` instance,
+    and those diverge under mutation.  The ancestor test now reads the
+    two labels alone (divisibility), so no instance can be the wrong one;
+    queries over divergently mutated documents must stay correct.
     """
 
     def test_ops_resolve_each_documents_own_scheme(self):
         collection = LiveCollection(
             [parse_document(DOC), parse_document("<r><a><b/></a></r>")]
         )
-        ops = collection.engine.store.ops
+        collection.insert_child(collection.documents[1], 0, tag="c")
+        store = collection.engine.store
+        ops = store.ops
         for doc_id, ordered in enumerate(collection.ordered_documents):
-            assert ops.scheme_for(doc_id) is ordered.scheme
+            assert ops.ordered_documents[doc_id] is ordered
+            rows = [row for row in store.rows if row.doc_id == doc_id]
+            for first in rows:
+                for second in rows:
+                    assert ops.is_ancestor(first, second) == (
+                        ordered.scheme.is_ancestor_label(first.label, second.label)
+                    )
 
     def test_fallback_scheme_when_document_unknown(self):
         collection = LiveCollection([parse_document(DOC)])
-        ops = collection.engine.store.ops
-        assert ops.scheme_for(999) is ops._scheme
+        store = collection.engine.store
+        ops = store.ops
+        # The ancestor test reads the two labels alone, so rows of a doc
+        # id the operators do not know still answer like the owner's scheme.
+        scheme = collection.ordered_documents[0].scheme
+        for first in store.rows:
+            for second in store.rows:
+                stray_first = replace(first, doc_id=999)
+                stray_second = replace(second, doc_id=999)
+                assert ops.is_ancestor(stray_first, stray_second) == (
+                    scheme.is_ancestor_label(first.label, second.label)
+                )
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_queries_stay_correct_after_divergent_mutations(self, seed):
