@@ -3,20 +3,18 @@
 The on-disk formats (RPSN snapshots, RPLS label stores, RPWL WAL segments,
 varint label codec) each have a hand-written encoder and decoder.  This pass
 extracts a *token stream* from both sides and proves they agree at the
-version every writer emits (the module's default version):
+version every writer emits (the module's default version).
 
-* writer tokens come from ``struct.pack(fmt, ...)`` emitted into a buffer
-  — ``out.append`` arguments, list initialisers, and the one-buffer idiom
-  ``out += struct.pack(...)`` (``fmt``) —,
-  ``_write_varint``/``write_uvarint`` calls (``INT``),
-  ``_write_string(out, x, W)`` (``STR:W``), ``_write_tree`` (``TREE``)
-  and ``codec.encode`` (``LABEL``);
-* reader tokens come from ``reader.unpack(fmt)``, ``read_int``/
-  ``_read_int``/``_read_varint``/``read_uvarint``, ``reader.string(W)``,
-  ``_read_tree`` and ``codec.decode``.  ``reader.take`` and direct
-  ``struct.unpack`` (the CRC pre-checks) are checksum plumbing, not
-  fields, and are skipped — as are ``struct.pack`` calls outside an emit
-  site and any ``struct.pack`` of a ``crc32`` value (the CRC footers).
+Both sides speak one idiom, the shared field codec of
+:mod:`repro.labeling.codec`, and one table keyed by the called name turns
+each field call into its token on either side: ``pack(fmt, ...)`` /
+``unpack(fmt)`` give ``fmt``, ``uvarint`` gives ``INT``, ``string(W, ...)``
+gives ``STR:W``, a codec's ``write_label``/``read_label`` give ``LABEL``,
+and the snapshot's ``_write_tree``/``_read_tree`` give ``TREE`` (its
+``_read_legacy_int`` reads a v1/v2 ``INT``).  A local bound to a field
+method (``read_int = FieldReader.uvarint if version >= 3 else ...``) reads
+as that field wherever it is called.  Anything else — the magic, the CRC
+footer ``finish`` writes, raw ``take`` slices — is not a field.
 
 A declared pair the pass cannot check is itself a finding: a writer or
 reader that is missing from its module (renamed without updating
@@ -52,8 +50,18 @@ from ...findings import Finding
 if TYPE_CHECKING:
     from .. import Program
 
-_INT_WRITERS = {"_write_varint", "write_uvarint"}
-_INT_READERS = {"read_int", "_read_int", "_read_varint", "read_uvarint"}
+#: Field token per called name; ``{}`` is the call's first argument.
+_FIELD_TOKENS = {
+    "pack": "{}",
+    "unpack": "{}",
+    "uvarint": "INT",
+    "_read_legacy_int": "INT",
+    "string": "STR:{}",
+    "write_label": "LABEL",
+    "read_label": "LABEL",
+    "_write_tree": "TREE",
+    "_read_tree": "TREE",
+}
 
 
 class _Unresolvable(Exception):
@@ -66,23 +74,6 @@ def _call_name(call: ast.Call) -> str:
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     return ""
-
-
-def _receiver_name(call: ast.Call) -> str:
-    if isinstance(call.func, ast.Attribute) and isinstance(
-        call.func.value, ast.Name
-    ):
-        return call.func.value.id
-    return ""
-
-
-def _is_checksum(call: ast.Call) -> bool:
-    """True for ``struct.pack(fmt, zlib.crc32(...))``: a footer, not a field."""
-    return any(
-        isinstance(node, ast.Call) and _call_name(node) == "crc32"
-        for arg in call.args
-        for node in ast.walk(arg)
-    )
 
 
 def _const_str(expr: ast.expr) -> Optional[str]:
@@ -150,160 +141,55 @@ class _Evaluator:
 class _StreamExtractor:
     """Extract the field-token stream of one encoder or decoder body."""
 
-    def __init__(self, mode: str, evaluator: _Evaluator) -> None:
-        self.mode = mode  # "writer" | "reader"
+    def __init__(self, evaluator: _Evaluator) -> None:
         self.evaluator = evaluator
         self.tokens: List[str] = []
+        #: Locals bound to a field method, with that method's token.
+        self.aliases: Dict[str, str] = {}
 
     def run(self, node: ast.FunctionDef) -> List[str]:
-        self._walk_body(node.body)
+        for stmt in node.body:
+            self._walk(stmt)
         return self.tokens
 
-    def _walk_body(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._walk_stmt(stmt)
+    def _live(self, node: "ast.If | ast.IfExp") -> Optional[Sequence[ast.AST]]:
+        """The branch live at the version, or None when unresolvable."""
+        try:
+            live = self.evaluator.test(node.test)
+        except _Unresolvable:
+            return None
+        branch = node.body if live else node.orelse
+        return branch if isinstance(branch, list) else [branch]
 
-    def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    def _walk(self, node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return
-        if isinstance(stmt, ast.If):
-            try:
-                live = self.evaluator.test(stmt.test)
-            except _Unresolvable:
-                self._walk_body(stmt.body)
-                self._walk_body(stmt.orelse)
+        if isinstance(node, (ast.If, ast.IfExp)):
+            live = self._live(node)
+            if live is not None:
+                for child in live:
+                    self._walk(child)
                 return
-            self._walk_body(stmt.body if live else stmt.orelse)
-            return
-        if isinstance(stmt, (ast.For, ast.While)):
-            if isinstance(stmt, ast.For):
-                self._walk_expr(stmt.iter, packing=False)
-            self._walk_body(stmt.body)
-            self._walk_body(stmt.orelse)
-            return
-        if isinstance(stmt, ast.Try):
-            self._walk_body(stmt.body)
-            for handler in stmt.handlers:
-                self._walk_body(handler.body)
-            self._walk_body(stmt.orelse)
-            self._walk_body(stmt.finalbody)
-            return
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._walk_expr(item.context_expr, packing=False)
-            self._walk_body(stmt.body)
-            return
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            value = stmt.value
-            if value is None:
+        if isinstance(node, ast.Assign):
+            target, bound = node.targets[0], node.value
+            # An IfExp binds its live branch: the method read at the version.
+            live = self._live(bound) if isinstance(bound, ast.IfExp) else None
+            bound_to = live[0] if live else bound
+            field = getattr(bound_to, "attr", getattr(bound_to, "id", None))
+            if isinstance(target, ast.Name) and field in _FIELD_TOKENS:
+                self.aliases[target.id] = _FIELD_TOKENS[field]
                 return
-            # List initialisers count as emit sites: out = [MAGIC, pack(...)]
-            packing = self.mode == "writer" and isinstance(value, ast.List)
-            self._walk_expr(value, packing=packing)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            # The one-buffer idiom: ``out += struct.pack(fmt, ...)`` emits a
-            # field (CRC footers are filtered out in _handle_call).
-            packing = self.mode == "writer" and isinstance(stmt.op, ast.Add)
-            self._walk_expr(stmt.value, packing=packing)
-            return
-        if isinstance(stmt, (ast.Expr, ast.Return, ast.Raise)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._walk_expr(child, packing=False)
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._walk_expr(child, packing=False)
-            elif isinstance(child, ast.stmt):
-                self._walk_stmt(child)
-
-    def _walk_expr(self, expr: ast.expr, packing: bool) -> None:
-        if isinstance(expr, ast.IfExp):
-            try:
-                live = self.evaluator.test(expr.test)
-            except _Unresolvable:
-                self._walk_expr(expr.body, packing)
-                self._walk_expr(expr.orelse, packing)
+        if isinstance(node, ast.Call):
+            name = _call_name(node)
+            template = _FIELD_TOKENS.get(name) or (
+                self.aliases.get(name) if isinstance(node.func, ast.Name) else None
+            )
+            if template is not None:
+                first = _const_str(node.args[0]) if node.args else None
+                self.tokens.append(template.format(first or "?"))
                 return
-            self._walk_expr(expr.body if live else expr.orelse, packing)
-            return
-        if isinstance(expr, ast.Call):
-            if self._handle_call(expr, packing):
-                return
-            self._walk_expr(expr.func, packing=False)
-            for arg in expr.args:
-                self._walk_expr(arg, packing)
-            for kw in expr.keywords:
-                self._walk_expr(kw.value, packing)
-            return
-        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            self._walk_expr(expr.elt, packing=False)
-            for gen in expr.generators:
-                self._walk_expr(gen.iter, packing=False)
-            return
-        if isinstance(expr, ast.DictComp):
-            self._walk_expr(expr.key, packing=False)
-            self._walk_expr(expr.value, packing=False)
-            for gen in expr.generators:
-                self._walk_expr(gen.iter, packing=False)
-            return
-        for child in ast.iter_child_nodes(expr):
-            if isinstance(child, ast.expr):
-                self._walk_expr(child, packing)
-
-    def _handle_call(self, call: ast.Call, packing: bool) -> bool:
-        """Emit a token for ``call`` if it is a field operation; True if done."""
-        name = _call_name(call)
-        receiver = _receiver_name(call)
-        if self.mode == "writer":
-            if name == "append" and isinstance(call.func, ast.Attribute):
-                for arg in call.args:
-                    self._walk_expr(arg, packing=True)
-                return True
-            if name == "pack" and receiver == "struct":
-                if packing and not _is_checksum(call):
-                    fmt = _const_str(call.args[0]) if call.args else None
-                    self.tokens.append(fmt if fmt is not None else "PACK:?")
-                return True
-            if name in _INT_WRITERS:
-                self.tokens.append("INT")
-                return True
-            if name == "_write_string":
-                width = (
-                    _const_str(call.args[2]) if len(call.args) >= 3 else None
-                )
-                self.tokens.append(f"STR:{width or '?'}")
-                return True
-            if name == "_write_tree":
-                self.tokens.append("TREE")
-                return True
-            if name == "encode" and receiver == "codec":
-                self.tokens.append("LABEL")
-                return True
-        else:
-            if name == "unpack" and receiver != "struct":
-                fmt = _const_str(call.args[0]) if call.args else None
-                self.tokens.append(fmt if fmt is not None else "UNPACK:?")
-                return True
-            if name == "unpack" and receiver == "struct":
-                return True  # CRC pre-checks, not fields
-            if name == "string":
-                width = _const_str(call.args[0]) if call.args else None
-                self.tokens.append(f"STR:{width or '?'}")
-                return True
-            if name in _INT_READERS:
-                self.tokens.append("INT")
-                return True
-            if name == "_read_tree":
-                self.tokens.append("TREE")
-                return True
-            if name == "decode" and receiver == "codec":
-                self.tokens.append("LABEL")
-                return True
-            if name == "take":
-                return True  # raw byte plumbing (magic, CRC slices)
-        return False
+        for child in ast.iter_child_nodes(node):
+            self._walk(child)
 
 
 @dataclass
@@ -334,7 +220,7 @@ _MODULE_SPECS: Dict[str, _ModuleSpec] = {
         default_const="_VERSION",
     ),
     "repro.labeling.codec": _ModuleSpec(
-        pairs=[_PairSpec("VarintCodec.encode", "VarintCodec.decode")],
+        pairs=[_PairSpec("VarintCodec.write_label", "VarintCodec.read_label")],
     ),
     "repro.durable.wal": _ModuleSpec(
         supported_const="SUPPORTED_WAL_VERSIONS",
@@ -509,7 +395,7 @@ class WireParityRule(ProgramRule):
                     severity=self.severity,
                 )
                 continue
-            wrote = _StreamExtractor("writer", evaluator).run(writer)
+            wrote = _StreamExtractor(evaluator).run(writer)
             if not wrote:
                 yield Finding(
                     rule=self.id,
@@ -524,7 +410,7 @@ class WireParityRule(ProgramRule):
                     severity=self.severity,
                 )
                 continue
-            read = _StreamExtractor("reader", evaluator).run(reader)
+            read = _StreamExtractor(evaluator).run(reader)
             if wrote == read:
                 continue
             index = next(

@@ -13,9 +13,11 @@ A snapshot is everything recovery needs to resume a
 * the collection's configuration (``group_size``, ``strategy``) and its
   accumulated update cost.
 
-The file extends the RPLS binary conventions of
-:mod:`repro.query.persist` (big-endian, length-prefixed strings) with
-arbitrary-precision integers and a CRC32 footer over the whole body::
+Every field goes through the shared field codec of
+:mod:`repro.labeling.codec` (big-endian fixed-width fields,
+length-prefixed strings, arbitrary-precision varints), the same one the
+RPLS label store and the RPWL payloads use, with a CRC32 footer over the
+whole body::
 
     magic    4 bytes b"RPSN", 1 byte version
     header   8B last_seq   8B total_update_cost
@@ -59,21 +61,19 @@ any other name the engine does not accept is corruption.
 from __future__ import annotations
 
 import hashlib
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.durable.faults import FaultPlan
 from repro.durable.files import replace_durably
-from repro.errors import (
-    LabelingError,
-    OrderingError,
-    QueryEvaluationError,
-    SnapshotCorruptError,
+from repro.errors import LabelingError, OrderingError, SnapshotCorruptError
+from repro.labeling.codec import (
+    FieldReader,
+    FieldWriter,
+    check_crc_footer,
+    decoding,
 )
-from repro.labeling.codec import read_uvarint, write_uvarint
 from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
@@ -81,7 +81,6 @@ from repro.order.sc_table import SCTable
 from repro.primes.gen import PrimeGenerator
 from repro.query.engine import upgrade_strategy
 from repro.query.live import LiveCollection
-from repro.query.persist import _Reader
 from repro.xmlkit.tree import XmlElement
 
 __all__ = [
@@ -129,48 +128,31 @@ class SnapshotState:
 
 
 # ----------------------------------------------------------------------
-# Encoding helpers: every field is appended to one bytearray.  Integers
-# are LEB128 varints; legacy (v1/v2) files read 2B length + magnitude.
+# Field layout: one FieldWriter/FieldReader pair per file.  Integers are
+# LEB128 varints; legacy (v1/v2) files read 2B length + magnitude.
 # ----------------------------------------------------------------------
 
 
-def _write_string(out: bytearray, text: str, width: str) -> None:
-    data = text.encode("utf-8")
-    out += struct.pack(width, len(data))
-    out += data
-
-
-def _read_int(reader: _Reader) -> int:
+def _read_legacy_int(reader: FieldReader) -> int:
     (length,) = reader.unpack(">H")
     return int.from_bytes(reader.take(length), "big")
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise SnapshotCorruptError(f"cannot encode negative integer {value}")
-    write_uvarint(value, out)
-
-
-def _read_varint(reader: _Reader) -> int:
-    value, reader.offset = read_uvarint(reader.blob, reader.offset)
-    return value
-
-
-def _write_tree(out: bytearray, root: XmlElement) -> List[XmlElement]:
+def _write_tree(out: FieldWriter, root: XmlElement) -> List[XmlElement]:
     """Write ``root``'s subtree in preorder; returns the nodes in that order."""
     nodes = list(root.iter_preorder())
     for node in nodes:
-        _write_string(out, node.tag, ">H")
-        _write_string(out, node.text, ">I")
-        out += struct.pack(">H", len(node.attributes))
+        out.string(">H", node.tag)
+        out.string(">I", node.text)
+        out.pack(">H", len(node.attributes))
         for name, value in node.attributes.items():
-            _write_string(out, name, ">H")
-            _write_string(out, value, ">H")
-        out += struct.pack(">I", len(node))
+            out.string(">H", name)
+            out.string(">H", value)
+        out.pack(">I", len(node))
     return nodes
 
 
-def _read_tree(reader: _Reader) -> XmlElement:
+def _read_tree(reader: FieldReader) -> XmlElement:
     """Read one preorder tree, then link it bottom-up (no recursion).
 
     Children are attached in reverse preorder, so every ``append`` lands
@@ -204,38 +186,36 @@ def _read_tree(reader: _Reader) -> XmlElement:
 
 def _encode_snapshot(collection: LiveCollection, last_seq: int) -> bytearray:
     """The whole snapshot, footer included, in one buffer."""
-    out = bytearray(_MAGIC)
-    out += struct.pack(">B", _VERSION)
-    out += struct.pack(">QQ", last_seq, collection.total_update_cost)
+    out = FieldWriter(_MAGIC)
+    out.pack(">B", _VERSION)
+    out.pack(">QQ", last_seq, collection.total_update_cost)
     group_size = collection.group_size
-    out += struct.pack(">I", _NO_GROUP_SIZE if group_size is None else group_size)
-    _write_string(out, collection.strategy, ">B")
+    out.pack(">I", _NO_GROUP_SIZE if group_size is None else group_size)
+    out.string(">B", collection.strategy)
     ordered = collection.ordered_documents
-    out += struct.pack(">I", len(ordered))
+    out.pack(">I", len(ordered))
     for document in ordered:
         nodes = _write_tree(out, document.root)
-        reserved, next_reserved, next_general, issued = document.scheme._generator.state()
-        out += struct.pack(">IIIQ", reserved, next_reserved, next_general, issued)
-        out += struct.pack(">I", len(nodes))
+        out.pack(">IIIQ", *document.scheme._generator.state())
+        out.pack(">I", len(nodes))
         for node in nodes:
             label: PrimeLabel = document.label_of(node)
-            _write_varint(out, label.value)
-            _write_varint(out, label.self_label)
+            out.uvarint(label.value)
+            out.uvarint(label.self_label)
         groups = document.sc_table.groups()
-        out += struct.pack(">I", len(groups))
+        out.pack(">I", len(groups))
         for max_prime, members in groups:
-            out += struct.pack(">I", len(members))
-            _write_varint(out, max_prime)
+            out.pack(">I", len(members))
+            out.uvarint(max_prime)
             for modulus, residue in members:
-                _write_varint(out, modulus)
-                _write_varint(out, residue)
+                out.uvarint(modulus)
+                out.uvarint(residue)
         _, leaf_counters = document.scheme.export_state()
-        out += struct.pack(">I", len(leaf_counters))
+        out.pack(">I", len(leaf_counters))
         for parent_value, next_index in leaf_counters:
-            _write_varint(out, parent_value)
-            _write_varint(out, next_index)
-    out += struct.pack(">I", zlib.crc32(out))
-    return out
+            out.uvarint(parent_value)
+            out.uvarint(next_index)
+    return out.finish()
 
 
 def snapshot_bytes(collection: LiveCollection, last_seq: int = 0) -> bytes:
@@ -279,10 +259,10 @@ def write_snapshot(
 def read_snapshot(path: str | Path) -> SnapshotState:
     """Decode and checksum-verify the snapshot at ``path``.
 
-    Raises :class:`repro.errors.SnapshotCorruptError` on any damage —
-    truncation, bit-flip, bad magic, or undecodable structure.  That holds
-    even for a body cut short under a recomputed, valid CRC: the shared
-    RPLS reader's "truncated label store file" error is re-raised typed.
+    Raises :class:`repro.errors.SnapshotCorruptError` naming the snapshot
+    on any damage — truncation, bit-flip, bad magic, or undecodable
+    structure.  That holds even for a body cut short under a recomputed,
+    valid CRC: the shared field reader raises the snapshot's own error.
     The tree is read with a loop, so every file :func:`snapshot_bytes`
     can write (at any document depth) reads back.
     """
@@ -314,41 +294,27 @@ def _decode_checked(path: Path, header_only: bool) -> SnapshotState:
         blob = path.read_bytes()
     except OSError as error:
         raise SnapshotCorruptError(f"cannot read snapshot {path}: {error}") from error
-    if len(blob) < len(_MAGIC) + 1 + 4:
-        raise SnapshotCorruptError(f"snapshot {path} is truncated")
-    (stored_crc,) = struct.unpack(">I", blob[-4:])
-    body = blob[:-4]
-    if zlib.crc32(body) != stored_crc:
-        raise SnapshotCorruptError(
-            f"snapshot {path} failed its CRC32 check (truncated or corrupt)"
-        )
-    try:
-        return _decode_body(body, path, header_only)
-    except (
-        ValueError,
-        IndexError,
-        UnicodeDecodeError,
-        struct.error,
-        LabelingError,
-        QueryEvaluationError,
-    ) as error:
-        raise SnapshotCorruptError(f"corrupt snapshot {path}: {error}") from error
+    name = f"snapshot {path}"
+    reader = FieldReader(
+        check_crc_footer(blob, SnapshotCorruptError, name), SnapshotCorruptError, name
+    )
+    with decoding(SnapshotCorruptError, name):
+        return _decode_body(reader, header_only)
 
 
-def _decode_body(body: bytes, path: Path, header_only: bool) -> SnapshotState:
+def _decode_body(reader: FieldReader, header_only: bool) -> SnapshotState:
     """Decode a CRC-verified body.
 
     ``header_only`` stops after the fixed header (magic through the
     strategy name) and returns a state with no documents: the one field
     layout serves both the full decode and :func:`read_snapshot_seq`.
     """
-    reader = _Reader(body)
     if reader.take(4) != _MAGIC:
-        raise SnapshotCorruptError(f"{path} is not a snapshot file")
+        raise SnapshotCorruptError(f"{reader.name} is not a snapshot file")
     (version,) = reader.unpack(">B")
     if version not in _SUPPORTED_VERSIONS:
         raise SnapshotCorruptError(f"unsupported snapshot version {version}")
-    read_int = _read_varint if version >= 3 else _read_int
+    read_int = FieldReader.uvarint if version >= 3 else _read_legacy_int
     last_seq, total_cost = reader.unpack(">QQ")
     (raw_group_size,) = reader.unpack(">I")
     group_size = None if raw_group_size == _NO_GROUP_SIZE else raw_group_size

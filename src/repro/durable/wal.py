@@ -81,8 +81,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.durable.faults import FaultPlan, InjectedCrash
 from repro.durable.files import replace_durably, truncate_durably
-from repro.errors import DurabilityError, LabelingError, WalCorruptError
-from repro.labeling.codec import read_uvarint, write_uvarint
+from repro.errors import DurabilityError, WalCorruptError
+from repro.labeling.codec import UVARINT, FieldReader, FieldWriter, decoding
 from repro.obs import metrics
 
 __all__ = [
@@ -247,21 +247,16 @@ def _matches_shape(op: Dict[str, Any], fields) -> bool:
     return True
 
 
-def _write_bytes_field(out: bytearray, data: bytes) -> None:
-    write_uvarint(len(data), out)
-    out.extend(data)
-
-
-def _encode_op_v3(op: Dict[str, Any], out: bytearray, depth: int = 0) -> None:
+def _encode_op_v3(op: Dict[str, Any], out: FieldWriter, depth: int = 0) -> None:
     kind = op.get("op")
     fields = _OP_FIELDS.get(kind)
     if fields is not None and _matches_shape(op, fields):
-        out.append(_OPCODES[kind])
+        out.pack(">B", _OPCODES[kind])
         for name, field_kind in fields:
             if field_kind is int:
-                write_uvarint(op[name], out)
+                out.uvarint(op[name])
             else:
-                _write_bytes_field(out, op[name].encode("utf-8"))
+                out.string(UVARINT, op[name])
         return
     if (
         depth == 0
@@ -271,64 +266,48 @@ def _encode_op_v3(op: Dict[str, Any], out: bytearray, depth: int = 0) -> None:
         and op.get("count") == len(op["ops"])
         and all(isinstance(sub, dict) for sub in op["ops"])
     ):
-        out.append(_OPCODES["batch"])
-        write_uvarint(len(op["ops"]), out)
+        out.pack(">B", _OPCODES["batch"])
+        out.uvarint(len(op["ops"]))
         for sub in op["ops"]:
             _encode_op_v3(sub, out, depth=1)
         return
     # JSON fallback (opcode 0) for shapes the binary grammar doesn't
     # cover; length-prefixed so it stays self-delimiting inside a batch.
-    out.append(0)
-    _write_bytes_field(
-        out, json.dumps(op, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    out.pack(">B", 0)
+    out.string(UVARINT, json.dumps(op, sort_keys=True, separators=(",", ":")))
 
 
-def _decode_op_v3(payload: bytes, offset: int, depth: int = 0):
-    if offset >= len(payload):
-        raise ValueError("truncated v3 operation")
-    opcode = payload[offset]
-    offset += 1
+def _decode_op_v3(reader: FieldReader, depth: int = 0) -> Dict[str, Any]:
+    (opcode,) = reader.unpack(">B")
     if opcode == 0:
-        length, offset = read_uvarint(payload, offset)
-        if length > len(payload) - offset:
-            raise ValueError("truncated JSON-fallback operation")
-        op = json.loads(payload[offset : offset + length].decode("utf-8"))
-        if not isinstance(op, dict) or "op" not in op:
-            raise ValueError("fallback payload is not an operation object")
-        return op, offset + length
+        return _operation(json.loads(reader.string(UVARINT)))
     name = _OP_NAMES.get(opcode)
     if name is None:
-        raise ValueError(f"unknown v3 opcode {opcode}")
+        raise reader.fail(f"unknown v3 opcode {opcode}")
     if name == "batch":
         if depth:
-            raise ValueError("nested batch records are not valid")
-        count, offset = read_uvarint(payload, offset)
-        if count > len(payload) - offset:  # every sub-op costs >= 1 byte
-            raise ValueError(f"batch claims {count} ops beyond the payload")
-        ops = []
-        for _ in range(count):
-            sub, offset = _decode_op_v3(payload, offset, depth=1)
-            ops.append(sub)
-        return {"op": "batch", "count": count, "ops": ops}, offset
+            raise reader.fail("nested batch records are not valid")
+        count = reader.uvarint()
+        if count > reader.remaining:  # every sub-op costs >= 1 byte
+            raise reader.fail(f"batch claims {count} ops beyond the payload")
+        ops = [_decode_op_v3(reader, depth=1) for _ in range(count)]
+        return {"op": "batch", "count": count, "ops": ops}
     op: Dict[str, Any] = {"op": name}
     for field, field_kind in _OP_FIELDS[name]:
-        if field_kind is int:
-            value, offset = read_uvarint(payload, offset)
-        else:
-            length, offset = read_uvarint(payload, offset)
-            if length > len(payload) - offset:
-                raise ValueError("truncated string field")
-            value = payload[offset : offset + length].decode("utf-8")
-            offset += length
-        op[field] = value
-    return op, offset
+        op[field] = reader.uvarint() if field_kind is int else reader.string(UVARINT)
+    return op
+
+
+def _operation(op: Any) -> Dict[str, Any]:
+    if not isinstance(op, dict) or "op" not in op:
+        raise ValueError("payload is not an operation object")
+    return op
 
 
 def _encode_payload(op: Dict[str, Any]) -> bytes:
-    out = bytearray()
+    out = FieldWriter()
     _encode_op_v3(op, out)
-    return bytes(out)
+    return bytes(out.buffer)
 
 
 def _frame(seq: int, payload: bytes) -> bytes:
@@ -338,16 +317,15 @@ def _frame(seq: int, payload: bytes) -> bytes:
 
 
 def _decode_payload(payload: bytes, version: int) -> Dict[str, Any]:
-    """Decode one record payload; raises ``ValueError`` family on damage."""
-    if version >= 3:
-        op, end = _decode_op_v3(payload, 0)
-        if end != len(payload):
-            raise ValueError(f"{len(payload) - end} trailing bytes after v3 op")
+    """Decode one record payload; raises WalCorruptError on damage."""
+    with decoding(WalCorruptError, "WAL payload"):
+        if version < 3:
+            return _operation(json.loads(payload.decode("utf-8")))
+        reader = FieldReader(payload, WalCorruptError, "WAL payload")
+        op = _decode_op_v3(reader)
+        if reader.remaining:
+            raise reader.fail(f"{reader.remaining} trailing bytes after v3 op")
         return op
-    op = json.loads(payload.decode("utf-8"))
-    if not isinstance(op, dict) or "op" not in op:
-        raise ValueError("payload is not an operation object")
-    return op
 
 
 def read_header(blob: bytes, source: str | Path) -> Optional[int]:
@@ -397,7 +375,7 @@ def scan_records(
             reason = "short"  # payload not fully on disk (yet)
             break
         payload = buffer[payload_start : payload_start + length]
-        if zlib.crc32(buffer[pos : pos + 12] + payload) != crc:
+        if zlib.crc32(header_prefix(seq, payload)) != crc:
             reason = "crc"
             break
         if expected_seq is not None and seq != expected_seq:
@@ -405,7 +383,7 @@ def scan_records(
             break
         try:
             op = _decode_payload(payload, version)
-        except (UnicodeDecodeError, ValueError, LabelingError):
+        except WalCorruptError:
             reason = "decode"
             break
         pos = payload_start + length
@@ -713,7 +691,8 @@ def _rewrite(path: Path, records: List[WalRecord]) -> int:
 def header_prefix(seq: int, payload: bytes) -> bytes:
     """The CRC32 input for one record: seq ‖ len ‖ payload.
 
-    The checksum covers the header fields *and* the payload so a flipped
-    sequence or length byte is caught exactly like flipped content.
+    The one spelling of the record checksum, for the writer and the
+    scanner alike.  It covers the header fields *and* the payload so a
+    flipped sequence or length byte is caught exactly like flipped content.
     """
     return struct.pack(">QI", seq, len(payload)) + payload

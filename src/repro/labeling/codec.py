@@ -15,6 +15,13 @@ for XML query processing."  This module provides that representation:
   :func:`write_uvarint` and read them back through :func:`read_uvarint`,
   which bounds each field at :data:`MAX_VARINT_FIELD_BYTES` so corrupt
   continuation runs fail fast instead of allocating huge integers.
+* :class:`FieldWriter` / :class:`FieldReader` — the one field codec of
+  those three formats: a single growing buffer on the write side, a
+  bounds-checked cursor over a ``memoryview`` on the read side, the same
+  field names on both (``pack``/``unpack``, ``uvarint``, ``string``), one
+  CRC32 footer (:meth:`FieldWriter.finish`, :func:`check_crc_footer`) and
+  one translation of decode failures into the caller's typed error
+  (:func:`decoding`).
 
 Codecs cover every label type in the library: ``PrimeLabel`` (two
 integers), interval labels (two integers), prefix ``Bits`` (length +
@@ -23,18 +30,26 @@ payload) and Dewey tuples.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+import struct
+import zlib
+from functools import lru_cache
+from typing import Any, List, Optional, Tuple, Type
 
-from repro.errors import LabelingError
+from repro.errors import LabelingError, ReproError
 from repro.labeling.base import LabelingScheme
 from repro.labeling.interval import OrderSizeLabel, StartEndLabel
 from repro.labeling.prefix import Bits
 from repro.labeling.prime import PrimeLabel
 
 __all__ = [
+    "FieldReader",
+    "FieldWriter",
     "FixedWidthCodec",
     "MAX_VARINT_FIELD_BYTES",
+    "UVARINT",
     "VarintCodec",
+    "check_crc_footer",
+    "decoding",
     "ints_to_label",
     "label_to_ints",
     "read_uvarint",
@@ -66,41 +81,203 @@ def write_uvarint(value: int, out: List[int]) -> None:
             f"integer field of {value.bit_length()} bits exceeds the "
             f"{_MAX_FIELD_BITS}-bit varint field bound"
         )
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def read_uvarint(blob: bytes, offset: int) -> Tuple[int, int]:
     """Decode one LEB128 integer from ``blob`` at ``offset``.
 
-    Returns ``(value, next_offset)``.  Raises
-    :class:`repro.errors.LabelingError` on a truncated field or when the
-    continuation run exceeds :data:`MAX_VARINT_FIELD_BYTES` of magnitude —
-    a crafted blob of ``0x80`` bytes must fail fast instead of allocating
-    an arbitrarily large integer before any checksum is consulted.
+    Returns ``(value, next_offset)``; :meth:`FieldReader.uvarint` does the
+    decoding and raises :class:`repro.errors.LabelingError` here.
     """
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(blob):
-            raise LabelingError("truncated varint")
-        if shift >= _MAX_FIELD_BITS:
-            raise LabelingError(
-                f"varint field exceeds the {_MAX_FIELD_BITS}-bit bound "
-                "(corrupt or adversarial continuation run)"
-            )
-        byte = blob[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
+    reader = FieldReader(blob, LabelingError, "varint", offset)
+    return reader.uvarint(), reader.offset
+
+
+#: The ``width`` of a string whose byte length is a varint (the RPWL
+#: payload strings) rather than a fixed-width ``struct`` field.
+UVARINT = "uvarint"
+#: The CRC32 footer of RPSN snapshots and RPLS v2-v3 stores.
+_FOOTER = struct.Struct(">I")
+#: The shortest footed file: 4 magic bytes, a version byte and the footer.
+_MIN_FOOTED = 4 + 1 + _FOOTER.size
+_struct = lru_cache(maxsize=64)(struct.Struct)
+
+
+class FieldWriter:
+    """One growing buffer that a binary format writes its fields into.
+
+    Each method appends one field; :class:`FieldReader` reads it back with
+    the method of the same name (``unpack`` for ``pack``).  ``prefix`` (a
+    format's magic) starts the buffer.
+    """
+
+    __slots__ = ("buffer",)
+
+    def __init__(self, prefix: bytes = b""):
+        self.buffer = bytearray(prefix)
+
+    def pack(self, fmt: str, *values: int) -> None:
+        """Append ``values`` as the fixed-width ``struct`` format ``fmt``."""
+        self.buffer += struct.pack(fmt, *values)
+
+    def uvarint(self, value: int) -> None:
+        """Append ``value`` as a bounded LEB128 varint."""
+        write_uvarint(value, self.buffer)
+
+    def string(self, width: str, text: str) -> None:
+        """Append ``text`` as UTF-8 behind its byte length.
+
+        ``width`` is the length's ``struct`` format, or :data:`UVARINT`.
+        """
+        data = text.encode("utf-8")
+        if width == UVARINT:
+            write_uvarint(len(data), self.buffer)
+        else:
+            self.buffer += struct.pack(width, len(data))
+        self.buffer += data
+
+    def finish(self) -> bytearray:
+        """Append the CRC32 footer of everything written; returns the buffer."""
+        self.buffer += _FOOTER.pack(zlib.crc32(self.buffer))
+        return self.buffer
+
+
+class FieldReader:
+    """A bounds-checked cursor over one blob, reading what FieldWriter wrote.
+
+    Every failure — a field running past the end, invalid UTF-8, a varint
+    over :data:`MAX_VARINT_FIELD_BYTES` — raises ``error`` (the caller's
+    typed exception) with a message that starts with ``name``, so a damaged
+    file is reported as the format and file it is.
+    """
+
+    __slots__ = ("view", "offset", "error", "name")
+
+    def __init__(
+        self,
+        blob: bytes | memoryview,
+        error: Type[ReproError],
+        name: str,
+        offset: int = 0,
+    ):
+        self.view = memoryview(blob)
+        self.offset = offset
+        self.error = error
+        self.name = name
+
+    @property
+    def remaining(self) -> int:
+        """Bytes left after the cursor."""
+        return len(self.view) - self.offset
+
+    def fail(self, what: str) -> ReproError:
+        """The typed error for damage found at the cursor."""
+        return self.error(f"{self.name}: {what} at byte {self.offset}")
+
+    def take(self, count: int) -> memoryview:
+        """The next ``count`` raw bytes."""
+        start = self.offset
+        if count > len(self.view) - start:
+            raise self.fail(f"truncated: {count} bytes needed")
+        self.offset = start + count
+        return self.view[start : self.offset]
+
+    def unpack(self, fmt: str) -> Tuple[Any, ...]:
+        """The next fixed-width ``struct`` field(s) of format ``fmt``."""
+        packer = _struct(fmt)
+        start = self.offset
+        if packer.size > len(self.view) - start:
+            raise self.fail(f"truncated: {packer.size} bytes needed")
+        self.offset = start + packer.size
+        return packer.unpack_from(self.view, start)
+
+    def uvarint(self) -> int:
+        """The next LEB128 varint.
+
+        Fails on a truncated field or when the continuation run exceeds
+        :data:`MAX_VARINT_FIELD_BYTES` of magnitude — a crafted blob of
+        ``0x80`` bytes must fail fast instead of allocating an arbitrarily
+        large integer before any checksum is consulted.
+        """
+        view, offset = self.view, self.offset
+        result = shift = 0
+        while True:
+            if offset >= len(view):
+                raise self.fail("truncated varint")
+            if shift >= _MAX_FIELD_BITS:
+                raise self.fail(
+                    f"varint field exceeds the {_MAX_FIELD_BITS}-bit bound "
+                    "(corrupt or adversarial continuation run)"
+                )
+            byte = view[offset]
+            offset += 1
+            result |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                self.offset = offset
+                return result
+            shift += 7
+
+    def string(self, width: str) -> str:
+        """The next length-prefixed UTF-8 string (see :meth:`FieldWriter.string`)."""
+        (length,) = (self.uvarint(),) if width == UVARINT else self.unpack(width)
+        data = self.take(length)
+        try:
+            return str(data, "utf-8")
+        except UnicodeDecodeError as cause:
+            raise self.fail("invalid UTF-8 string") from cause
+
+
+def check_crc_footer(blob: bytes, error: Type[ReproError], name: str) -> memoryview:
+    """The body of ``blob`` once its CRC32 footer has checked out.
+
+    The one footer check of RPSN snapshots and RPLS v2-v3 stores, made
+    before a single field is decoded, so truncation and bit rot are caught
+    whole-file rather than wherever the parser happens to trip.  Raises
+    ``error`` naming ``name`` when ``blob`` is too short to hold a magic, a
+    version byte and the footer, or when the checksum disagrees.
+    """
+    if len(blob) < _MIN_FOOTED:
+        raise error(f"{name} is truncated")
+    view = memoryview(blob)
+    body = view[: -_FOOTER.size]
+    (stored_crc,) = _FOOTER.unpack_from(view, len(body))
+    if zlib.crc32(body) != stored_crc:
+        raise error(f"{name} failed its CRC32 check (truncated or corrupt)")
+    return body
+
+
+class decoding:
+    """Re-raise what a decoder trips over on damaged bytes as ``error``.
+
+    The one translation of RPLS, RPSN and RPWL decode failures, used as
+    ``with decoding(error, name):``.  ``error`` itself passes through, and
+    a ``ValueError`` (``UnicodeDecodeError`` included), an ``IndexError``
+    or any other :class:`~repro.errors.ReproError` (a label the codec
+    rejects, a strategy name the engine refuses) becomes ``error`` naming
+    ``name``.  A class rather than a generator: the WAL scanner enters it
+    once per record.
+    """
+
+    __slots__ = ("error", "name")
+
+    def __init__(self, error: Type[ReproError], name: str):
+        self.error = error
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(
+        self, kind: object, cause: Optional[BaseException], trace: object
+    ) -> None:
+        if isinstance(cause, self.error):
+            return
+        if isinstance(cause, (ValueError, IndexError, ReproError)):
+            raise self.error(f"corrupt {self.name}: {cause}") from cause
 
 
 def label_to_ints(label: Any) -> Tuple[int, ...]:
@@ -238,6 +415,10 @@ class FixedWidthCodec:
             parts = tuple(part for part in parts if part != 0)
         return ints_to_label(self.kind, parts)
 
+    def read_label(self, reader: FieldReader) -> Any:
+        """Read one ``record_bytes`` label from ``reader``."""
+        return self.decode(reader.take(self.record_bytes))
+
     def encode_column(self, scheme: LabelingScheme) -> bytes:
         """Encode every label of the scheme into one packed column."""
         return b"".join(
@@ -271,35 +452,37 @@ class VarintCodec:
             raise LabelingError("scheme has no labels to derive a codec from")
         return cls(_kind_of(scheme.label_of(nodes[0])))
 
-    # Kept as static methods for callers that sized codecs before the
-    # module-level helpers existed; both delegate to the bounded encoding.
-    _write_varint = staticmethod(write_uvarint)
-    _read_varint = staticmethod(read_uvarint)
+    def write_label(self, out: FieldWriter, label: Any) -> None:
+        """Append one label as a self-delimiting varint record."""
+        parts = label_to_ints(label)
+        out.uvarint(len(parts))
+        for part in parts:
+            out.uvarint(part)
+
+    def read_label(self, reader: FieldReader) -> Any:
+        """Read one label written by :meth:`write_label`."""
+        count = reader.uvarint()
+        if count > reader.remaining:
+            # Every field costs at least one byte, so a count beyond the
+            # remaining bytes is corruption — reject before looping.
+            raise reader.fail(
+                f"varint record claims {count} fields but only "
+                f"{reader.remaining} bytes remain"
+            )
+        return ints_to_label(
+            self.kind, tuple(reader.uvarint() for _ in range(count))
+        )
 
     def encode(self, label: Any) -> bytes:
         """Encode one label as a self-delimiting varint record."""
-        parts = label_to_ints(label)
-        out: List[int] = []
-        self._write_varint(len(parts), out)
-        for part in parts:
-            self._write_varint(part, out)
-        return bytes(out)
+        out = FieldWriter()
+        self.write_label(out, label)
+        return bytes(out.buffer)
 
     def decode(self, blob: bytes, offset: int = 0) -> Tuple[Any, int]:
         """Decode one label starting at ``offset``; returns (label, next)."""
-        count, offset = self._read_varint(blob, offset)
-        if count > len(blob) - offset:
-            # Every field costs at least one byte, so a count beyond the
-            # remaining bytes is corruption — reject before looping.
-            raise LabelingError(
-                f"varint record claims {count} fields but only "
-                f"{len(blob) - offset} bytes remain"
-            )
-        parts = []
-        for _ in range(count):
-            part, offset = self._read_varint(blob, offset)
-            parts.append(part)
-        return ints_to_label(self.kind, tuple(parts)), offset
+        reader = FieldReader(blob, LabelingError, "varint label", offset)
+        return self.read_label(reader), reader.offset
 
     def encode_column(self, scheme: LabelingScheme) -> bytes:
         """Encode every label of the scheme into one packed column."""
@@ -309,9 +492,8 @@ class VarintCodec:
 
     def decode_column(self, blob: bytes) -> List[Any]:
         """Decode a packed varint column into its label list."""
+        reader = FieldReader(blob, LabelingError, "varint column")
         labels = []
-        offset = 0
-        while offset < len(blob):
-            label, offset = self.decode(blob, offset)
-            labels.append(label)
+        while reader.remaining:
+            labels.append(self.read_label(reader))
         return labels

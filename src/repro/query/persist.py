@@ -4,7 +4,9 @@ The paper stores labels in DBMS tables precisely so they outlive the
 documents; this module provides the equivalent for the in-memory
 :class:`~repro.query.store.LabelStore`: a compact binary file holding one
 record per element (document id, tag, depth, parent id, encoded label),
-written with the fixed-width codec of :mod:`repro.labeling.codec`.
+written and read through the shared field codec of
+:mod:`repro.labeling.codec` (:class:`~repro.labeling.codec.FieldWriter` /
+:class:`~repro.labeling.codec.FieldReader`).
 
 File layout (all integers big-endian)::
 
@@ -36,13 +38,18 @@ them; they exist so result rows still render a tag.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.errors import LabelingError, QueryEvaluationError
-from repro.labeling.codec import FixedWidthCodec, VarintCodec
+from repro.errors import QueryEvaluationError
+from repro.labeling.codec import (
+    FieldReader,
+    FieldWriter,
+    FixedWidthCodec,
+    VarintCodec,
+    check_crc_footer,
+    decoding,
+)
 from repro.order.sc_table import SCTable
 from repro.query.store import (
     ElementRow,
@@ -64,32 +71,6 @@ _SUPPORTED_VERSIONS = (1, 2, 3)
 _NO_PARENT = 0xFFFFFFFF
 
 _KIND_BY_SCHEME = {"prime": "prime", "interval": "order-size", "prefix-2": "bits"}
-
-
-def _write_string(out: List[bytes], text: str, width: str) -> None:
-    data = text.encode("utf-8")
-    out.append(struct.pack(width, len(data)))
-    out.append(data)
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.blob):
-            raise QueryEvaluationError("truncated label store file")
-        chunk = self.blob[self.offset : self.offset + count]
-        self.offset += count
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def string(self, width: str) -> str:
-        (length,) = self.unpack(width)
-        return self.take(length).decode("utf-8")
 
 
 def _scheme_name(ops: StoreOps) -> str:
@@ -116,24 +97,22 @@ def save_store(store: LabelStore, path: str | Path) -> int:
             tag_index[row.tag] = len(tags)
             tags.append(row.tag)
 
-    out: List[bytes] = [_MAGIC, struct.pack(">B", _VERSION)]
-    _write_string(out, scheme, ">B")
-    _write_string(out, kind, ">B")
-    out.append(struct.pack(">I", len(tags)))
+    out = FieldWriter(_MAGIC)
+    out.pack(">B", _VERSION)
+    out.string(">B", scheme)
+    out.string(">B", kind)
+    out.pack(">I", len(tags))
     for tag in tags:
-        _write_string(out, tag, ">H")
-    out.append(struct.pack(">I", len(rows)))
+        out.string(">H", tag)
+    out.pack(">I", len(rows))
     for row in rows:
         parent = _NO_PARENT if row.parent_id is None else row.parent_id
-        out.append(
-            struct.pack(
-                ">IIIHI", row.doc_id, row.element_id, tag_index[row.tag], row.depth, parent
-            )
+        out.pack(
+            ">IIIHI", row.doc_id, row.element_id, tag_index[row.tag], row.depth, parent
         )
-        out.append(codec.encode(row.label))
-        _write_string(out, row.text, ">H")
-    blob = b"".join(out)
-    blob += struct.pack(">I", zlib.crc32(blob))
+        codec.write_label(out, row.label)
+        out.string(">H", row.text)
+    blob = out.finish()
     Path(path).write_bytes(blob)
     return len(blob)
 
@@ -175,33 +154,18 @@ def load_store(path: str | Path) -> LabelStore:
     not a well-formed store file (wrong magic, truncation, corrupted
     indices or labels).
     """
-    try:
-        return _load_store_checked(path)
-    except (
-        ValueError,
-        IndexError,
-        UnicodeDecodeError,
-        struct.error,
-        LabelingError,
-    ) as error:
-        raise QueryEvaluationError(f"corrupt label store {path}: {error}") from error
+    name = f"label store {path}"
+    with decoding(QueryEvaluationError, name):
+        return _load_store_checked(path, name)
 
 
-def _load_store_checked(path: str | Path) -> LabelStore:
+def _load_store_checked(path: str | Path, name: str) -> LabelStore:
     blob = Path(path).read_bytes()
+    body: bytes | memoryview = blob
     if len(blob) >= 5 and blob[:4] == _MAGIC and blob[4] >= 2:
-        # version >= 2: the last 4 bytes are a CRC32 over everything else;
-        # verify before decoding so truncation or bit rot is caught whole-
-        # file rather than wherever the parser happens to trip.
-        if len(blob) < 9:
-            raise QueryEvaluationError(f"truncated label store {path}")
-        (stored_crc,) = struct.unpack(">I", blob[-4:])
-        blob = blob[:-4]
-        if zlib.crc32(blob) != stored_crc:
-            raise QueryEvaluationError(
-                f"label store {path} failed its CRC32 check (truncated or corrupt)"
-            )
-    reader = _Reader(blob)
+        # version >= 2 ends in a CRC32 footer over everything else.
+        body = check_crc_footer(blob, QueryEvaluationError, name)
+    reader = FieldReader(body, QueryEvaluationError, name)
     if reader.take(4) != _MAGIC:
         raise QueryEvaluationError(f"{path} is not a label store file")
     (version,) = reader.unpack(">B")
@@ -225,10 +189,7 @@ def _load_store_checked(path: str | Path) -> LabelStore:
     rows: List[ElementRow] = []
     for _ in range(row_count):
         doc_id, element_id, tag_idx, depth, parent = reader.unpack(">IIIHI")
-        if version >= 3:
-            label, reader.offset = codec.decode(reader.blob, reader.offset)
-        else:
-            label = codec.decode(reader.take(codec.record_bytes))
+        label = codec.read_label(reader)
         text = reader.string(">H")
         rows.append(
             ElementRow(

@@ -88,12 +88,11 @@ TRIGGERS = [
     (
         "R16",
         "src/repro/query/persist.py",
-        "import struct\n\n"
         "_VERSION = 1\n"
         "_SUPPORTED_VERSIONS = (1,)\n\n"
         "def save_store(out, version=1):{S}\n"
-        '    out.append(struct.pack(">B", version))\n'
-        '    out.append(struct.pack(">I", 0))\n\n'
+        '    out.pack(">B", version)\n'
+        '    out.pack(">I", 0)\n\n'
         "def _load_store_checked(reader):\n"
         '    (version,) = reader.unpack(">B")\n'
         '    (count,) = reader.unpack(">H")\n',
@@ -142,24 +141,22 @@ def test_program_rule_suppresses(rule, rel, template):
 SILENT_PAIRS = {
     # A declared writer renamed away is a finding, not a skipped pair.
     "renamed-writer": (
-        "import struct\n\n"
         "_VERSION = 1\n"
         "_SUPPORTED_VERSIONS = (1,)\n\n"
         "def write_store(out, version=1):\n"
-        '    out += struct.pack(">B", version)\n\n'
+        '    out.pack(">B", version)\n\n'
         "def _load_store_checked(reader):{S}\n"
         '    (version,) = reader.unpack(">B")\n'
     ),
     # A write shape the extractor cannot read yields no tokens; two empty
     # streams must not pass as equal.
     "unreadable-writer": (
-        "import struct\n\n"
         "_VERSION = 1\n"
         "_SUPPORTED_VERSIONS = (1,)\n\n"
         "def save_store(handle, rows, version=1):{S}\n"
-        '    handle.write(struct.pack(">I", len(rows)))\n\n'
+        '    handle.write(len(rows).to_bytes(4, "big"))\n\n'
         "def _load_store_checked(blob):\n"
-        '    (count,) = struct.unpack(">I", blob[:4])\n'
+        '    count = int.from_bytes(blob[:4], "big")\n'
     ),
 }
 
@@ -227,13 +224,12 @@ CLEAN = [
     # R16: version-dispatched streams that agree for every version.
     (
         "src/repro/query/persist.py",
-        "import struct\n\n"
         "_VERSION = 2\n"
         "_SUPPORTED_VERSIONS = (1, 2)\n\n"
         "def save_store(out, version=2):\n"
-        '    out.append(struct.pack(">B", version))\n'
+        '    out.pack(">B", version)\n'
         "    if version >= 2:\n"
-        '        out.append(struct.pack(">I", 0))\n\n'
+        '        out.pack(">I", 0)\n\n'
         "def _load_store_checked(reader):\n"
         '    (version,) = reader.unpack(">B")\n'
         "    if version >= 2:\n"
@@ -263,23 +259,21 @@ CLEAN = [
         "        journal.buffer.append(op)\n"
         "        return self.supervisor.request(op)\n",
     ),
-    # R16: the one-buffer idiom (``out += struct.pack``, varints written
-    # into the buffer) reads as fields; the CRC footer does not.
+    # R16: the shared field codec (``out.pack``, ``out.uvarint`` into one
+    # FieldWriter) reads as fields; the CRC footer ``finish`` writes does not.
     (
         "src/repro/query/persist.py",
-        "import struct\n"
-        "import zlib\n\n"
+        "from repro.labeling.codec import FieldWriter\n\n"
         "_VERSION = 1\n"
         "_SUPPORTED_VERSIONS = (1,)\n\n"
         "def save_store(rows, version=1):\n"
-        "    out = bytearray()\n"
-        '    out += struct.pack(">B", version)\n'
-        "    write_uvarint(len(rows), out)\n"
-        '    out += struct.pack(">I", zlib.crc32(out))\n'
-        "    return out\n\n"
+        '    out = FieldWriter(b"RPLS")\n'
+        '    out.pack(">B", version)\n'
+        "    out.uvarint(len(rows))\n"
+        "    return out.finish()\n\n"
         "def _load_store_checked(reader):\n"
         '    (version,) = reader.unpack(">B")\n'
-        "    count, reader.offset = read_uvarint(reader.blob, reader.offset)\n",
+        "    count = reader.uvarint()\n",
     ),
 ]
 
@@ -486,8 +480,8 @@ def test_real_snapshot_streams_are_pinned_per_version(pair):
     for version, expected in _SNAPSHOT_STREAMS[pair].items():
         evaluator = wire._Evaluator(version, constants)
         if version == 3:
-            assert wire._StreamExtractor("writer", evaluator).run(writer) == expected
-        assert wire._StreamExtractor("reader", evaluator).run(reader) == expected
+            assert wire._StreamExtractor(evaluator).run(writer) == expected
+        assert wire._StreamExtractor(evaluator).run(reader) == expected
 
 
 def test_real_tree_self_lints_clean_for_program_rules():

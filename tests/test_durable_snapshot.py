@@ -153,6 +153,22 @@ class TestCorruptionDetection:
             with pytest.raises(SnapshotCorruptError):
                 read_snapshot(path)
 
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_cut_body_names_the_snapshot(self, tmp_path, version):
+        # The message of a cut body under a recomputed CRC speaks of the
+        # snapshot that was cut, not of the label store format.
+        legacy = Path(__file__).parent / "fixtures" / "legacy"
+        body = (legacy / f"snap-v{version}.rpsn").read_bytes()[:-4]
+        path = tmp_path / "snap.rpsn"
+        for cut in range(len(body)):
+            part = body[:cut]
+            path.write_bytes(part + struct.pack(">I", zlib.crc32(part)))
+            with pytest.raises(SnapshotCorruptError) as caught:
+                read_snapshot(path)
+            message = str(caught.value)
+            assert f"snapshot {path}" in message, message
+            assert "label store" not in message, message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(tmp_path / "absent.rpsn")

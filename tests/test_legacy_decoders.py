@@ -10,7 +10,10 @@ are what keeps those read paths honest:
   recomputed where the format has one, so the field decoders themselves
   see the damage, not just the checksum.  RPSN also goes through
   :func:`restore_collection`; RPWL must stop the scan (keeping every record
-  before the damage) or raise :class:`~repro.errors.WalCorruptError`.
+  before the damage) or raise :class:`~repro.errors.WalCorruptError`;
+* so does every splice ``A[:k] + B[k:]`` of two fixtures of one format, at
+  every ``k``, with the CRC recomputed the same way (for RPWL, each
+  record's CRC along the splice's own framing).
 """
 
 import hashlib
@@ -75,6 +78,37 @@ def store_digest(store):
 
 def with_crc(body):
     return body + struct.pack(">I", zlib.crc32(body))
+
+
+def crc_body(blob):
+    """``blob`` without its CRC32 footer, when its version carries one."""
+    return blob[:-4] if blob[4] >= 2 else blob
+
+
+def with_crc_if_versioned(body):
+    """Append the footer when the (spliced) version byte calls for one."""
+    return with_crc(body) if len(body) > 4 and body[4] >= 2 else body
+
+
+def splices(a, b):
+    """Every ``a[:k] + b[k:]`` that keeps part of ``a`` and is not ``a``."""
+    for k in range(1, len(a)):
+        yield k, a[:k] + b[k:]
+
+
+def with_record_crcs(blob):
+    """Recompute each WAL record's CRC along the blob's own framing."""
+    out = bytearray(blob)
+    pos = len(WAL_HEADER)
+    while pos + 16 <= len(out):
+        (length,) = struct.unpack_from(">I", out, pos + 8)
+        end = pos + 16 + length
+        if end > len(out):
+            break
+        crc = zlib.crc32(out[pos : pos + 12] + out[pos + 16 : end])
+        out[pos + 12 : pos + 16] = struct.pack(">I", crc)
+        pos = end
+    return bytes(out)
 
 
 def bit_flips(blob):
@@ -151,6 +185,20 @@ class TestSnapshotSweep:
             except ReproError:
                 pass
 
+    @pytest.mark.parametrize(
+        "first,second", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    )
+    def test_every_splice_restores_or_fails_typed(self, tmp_path, first, second):
+        a = (LEGACY / f"snap-v{first}.rpsn").read_bytes()[:-4]
+        b = (LEGACY / f"snap-v{second}.rpsn").read_bytes()[:-4]
+        path = tmp_path / "snap.rpsn"
+        for _k, spliced in splices(a, b):
+            path.write_bytes(with_crc(spliced))
+            try:
+                restore_collection(read_snapshot(path))
+            except ReproError:
+                pass
+
     def test_a_flip_without_a_new_crc_is_always_caught(self, tmp_path):
         blob = (LEGACY / "snap-v2.rpsn").read_bytes()
         path = tmp_path / "snap.rpsn"
@@ -181,6 +229,18 @@ class TestStoreSweep:
         for _offset, flipped in bit_flips(body):
             path.write_bytes(with_crc(flipped) if has_crc else flipped)
             self._load_or_typed(path)
+
+    @pytest.mark.parametrize("name", STORES)
+    def test_every_splice(self, tmp_path, name):
+        a = crc_body((LEGACY / name).read_bytes())
+        path = tmp_path / "store.rpls"
+        for other in STORES:
+            if other == name:
+                continue
+            b = crc_body((LEGACY / other).read_bytes())
+            for _k, spliced in splices(a, b):
+                path.write_bytes(with_crc_if_versioned(spliced))
+                self._load_or_typed(path)
 
 
 class TestWalSweep:
@@ -225,6 +285,18 @@ class TestWalSweep:
                 continue
             intact = [r for r in original if r[2] <= offset]
             assert records[: len(intact)] == intact, offset
+
+
+    @pytest.mark.parametrize("first,second", [(1, 3), (3, 1)])
+    def test_every_splice_keeps_the_whole_records(self, tmp_path, first, second):
+        source = LEGACY / f"wal-v{first}.rpwl"
+        original = self._records(source)
+        b = (LEGACY / f"wal-v{second}.rpwl").read_bytes()
+        path = tmp_path / "wal.log"
+        for k, spliced in splices(source.read_bytes(), b):
+            path.write_bytes(with_record_crcs(spliced))
+            intact = [r for r in original if r[2] <= k]
+            assert self._records(path)[: len(intact)] == intact, k
 
 
 class TestCorruptGeneratorState:
