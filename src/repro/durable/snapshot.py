@@ -34,9 +34,9 @@ whole body::
     footer   4 bytes CRC32 of everything above
 
 where ``int`` is the LEB128 varint of
-:func:`repro.labeling.codec.write_uvarint` (labels are products of primes
-and routinely exceed machine words).  Each document also carries the Opt2
-leaf-allocation counters of
+:meth:`repro.labeling.codec.FieldWriter.uvarint` (labels are products of
+primes and routinely exceed machine words).  Each document also carries
+the Opt2 leaf-allocation counters of
 :meth:`repro.labeling.prime.PrimeScheme.export_state`::
 
     leaf     4B entry count ×(varint parent_value, varint next_index)
@@ -63,7 +63,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.durable.faults import FaultPlan
 from repro.durable.files import replace_durably
@@ -81,7 +81,7 @@ from repro.order.sc_table import SCTable
 from repro.primes.gen import PrimeGenerator
 from repro.query.engine import upgrade_strategy
 from repro.query.live import LiveCollection
-from repro.xmlkit.tree import XmlElement
+from repro.xmlkit.tree import XmlElement, from_child_counts
 
 __all__ = [
     "SnapshotState",
@@ -140,43 +140,46 @@ def _read_legacy_int(reader: FieldReader) -> int:
 
 def _write_tree(out: FieldWriter, root: XmlElement) -> List[XmlElement]:
     """Write ``root``'s subtree in preorder; returns the nodes in that order."""
+    string = out.string
+    pack = out.pack
     nodes = list(root.iter_preorder())
     for node in nodes:
-        out.string(">H", node.tag)
-        out.string(">I", node.text)
-        out.pack(">H", len(node.attributes))
-        for name, value in node.attributes.items():
-            out.string(">H", name)
-            out.string(">H", value)
-        out.pack(">I", len(node))
+        attributes = node.attributes
+        string(">H", node.tag)
+        string(">I", node.text)
+        pack(">H", len(attributes))
+        for name, value in attributes.items():
+            string(">H", name)
+            string(">H", value)
+        pack(">I", len(node))
     return nodes
 
 
 def _read_tree(reader: FieldReader) -> XmlElement:
-    """Read one preorder tree, then link it bottom-up (no recursion).
+    """Read one preorder tree, one node's run of fields per pass.
 
-    Children are attached in reverse preorder, so every ``append`` lands
-    on a parent that is not yet attached itself and costs O(1).
+    The field methods are hoisted into locals.  ``unread`` counts the
+    children still owed, so the loop stops exactly when the rows form one
+    tree, and :func:`~repro.xmlkit.tree.from_child_counts` links them
+    bottom-up without a check per child or any recursion.
     """
-    entries: List[Tuple[XmlElement, int]] = []
+    string = reader.string
+    unpack = reader.unpack
+    rows: List[Tuple[str, Dict[str, str], str, int]] = []
+    append = rows.append
     unread = 1
     while unread:
-        tag = reader.string(">H")
-        text = reader.string(">I")
-        (attr_count,) = reader.unpack(">H")
+        tag = string(">H")
+        text = string(">I")
+        (attr_count,) = unpack(">H")
         attributes = {}
         for _ in range(attr_count):
-            name = reader.string(">H")
-            attributes[name] = reader.string(">H")
-        (child_count,) = reader.unpack(">I")
-        entries.append((XmlElement(tag, attributes, text), child_count))
+            name = string(">H")
+            attributes[name] = string(">H")
+        (child_count,) = unpack(">I")
+        append((tag, attributes, text, child_count))
         unread += child_count - 1
-    built: List[XmlElement] = []
-    for node, child_count in reversed(entries):
-        for _ in range(child_count):
-            node.append(built.pop())
-        built.append(node)
-    return built[0]
+    return from_child_counts(rows)
 
 
 # ----------------------------------------------------------------------
@@ -196,25 +199,28 @@ def _encode_snapshot(collection: LiveCollection, last_seq: int) -> bytearray:
     out.pack(">I", len(ordered))
     for document in ordered:
         nodes = _write_tree(out, document.root)
-        out.pack(">IIIQ", *document.scheme._generator.state())
+        scheme = document.scheme
+        generator_state, leaf_counters = scheme.export_state()
+        out.pack(">IIIQ", *generator_state)
         out.pack(">I", len(nodes))
+        uvarint = out.uvarint
+        label_of = scheme.label_of
         for node in nodes:
-            label: PrimeLabel = document.label_of(node)
-            out.uvarint(label.value)
-            out.uvarint(label.self_label)
+            label: PrimeLabel = label_of(node)
+            uvarint(label.value)
+            uvarint(label.self_label)
         groups = document.sc_table.groups()
         out.pack(">I", len(groups))
         for max_prime, members in groups:
             out.pack(">I", len(members))
-            out.uvarint(max_prime)
+            uvarint(max_prime)
             for modulus, residue in members:
-                out.uvarint(modulus)
-                out.uvarint(residue)
-        _, leaf_counters = document.scheme.export_state()
+                uvarint(modulus)
+                uvarint(residue)
         out.pack(">I", len(leaf_counters))
         for parent_value, next_index in leaf_counters:
-            out.uvarint(parent_value)
-            out.uvarint(next_index)
+            uvarint(parent_value)
+            uvarint(next_index)
     return out.finish()
 
 
@@ -295,9 +301,8 @@ def _decode_checked(path: Path, header_only: bool) -> SnapshotState:
     except OSError as error:
         raise SnapshotCorruptError(f"cannot read snapshot {path}: {error}") from error
     name = f"snapshot {path}"
-    reader = FieldReader(
-        check_crc_footer(blob, SnapshotCorruptError, name), SnapshotCorruptError, name
-    )
+    end = check_crc_footer(blob, SnapshotCorruptError, name)
+    reader = FieldReader(blob, SnapshotCorruptError, name, end=end)
     with decoding(SnapshotCorruptError, name):
         return _decode_body(reader, header_only)
 
@@ -367,12 +372,6 @@ def restore_collection(state: SnapshotState) -> LiveCollection:
         ordered: List[OrderedDocument] = []
         try:
             for doc_state in state.documents:
-                nodes = list(doc_state.root.iter_preorder())
-                if len(nodes) != len(doc_state.labels):
-                    raise SnapshotCorruptError(
-                        f"snapshot holds {len(doc_state.labels)} labels for "
-                        f"{len(nodes)} nodes"
-                    )
                 # Validate before the constructor sieves reserved_limit
                 # primes: a corrupt state must fail typed, not exhaust memory.
                 PrimeGenerator.check_state(doc_state.generator_state)
@@ -380,6 +379,7 @@ def restore_collection(state: SnapshotState) -> LiveCollection:
                     reserved_primes=doc_state.generator_state[0],
                     power2_leaves=False,
                 )
+                # Rejects a label count other than the tree's node count.
                 scheme.restore_state(
                     doc_state.root,
                     doc_state.labels,

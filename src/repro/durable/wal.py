@@ -120,6 +120,8 @@ SUPPORTED_WAL_VERSIONS = (1, 3)
 WAL_HEADER = _MAGIC + bytes([_DEFAULT_VERSION])
 _HEADER_LEN = len(WAL_HEADER)
 _RECORD_HEADER = struct.Struct(">QII")  # seq, payload length, crc32
+#: The header fields a record's CRC32 covers ahead of its payload.
+_CRC_PREFIX = struct.Struct(">QI")
 #: Upper bound on one payload — anything larger is treated as corruption
 #: (a flipped length byte must not make the scanner swallow the file).
 _MAX_PAYLOAD = 64 * 1024 * 1024
@@ -312,8 +314,7 @@ def _encode_payload(op: Dict[str, Any]) -> bytes:
 
 def _frame(seq: int, payload: bytes) -> bytes:
     """One complete record: seq ‖ len ‖ crc ‖ payload."""
-    crc = zlib.crc32(header_prefix(seq, payload))
-    return _RECORD_HEADER.pack(seq, len(payload), crc) + payload
+    return _RECORD_HEADER.pack(seq, len(payload), record_crc(seq, payload)) + payload
 
 
 def _decode_payload(payload: bytes, version: int) -> Dict[str, Any]:
@@ -375,7 +376,7 @@ def scan_records(
             reason = "short"  # payload not fully on disk (yet)
             break
         payload = buffer[payload_start : payload_start + length]
-        if zlib.crc32(header_prefix(seq, payload)) != crc:
+        if record_crc(seq, payload) != crc:
             reason = "crc"
             break
         if expected_seq is not None and seq != expected_seq:
@@ -688,11 +689,21 @@ def _rewrite(path: Path, records: List[WalRecord]) -> int:
     return len(blob)
 
 
-def header_prefix(seq: int, payload: bytes) -> bytes:
-    """The CRC32 input for one record: seq ‖ len ‖ payload.
+def record_crc(seq: int, payload: bytes) -> int:
+    """The checksum of one record: CRC32 over seq ‖ len ‖ payload.
 
     The one spelling of the record checksum, for the writer and the
     scanner alike.  It covers the header fields *and* the payload so a
     flipped sequence or length byte is caught exactly like flipped content.
+    The payload's CRC continues from the prefix's, so it equals
+    ``zlib.crc32(header_prefix(seq, payload))`` without copying the payload.
     """
-    return struct.pack(">QI", seq, len(payload)) + payload
+    return zlib.crc32(payload, zlib.crc32(_CRC_PREFIX.pack(seq, len(payload))))
+
+
+def header_prefix(seq: int, payload: bytes) -> bytes:
+    """The bytes :func:`record_crc` checksums, seq ‖ len ‖ payload, as one blob.
+
+    For tools and tests that frame a record by hand.
+    """
+    return _CRC_PREFIX.pack(seq, len(payload)) + payload

@@ -12,16 +12,21 @@ for XML query processing."  This module provides that representation:
 * :class:`VarintCodec` — the variable-length (LEB128-style) encoding that
   format v3 of every binary file uses on disk: the RPLS label store, the
   RPSN snapshot, and RPWL WAL payloads all write label integers through
-  :func:`write_uvarint` and read them back through :func:`read_uvarint`,
-  which bounds each field at :data:`MAX_VARINT_FIELD_BYTES` so corrupt
+  :meth:`FieldWriter.uvarint` and read them back through
+  :meth:`FieldReader.uvarint` (:func:`write_uvarint` and
+  :func:`read_uvarint` are the same codec over a list or a blob), which
+  bound each field at :data:`MAX_VARINT_FIELD_BYTES` so corrupt
   continuation runs fail fast instead of allocating huge integers.
 * :class:`FieldWriter` / :class:`FieldReader` — the one field codec of
   those three formats: a single growing buffer on the write side, a
-  bounds-checked cursor over a ``memoryview`` on the read side, the same
-  field names on both (``pack``/``unpack``, ``uvarint``, ``string``), one
-  CRC32 footer (:meth:`FieldWriter.finish`, :func:`check_crc_footer`) and
-  one translation of decode failures into the caller's typed error
-  (:func:`decoding`).
+  bounds-checked cursor over the file's own ``bytes`` on the read side
+  (no copy; an explicit ``end`` stops every field at the CRC footer),
+  the same field names on both (``pack``/``unpack``, ``uvarint``,
+  ``string``), one CRC32 footer (:meth:`FieldWriter.finish`,
+  :func:`check_crc_footer`) and one translation of decode failures into
+  the caller's typed error (:func:`decoding`).  A snapshot spends a few
+  field calls per node, so both varint methods return a one-byte value
+  before their loop starts, and fixed-width formats are compiled once.
 
 Codecs cover every label type in the library: ``PrimeLabel`` (two
 integers), interval labels (two integers), prefix ``Bits`` (length +
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from functools import lru_cache
 from typing import Any, List, Optional, Tuple, Type
 
 from repro.errors import LabelingError, ReproError
@@ -68,23 +72,13 @@ _MAX_FIELD_BITS = MAX_VARINT_FIELD_BYTES * 8
 def write_uvarint(value: int, out: List[int]) -> None:
     """Append the LEB128 encoding of ``value`` (an unsigned int) to ``out``.
 
-    The shared integer encoding of every format-v3 file (RPLS store, RPSN
-    snapshot, RPWL WAL payloads).  Raises :class:`repro.errors.LabelingError`
-    for negative values and for fields beyond :data:`MAX_VARINT_FIELD_BYTES`
-    — the write-side twin of the read-side cap, so nothing encodable is
-    ever unreadable.
+    ``out`` is a list of byte values or a ``bytearray``;
+    :meth:`FieldWriter.uvarint` does the encoding and raises
+    :class:`repro.errors.LabelingError` here.
     """
-    if value < 0:
-        raise LabelingError(f"varints are unsigned; got {value}")
-    if value.bit_length() > _MAX_FIELD_BITS:
-        raise LabelingError(
-            f"integer field of {value.bit_length()} bits exceeds the "
-            f"{_MAX_FIELD_BITS}-bit varint field bound"
-        )
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
+    writer = FieldWriter()
+    writer.uvarint(value)
+    out.extend(writer.buffer)
 
 
 def read_uvarint(blob: bytes, offset: int) -> Tuple[int, int]:
@@ -104,7 +98,24 @@ UVARINT = "uvarint"
 _FOOTER = struct.Struct(">I")
 #: The shortest footed file: 4 magic bytes, a version byte and the footer.
 _MIN_FOOTED = 4 + 1 + _FOOTER.size
-_struct = lru_cache(maxsize=64)(struct.Struct)
+#: The most bytes one varint field may span: the first byte whose shift
+#: would reach :data:`_MAX_FIELD_BITS` is never read.
+_MAX_VARINT_RUN = -(-_MAX_FIELD_BITS // 7)
+
+
+class _Structs(dict[str, struct.Struct]):
+    """Compiled ``struct`` formats by format string, compiled on first use.
+
+    Formats are constants of the field layouts, so this stays as small as
+    they are, and a lookup is cheaper per field than an ``lru_cache`` call.
+    """
+
+    def __missing__(self, fmt: str) -> struct.Struct:
+        packer = self[fmt] = struct.Struct(fmt)
+        return packer
+
+
+_STRUCTS = _Structs()
 
 
 class FieldWriter:
@@ -122,22 +133,44 @@ class FieldWriter:
 
     def pack(self, fmt: str, *values: int) -> None:
         """Append ``values`` as the fixed-width ``struct`` format ``fmt``."""
-        self.buffer += struct.pack(fmt, *values)
+        self.buffer += _STRUCTS[fmt].pack(*values)
 
     def uvarint(self, value: int) -> None:
-        """Append ``value`` as a bounded LEB128 varint."""
-        write_uvarint(value, self.buffer)
+        """Append ``value`` as a bounded LEB128 varint.
+
+        The shared integer encoding of every format-v3 file (RPLS store,
+        RPSN snapshot, RPWL WAL payloads).  Raises
+        :class:`repro.errors.LabelingError` for negative values and for
+        fields beyond :data:`MAX_VARINT_FIELD_BYTES` — the write-side twin
+        of the read-side cap, so nothing encodable is ever unreadable.  A
+        value under 128 is one byte, appended before the bound is computed.
+        """
+        buffer = self.buffer
+        if value < 0x80:
+            if value < 0:
+                raise LabelingError(f"varints are unsigned; got {value}")
+            buffer.append(value)
+            return
+        if value.bit_length() > _MAX_FIELD_BITS:
+            raise LabelingError(
+                f"integer field of {value.bit_length()} bits exceeds the "
+                f"{_MAX_FIELD_BITS}-bit varint field bound"
+            )
+        while value > 0x7F:
+            buffer.append(value & 0x7F | 0x80)
+            value >>= 7
+        buffer.append(value)
 
     def string(self, width: str, text: str) -> None:
         """Append ``text`` as UTF-8 behind its byte length.
 
         ``width`` is the length's ``struct`` format, or :data:`UVARINT`.
         """
-        data = text.encode("utf-8")
+        data = text.encode()
         if width == UVARINT:
-            write_uvarint(len(data), self.buffer)
+            self.uvarint(len(data))
         else:
-            self.buffer += struct.pack(width, len(data))
+            self.buffer += _STRUCTS[width].pack(len(data))
         self.buffer += data
 
     def finish(self) -> bytearray:
@@ -147,53 +180,63 @@ class FieldWriter:
 
 
 class FieldReader:
-    """A bounds-checked cursor over one blob, reading what FieldWriter wrote.
+    """A bounds-checked cursor over a file's bytes, reading what FieldWriter wrote.
 
-    Every failure — a field running past the end, invalid UTF-8, a varint
+    ``blob`` is the file's own bytes object, read in place: no copy and no
+    ``memoryview`` (indexing ``bytes`` is the cheaper of the two per byte).
+    ``end`` is where the fields stop — the start of a CRC footer, or the
+    end of ``blob`` by default — and no field ever reads past it, so the
+    footer's bytes can never be decoded as a field.
+
+    Every failure — a field running past ``end``, invalid UTF-8, a varint
     over :data:`MAX_VARINT_FIELD_BYTES` — raises ``error`` (the caller's
     typed exception) with a message that starts with ``name``, so a damaged
     file is reported as the format and file it is.
     """
 
-    __slots__ = ("view", "offset", "error", "name")
+    __slots__ = ("blob", "offset", "end", "error", "name")
 
     def __init__(
         self,
-        blob: bytes | memoryview,
+        blob: bytes,
         error: Type[ReproError],
         name: str,
         offset: int = 0,
+        end: Optional[int] = None,
     ):
-        self.view = memoryview(blob)
+        self.blob = blob
         self.offset = offset
+        self.end = len(blob) if end is None else end
         self.error = error
         self.name = name
 
     @property
     def remaining(self) -> int:
-        """Bytes left after the cursor."""
-        return len(self.view) - self.offset
+        """Bytes left between the cursor and ``end``."""
+        return self.end - self.offset
 
     def fail(self, what: str) -> ReproError:
         """The typed error for damage found at the cursor."""
         return self.error(f"{self.name}: {what} at byte {self.offset}")
 
-    def take(self, count: int) -> memoryview:
+    def take(self, count: int) -> bytes:
         """The next ``count`` raw bytes."""
         start = self.offset
-        if count > len(self.view) - start:
+        stop = start + count
+        if stop > self.end:
             raise self.fail(f"truncated: {count} bytes needed")
-        self.offset = start + count
-        return self.view[start : self.offset]
+        self.offset = stop
+        return self.blob[start:stop]
 
     def unpack(self, fmt: str) -> Tuple[Any, ...]:
         """The next fixed-width ``struct`` field(s) of format ``fmt``."""
-        packer = _struct(fmt)
+        packer = _STRUCTS[fmt]
         start = self.offset
-        if packer.size > len(self.view) - start:
+        stop = start + packer.size
+        if stop > self.end:
             raise self.fail(f"truncated: {packer.size} bytes needed")
-        self.offset = start + packer.size
-        return packer.unpack_from(self.view, start)
+        self.offset = stop
+        return packer.unpack_from(self.blob, start)
 
     def uvarint(self) -> int:
         """The next LEB128 varint.
@@ -201,53 +244,78 @@ class FieldReader:
         Fails on a truncated field or when the continuation run exceeds
         :data:`MAX_VARINT_FIELD_BYTES` of magnitude — a crafted blob of
         ``0x80`` bytes must fail fast instead of allocating an arbitrarily
-        large integer before any checksum is consulted.
+        large integer before any checksum is consulted.  A one-byte value
+        returns before the loop is set up.
         """
-        view, offset = self.view, self.offset
+        blob, offset, end = self.blob, self.offset, self.end
+        if offset < end:
+            byte = blob[offset]
+            if byte < 0x80:
+                self.offset = offset + 1
+                return byte
+        limit = offset + _MAX_VARINT_RUN
+        if limit > end:
+            limit = end
         result = shift = 0
-        while True:
-            if offset >= len(view):
-                raise self.fail("truncated varint")
-            if shift >= _MAX_FIELD_BITS:
-                raise self.fail(
-                    f"varint field exceeds the {_MAX_FIELD_BITS}-bit bound "
-                    "(corrupt or adversarial continuation run)"
-                )
-            byte = view[offset]
+        while offset < limit:
+            byte = blob[offset]
             offset += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
+            if byte < 0x80:
                 self.offset = offset
-                return result
+                return result | byte << shift
+            result |= (byte ^ 0x80) << shift
             shift += 7
+        if offset >= end:
+            raise self.fail("truncated varint")
+        raise self.fail(
+            f"varint field exceeds the {_MAX_FIELD_BITS}-bit bound "
+            "(corrupt or adversarial continuation run)"
+        )
 
     def string(self, width: str) -> str:
-        """The next length-prefixed UTF-8 string (see :meth:`FieldWriter.string`)."""
-        (length,) = (self.uvarint(),) if width == UVARINT else self.unpack(width)
-        data = self.take(length)
+        """The next length-prefixed UTF-8 string (see :meth:`FieldWriter.string`).
+
+        The fixed-width length is read in place rather than through
+        :meth:`unpack`: the snapshot tree reads up to four strings a node.
+        """
+        if width == UVARINT:
+            length = self.uvarint()
+        else:
+            packer = _STRUCTS[width]
+            start = self.offset
+            if start + packer.size > self.end:
+                raise self.fail(f"truncated: {packer.size} bytes needed")
+            (length,) = packer.unpack_from(self.blob, start)
+            self.offset = start + packer.size
+        start = self.offset
+        stop = start + length
+        if stop > self.end:
+            raise self.fail(f"truncated: {length} bytes needed")
+        self.offset = stop
         try:
-            return str(data, "utf-8")
+            return self.blob[start:stop].decode()
         except UnicodeDecodeError as cause:
             raise self.fail("invalid UTF-8 string") from cause
 
 
-def check_crc_footer(blob: bytes, error: Type[ReproError], name: str) -> memoryview:
-    """The body of ``blob`` once its CRC32 footer has checked out.
+def check_crc_footer(blob: bytes, error: Type[ReproError], name: str) -> int:
+    """Where the fields of ``blob`` end, once its CRC32 footer has checked out.
 
     The one footer check of RPSN snapshots and RPLS v2-v3 stores, made
     before a single field is decoded, so truncation and bit rot are caught
-    whole-file rather than wherever the parser happens to trip.  Raises
-    ``error`` naming ``name`` when ``blob`` is too short to hold a magic, a
-    version byte and the footer, or when the checksum disagrees.
+    whole-file rather than wherever the parser happens to trip.  The
+    returned offset is the footer's start: the ``end`` of the
+    :class:`FieldReader` over ``blob``.  Raises ``error`` naming ``name``
+    when ``blob`` is too short to hold a magic, a version byte and the
+    footer, or when the checksum disagrees.
     """
     if len(blob) < _MIN_FOOTED:
         raise error(f"{name} is truncated")
-    view = memoryview(blob)
-    body = view[: -_FOOTER.size]
-    (stored_crc,) = _FOOTER.unpack_from(view, len(body))
-    if zlib.crc32(body) != stored_crc:
+    end = len(blob) - _FOOTER.size
+    (stored_crc,) = _FOOTER.unpack_from(blob, end)
+    if zlib.crc32(memoryview(blob)[:end]) != stored_crc:
         raise error(f"{name} failed its CRC32 check (truncated or corrupt)")
-    return body
+    return end
 
 
 class decoding:

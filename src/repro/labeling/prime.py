@@ -379,8 +379,10 @@ class PrimeScheme(LabelingScheme):
         for stale in list(self._nodes.values()):
             self._drop_label(stale)
         self._root = root
+        set_label = self._set_label
         for node, (value, self_label) in zip(nodes, labels):
-            self._set_label(node, PrimeLabel(value=value, self_label=self_label))
+            # The constructor validates each untrusted pair.
+            set_label(node, PrimeLabel(value, self_label))
         self._generator = PrimeGenerator.from_state(generator_state)
         self._leaf_counter = dict(leaf_counters)
         return self

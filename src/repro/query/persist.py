@@ -161,11 +161,11 @@ def load_store(path: str | Path) -> LabelStore:
 
 def _load_store_checked(path: str | Path, name: str) -> LabelStore:
     blob = Path(path).read_bytes()
-    body: bytes | memoryview = blob
+    end = len(blob)
     if len(blob) >= 5 and blob[:4] == _MAGIC and blob[4] >= 2:
         # version >= 2 ends in a CRC32 footer over everything else.
-        body = check_crc_footer(blob, QueryEvaluationError, name)
-    reader = FieldReader(body, QueryEvaluationError, name)
+        end = check_crc_footer(blob, QueryEvaluationError, name)
+    reader = FieldReader(blob, QueryEvaluationError, name, end=end)
     if reader.take(4) != _MAGIC:
         raise QueryEvaluationError(f"{path} is not a label store file")
     (version,) = reader.unpack(">B")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["XmlElement", "TreeStats"]
+__all__ = ["XmlElement", "TreeStats", "from_child_counts"]
 
 
 @dataclass(frozen=True)
@@ -339,14 +339,15 @@ class XmlElement:
 
         The default slot-wise pickling recurses through ``_children`` and
         ``parent``, so a deep document overflows the interpreter stack;
-        one ``(tag, attributes, text, size)`` row per node does not.
-        Like :meth:`copy`, the unpickled subtree is detached.
+        one ``(tag, attributes, text, child count)`` row per node, the
+        snapshot's shape, does not.  Like :meth:`copy`, the unpickled
+        subtree is detached.
         """
         record = [
-            (node.tag, node.attributes, node.text, node._size)
+            (node.tag, node.attributes, node.text, len(node._children))
             for node in self.iter_preorder()
         ]
-        return _from_preorder, (record,)
+        return from_child_counts, (record,)
 
     def structurally_equal(self, other: "XmlElement") -> bool:
         """True iff both subtrees have the same shape, tags, attrs and text."""
@@ -364,23 +365,29 @@ class XmlElement:
         return True
 
 
-def _from_preorder(record: List[Tuple[str, Dict[str, str], str, int]]) -> XmlElement:
-    """Rebuild the subtree :meth:`XmlElement.__reduce__` flattened.
+def from_child_counts(rows: Sequence[Tuple[str, Dict[str, str], str, int]]) -> XmlElement:
+    """Build the tree whose preorder rows give each node's child count.
 
-    Each row's size says how many rows its subtree spans, so the parent
-    of the next row is the innermost open node with rows still owed.
+    Each row is ``(tag, attributes, text, child_count)``, the shape a
+    snapshot stores and :meth:`XmlElement.__reduce__` pickles.  The rows
+    are linked bottom-up in reverse preorder: a node's children are the
+    last ``child_count`` subtrees built, so each one is linked and sized
+    once, and no depth overflows the stack.  The caller guarantees the
+    counts describe exactly one tree, as a reader that stops once no child
+    is owed does.
     """
-    # (node, rows of its subtree not yet placed), outermost first
-    open_nodes: List[Tuple[XmlElement, int]] = []
-    for tag, attributes, text, size in record:
+    built: List[XmlElement] = []
+    for tag, attributes, text, child_count in reversed(rows):
         node = XmlElement(tag, attributes, text)
-        node._size = size
-        if open_nodes:
-            while open_nodes[-1][1] == 0:
-                open_nodes.pop()
-            parent, owed = open_nodes[-1]
-            open_nodes[-1] = (parent, owed - size)
-            node.parent = parent
-            parent._children.append(node)
-        open_nodes.append((node, size - 1))
-    return open_nodes[0][0]
+        if child_count:
+            children = built[-child_count:]
+            del built[-child_count:]
+            children.reverse()
+            size = 1
+            for child in children:
+                child.parent = node
+                size += child._size
+            node._children = children
+            node._size = size
+        built.append(node)
+    return built[0]

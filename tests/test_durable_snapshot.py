@@ -25,6 +25,7 @@ from repro.errors import SnapshotCorruptError
 from repro.query.live import BatchOp, LiveCollection
 from repro.replica import ReplicaCollection
 from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serialize import serialize
 from repro.xmlkit.tree import XmlElement
 
 DOCS = [
@@ -222,6 +223,92 @@ class TestCorruptionDetection:
         write_snapshot(collection, path, faults=flip)
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
+
+
+def _refooted(body):
+    """``body`` with a CRC32 footer that checks out."""
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+class TestReaderStopsAtTheBody:
+    """The field reader indexes the whole file but stops where the CRC
+    footer starts: no field may be completed from footer bytes."""
+
+    def test_a_last_varint_cut_at_the_footer_is_truncated(self, tmp_path):
+        collection = LiveCollection([parse_document("<r><a/></r>")])
+        body = snapshot_bytes(collection)[:-4]
+        # The body ends with an empty leaf-counter section; claim one pair
+        # whose second varint is cut, its continuation bit still set.
+        assert body[-4:] == b"\x00\x00\x00\x00"
+        path = tmp_path / "snap.rpsn"
+        for last in range(0x80, 0x100):
+            cut = body[:-4] + struct.pack(">I", 1) + bytes([5, last])
+            blob = _refooted(cut)
+            # Only a footer with a byte below 0x80 could end the varint.
+            if min(blob[-4:]) < 0x80:
+                break
+        else:
+            pytest.fail("no footer held a byte that could end the varint")
+        path.write_bytes(blob)
+        with pytest.raises(SnapshotCorruptError, match="truncated varint") as caught:
+            read_snapshot(path)
+        assert f"snapshot {path}" in str(caught.value)
+
+    def test_a_tree_string_running_into_the_footer_is_truncated(self, tmp_path):
+        collection = LiveCollection([parse_document("<r/>")])
+        body = snapshot_bytes(collection)[:-4]
+        strategy = collection.strategy.encode()
+        tree_start = 4 + 1 + 8 + 8 + 4 + 1 + len(strategy) + 4
+        assert body[tree_start : tree_start + 3] == b"\x00\x01r"
+        # The root's text claims 3 bytes, and only the footer follows.
+        cut = body[: tree_start + 3] + struct.pack(">I", 3)
+        path = tmp_path / "snap.rpsn"
+        path.write_bytes(_refooted(cut))
+        with pytest.raises(SnapshotCorruptError, match="truncated: 3 bytes needed"):
+            read_snapshot(path)
+
+
+class TestTreeFields:
+    """The tree decoder reads each node's fields in one pass; every shape
+    of node must come back exactly."""
+
+    @staticmethod
+    def edge_tree():
+        root = XmlElement(
+            "库", {"ключ": "значение", "ä": "", "z": "ü" * 1000}, "текст ✓ 𝄞"
+        )
+        root.append(XmlElement("item", {f"a{i}": f"v{i}" for i in range(60)}))
+        root.append(XmlElement("empty"))
+        middle = root.append(XmlElement("mitte", {}, "x" * 70_000))
+        middle.append(XmlElement("blatt", {"name": "wert"}, ""))
+        middle.append(XmlElement("ß"))
+        root.append(XmlElement("last", {"only": "one"}, "🙂"))
+        return root
+
+    def test_edge_nodes_round_trip(self, tmp_path):
+        root = self.edge_tree()
+        collection = LiveCollection([root])
+        path = tmp_path / "snap.rpsn"
+        write_snapshot(collection, path)
+        restored = restore_collection(read_snapshot(path))
+        assert serialize(restored.documents[0]) == serialize(root)
+        assert restored.documents[0].structurally_equal(root)
+        assert collection_fingerprint(restored) == collection_fingerprint(collection)
+
+    @pytest.mark.parametrize("marker", ["tagmark", "textmark", "namemark", "valuemark"])
+    def test_invalid_utf8_in_each_string_field_names_the_snapshot(
+        self, tmp_path, marker
+    ):
+        root = XmlElement("r")
+        root.append(XmlElement("tagmark", {"namemark": "valuemark"}, "textmark"))
+        body = bytearray(snapshot_bytes(LiveCollection([root]))[:-4])
+        assert body.count(marker.encode()) == 1
+        body[body.index(marker.encode())] = 0xFF  # never valid in UTF-8
+        path = tmp_path / "snap.rpsn"
+        path.write_bytes(_refooted(bytes(body)))
+        with pytest.raises(SnapshotCorruptError, match="invalid UTF-8") as caught:
+            read_snapshot(path)
+        assert f"snapshot {path}" in str(caught.value)
 
 
 class TestStrategyName:

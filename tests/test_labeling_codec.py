@@ -7,6 +7,8 @@ import pytest
 from repro.errors import LabelingError
 from repro.labeling.codec import (
     MAX_VARINT_FIELD_BYTES,
+    FieldReader,
+    FieldWriter,
     FixedWidthCodec,
     VarintCodec,
     ints_to_label,
@@ -24,6 +26,7 @@ from repro.labeling.interval import (
 )
 from repro.labeling.prefix import Bits, Prefix2Scheme
 from repro.labeling.prime import PrimeLabel, PrimeScheme
+from repro.xmlkit.parser import parse_document
 
 ALL_SCHEMES = [
     XissIntervalScheme,
@@ -301,3 +304,105 @@ class TestVarintFieldBound:
         write_uvarint(value, out)
         decoded, end = read_uvarint(bytes(out), 0)
         assert decoded == value and end == len(out)
+
+
+def _leb128(value):
+    """A reference LEB128 encoder, seven bits at a time."""
+    out = bytearray()
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _deep_label_value():
+    """The full label of the innermost of twelve nested elements."""
+    root = parse_document("<n>" * 12 + "</n>" * 12)
+    scheme = PrimeScheme()
+    scheme.label_tree(root)
+    return scheme.label_of(list(root.iter_preorder())[-1]).value
+
+
+class TestVarintBoundaries:
+    """Every varint width edge, through the writer's and the reader's
+    one-byte fast paths and their loops.  The pinned bytes are the LEB128
+    encodings the format has always written."""
+
+    PINNED = [
+        (0, "00"),
+        (127, "7f"),
+        (128, "8001"),
+        (2**14 - 1, "ff7f"),
+        (2**14, "808001"),
+        (2**63 - 1, "ffffffffffffffff7f"),
+        (2**64, "80808080808080808002"),
+    ]
+
+    @pytest.mark.parametrize("value, encoded", PINNED, ids=lambda v: str(v))
+    def test_pinned_bytes_round_trip(self, value, encoded):
+        out = FieldWriter()
+        out.uvarint(value)
+        assert bytes(out.buffer) == bytes.fromhex(encoded) == _leb128(value)
+        listed = []
+        write_uvarint(value, listed)
+        assert bytes(listed) == bytes(out.buffer)
+        reader = FieldReader(bytes(out.buffer), LabelingError, "varint")
+        assert reader.uvarint() == value
+        assert reader.remaining == 0
+
+    def test_a_real_label_product_round_trips(self):
+        value = _deep_label_value()
+        assert value.bit_length() > 64  # wider than any machine word
+        out = FieldWriter()
+        out.uvarint(value)
+        assert bytes(out.buffer) == bytes.fromhex("c6b886ffaaa39ea38ae8bc02")
+        assert bytes(out.buffer) == _leb128(value)
+        assert read_uvarint(bytes(out.buffer), 0) == (value, len(out.buffer))
+
+    def test_a_run_of_varints_reads_back_in_order(self):
+        values = [value for value, _ in self.PINNED] + [_deep_label_value()]
+        out = FieldWriter()
+        for value in values:
+            out.uvarint(value)
+        reader = FieldReader(bytes(out.buffer), LabelingError, "varint")
+        assert [reader.uvarint() for _ in values] == values
+        assert reader.remaining == 0
+
+    @pytest.mark.parametrize("value", [-1, -128, -(2**64)])
+    def test_negative_values_raise_on_the_fast_path(self, value):
+        with pytest.raises(LabelingError, match="unsigned"):
+            FieldWriter().uvarint(value)
+        with pytest.raises(LabelingError, match="unsigned"):
+            write_uvarint(value, [])
+
+    def test_the_bit_bound_is_exact(self):
+        # The reader takes at most ceil(bits / 7) bytes of one field: the
+        # last continuation byte it may read still has a shift below the
+        # bound, and the byte after it is never read.
+        run = -(-(MAX_VARINT_FIELD_BYTES * 8) // 7)
+        longest = b"\x80" * (run - 1) + b"\x01"
+        value, end = read_uvarint(longest, 0)
+        assert value == 1 << (7 * (run - 1)) and end == run
+        with pytest.raises(LabelingError, match="bound"):
+            read_uvarint(b"\x80" * run + b"\x01", 0)
+
+    def test_a_continuation_run_past_the_bound_fails_before_the_end(self):
+        flood = b"\x80" * (2 * MAX_VARINT_FIELD_BYTES)
+        with pytest.raises(LabelingError, match="bound"):
+            read_uvarint(flood, 0)
+
+    def test_a_cut_varint_is_truncated_not_bounded(self):
+        for cut in range(1, 10):
+            with pytest.raises(LabelingError, match="truncated varint"):
+                read_uvarint(b"\xff" * cut, 0)
+        with pytest.raises(LabelingError, match="truncated varint"):
+            read_uvarint(b"", 0)
+
+    def test_the_reader_stops_at_its_end_not_the_blob(self):
+        # A field ending at ``end`` never borrows the bytes after it.
+        blob = b"\x85" + b"\x01"
+        reader = FieldReader(blob, LabelingError, "varint", end=1)
+        with pytest.raises(LabelingError, match="truncated varint"):
+            reader.uvarint()
+        assert FieldReader(blob, LabelingError, "varint").uvarint() == 5 | 1 << 7
