@@ -13,9 +13,9 @@ no third-party dependencies:
   ``# repro: ignore[RULE] -- justification`` suppressions,
 * :mod:`repro.analysis.rules` — the per-file rules R1–R13,
 * :mod:`repro.analysis.program` — the whole-program layer: project symbol
-  table, approximate call graph, and the interprocedural passes R14–R17
-  (lock discipline, publication escape, wire-protocol parity,
-  WAL-before-apply ordering),
+  table, approximate call graph, and the interprocedural passes R14, R15
+  and R17 (lock discipline, publication escape, WAL-before-apply
+  ordering; R16 is retired),
 * :mod:`repro.analysis.baseline` — committed grandfather list with
   stale-entry expiry and rename-tolerant basename fallback,
 * :mod:`repro.analysis.reporters` — text, JSON, and SARIF 2.1.0 output,

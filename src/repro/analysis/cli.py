@@ -166,7 +166,7 @@ def add_lint_parser(
     """Register the ``lint`` subparser on the main CLI's subcommands."""
     lint = commands.add_parser(
         "lint",
-        help="run the invariant linter (rules R1-R17, docs/ANALYSIS.md)",
+        help="run the invariant linter (rules R1-R15 and R17, docs/ANALYSIS.md)",
     )
     lint.add_argument(
         "paths",
@@ -209,7 +209,7 @@ def add_lint_parser(
         action="store_true",
         help=(
             "lint only python files changed against the git index; skips "
-            "the whole-program passes (R14-R17), which need the full tree"
+            "the whole-program passes (R14, R15, R17), which need the full tree"
         ),
     )
     lint.add_argument(

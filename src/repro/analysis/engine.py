@@ -242,7 +242,7 @@ def lint_contexts(
                     pending.extend(_fold_suppressions(ctx, batch, report))
     elif program_rules and not include_program:
         report.warnings.append(
-            "whole-program passes (R14-R17) skipped: partial file set"
+            "whole-program passes (R14, R15, R17) skipped: partial file set"
         )
     if baseline is not None:
         active, grandfathered, stale = baseline.split(

@@ -1,7 +1,7 @@
 """Whole-program analysis: symbol table, call graph, and interprocedural passes.
 
 :class:`Program` bundles pass-0 artefacts (symbol table + call graph) built
-once per lint run from all file contexts.  Program rules (R14-R17, see
+once per lint run from all file contexts.  Program rules (R14, R15, R17, see
 ``repro.analysis.program.passes``) subclass :class:`~repro.analysis.engine.ProgramRule`
 and receive the :class:`Program` instead of a single file context.
 

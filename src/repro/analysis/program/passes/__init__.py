@@ -1,7 +1,7 @@
-"""Interprocedural passes R14-R17 (imported for registration side effects)."""
+"""Interprocedural passes R14, R15 and R17 (imported for registration side effects)."""
 
 from __future__ import annotations
 
-from . import escape, locks, walorder, wire  # noqa: F401
+from . import escape, locks, walorder  # noqa: F401
 
-__all__ = ["locks", "escape", "wire", "walorder"]
+__all__ = ["locks", "escape", "walorder"]

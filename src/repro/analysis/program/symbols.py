@@ -9,9 +9,7 @@ objects.  The table records, per module:
   defining module plus original name, enabling re-export chasing),
 * top-level classes with their methods, declared attribute types, and
   ``# repro: guarded-by(<lock>): fields`` declarations,
-* top-level functions,
-* module-level constants whose values are simple literals (ints, strings,
-  tuples, dicts) — used by the wire-protocol pass to resolve version tables.
+* top-level functions.
 
 Everything here is a best-effort approximation over stdlib ``ast``; the
 limitations are documented in docs/ANALYSIS.md.
@@ -95,7 +93,6 @@ class ModuleInfo:
     from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    constants: Dict[str, object] = field(default_factory=dict)
 
 
 def _decorator_names(node: ast.FunctionDef) -> Tuple[str, ...]:
@@ -266,23 +263,6 @@ def module_info_from_context(ctx: FileContext) -> ModuleInfo:
                 if stmt.lineno <= lineno <= end:
                     cls.guards.append(decl)
             info.classes[stmt.name] = cls
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets: List[ast.expr]
-            if isinstance(stmt, ast.Assign):
-                targets = list(stmt.targets)
-                value = stmt.value
-            else:
-                targets = [stmt.target]
-                value = stmt.value
-            if value is None:
-                continue
-            try:
-                literal = ast.literal_eval(value)
-            except (ValueError, SyntaxError):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    info.constants[target.id] = literal
     return info
 
 
@@ -342,19 +322,6 @@ class SymbolTable:
             info = self.modules[module]
             if name in info.classes:
                 return module, info.classes[name]
-        return None
-
-    def constant(self, module: str, name: str) -> Optional[object]:
-        """A module-level literal constant, following from-import re-exports."""
-        info = self.modules.get(module)
-        if info is None:
-            return None
-        if name in info.constants:
-            return info.constants[name]
-        if name in info.from_imports:
-            source, orig = info.from_imports[name]
-            if source != module:
-                return self.constant(source, orig)
         return None
 
     def stats(self) -> Dict[str, int]:

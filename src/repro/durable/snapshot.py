@@ -93,11 +93,11 @@ __all__ = [
 ]
 
 _MAGIC = b"RPSN"
-#: The version every snapshot is written at.
-_VERSION = 3
-#: Versions :func:`read_snapshot` decodes; 1 and 2 (2-byte-length integers,
-#: no leaf section) are read-only.
+#: Versions :func:`read_snapshot` decodes, oldest first; 1 and 2
+#: (2-byte-length integers, no leaf section) are read-only.
 _SUPPORTED_VERSIONS = (1, 2, 3)
+#: The version every snapshot is written at: the newest one read.
+_VERSION = _SUPPORTED_VERSIONS[-1]
 _NO_GROUP_SIZE = 0xFFFFFFFF
 
 Groups = List[Tuple[int, List[Tuple[int, int]]]]

@@ -110,12 +110,12 @@ def batch_record(ops: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {"op": "batch", "count": len(ops), "ops": list(ops)}
 
 _MAGIC = b"RPWL"
-#: The version every log is written at (binary payloads).
-_DEFAULT_VERSION = 3
-#: Versions this scanner can read: 1 (JSON payloads, read-only) and 3
-#: (binary payloads; 3 to match the repo-wide format-v3 generation of the
-#: RPLS store and RPSN snapshot).
+#: Versions this scanner can read, oldest first: 1 (JSON payloads,
+#: read-only) and 3 (binary payloads; 3 to match the repo-wide format-v3
+#: generation of the RPLS store and RPSN snapshot).
 SUPPORTED_WAL_VERSIONS = (1, 3)
+#: The version every log is written at: the newest one read.
+_DEFAULT_VERSION = SUPPORTED_WAL_VERSIONS[-1]
 #: The 5 header bytes (magic ‖ version) every log is written with.
 WAL_HEADER = _MAGIC + bytes([_DEFAULT_VERSION])
 _HEADER_LEN = len(WAL_HEADER)
@@ -317,12 +317,15 @@ def _frame(seq: int, payload: bytes) -> bytes:
     return _RECORD_HEADER.pack(seq, len(payload), record_crc(seq, payload)) + payload
 
 
-def _decode_payload(payload: bytes, version: int) -> Dict[str, Any]:
-    """Decode one record payload; raises WalCorruptError on damage."""
+def _decode_payload(
+    blob: bytes, version: int, start: int = 0, end: Optional[int] = None
+) -> Dict[str, Any]:
+    """Decode the record payload ``blob[start:end]``; raises WalCorruptError
+    on damage.  A v3 payload is read in place, with no copy."""
     with decoding(WalCorruptError, "WAL payload"):
         if version < 3:
-            return _operation(json.loads(payload.decode("utf-8")))
-        reader = FieldReader(payload, WalCorruptError, "WAL payload")
+            return _operation(json.loads(blob[start:end].decode("utf-8")))
+        reader = FieldReader(blob, WalCorruptError, "WAL payload", start, end)
         op = _decode_op_v3(reader)
         if reader.remaining:
             raise reader.fail(f"{reader.remaining} trailing bytes after v3 op")
@@ -349,47 +352,56 @@ def read_header(blob: bytes, source: str | Path) -> Optional[int]:
 
 
 def scan_records(
-    buffer: bytes, base: int, total: int, expected_seq: Optional[int], version: int
+    buffer: bytes,
+    base: int,
+    total: int,
+    expected_seq: Optional[int],
+    version: int,
+    start: int = 0,
 ) -> WalScan:
-    """Decode the records in ``buffer``, whose first byte sits at file
-    offset ``base``; ``total`` is the file's full size.
+    """Decode the records in ``buffer`` from index ``start`` on; the
+    buffer's first byte sits at file offset ``base``, and ``total`` is the
+    file's full size.
 
     The one record scanner: :func:`scan_wal` runs it over a whole local
     file, the replica tailer over shipped byte ranges, so both apply the
     same CRC, chain and torn-tail rules.  ``version`` is the payload
-    format the log's header declared (see :func:`read_header`).
+    format the log's header declared (see :func:`read_header`).  Payloads
+    are checksummed and decoded in place: nothing of ``buffer`` is copied.
     """
     records: List[WalRecord] = []
-    pos = 0
+    pos = start
+    size = len(buffer)
     reason = "clean"
-    while True:
-        if pos + _RECORD_HEADER.size > len(buffer):
-            if pos < len(buffer):
-                reason = "short"  # partial record header at the tail
-            break
-        seq, length, crc = _RECORD_HEADER.unpack_from(buffer, pos)
-        payload_start = pos + _RECORD_HEADER.size
-        if length > _MAX_PAYLOAD:
-            reason = "oversize"  # flipped length byte, not a torn write
-            break
-        if payload_start + length > len(buffer):
-            reason = "short"  # payload not fully on disk (yet)
-            break
-        payload = buffer[payload_start : payload_start + length]
-        if record_crc(seq, payload) != crc:
-            reason = "crc"
-            break
-        if expected_seq is not None and seq != expected_seq:
-            reason = "chain"
-            break
-        try:
-            op = _decode_payload(payload, version)
-        except WalCorruptError:
-            reason = "decode"
-            break
-        pos = payload_start + length
-        records.append(WalRecord(seq=seq, op=op, end_offset=base + pos))
-        expected_seq = seq + 1
+    with memoryview(buffer) as view:
+        while True:
+            if pos + _RECORD_HEADER.size > size:
+                if pos < size:
+                    reason = "short"  # partial record header at the tail
+                break
+            seq, length, crc = _RECORD_HEADER.unpack_from(buffer, pos)
+            payload_start = pos + _RECORD_HEADER.size
+            payload_end = payload_start + length
+            if length > _MAX_PAYLOAD:
+                reason = "oversize"  # flipped length byte, not a torn write
+                break
+            if payload_end > size:
+                reason = "short"  # payload not fully on disk (yet)
+                break
+            if record_crc(seq, view[payload_start:payload_end]) != crc:
+                reason = "crc"
+                break
+            if expected_seq is not None and seq != expected_seq:
+                reason = "chain"
+                break
+            try:
+                op = _decode_payload(buffer, version, payload_start, payload_end)
+            except WalCorruptError:
+                reason = "decode"
+                break
+            pos = payload_end
+            records.append(WalRecord(seq=seq, op=op, end_offset=base + pos))
+            expected_seq = seq + 1
     return WalScan(
         records=records,
         valid_bytes=base + pos,
@@ -421,7 +433,7 @@ def scan_wal(path: str | Path) -> WalScan:
             total_bytes=len(blob),
             stop_reason="short" if blob else "clean",
         )
-    return scan_records(blob[_HEADER_LEN:], _HEADER_LEN, len(blob), None, version)
+    return scan_records(blob, 0, len(blob), None, version, start=_HEADER_LEN)
 
 
 class WriteAheadLog:

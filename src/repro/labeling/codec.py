@@ -103,14 +103,23 @@ _MIN_FOOTED = 4 + 1 + _FOOTER.size
 _MAX_VARINT_RUN = -(-_MAX_FIELD_BITS // 7)
 
 
+#: The ``struct`` codes a fixed-width field may use: every one unsigned.
+_UNSIGNED_CODES = frozenset("BHIQ")
+
+
 class _Structs(dict[str, struct.Struct]):
     """Compiled ``struct`` formats by format string, compiled on first use.
 
     Formats are constants of the field layouts, so this stays as small as
     they are, and a lookup is cheaper per field than an ``lru_cache`` call.
+    Every field is big-endian and unsigned: any other format fails its
+    first use, so no layout can write a field unsigned and read it signed.
     """
 
     def __missing__(self, fmt: str) -> struct.Struct:
+        codes = fmt[1:]
+        if fmt[:1] != ">" or not codes or not _UNSIGNED_CODES.issuperset(codes):
+            raise LabelingError(f"field format {fmt!r} is not big-endian unsigned")
         packer = self[fmt] = struct.Struct(fmt)
         return packer
 
@@ -132,8 +141,17 @@ class FieldWriter:
         self.buffer = bytearray(prefix)
 
     def pack(self, fmt: str, *values: int) -> None:
-        """Append ``values`` as the fixed-width ``struct`` format ``fmt``."""
-        self.buffer += _STRUCTS[fmt].pack(*values)
+        """Append ``values`` as the fixed-width ``struct`` format ``fmt``.
+
+        Raises :class:`repro.errors.LabelingError` naming ``fmt`` and
+        ``values`` when a value does not fit its field.
+        """
+        try:
+            self.buffer += _STRUCTS[fmt].pack(*values)
+        except struct.error as cause:
+            raise LabelingError(
+                f"field {fmt!r} cannot hold {values}: {cause}"
+            ) from cause
 
     def uvarint(self, value: int) -> None:
         """Append ``value`` as a bounded LEB128 varint.
@@ -165,12 +183,20 @@ class FieldWriter:
         """Append ``text`` as UTF-8 behind its byte length.
 
         ``width`` is the length's ``struct`` format, or :data:`UVARINT`.
+        Raises :class:`repro.errors.LabelingError` naming ``width`` and the
+        length when the length does not fit.
         """
         data = text.encode()
         if width == UVARINT:
             self.uvarint(len(data))
         else:
-            self.buffer += _STRUCTS[width].pack(len(data))
+            try:
+                self.buffer += _STRUCTS[width].pack(len(data))
+            except struct.error as cause:
+                raise LabelingError(
+                    f"length field {width!r} cannot hold a string of "
+                    f"{len(data)} bytes: {cause}"
+                ) from cause
         self.buffer += data
 
     def finish(self) -> bytearray:

@@ -144,28 +144,31 @@ class MetricsRegistry:
         self._timers: Dict[str, Timer] = {}
 
     # ------------------------------------------------------------------
-    # Instrument factories (get-or-create, stable identity per name)
+    # Instrument factories (get-or-create, stable identity per name).  A
+    # miss creates through ``setdefault``, which is atomic, so two threads
+    # that miss together share the first instrument stored and neither
+    # thread's updates land in one the registry has dropped.
     # ------------------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         """The counter registered under ``name``, created on first use."""
         instrument = self._counters.get(name)
         if instrument is None:
-            instrument = self._counters[name] = Counter(name)
+            instrument = self._counters.setdefault(name, Counter(name))
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         """The gauge registered under ``name``, created on first use."""
         instrument = self._gauges.get(name)
         if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
+            instrument = self._gauges.setdefault(name, Gauge(name))
         return instrument
 
     def timer(self, name: str) -> Timer:
         """The timer registered under ``name``, created on first use."""
         instrument = self._timers.get(name)
         if instrument is None:
-            instrument = self._timers[name] = Timer(name)
+            instrument = self._timers.setdefault(name, Timer(name))
         return instrument
 
     # ------------------------------------------------------------------

@@ -64,10 +64,10 @@ from repro.xmlkit.tree import XmlElement
 __all__ = ["save_store", "load_store"]
 
 _MAGIC = b"RPLS"
-#: The version every store is written at.
-_VERSION = 3
-#: Versions :func:`load_store` decodes; 1 and 2 are read-only.
+#: Versions :func:`load_store` decodes, oldest first; 1 and 2 are read-only.
 _SUPPORTED_VERSIONS = (1, 2, 3)
+#: The version every store is written at: the newest one read.
+_VERSION = _SUPPORTED_VERSIONS[-1]
 _NO_PARENT = 0xFFFFFFFF
 
 _KIND_BY_SCHEME = {"prime": "prime", "interval": "order-size", "prefix-2": "bits"}

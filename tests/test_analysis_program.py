@@ -1,4 +1,4 @@
-"""Tests for the whole-program analyzer: pass 0 plus rules R14-R17.
+"""Tests for the whole-program analyzer: pass 0 plus rules R14, R15 and R17.
 
 Three layers, mirroring ``tests/test_analysis_rules.py``:
 
@@ -7,14 +7,13 @@ Three layers, mirroring ``tests/test_analysis_rules.py``:
 * pass-0 unit tests — symbol table and call graph over a synthetic
   package exercising aliased imports, ``self``-method dispatch through
   declared attribute types, and re-export chains;
-* end-to-end acceptance — a deliberately injected WAL encoder/decoder
-  mismatch makes the CLI exit 1 with a SARIF finding naming the opcode,
-  the real tree self-lints clean for R14-R17, and the rename-tolerant
+* end-to-end acceptance — an apply deliberately moved ahead of its WAL
+  append makes the CLI exit 1 with a SARIF finding naming the method,
+  the real tree self-lints clean for the program rules, and the rename-tolerant
   baseline fallback matches on ``rule::basename::message``.
 """
 
 import argparse
-import ast
 import json
 import time
 from pathlib import Path
@@ -78,26 +77,6 @@ TRIGGERS = [
         "        return self.store\n",
     ),
     (
-        "R16",
-        "src/repro/durable/wal.py",
-        '_OPCODES = {{"insert_child": 1, "ghost": 2}}{S}\n'
-        '_OP_FIELDS = {{"insert_child": ()}}\n'
-        "SUPPORTED_WAL_VERSIONS = (1, 3)\n"
-        "_DEFAULT_VERSION = 3\n",
-    ),
-    (
-        "R16",
-        "src/repro/query/persist.py",
-        "_VERSION = 1\n"
-        "_SUPPORTED_VERSIONS = (1,)\n\n"
-        "def save_store(out, version=1):{S}\n"
-        '    out.pack(">B", version)\n'
-        '    out.pack(">I", 0)\n\n'
-        "def _load_store_checked(reader):\n"
-        '    (version,) = reader.unpack(">B")\n'
-        '    (count,) = reader.unpack(">H")\n',
-    ),
-    (
         "R17",
         "src/repro/durable/collection.py",
         "class DurableCollection:\n"
@@ -135,39 +114,6 @@ def test_program_rule_suppresses(rule, rel, template):
     assert report.exit_code == 0
     assert len(report.suppressed) == 1
     assert report.suppressed[0].justification == "fixture justification"
-
-
-# R16 pairs the pass cannot check must not pass in silence.
-SILENT_PAIRS = {
-    # A declared writer renamed away is a finding, not a skipped pair.
-    "renamed-writer": (
-        "_VERSION = 1\n"
-        "_SUPPORTED_VERSIONS = (1,)\n\n"
-        "def write_store(out, version=1):\n"
-        '    out.pack(">B", version)\n\n'
-        "def _load_store_checked(reader):{S}\n"
-        '    (version,) = reader.unpack(">B")\n'
-    ),
-    # A write shape the extractor cannot read yields no tokens; two empty
-    # streams must not pass as equal.
-    "unreadable-writer": (
-        "_VERSION = 1\n"
-        "_SUPPORTED_VERSIONS = (1,)\n\n"
-        "def save_store(handle, rows, version=1):{S}\n"
-        '    handle.write(len(rows).to_bytes(4, "big"))\n\n'
-        "def _load_store_checked(blob):\n"
-        '    count = int.from_bytes(blob[:4], "big")\n'
-    ),
-}
-
-
-@pytest.mark.parametrize("template", SILENT_PAIRS.values(), ids=list(SILENT_PAIRS))
-def test_unchecked_wire_pair_is_an_r16_finding(template):
-    rel = "src/repro/query/persist.py"
-    report = _lint(template.format(S=""), rel)
-    assert [f.rule for f in report.findings] == ["R16"], report.findings
-    directive = "  # repro: ignore[R16] -- fixture justification"
-    assert _lint(template.format(S=directive), rel).findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +159,6 @@ CLEAN = [
         "    view = source.publish_view()\n"
         '    return view.query("//a")\n',
     ),
-    # R16: consistent opcode tables.
-    (
-        "src/repro/durable/wal.py",
-        '_OPCODES = {"insert_child": 1, "batch": 7}\n'
-        '_OP_FIELDS = {"insert_child": ()}\n'
-        "SUPPORTED_WAL_VERSIONS = (1, 3)\n"
-        "_DEFAULT_VERSION = 3\n",
-    ),
-    # R16: version-dispatched streams that agree for every version.
-    (
-        "src/repro/query/persist.py",
-        "_VERSION = 2\n"
-        "_SUPPORTED_VERSIONS = (1, 2)\n\n"
-        "def save_store(out, version=2):\n"
-        '    out.pack(">B", version)\n'
-        "    if version >= 2:\n"
-        '        out.pack(">I", 0)\n\n'
-        "def _load_store_checked(reader):\n"
-        '    (version,) = reader.unpack(">B")\n'
-        "    if version >= 2:\n"
-        '        (count,) = reader.unpack(">I")\n',
-    ),
     # R17: log-then-apply, and delegation to a method that owns the pair.
     (
         "src/repro/durable/collection.py",
@@ -259,28 +183,15 @@ CLEAN = [
         "        journal.buffer.append(op)\n"
         "        return self.supervisor.request(op)\n",
     ),
-    # R16: the shared field codec (``out.pack``, ``out.uvarint`` into one
-    # FieldWriter) reads as fields; the CRC footer ``finish`` writes does not.
-    (
-        "src/repro/query/persist.py",
-        "from repro.labeling.codec import FieldWriter\n\n"
-        "_VERSION = 1\n"
-        "_SUPPORTED_VERSIONS = (1,)\n\n"
-        "def save_store(rows, version=1):\n"
-        '    out = FieldWriter(b"RPLS")\n'
-        '    out.pack(">B", version)\n'
-        "    out.uvarint(len(rows))\n"
-        "    return out.finish()\n\n"
-        "def _load_store_checked(reader):\n"
-        '    (version,) = reader.unpack(">B")\n'
-        "    count = reader.uvarint()\n",
-    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "rel,source", CLEAN, ids=[f"clean-{i}" for i in range(len(CLEAN))]
-)
+#: Fixture ids stay stable: a deleted fixture's number is not reused.
+_CLEAN_IDS = [f"clean-{i}" for i in (0, 1, 2, 5, 6)]
+assert len(_CLEAN_IDS) == len(CLEAN)
+
+
+@pytest.mark.parametrize("rel,source", CLEAN, ids=_CLEAN_IDS)
 def test_sanctioned_patterns_stay_clean(rel, source):
     report = _lint(source, rel)
     assert report.findings == [], report.findings
@@ -382,7 +293,7 @@ def test_program_stats_shape(synth_program):
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: injected wire mismatch, self-clean tree, report plumbing.
+# Acceptance: injected log-order violation, self-clean tree, report plumbing.
 # ---------------------------------------------------------------------------
 
 
@@ -403,14 +314,21 @@ def _lint_args(**overrides):
 
 
 def test_injected_wal_opcode_mismatch_fails_cli(tmp_path, capsys):
-    real = (repo_root() / "src" / "repro" / "durable" / "wal.py").read_text(
+    """An apply moved ahead of its WAL append fails the CLI with a SARIF finding."""
+    real = (repo_root() / "src" / "repro" / "durable" / "collection.py").read_text(
         encoding="utf-8"
     )
-    broken = real.replace(
-        '"batch": 7,', '"batch": 7,\n    "snapshot_mark": 8,', 1
+    logged_first = (
+        '        seq = self._log({"op": "compact"})\n'
+        "        record_counts = self.live.compact()\n"
     )
-    assert broken != real, "could not inject the opcode"
-    target = tmp_path / "src" / "repro" / "durable" / "wal.py"
+    applied_first = (
+        "        record_counts = self.live.compact()\n"
+        '        seq = self._log({"op": "compact"})\n'
+    )
+    broken = real.replace(logged_first, applied_first, 1)
+    assert broken != real, "could not inject the reordering"
+    target = tmp_path / "src" / "repro" / "durable" / "collection.py"
     target.parent.mkdir(parents=True)
     target.write_text(broken, encoding="utf-8")
     sarif_path = tmp_path / "lint.sarif"
@@ -423,19 +341,22 @@ def test_injected_wal_opcode_mismatch_fails_cli(tmp_path, capsys):
     assert exit_code == 1
     sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
     results = sarif["runs"][0]["results"]
-    r16 = [
+    r17 = [
         r
         for r in results
-        if r["ruleId"] == "R16" and "snapshot_mark" in r["message"]["text"]
+        if r["ruleId"] == "R17"
+        and "DurableCollection.compact" in r["message"]["text"]
     ]
-    assert r16, results
-    assert not any(r.get("suppressions") for r in r16)
+    assert r17, results
+    assert not any(r.get("suppressions") for r in r17)
     # The catalog advertises the whole-program rules.
     rule_ids = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-    assert {"R14", "R15", "R16", "R17"} <= rule_ids
+    assert {"R14", "R15", "R17"} <= rule_ids
+    assert "R16" not in rule_ids
 
 
 def test_unmodified_wal_module_is_parity_clean(tmp_path, capsys):
+    """The unmodified durable package (WAL, snapshot, collection) lints clean."""
     exit_code = cmd_lint(
         _lint_args(paths=[str(repo_root() / "src" / "repro" / "durable")])
     )
@@ -443,51 +364,10 @@ def test_unmodified_wal_module_is_parity_clean(tmp_path, capsys):
     assert exit_code == 0
 
 
-#: The real snapshot codec's R16 field streams, per format version.  The
-#: tree helpers are loops, so their pair streams end at the child count.
-#: Only the reader dispatches on the version; the writer emits v3 only.
-_SNAPSHOT_V1 = [
-    ">B", ">QQ", ">I", "STR:>B", ">I", "TREE", ">IIIQ", ">I", "INT", "INT",
-    ">I", ">I", "INT", "INT", "INT",
-]
-_SNAPSHOT_STREAMS = {
-    ("_encode_snapshot", "_decode_body"): {
-        1: _SNAPSHOT_V1,
-        2: _SNAPSHOT_V1,
-        3: _SNAPSHOT_V1 + [">I", "INT", "INT"],
-    },
-    ("_write_tree", "_read_tree"): {
-        version: ["STR:>H", "STR:>I", ">H", "STR:>H", "STR:>H", ">I"]
-        for version in (1, 2, 3)
-    },
-}
-
-
-@pytest.mark.parametrize(
-    "pair", list(_SNAPSHOT_STREAMS), ids=lambda pair: "/".join(pair)
-)
-def test_real_snapshot_streams_are_pinned_per_version(pair):
-    from repro.analysis.program.passes import wire
-
-    path = repo_root() / "src" / "repro" / "durable" / "snapshot.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    spec = wire._MODULE_SPECS["repro.durable.snapshot"]
-    assert pair in {(p.writer, p.reader) for p in spec.pairs}
-    writer = wire._find_function(tree, pair[0])
-    reader = wire._find_function(tree, pair[1])
-    assert writer is not None and reader is not None
-    constants = {"_SUPPORTED_VERSIONS": (1, 2, 3)}
-    for version, expected in _SNAPSHOT_STREAMS[pair].items():
-        evaluator = wire._Evaluator(version, constants)
-        if version == 3:
-            assert wire._StreamExtractor(evaluator).run(writer) == expected
-        assert wire._StreamExtractor(evaluator).run(reader) == expected
-
-
 def test_real_tree_self_lints_clean_for_program_rules():
     report = run_lint(use_baseline=False)
     program_findings = [
-        f for f in report.findings if f.rule in {"R14", "R15", "R16", "R17"}
+        f for f in report.findings if f.rule in {"R14", "R15", "R17"}
     ]
     assert program_findings == [], program_findings
     # The real annotation sites are exercised: each pass absorbed at least
@@ -500,7 +380,7 @@ def test_rule_timings_and_program_stats_in_json():
     report = _lint("x = 1\n", "src/repro/order/tiny.py")
     payload = json.loads(render_json(report))
     timings = payload["summary"]["rule_timings"]
-    assert "R1" in timings and "pass0" in timings and "R16" in timings
+    assert "R1" in timings and "pass0" in timings and "R17" in timings
     assert payload["summary"]["program"]["files"] == 1
     assert payload["warnings"] == []
 

@@ -21,7 +21,7 @@ from repro.durable.snapshot import (
     snapshot_bytes,
     write_snapshot,
 )
-from repro.errors import SnapshotCorruptError
+from repro.errors import LabelingError, SnapshotCorruptError
 from repro.query.live import BatchOp, LiveCollection
 from repro.replica import ReplicaCollection
 from repro.xmlkit.parser import parse_document
@@ -283,6 +283,10 @@ class TestTreeFields:
         middle.append(XmlElement("blatt", {"name": "wert"}, ""))
         middle.append(XmlElement("ß"))
         root.append(XmlElement("last", {"only": "one"}, "🙂"))
+        # Each 2-byte field at its format's maximum, so a read of any of
+        # them at another width or sign cannot come back unchanged.
+        root.append(XmlElement("many", {f"a{i}": "" for i in range(0xFFFF)}))
+        root.append(XmlElement("t" * 0xFFFF, {"n" * 0xFFFF: "v" * 0xFFFF}))
         return root
 
     def test_edge_nodes_round_trip(self, tmp_path):
@@ -309,6 +313,34 @@ class TestTreeFields:
         with pytest.raises(SnapshotCorruptError, match="invalid UTF-8") as caught:
             read_snapshot(path)
         assert f"snapshot {path}" in str(caught.value)
+
+
+class TestFieldOverflow:
+    """A value one past its 2-byte field is refused, typed, before any I/O."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: XmlElement("many", {f"a{i}": "" for i in range(0x10000)}),
+            lambda: XmlElement("t" * 0x10000),
+            lambda: XmlElement("n", {"n" * 0x10000: ""}),
+            lambda: XmlElement("n", {"name": "v" * 0x10000}),
+        ],
+        ids=["attribute-count", "tag", "attribute-name", "attribute-value"],
+    )
+    def test_a_field_past_its_maximum_is_a_labeling_error(self, make):
+        root = XmlElement("r")
+        root.append(make())
+        with pytest.raises(LabelingError, match="'>H' cannot hold .*65536"):
+            snapshot_bytes(LiveCollection([root]))
+
+    def test_create_leaves_nothing_behind(self, tmp_path):
+        root = XmlElement("r", {"name": "v" * 0x10000})
+        directory = tmp_path / "state"
+        with pytest.raises(LabelingError):
+            DurableCollection.create(directory, [root])
+        assert list_generations(directory) == []
+        assert list(directory.iterdir()) == []
 
 
 class TestStrategyName:

@@ -164,6 +164,12 @@ class TestVarintCodec:
         label = PrimeLabel(value=2**40, self_label=2**40)
         decoded, _offset = codec.decode(codec.encode(label))
         assert decoded == label
+        # A Dewey label of 128+ components: the field count is multibyte.
+        codec = VarintCodec("dewey")
+        for depth in (127, 128, 300):
+            label = tuple(range(1, depth + 1))
+            blob = codec.encode(label)
+            assert codec.decode(blob) == (label, len(blob))
 
     def test_truncated_blob_rejected(self):
         codec = VarintCodec("prime")
@@ -406,3 +412,31 @@ class TestVarintBoundaries:
         with pytest.raises(LabelingError, match="truncated varint"):
             reader.uvarint()
         assert FieldReader(blob, LabelingError, "varint").uvarint() == 5 | 1 << 7
+
+
+class TestFixedWidthFormats:
+    """Every fixed-width field is big-endian and unsigned, on both sides."""
+
+    @pytest.mark.parametrize("fmt", [">h", ">i", ">IIIhI", "<H", "H", ">", ">2H"])
+    def test_any_other_format_fails_its_first_use(self, fmt):
+        with pytest.raises(LabelingError, match="not big-endian unsigned"):
+            FieldWriter().pack(fmt, 1)
+        with pytest.raises(LabelingError, match="not big-endian unsigned"):
+            FieldWriter().string(fmt, "x")
+        reader = FieldReader(b"\x00" * 16, LabelingError, "field")
+        with pytest.raises(LabelingError, match="not big-endian unsigned"):
+            reader.unpack(fmt)
+        with pytest.raises(LabelingError, match="not big-endian unsigned"):
+            reader.string(fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, value",
+        [(">B", 0xFF), (">H", 0xFFFF), (">I", 2**32 - 1), (">Q", 2**64 - 1)],
+    )
+    def test_each_unsigned_width_holds_its_maximum(self, fmt, value):
+        out = FieldWriter()
+        out.pack(fmt, value)
+        reader = FieldReader(bytes(out.buffer), LabelingError, "field")
+        assert reader.unpack(fmt) == (value,)
+        with pytest.raises(LabelingError, match="cannot hold"):
+            FieldWriter().pack(fmt, value + 1)

@@ -1,6 +1,10 @@
 """Unit tests for repro.obs.metrics — registry, fast path, scoping."""
 
 import json
+import sys
+import threading
+
+import pytest
 
 from repro.obs import metrics
 
@@ -31,6 +35,46 @@ class TestInstruments:
 
     def test_unused_timer_mean_is_zero(self):
         assert metrics.Timer("t").mean_seconds == 0.0
+
+
+class TestConcurrentFirstUse:
+    """Threads that miss on the same fresh names at once must be handed one
+    instrument per name; an instrument the registry dropped loses every
+    update made through it."""
+
+    THREADS = 4
+    NAMES = [f"n{i}" for i in range(2000)]
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "timer"])
+    def test_every_thread_gets_the_registered_instrument(self, kind):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                registry = metrics.MetricsRegistry()
+                factory = getattr(registry, kind)
+                barrier = threading.Barrier(self.THREADS)
+                received = [[] for _ in range(self.THREADS)]
+
+                def first_use(out):
+                    barrier.wait(timeout=30)
+                    out.extend(factory(name) for name in self.NAMES)
+
+                threads = [
+                    threading.Thread(target=first_use, args=(out,))
+                    for out in received
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                registered = [factory(name) for name in self.NAMES]
+                for out in received:
+                    assert len(out) == len(self.NAMES)
+                    assert all(a is b for a, b in zip(out, registered))
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestRegistrySnapshot:

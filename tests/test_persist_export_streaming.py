@@ -13,7 +13,7 @@ from repro.bench.export import (
 )
 from repro.bench.harness import ResultTable
 from repro.datasets.shakespeare import play
-from repro.errors import QueryEvaluationError
+from repro.errors import LabelingError, QueryEvaluationError
 from repro.labeling.codec import VarintCodec
 from repro.labeling.dewey import DeweyScheme
 from repro.labeling.interval import StartEndIntervalScheme
@@ -25,6 +25,7 @@ from repro.query.store import LabelStore
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serialize import serialize
 from repro.xmlkit.streaming import stream_labels, stream_prime_labels
+from repro.xmlkit.tree import from_child_counts
 
 DOC = "<play><title/><act><scene><speech><line/><line/></speech></scene></act></play>"
 
@@ -67,10 +68,23 @@ class TestExport:
         assert all(p.stat().st_size > 0 for p in written)
 
 
+def chain(length, tag="c", text=""):
+    """A ``length``-node chain, built bottom-up; its deepest row has depth
+    ``length - 1``.  The second node carries ``tag`` and ``text``."""
+    counts = [1] * (length - 1) + [0]
+    rows = [("c", {}, "", count) for count in counts]
+    rows[1] = (tag, {}, text, counts[1])
+    return from_child_counts(rows)
+
+
 class TestPersist:
     @pytest.mark.parametrize("scheme", ["prime", "interval", "prefix-2"])
     def test_round_trip_preserves_rows(self, tmp_path, scheme):
         documents = [parse_document(DOC), play(seed=2)]
+        if scheme == "interval":
+            # Each 2-byte row field at its format's maximum: the depth, a
+            # tag and a text.  Only interval labels stay small on a chain.
+            documents.append(chain(0x10000, tag="t" * 0xFFFF, text="x" * 0xFFFF))
         store = LabelStore.build(documents, scheme=scheme)
         path = tmp_path / "store.bin"
         written = save_store(store, path)
@@ -85,6 +99,7 @@ class TestPersist:
             assert original.label == restored.label
             assert original.depth == restored.depth
             assert original.parent_id == restored.parent_id
+            assert original.text == restored.text
 
     @pytest.mark.parametrize("scheme", ["prime", "interval", "prefix-2"])
     def test_loaded_store_answers_queries_identically(self, tmp_path, scheme):
@@ -132,6 +147,20 @@ class TestPersist:
                 assert [r.element_id for r in engine.evaluate(query)] == [
                     r.element_id for r in live.query(query)
                 ], (strategy, query)
+
+    @pytest.mark.parametrize(
+        "length, tag, text",
+        [(0x10001, "c", ""), (2, "c", "x" * 0x10000), (2, "t" * 0x10000, "")],
+        ids=["depth", "text", "tag"],
+    )
+    def test_a_field_past_its_maximum_is_a_labeling_error(
+        self, tmp_path, length, tag, text
+    ):
+        store = LabelStore.build([chain(length, tag, text)], scheme="interval")
+        path = tmp_path / "store.bin"
+        with pytest.raises(LabelingError, match="cannot hold .*65536"):
+            save_store(store, path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

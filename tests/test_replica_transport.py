@@ -40,9 +40,9 @@ class TestFileTransport:
         decoded = []
         real = wal_module._decode_payload
 
-        def counting(payload, version):
-            decoded.append(payload)
-            return real(payload, version)
+        def counting(blob, version, *bounds):
+            decoded.append(bounds)
+            return real(blob, version, *bounds)
 
         monkeypatch.setattr(wal_module, "_decode_payload", counting)
         assert replica.catch_up() == 10
