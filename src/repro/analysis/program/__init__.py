@@ -33,14 +33,9 @@ class Program:
         self.contexts: List[FileContext] = list(contexts)
         self.symbols = SymbolTable(self.contexts)
         self.callgraph = build_callgraph(self.symbols)
-        self._by_rel: Dict[str, FileContext] = {ctx.rel: ctx for ctx in self.contexts}
         self._by_module: Dict[str, FileContext] = {
             ctx.module: ctx for ctx in self.contexts
         }
-
-    def context_for(self, rel: str) -> Optional[FileContext]:
-        """The file context at repo-relative path ``rel``, if in this run."""
-        return self._by_rel.get(rel)
 
     def context_for_module(self, module: str) -> Optional[FileContext]:
         """The file context defining dotted module ``module``, if present."""

@@ -267,8 +267,9 @@ def read_snapshot(path: str | Path) -> SnapshotState:
 
     Raises :class:`repro.errors.SnapshotCorruptError` naming the snapshot
     on any damage — truncation, bit-flip, bad magic, or undecodable
-    structure.  That holds even for a body cut short under a recomputed,
-    valid CRC: the shared field reader raises the snapshot's own error.
+    structure.  That holds even for a body cut short, or run on past its
+    last document, under a recomputed, valid CRC: the shared field reader
+    raises the snapshot's own error.
     The tree is read with a loop, so every file :func:`snapshot_bytes`
     can write (at any document depth) reads back.
     """
@@ -357,6 +358,8 @@ def _decode_body(reader: FieldReader, header_only: bool) -> SnapshotState:
                 leaf_counters=leaf_counters,
             )
         )
+    if reader.remaining:
+        raise reader.fail(f"{reader.remaining} trailing bytes after the last document")
     return SnapshotState(
         last_seq=last_seq,
         total_update_cost=total_cost,

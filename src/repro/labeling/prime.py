@@ -30,12 +30,13 @@ exception is Opt2's leaf-turned-parent case, which the paper calls out
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import LabelingError
 from repro.labeling.base import LabelingScheme, RelabelReport, depth_first_events
 from repro.obs import metrics
-from repro.primes.gen import PrimeGenerator
+from repro.primes.gen import PrimeGenerator, ensure_table
 from repro.xmlkit.tree import XmlElement
 
 __all__ = ["PrimeLabel", "PrimeScheme", "BottomUpPrimeScheme", "label_divides"]
@@ -66,6 +67,27 @@ class PrimeLabel:
             raise ValueError(
                 f"self_label {self.self_label} does not divide label {self.value}"
             )
+
+
+_new_object = object.__new__
+_set_value = PrimeLabel.value.__set__  # type: ignore[attr-defined]
+_set_self_label = PrimeLabel.self_label.__set__  # type: ignore[attr-defined]
+
+
+def _trusted_label(value: int, self_label: int) -> PrimeLabel:
+    """A :class:`PrimeLabel` made without ``__post_init__``'s check.
+
+    Only for a pair whose ``value`` the caller just computed as
+    ``parent_value * self_label`` with ``self_label >= 1``, so the check
+    could not fail: the bulk labeling walk.  Writes the two slots through
+    their descriptors, which a frozen dataclass's ``__setattr__`` would
+    refuse.  Every pair from outside (a snapshot, a store file, a caller)
+    goes through the checked constructor.
+    """
+    label = _new_object(PrimeLabel)
+    _set_value(label, value)
+    _set_self_label(label, self_label)
+    return label
 
 
 def label_divides(ancestor_label: PrimeLabel, descendant_label: PrimeLabel) -> bool:
@@ -180,61 +202,80 @@ class PrimeScheme(LabelingScheme):
     def _assign_labels(self, root: XmlElement) -> None:
         """Label the whole tree in one explicit-stack preorder walk.
 
-        Primes are drawn in preorder, exactly as the per-node path of
-        :meth:`_label_node` draws them.  Each stack entry carries what the
-        node needs from its parent: the parent's full label value, the
-        node's Opt2 leaf ordinal (``0`` when it takes a prime instead) and
-        whether the parent is the root (Opt1's reserved pool).  The
-        ordinals are counted when the parent's children are pushed, so no
-        node looks its parent up in the label mapping.  Labels enter the
-        mapping in preorder, so :meth:`labels_in_order` is document order
-        right after :meth:`label_tree` (the ordered document's SC load
-        relies on it).
+        Primes are issued in preorder, exactly as the per-node path of
+        :meth:`_label_node` issues them, but the walk draws general primes
+        by index straight from the shared prime table
+        (:meth:`PrimeGenerator.open_run`) and issues the whole run once at
+        the end; a top-level non-leaf takes :meth:`get_reserved_prime`
+        while Opt1's pool lasts and then the run's next prime, which is
+        that method's own fall-back.  Each stack entry carries what the
+        node needs from its parent: the parent's full label value (``1``
+        exactly for the root's children, so it also marks Opt1's top
+        level) and the node's Opt2 leaf ordinal (``0`` when it takes a
+        prime instead).  The ordinals are counted when the parent's
+        children are pushed; without Opt2 the children are pushed as they
+        are.  The walk makes ``value = parent_value * self_label`` itself,
+        so its labels skip :class:`PrimeLabel`'s divisibility check
+        (:func:`_trusted_label`).  Labels enter the mapping in preorder, so
+        :meth:`labels_in_order` is document order right after
+        :meth:`label_tree` (the ordered document's SC load relies on it).
         """
         generator = self._generator = PrimeGenerator(reserved=self.reserved_primes)
         self._discard_prime_two()
         counters = self._leaf_counter
         counters.clear()
         labels, nodes = self._labels, self._nodes
-        get_prime = generator.get_prime
         get_reserved_prime = generator.get_reserved_prime
+        reserved_left = generator.reserved_remaining
+        table, index = generator.open_run()
+        table_end = len(table)
         power2 = self.power2_leaves
         # Leaf ordinal n is labeled 2**n, which has n + 1 bits.
         threshold = self.leaf_threshold_bits
         max_ordinal = threshold - 1 if threshold is not None else None
         power2_total = 0
-        stack: List[Tuple[XmlElement, int, int, bool]] = [(root, 1, 0, False)]
+        stack: List[Tuple[XmlElement, int, int]] = [(root, 1, 0)]
+        pop, push = stack.pop, stack.extend
         while stack:
-            node, parent_value, ordinal, top_level = stack.pop()
-            children = node.children
-            if node is root:
-                self_label = 1
-            elif children:
-                self_label = get_reserved_prime() if top_level else get_prime()
-            elif ordinal:
+            node, parent_value, ordinal = pop()
+            children = node.child_list
+            if ordinal:
                 self_label = 1 << ordinal
+            elif node is root:
+                self_label = 1
+            elif reserved_left and parent_value == 1 and children:
+                self_label = get_reserved_prime()
+                reserved_left -= 1
             else:
-                self_label = get_prime()
+                if index >= table_end:
+                    ensure_table(index + 1)
+                    table_end = len(table)
+                self_label = table[index]
+                index += 1
             value = parent_value * self_label
             key = id(node)
-            labels[key] = PrimeLabel(value=value, self_label=self_label)
+            labels[key] = _trusted_label(value, self_label)
             nodes[key] = node
             if not children:
+                continue
+            if not power2:
+                push(zip(reversed(children), repeat(value), repeat(0)))
                 continue
             leaves = 0
             entries = []
             for child in children:
                 child_ordinal = 0
-                if power2 and child.is_leaf and (
+                if not child.child_list and (
                     max_ordinal is None or leaves < max_ordinal
                 ):
                     leaves += 1
                     child_ordinal = leaves
-                entries.append((child, value, child_ordinal, node is root))
+                entries.append((child, value, child_ordinal))
             if leaves:
                 counters[value] = leaves
                 power2_total += leaves
-            stack.extend(reversed(entries))
+            push(reversed(entries))
+        generator.close_run(index)
         if power2_total:
             metrics.incr("label.power2_leaves", power2_total)
 

@@ -164,10 +164,10 @@ def _audit_subtree_sizes(nodes: List[XmlElement], report: AuditReport) -> None:
     for node in reversed(nodes):
         count = 1 + sum(counts[id(child)] for child in node)
         counts[id(node)] = count
-        if node._size != count:
+        if node.subtree_size != count:
             report.flag(
                 "tree.subtree-size",
-                f"subtree size {node._size} != walked count {count}",
+                f"subtree size {node.subtree_size} != walked count {count}",
                 node.path(),
             )
     report.checked("tree.subtree-size", len(nodes))

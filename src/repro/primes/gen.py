@@ -26,7 +26,7 @@ from typing import Iterator, List, Tuple
 from repro.obs import metrics
 from repro.primes.sieve import primes_first_n, segmented_sieve
 
-__all__ = ["PrimeGenerator"]
+__all__ = ["PrimeGenerator", "ensure_table"]
 
 _BOOTSTRAP_COUNT = 1024
 
@@ -37,7 +37,7 @@ _TABLE: List[int] = primes_first_n(_BOOTSTRAP_COUNT)
 _TABLE_LOCK = threading.Lock()
 
 
-def _ensure_table(count: int) -> None:
+def ensure_table(count: int) -> None:
     """Grow the shared table until it holds at least ``count`` primes."""
     if count <= len(_TABLE):
         return
@@ -70,7 +70,7 @@ class PrimeGenerator:
     def __init__(self, reserved: int = 0) -> None:
         if reserved < 0:
             raise ValueError(f"reserved must be >= 0, got {reserved}")
-        _ensure_table(reserved)
+        ensure_table(reserved)
         self._reserved_limit = reserved
         self._next_reserved_index = 0
         self._next_general_index = reserved
@@ -112,11 +112,37 @@ class PrimeGenerator:
         metrics.incr("primes.reserved_hits")
         return prime
 
+    def open_run(self) -> Tuple[List[int], int]:
+        """Start a run of general primes drawn by index: ``(table, index)``.
+
+        A walk that labels a whole tree reads each general prime it needs
+        as ``table[index]``, advancing its own ``index`` instead of calling
+        :meth:`get_prime` per node.  Before it reads an index at or past
+        ``len(table)`` it grows the shared table with :func:`ensure_table`
+        (the same list, extended in place), and when it is done it hands
+        its next index to :meth:`close_run`.  Nothing may draw a general
+        prime from this generator between the two calls.
+        """
+        return _TABLE, self._next_general_index
+
+    def close_run(self, next_index: int) -> None:
+        """Issue every general prime a run read, up to ``next_index``.
+
+        Advances the position and the issued count once, and charges
+        ``primes.issued`` once, with the total :meth:`get_prime` would have
+        charged one by one.
+        """
+        drawn = next_index - self._next_general_index
+        if drawn:
+            self._next_general_index = next_index
+            self._issued += drawn
+            metrics.incr("primes.issued", drawn)
+
     def get_prime(self) -> int:
         """Return the next smallest unreserved, unissued prime."""
         index = self._next_general_index
         if index >= len(_TABLE):
-            _ensure_table(index + 1)
+            ensure_table(index + 1)
         prime = _TABLE[index]
         self._next_general_index += 1
         self._issued += 1
@@ -173,7 +199,7 @@ class PrimeGenerator:
         generator._next_reserved_index = next_reserved
         generator._next_general_index = next_general
         generator._issued = issued
-        _ensure_table(next_general)
+        ensure_table(next_general)
         return generator
 
     @staticmethod

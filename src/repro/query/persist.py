@@ -151,8 +151,8 @@ def load_store(path: str | Path) -> LabelStore:
     """Load a store written by :func:`save_store`.
 
     Raises :class:`repro.errors.QueryEvaluationError` on anything that is
-    not a well-formed store file (wrong magic, truncation, corrupted
-    indices or labels).
+    not a well-formed store file (wrong magic, truncation, bytes after the
+    last row, corrupted indices or labels).
     """
     name = f"label store {path}"
     with decoding(QueryEvaluationError, name):
@@ -203,4 +203,6 @@ def _load_store_checked(path: str | Path, name: str) -> LabelStore:
                 text=text,
             )
         )
+    if reader.remaining:
+        raise reader.fail(f"{reader.remaining} trailing bytes after the last row")
     return LabelStore(rows, _rebuild_ops(scheme, rows))

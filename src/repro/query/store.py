@@ -34,6 +34,7 @@ The scheme-specific comparison logic lives in :class:`StoreOps` objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryEvaluationError
@@ -305,42 +306,51 @@ class LabelStore:
 
         Section 5.2's bulk load: document ``i`` gets doc id ``i``, rows are
         made in preorder with element ids counted across documents, and
-        each row's ``pre``, ``depth`` and ``parent_id`` are known when it is
-        made.  ``size`` is closed off the stack of open ancestors as the
-        walk leaves each subtree, and the tag and id indexes are filled
-        from the finished rows.  A tree walk is a preorder by
-        construction, so it needs none of the numbering sweep
-        :meth:`__init__` runs over rows of unknown provenance.
+        every column is known when its row is made.  The walk is an
+        explicit stack of ``(node, depth, parent_id)`` entries, so it
+        handles any depth; ``size`` is the tree's own maintained subtree
+        size (:attr:`~repro.xmlkit.tree.XmlElement.subtree_size`), and the
+        tag list and id maps take each row as it is made.  A tree walk is
+        a preorder by construction, so it needs none of the numbering
+        sweep :meth:`__init__` runs over rows of unknown provenance.  Any
+        scheme's labels load this way: ``label_of`` is the only
+        scheme-specific step.
         """
         store = cls((), ops)
+        row_by_id, row_by_node = store._row_by_id, store._row_by_node
         element_id = 0
         for doc_id, (root, label_of) in enumerate(documents):
             window = store._docs[doc_id] = DocWindow()
-            by_pre = window.by_pre
-            path: List[ElementRow] = []  # open rows: the current node's ancestors
-            for pre, node in enumerate(root.iter_preorder()):
-                parent = node.parent
-                while path and path[-1].node is not parent:
-                    closed = path.pop()
-                    closed.size = pre - closed.pre
+            by_pre, by_tag = window.by_pre, window.by_tag
+            stack: List[Tuple[XmlElement, int, Optional[int]]] = [(root, 0, None)]
+            pop, push = stack.pop, stack.extend
+            while stack:
+                node, depth, parent_id = pop()
+                tag = node.tag
+                size = node.subtree_size
                 row = ElementRow(
                     doc_id,
                     element_id,
-                    node.tag,
+                    tag,
                     label_of(node),
-                    len(path),
-                    path[-1].element_id if path else None,
+                    depth,
+                    parent_id,
                     node,
                     node.text,
-                    pre,
+                    len(by_pre),
+                    size,
                 )
                 by_pre.append(row)
-                path.append(row)
+                bucket = by_tag.get(tag)
+                if bucket is None:
+                    by_tag[tag] = [row]
+                else:
+                    bucket.append(row)
+                row_by_id[element_id] = row
+                row_by_node[id(node)] = row
+                if size > 1:
+                    push(zip(reversed(node.child_list), repeat(depth + 1), repeat(element_id)))
                 element_id += 1
-            total = len(by_pre)
-            for closed in path:
-                closed.size = total - closed.pre
-            store._index(window)
         store._next_id = element_id
         return store
 

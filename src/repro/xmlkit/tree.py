@@ -13,6 +13,9 @@ Mutation helpers keep parent pointers consistent, and keep every node's
 converts to a node and back in O(depth x fanout) instead of a whole-document
 walk.  Nothing outside this module assigns ``_children``, ``parent`` or
 ``_size``; ``insert``, ``detach`` and ``wrap_children`` keep them in step.
+Nothing outside it reads ``_children`` or ``_size`` either: a whole-tree
+walk reads them through the read-only :attr:`XmlElement.child_list` and
+:attr:`XmlElement.subtree_size`.
 """
 
 from __future__ import annotations
@@ -84,6 +87,22 @@ class XmlElement:
     def children(self) -> Tuple["XmlElement", ...]:
         """The element children, in document order (read-only view)."""
         return tuple(self._children)
+
+    @property
+    def child_list(self) -> Sequence["XmlElement"]:
+        """The element children in document order, without a copy.
+
+        The live list behind :attr:`children`, typed read-only: a walk over
+        a whole tree reads it once per node instead of copying a tuple.
+        Never mutate it; use :meth:`insert`, :meth:`detach` and
+        :meth:`wrap_children`.
+        """
+        return self._children
+
+    @property
+    def subtree_size(self) -> int:
+        """Nodes in this subtree, itself included; maintained, so O(1)."""
+        return self._size
 
     def __len__(self) -> int:
         return len(self._children)

@@ -20,6 +20,8 @@ class TestPrimeLabel:
     def test_invalid_self_label_rejected(self):
         with pytest.raises(ValueError):
             PrimeLabel(value=10, self_label=3)
+        with pytest.raises(ValueError, match="does not divide"):
+            PrimeLabel(15, 4)
         with pytest.raises(ValueError):
             PrimeLabel(value=10, self_label=0)
 

@@ -4,8 +4,11 @@
 walk and fills the window columns and indexes as it goes;
 ``LabelStore.__init__`` numbers a row stream with a ``DocWindow.number``
 sweep instead, and refuses one that is not a preorder.  Fed the same
-preorder rows, the two must build the same table.  ``frozen_copy`` copies each writer window row by row; the copy must
-equal the writer's table and stay fixed while the writer moves on.
+preorder rows, the two must build the same table, also over trees that
+``insert``, ``wrap_children`` and ``detach`` changed first: the builder
+takes ``size`` from the tree's maintained subtree sizes.  ``frozen_copy``
+copies each writer window row by row; the copy must equal the writer's
+table and stay fixed while the writer moves on.
 """
 
 import sys
@@ -40,6 +43,27 @@ def random_trees(draw, max_nodes=25):
         parent = nodes[draw(st.integers(0, index - 1))]
         nodes.append(parent.append(XmlElement(draw(st.sampled_from(TAGS)))))
     return nodes[0]
+
+
+@st.composite
+def edited_trees(draw):
+    """A random tree after random ``insert``, ``wrap_children`` and
+    ``detach`` edits, so every subtree size the builder reads was
+    maintained by the edits rather than counted when the tree was made."""
+    root = draw(random_trees())
+    for _ in range(draw(st.integers(1, 6))):
+        nodes = list(root.iter_preorder())
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        kind = draw(st.sampled_from(("insert", "wrap", "detach")))
+        if kind == "insert":
+            node.insert(draw(st.integers(0, len(node))), draw(random_trees(max_nodes=5)))
+        elif kind == "wrap":
+            start = draw(st.integers(0, len(node)))
+            end = draw(st.integers(start, len(node)))
+            node.wrap_children(draw(st.sampled_from(TAGS)), start, end)
+        elif node is not root:
+            node.detach()
+    return root
 
 
 def chain(length):
@@ -133,6 +157,27 @@ def assert_builder_matches_row_stream(roots):
 @settings(max_examples=40, deadline=None)
 def test_one_walk_builder_equals_the_swept_row_stream(roots):
     assert_builder_matches_row_stream(roots)
+
+
+@given(st.lists(edited_trees(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_one_walk_builder_equals_the_swept_row_stream_after_edits(roots):
+    assert_builder_matches_row_stream(roots)
+
+
+def test_one_walk_builder_reads_the_sizes_edits_maintained():
+    root = parse_document("<r><a><b/><c/></a><d><e/></d><f/></r>")
+    a, d, f = root.children
+    a.insert(1, parse_document("<g><h/><i/></g>"))
+    wrapper = root.wrap_children("w", 0, 2)
+    d.detach()
+    f.append(d)
+    wrapper.children[0].children[2].detach()
+    assert_builder_matches_row_stream([root])
+    built = LabelStore.build([root], "interval")
+    assert [row.size for row in built.rows] == [
+        sum(1 for _ in row.node.iter_preorder()) for row in built.rows
+    ]
 
 
 def test_one_walk_builder_takes_a_chain_past_the_recursion_limit():
