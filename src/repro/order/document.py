@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import OrderingError
 from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.obs import metrics
-from repro.order.sc_table import SCTable, capacity_error
+from repro.order.sc_table import SCTable, capacity_error, check_group_size
 from repro.xmlkit.tree import XmlElement
 
 __all__ = ["OrderedDocument", "OrderedUpdateReport"]
@@ -80,13 +80,16 @@ class OrderedDocument:
         self.scheme = scheme
         self.root = root
         scheme.label_tree(root)
+        check_group_size(group_size)
+        self.group_size = group_size
         # A fresh document is compacted by construction: orders 1..N in
-        # document order, loaded into a table of this group size.  The
-        # label walk ran in preorder and the label map keeps insertion
-        # order, so the map already lists the nodes in document order and
-        # the load needs no second tree walk.
-        self.sc_table = SCTable(group_size=group_size)  # validates group_size
-        self._load_sc_table(scheme.labels_in_order())
+        # document order.  The label walk ran in preorder and the label
+        # map keeps insertion order, so the map already lists the nodes in
+        # document order.  Construction checks that every order fits its
+        # self-label and charges the registrations; the table itself is
+        # loaded from the map by its first reader or mutator (sc_table).
+        self._sc_table: Optional[SCTable] = None
+        self._charge_load(scheme.labels_in_order())
 
     @classmethod
     def from_state(
@@ -111,9 +114,28 @@ class OrderedDocument:
             )
         document = cls.__new__(cls)
         document.scheme = scheme
-        document.sc_table = sc_table
+        document.group_size = sc_table.group_size
+        document._sc_table = sc_table
         document.root = root
         return document
+
+    @property
+    def sc_table(self) -> SCTable:
+        """The document's SC table, loaded by its first reader or mutator.
+
+        Only order-sensitive updates and queries read it (Section 4); the
+        ancestor test never does, so a document that only answers
+        structural queries never loads it.  Every mutator reads it before
+        it touches the tree or the labels, so until the first use the
+        label map still lists every node in document order and the load
+        is the one construction would have made.  The table is built in a
+        local and assigned once: two racing first readers each build the
+        same table and one of them wins.
+        """
+        table = self._sc_table
+        if table is None:
+            table = self._sc_table = self._build_sc_table(self.scheme.labels_in_order())
+        return table
 
     # ------------------------------------------------------------------
     # Lookups
@@ -181,6 +203,7 @@ class OrderedDocument:
         for everything after it (SC record rewrites), one registration for
         the new congruence.
         """
+        sc_table = self.sc_table  # loaded before the label map changes
         with metrics.timed("order.insert"):
             report = OrderedUpdateReport()
             relabel = self.scheme.insert_leaf(parent, tag=tag, index=index)
@@ -188,10 +211,10 @@ class OrderedDocument:
             report.relabeled_nodes.extend(relabel.relabeled)
             assert relabel.new_node is not None
             rank = self._preorder_rank(relabel.new_node)
-            touched, overflowed = self.sc_table.shift_orders_from(rank)
+            touched, overflowed = sc_table.shift_orders_from(rank)
             report.sc_records_updated += touched
             report.relabeled_nodes.extend(self._repair_residue_overflows(overflowed))
-            report.sc_records_updated += self.sc_table.register(
+            report.sc_records_updated += sc_table.register(
                 self._self_label(relabel.new_node), rank
             )
             metrics.incr("order.inserts")
@@ -231,9 +254,10 @@ class OrderedDocument:
                 "cannot delete the document root; deleting every child "
                 "individually is the closest well-defined operation"
             )
+        sc_table = self.sc_table  # loaded before the label map changes
         report = OrderedUpdateReport()
         for gone in node.iter_preorder():
-            self.sc_table.unregister(self._self_label(gone))
+            sc_table.unregister(self._self_label(gone))
         self.scheme.delete(node)
         metrics.incr("order.deletes")
         return report
@@ -249,6 +273,7 @@ class OrderedDocument:
         bites nodes holding the very smallest primes.  The SC table has
         already unregistered these nodes; we relabel and re-register them.
         """
+        sc_table = self.sc_table  # loaded before any label changes
         relabeled: List[XmlElement] = []
         if not overflowed:
             return relabeled
@@ -276,7 +301,7 @@ class OrderedDocument:
                     ),
                 )
                 relabeled.append(descendant)
-            self.sc_table.register(new_self, order)
+            sc_table.register(new_self, order)
         metrics.incr("order.overflow_relabels", len(relabeled))
         return relabeled
 
@@ -294,56 +319,67 @@ class OrderedDocument:
         in the rebuilt table.  Labels are untouched — order is the SC
         table's business alone.
 
-        The rebuild is the same bulk load a fresh document gets (see
-        :meth:`_load_sc_table`), fed by a preorder walk of the current tree.
+        The rebuild is the bulk load a fresh document gets, fed by a
+        preorder walk of the current tree and charged in full
+        (:meth:`_charge_load`).  It replaces the table without reading
+        it, so a table not yet loaded is not loaded first.
         """
         label_of = self.scheme.label_of
         with metrics.timed("order.compact"):
-            return self._load_sc_table(
-                label_of(node) for node in self.root.iter_preorder()
-            )
+            labels = [label_of(node) for node in self.root.iter_preorder()]
+            self._charge_load(labels)
+            table = self._sc_table = self._build_sc_table(labels)
+            return len(table)
 
-    def _load_sc_table(self, labels: Iterable[PrimeLabel]) -> int:
-        """Replace the SC table with orders 0..N-1 of ``labels``.
+    def _charge_load(self, labels: Collection[PrimeLabel]) -> None:
+        """Charge the registrations of a bulk load of ``labels``.
 
         ``labels`` lists every node's label in document order, the root's
-        first.  The pairs ``(self_label, order)`` are chunked
-        into ``group_size`` groups, the grouping one
-        :meth:`SCTable.register` call per node would produce, and loaded by
-        one :meth:`SCTable.from_groups` call.  The ``sc.*`` counters are
-        charged as the per-node registrations would charge them, and an
-        order that reaches its self-label raises the same
-        :class:`~repro.errors.CapacityError`.  Returns the record count.
+        first, so the k-th label takes order k.  The ``sc.*`` counters are
+        charged as one :meth:`SCTable.register` call per node would charge
+        them, and an order that reaches its self-label stops the load with
+        the :class:`~repro.errors.CapacityError` that call would raise.
         """
-        group_size = self.sc_table.group_size
+        failed = next(
+            (
+                (order, label.self_label)
+                for order, label in enumerate(labels)
+                if order and order >= label.self_label
+            ),
+            None,
+        )
+        # The root's order is 0 by definition and is not registered.
+        loaded = failed[0] - 1 if failed else len(labels) - 1
+        group_size = self.group_size
+        if loaded:
+            metrics.incr("sc.registered", loaded)
+            metrics.incr("sc.records_touched", loaded)
+            metrics.incr("sc.records_opened", -(-loaded // group_size) if group_size else 1)
+        if failed:
+            order, self_label = failed
+            raise capacity_error(self_label, order, loaded // group_size if group_size else 0)
+
+    def _build_sc_table(self, labels: Iterable[PrimeLabel]) -> SCTable:
+        """A table holding orders 1..N-1 of ``labels``, checked by :meth:`_charge_load`.
+
+        The pairs ``(self_label, order)`` are chunked into ``group_size``
+        groups, the grouping one :meth:`SCTable.register` call per node
+        would produce, and loaded by one :meth:`SCTable.from_groups` call.
+        Nothing is charged here: the load's registrations were charged
+        when its labels were checked.
+        """
+        group_size = self.group_size
         members = [
             (label.self_label, order)
             for order, label in enumerate(labels)
             if order  # the root's order is 0 by definition and not stored
         ]
         size = group_size or max(len(members), 1)
-        # Registration stops at the first order that reaches its label.
-        loaded = next(
-            (
-                position
-                for position, (self_label, order) in enumerate(members)
-                if order >= self_label
-            ),
-            len(members),
-        )
-        if loaded:
-            metrics.incr("sc.registered", loaded)
-            metrics.incr("sc.records_touched", loaded)
-            metrics.incr("sc.records_opened", -(-loaded // size))
-        if loaded < len(members):
-            self_label, order = members[loaded]
-            raise capacity_error(self_label, order, loaded // size)
         groups: List[Tuple[int, List[Tuple[int, int]]]] = []
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
             groups.append((max(chunk)[0], chunk))  # the routing key: largest self-label
-        self.sc_table = SCTable.from_groups(groups, group_size=group_size)
-        return len(self.sc_table)
+        return SCTable.from_groups(groups, group_size=group_size)
 
     # ------------------------------------------------------------------
     # Validation

@@ -50,6 +50,12 @@ __all__ = ["SCRecord", "SCTable"]
 _NO_SLACK = 1 << 62
 
 
+def check_group_size(group_size: int | None) -> None:
+    """Reject a ``group_size`` no table can use (``None`` means one record)."""
+    if group_size is not None and group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+
+
 def capacity_error(self_label: int, order: int, group: int | None) -> CapacityError:
     """The typed error for an order that cannot be a residue of its label.
 
@@ -110,8 +116,7 @@ class SCTable:
     """
 
     def __init__(self, group_size: int | None = 5) -> None:
-        if group_size is not None and group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {group_size}")
+        check_group_size(group_size)
         self.group_size = group_size
         self._records: List[SCRecord] = []
         self._record_of: Dict[int, int] = {}  # self_label -> record index

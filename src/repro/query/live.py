@@ -400,10 +400,10 @@ class LiveCollection(NodeMutations):
         that invariant just because it arrives pre-built.
         """
         for index, document in enumerate(ordered):
-            if document.sc_table.group_size != group_size:
+            if document.group_size != group_size:
                 raise QueryEvaluationError(
                     f"restored document {index} uses SC group_size "
-                    f"{document.sc_table.group_size}, but the collection is "
+                    f"{document.group_size}, but the collection is "
                     f"being assembled with {group_size}; one SC grouping "
                     "policy applies collection-wide"
                 )
