@@ -17,7 +17,8 @@ Every field goes through the shared field codec of
 :mod:`repro.labeling.codec` (big-endian fixed-width fields,
 length-prefixed strings, arbitrary-precision varints), the same one the
 RPLS label store and the RPWL payloads use, with a CRC32 footer over the
-whole body::
+whole body; the tree section alone is coded in place, on the codec's
+buffer, with the same field widths::
 
     magic    4 bytes b"RPSN", 1 byte version
     header   8B last_seq   8B total_update_cost
@@ -61,7 +62,10 @@ any other name the engine does not accept is corruption.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -74,7 +78,7 @@ from repro.labeling.codec import (
     check_crc_footer,
     decoding,
 )
-from repro.labeling.prime import PrimeLabel, PrimeScheme
+from repro.labeling.prime import PrimeScheme
 from repro.obs import metrics
 from repro.order.document import OrderedDocument
 from repro.order.sc_table import SCTable
@@ -129,8 +133,16 @@ class SnapshotState:
 
 # ----------------------------------------------------------------------
 # Field layout: one FieldWriter/FieldReader pair per file.  Integers are
-# LEB128 varints; legacy (v1/v2) files read 2B length + magnitude.
+# LEB128 varints; legacy (v1/v2) files read 2B length + magnitude.  The
+# tree section is the one part coded in place: one loop per direction
+# over the buffer itself, with the fixed-width fields of the layout.
 # ----------------------------------------------------------------------
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+#: A node's attribute count and child count, adjacent when it has no
+#: attributes (most nodes).
+_U16_U32 = struct.Struct(">HI")
 
 
 def _read_legacy_int(reader: FieldReader) -> int:
@@ -138,53 +150,152 @@ def _read_legacy_int(reader: FieldReader) -> int:
     return int.from_bytes(reader.take(length), "big")
 
 
+def _read_legacy_pairs(reader: FieldReader, count: int) -> List[Tuple[int, int]]:
+    return [
+        (_read_legacy_int(reader), _read_legacy_int(reader)) for _ in range(count)
+    ]
+
+
 def _write_tree(out: FieldWriter, root: XmlElement) -> List[XmlElement]:
-    """Write ``root``'s subtree in preorder; returns the nodes in that order."""
-    string = out.string
-    pack = out.pack
+    """Write ``root``'s subtree in preorder; returns the nodes in that order.
+
+    Each node's fields go straight onto ``out.buffer`` through compiled
+    ``>H``/``>I`` packers.  A value that does not fit its field raises
+    :class:`~repro.errors.LabelingError` naming the field's format and the
+    value, before anything is written to disk.
+    """
+    buffer = out.buffer
+    u16 = _U16.pack
+    u32 = _U32.pack
+    counts = _U16_U32.pack
     nodes = list(root.iter_preorder())
-    for node in nodes:
-        attributes = node.attributes
-        string(">H", node.tag)
-        string(">I", node.text)
-        pack(">H", len(attributes))
-        for name, value in attributes.items():
-            string(">H", name)
-            string(">H", value)
-        pack(">I", len(node))
+    node = root
+    try:
+        for node in nodes:
+            tag = node.tag.encode()
+            text = node.text.encode()
+            attributes = node.attributes
+            buffer += u16(len(tag))
+            buffer += tag
+            buffer += u32(len(text))
+            buffer += text
+            if not attributes:
+                buffer += counts(0, len(node))
+                continue
+            buffer += u16(len(attributes))
+            for string in chain.from_iterable(attributes.items()):
+                data = string.encode()
+                buffer += u16(len(data))
+                buffer += data
+            buffer += u32(len(node))
+    except struct.error as cause:
+        raise _overflow(node) from cause
     return nodes
+
+
+def _overflow(node: XmlElement) -> LabelingError:
+    """The error for the first of ``node``'s fields its width cannot hold."""
+    fields = [(_U16, len(node.tag.encode())), (_U32, len(node.text.encode()))]
+    fields.append((_U16, len(node.attributes)))
+    for string in chain.from_iterable(node.attributes.items()):
+        fields.append((_U16, len(string.encode())))
+    fields.append((_U32, len(node)))
+    packer, size = next(
+        (packer, size) for packer, size in fields if size >> 8 * packer.size
+    )
+    return LabelingError(
+        f"field {packer.format!r} cannot hold {size} in node {node.tag[:32]!r}"
+    )
+
+
+def _truncated(reader: FieldReader, at: int, count: int) -> SnapshotCorruptError:
+    """The error for a field at ``at`` that needs ``count`` bytes past ``end``."""
+    reader.offset = at
+    return reader.fail(f"truncated: {count} bytes needed")
 
 
 def _read_tree(reader: FieldReader) -> XmlElement:
     """Read one preorder tree, one node's run of fields per pass.
 
-    The field methods are hoisted into locals.  ``unread`` counts the
-    children still owed, so the loop stops exactly when the rows form one
-    tree, and :func:`~repro.xmlkit.tree.from_child_counts` links them
-    bottom-up without a check per child or any recursion.
+    The loop reads the file's bytes in place, checking each field against
+    ``reader.end`` before it reads it, so no field is ever decoded from
+    the footer.  ``unread`` counts the children still owed, so the loop
+    stops exactly when the rows form one tree, and
+    :func:`~repro.xmlkit.tree.from_child_counts` links them bottom-up
+    without a check per child or any recursion.
     """
-    string = reader.string
-    unpack = reader.unpack
+    blob, offset, end = reader.blob, reader.offset, reader.end
+    u16 = _U16.unpack_from
+    u32 = _U32.unpack_from
+    counts = _U16_U32.unpack_from
     rows: List[Tuple[str, Dict[str, str], str, int]] = []
     append = rows.append
     unread = 1
-    while unread:
-        tag = string(">H")
-        text = string(">I")
-        (attr_count,) = unpack(">H")
-        attributes = {}
-        for _ in range(attr_count):
-            name = string(">H")
-            attributes[name] = string(">H")
-        (child_count,) = unpack(">I")
-        append((tag, attributes, text, child_count))
-        unread += child_count - 1
+
+    try:
+        while unread:
+            if offset + 2 > end:
+                raise _truncated(reader, offset, 2)
+            (length,) = u16(blob, offset)
+            offset += 2
+            stop = offset + length
+            if stop > end:
+                raise _truncated(reader, offset, length)
+            tag = blob[offset:stop].decode()
+            offset = stop
+            if offset + 4 > end:
+                raise _truncated(reader, offset, 4)
+            (length,) = u32(blob, offset)
+            offset += 4
+            stop = offset + length
+            if stop > end:
+                raise _truncated(reader, offset, length)
+            text = blob[offset:stop].decode()
+            offset = stop
+            if offset + 6 <= end:
+                attr_count, child_count = counts(blob, offset)
+                if not attr_count:
+                    offset += 6
+                    append((tag, {}, text, child_count))
+                    unread += child_count - 1
+                    continue
+            elif offset + 2 > end:
+                raise _truncated(reader, offset, 2)
+            (attr_count,) = u16(blob, offset)
+            offset += 2
+            strings = []
+            for _ in range(2 * attr_count):
+                if offset + 2 > end:
+                    raise _truncated(reader, offset, 2)
+                (length,) = u16(blob, offset)
+                offset += 2
+                stop = offset + length
+                if stop > end:
+                    raise _truncated(reader, offset, length)
+                strings.append(blob[offset:stop].decode())
+                offset = stop
+            names_and_values = iter(strings)
+            attributes = dict(zip(names_and_values, names_and_values))
+            if offset + 4 > end:
+                raise _truncated(reader, offset, 4)
+            (child_count,) = u32(blob, offset)
+            offset += 4
+            append((tag, attributes, text, child_count))
+            unread += child_count - 1
+    except UnicodeDecodeError as cause:
+        reader.offset = stop
+        raise reader.fail("invalid UTF-8 string") from cause
+    reader.offset = offset
     return from_child_counts(rows)
 
 
 # ----------------------------------------------------------------------
 # Write
 # ----------------------------------------------------------------------
+
+
+#: A prime label's ``(value, self_label)``, the pair a snapshot stores.
+_label_pair = attrgetter("value", "self_label")
 
 
 def _encode_snapshot(collection: LiveCollection, last_seq: int) -> bytearray:
@@ -203,24 +314,15 @@ def _encode_snapshot(collection: LiveCollection, last_seq: int) -> bytearray:
         generator_state, leaf_counters = scheme.export_state()
         out.pack(">IIIQ", *generator_state)
         out.pack(">I", len(nodes))
-        uvarint = out.uvarint
-        label_of = scheme.label_of
-        for node in nodes:
-            label: PrimeLabel = label_of(node)
-            uvarint(label.value)
-            uvarint(label.self_label)
+        out.uvarint_pairs(map(_label_pair, map(scheme.label_of, nodes)))
         groups = document.sc_table.groups()
         out.pack(">I", len(groups))
         for max_prime, members in groups:
             out.pack(">I", len(members))
-            uvarint(max_prime)
-            for modulus, residue in members:
-                uvarint(modulus)
-                uvarint(residue)
+            out.uvarint(max_prime)
+            out.uvarint_pairs(members)
         out.pack(">I", len(leaf_counters))
-        for parent_value, next_index in leaf_counters:
-            uvarint(parent_value)
-            uvarint(next_index)
+        out.uvarint_pairs(leaf_counters)
     return out.finish()
 
 
@@ -320,7 +422,10 @@ def _decode_body(reader: FieldReader, header_only: bool) -> SnapshotState:
     (version,) = reader.unpack(">B")
     if version not in _SUPPORTED_VERSIONS:
         raise SnapshotCorruptError(f"unsupported snapshot version {version}")
-    read_int = FieldReader.uvarint if version >= 3 else _read_legacy_int
+    if version >= 3:
+        read_int, read_pairs = FieldReader.uvarint, FieldReader.uvarint_pairs
+    else:
+        read_int, read_pairs = _read_legacy_int, _read_legacy_pairs
     last_seq, total_cost = reader.unpack(">QQ")
     (raw_group_size,) = reader.unpack(">I")
     group_size = None if raw_group_size == _NO_GROUP_SIZE else raw_group_size
@@ -333,22 +438,17 @@ def _decode_body(reader: FieldReader, header_only: bool) -> SnapshotState:
         root = _read_tree(reader)
         generator_state = reader.unpack(">IIIQ")
         (label_count,) = reader.unpack(">I")
-        labels = [(read_int(reader), read_int(reader)) for _ in range(label_count)]
+        labels = read_pairs(reader, label_count)
         (group_count,) = reader.unpack(">I")
         groups: Groups = []
         for _ in range(group_count):
             (member_count,) = reader.unpack(">I")
             max_prime = read_int(reader)
-            members = [
-                (read_int(reader), read_int(reader)) for _ in range(member_count)
-            ]
-            groups.append((max_prime, members))
+            groups.append((max_prime, read_pairs(reader, member_count)))
         leaf_counters: Tuple[Tuple[int, int], ...] = ()
         if version >= 3:
             (counter_count,) = reader.unpack(">I")
-            leaf_counters = tuple(
-                (read_int(reader), read_int(reader)) for _ in range(counter_count)
-            )
+            leaf_counters = tuple(reader.uvarint_pairs(counter_count))
         documents.append(
             DocumentState(
                 root=root,
@@ -382,7 +482,8 @@ def restore_collection(state: SnapshotState) -> LiveCollection:
                     reserved_primes=doc_state.generator_state[0],
                     power2_leaves=False,
                 )
-                # Rejects a label count other than the tree's node count.
+                # Rejects a label count other than the tree's node count,
+                # and any label off its parent's chain.
                 scheme.restore_state(
                     doc_state.root,
                     doc_state.labels,

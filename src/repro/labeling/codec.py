@@ -24,9 +24,17 @@ for XML query processing."  This module provides that representation:
   the same field names on both (``pack``/``unpack``, ``uvarint``,
   ``string``), one CRC32 footer (:meth:`FieldWriter.finish`,
   :func:`check_crc_footer`) and one translation of decode failures into
-  the caller's typed error (:func:`decoding`).  A snapshot spends a few
-  field calls per node, so both varint methods return a one-byte value
-  before their loop starts, and fixed-width formats are compiled once.
+  the caller's typed error (:func:`decoding`).  Both varint methods
+  return a one-byte value before their loop starts, and fixed-width
+  formats are compiled once.  The snapshot's label, SC-member and
+  leaf-counter sections go through :meth:`FieldWriter.uvarint_pairs` and
+  :meth:`FieldReader.uvarint_pairs`, one call per section, which code
+  varints of up to ten bytes (any label a real document makes) inline
+  and hand longer ones to ``uvarint``; its tree section appends and
+  reads its fixed-width fields in place (:mod:`repro.durable.snapshot`).
+  ``FieldReader.uvarint`` reads at most ten bytes one at a time and
+  joins the rest of a longer run in linear time, once it has found the
+  run's end within the bound.
 
 Codecs cover every label type in the library: ``PrimeLabel`` (two
 integers), interval labels (two integers), prefix ``Bits`` (length +
@@ -35,9 +43,11 @@ payload) and Dewey tuples.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
-from typing import Any, List, Optional, Tuple, Type
+from itertools import chain
+from typing import Any, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import LabelingError, ReproError
 from repro.labeling.base import LabelingScheme
@@ -101,6 +111,47 @@ _MIN_FOOTED = 4 + 1 + _FOOTER.size
 #: The most bytes one varint field may span: the first byte whose shift
 #: would reach :data:`_MAX_FIELD_BITS` is never read.
 _MAX_VARINT_RUN = -(-_MAX_FIELD_BITS // 7)
+#: Bytes of one varint the readers accumulate byte by byte: any label a
+#: real document makes fits.  :meth:`FieldReader.uvarint` finds the rest
+#: of a longer run whole, then joins it.
+_SHORT_VARINT_RUN = 10
+#: The values :meth:`FieldWriter.uvarint_pairs` encodes inline: those of
+#: at most :data:`_SHORT_VARINT_RUN` bytes.
+_SHORT_VARINT_LIMIT = 1 << 7 * _SHORT_VARINT_RUN
+#: A run of continuation bytes (high bit set).
+_CONTINUATION_RUN = re.compile(rb"[\x80-\xff]*")
+#: Maps each byte to its low seven bits: a varint byte's payload.
+_LOW_SEVEN = bytes(byte & 0x7F for byte in range(256))
+#: The masks and shift of each step of :func:`_join_septets`: 7-bit
+#: groups one per byte become 14-bit groups per 16-bit lane, then 28 per
+#: 32, then 56 per 64 (little-endian byte patterns of one lane).
+_JOIN_STEPS = (
+    (b"\x7f\x00", b"\x00\x7f", 1),
+    (b"\xff\x3f\x00\x00", b"\x00\x00\xff\x3f", 2),
+    (b"\xff\xff\xff\x0f\x00\x00\x00\x00", b"\x00\x00\x00\x00\xff\xff\xff\x0f", 4),
+)
+
+
+def _repeat(pattern: bytes, size: int) -> int:
+    """``pattern`` repeated over ``size`` bytes, read as a little-endian int."""
+    return int.from_bytes(pattern * (size // len(pattern)), "little")
+
+
+def _join_septets(run: bytes) -> int:
+    """The integer whose little-endian 7-bit groups are ``run``'s low bits.
+
+    Linear in ``len(run)``: a few whole-integer mask steps pack the
+    groups eight to a 64-bit word, which leaves one zero byte per word to
+    drop, instead of one shift-and-or of a growing integer per byte.
+    """
+    groups = run.translate(_LOW_SEVEN) + bytes(-len(run) % 8)
+    size = len(groups)
+    value = int.from_bytes(groups, "little")
+    for low, high, shift in _JOIN_STEPS:
+        value = value & _repeat(low, size) | (value & _repeat(high, size)) >> shift
+    packed = bytearray(value.to_bytes(size, "little"))
+    del packed[7::8]
+    return int.from_bytes(packed, "little")
 
 
 #: The ``struct`` codes a fixed-width field may use: every one unsigned.
@@ -178,6 +229,25 @@ class FieldWriter:
             buffer.append(value & 0x7F | 0x80)
             value >>= 7
         buffer.append(value)
+
+    def uvarint_pairs(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Append each ``(first, second)`` of ``pairs`` as two varints.
+
+        The bytes of :meth:`uvarint` called on each value in turn, with
+        values of up to :data:`_SHORT_VARINT_RUN` bytes encoded inline;
+        longer values, and the error for a negative one, go through
+        :meth:`uvarint`.  One call writes a whole section of pairs.
+        """
+        append = self.buffer.append
+        uvarint = self.uvarint
+        for value in chain.from_iterable(pairs):
+            if 0 <= value < _SHORT_VARINT_LIMIT:
+                while value > 0x7F:
+                    append(value & 0x7F | 0x80)
+                    value >>= 7
+                append(value)
+            else:
+                uvarint(value)
 
     def string(self, width: str, text: str) -> None:
         """Append ``text`` as UTF-8 behind its byte length.
@@ -268,10 +338,14 @@ class FieldReader:
         """The next LEB128 varint.
 
         Fails on a truncated field or when the continuation run exceeds
-        :data:`MAX_VARINT_FIELD_BYTES` of magnitude — a crafted blob of
-        ``0x80`` bytes must fail fast instead of allocating an arbitrarily
-        large integer before any checksum is consulted.  A one-byte value
-        returns before the loop is set up.
+        :data:`MAX_VARINT_FIELD_BYTES` of magnitude — a crafted run of
+        continuation bytes must fail fast, whatever their payload bits,
+        instead of building an arbitrarily large integer before any
+        checksum is consulted.  A one-byte value returns before the loop
+        is set up, and the loop reads at most :data:`_SHORT_VARINT_RUN`
+        bytes.  Past that, the run's end is found first, so a run that
+        reaches the bound fails without accumulating anything, and a
+        legitimate long value is joined in linear time.
         """
         blob, offset, end = self.blob, self.offset, self.end
         if offset < end:
@@ -282,8 +356,11 @@ class FieldReader:
         limit = offset + _MAX_VARINT_RUN
         if limit > end:
             limit = end
+        short = offset + _SHORT_VARINT_RUN
+        if short > limit:
+            short = limit
         result = shift = 0
-        while offset < limit:
+        while offset < short:
             byte = blob[offset]
             offset += 1
             if byte < 0x80:
@@ -291,6 +368,12 @@ class FieldReader:
                 return result | byte << shift
             result |= (byte ^ 0x80) << shift
             shift += 7
+        if offset < limit:
+            last = _CONTINUATION_RUN.match(blob, offset, limit).end()
+            if last < limit:
+                self.offset = last + 1
+                return result | _join_septets(blob[offset : last + 1]) << shift
+            offset = last
         if offset >= end:
             raise self.fail("truncated varint")
         raise self.fail(
@@ -298,11 +381,66 @@ class FieldReader:
             "(corrupt or adversarial continuation run)"
         )
 
+    def uvarint_pairs(self, count: int) -> List[Tuple[int, int]]:
+        """The next ``count`` pairs of varints (see :meth:`FieldWriter.uvarint_pairs`).
+
+        Each varint of up to :data:`_SHORT_VARINT_RUN` bytes is decoded
+        inline, every byte checked against ``end``: up to three bytes
+        unrolled, the rest one byte a pass.  Any other varint, and any cut
+        short by ``end``, is read by :meth:`uvarint` from its first byte,
+        so it meets the same bounds and raises the same errors there.
+        """
+        blob, offset, end = self.blob, self.offset, self.end
+        uvarint = self.uvarint
+        values: List[int] = []
+        append = values.append
+        for _ in range(2 * count):
+            if offset < end:
+                first = blob[offset]
+                if first < 0x80:
+                    append(first)
+                    offset += 1
+                    continue
+                if offset + 2 < end:
+                    second = blob[offset + 1]
+                    if second < 0x80:
+                        append((first ^ 0x80) | second << 7)
+                        offset += 2
+                        continue
+                    byte = blob[offset + 2]
+                    if byte < 0x80:
+                        append((first ^ 0x80) | (second ^ 0x80) << 7 | byte << 14)
+                        offset += 3
+                        continue
+                    result = (first ^ 0x80) | (second ^ 0x80) << 7 | (byte ^ 0x80) << 14
+                    shift = 21
+                    position = offset + 3
+                    stop = offset + _SHORT_VARINT_RUN
+                    if stop > end:
+                        stop = end
+                    while position < stop:
+                        byte = blob[position]
+                        position += 1
+                        if byte < 0x80:
+                            break
+                        result |= (byte ^ 0x80) << shift
+                        shift += 7
+                    if byte < 0x80:
+                        append(result | byte << shift)
+                        offset = position
+                        continue
+            self.offset = offset
+            append(uvarint())
+            offset = self.offset
+        self.offset = offset
+        pending = iter(values)
+        return list(zip(pending, pending))
+
     def string(self, width: str) -> str:
         """The next length-prefixed UTF-8 string (see :meth:`FieldWriter.string`).
 
         The fixed-width length is read in place rather than through
-        :meth:`unpack`: the snapshot tree reads up to four strings a node.
+        :meth:`unpack`.
         """
         if width == UVARINT:
             length = self.uvarint()

@@ -77,11 +77,13 @@ _set_self_label = PrimeLabel.self_label.__set__  # type: ignore[attr-defined]
 def _trusted_label(value: int, self_label: int) -> PrimeLabel:
     """A :class:`PrimeLabel` made without ``__post_init__``'s check.
 
-    Only for a pair whose ``value`` the caller just computed as
-    ``parent_value * self_label`` with ``self_label >= 1``, so the check
-    could not fail: the bulk labeling walk.  Writes the two slots through
-    their descriptors, which a frozen dataclass's ``__setattr__`` would
-    refuse.  Every pair from outside (a snapshot, a store file, a caller)
+    Only for a pair whose ``value`` the caller just computed, or checked,
+    as ``parent_value * self_label`` with ``self_label >= 1``, so the check
+    could not fail: the bulk labeling walk and
+    :meth:`PrimeScheme.restore_state`, which checks each snapshot pair
+    against its parent's label before it makes it.  Writes the two slots
+    through their descriptors, which a frozen dataclass's ``__setattr__``
+    would refuse.  Every other pair from outside (a store file, a caller)
     goes through the checked constructor.
     """
     label = _new_object(PrimeLabel)
@@ -410,23 +412,55 @@ class PrimeScheme(LabelingScheme):
         ``generator_state`` and ``leaf_counters`` come from
         :meth:`export_state` (snapshots written before the counter existed
         restore with empty counters, preserving their legacy behaviour).
+        The pairs come from a file, so each is checked as it is bound: the
+        root's must be ``(1, 1)``, and every other node's ``value`` must be
+        its parent's value times its ``self_label`` (at least 1), which the
+        label walk guarantees and the ancestor test relies on.  A checked
+        pair is made into its label without a second check
+        (:func:`_trusted_label`).  Raises :class:`LabelingError` on a label
+        count other than the node count or on a pair that fails its check.
         Returns ``self``.
         """
-        nodes = list(root.iter_preorder())
-        if len(nodes) != len(labels):
+        if root.subtree_size != len(labels):
             raise LabelingError(
-                f"restore_state got {len(labels)} labels for {len(nodes)} nodes"
+                f"restore_state got {len(labels)} labels for {root.subtree_size} nodes"
+            )
+        root_value, root_self_label = labels[0]
+        if root_value != 1 or root_self_label != 1:
+            raise LabelingError(
+                f"the root's label is ({root_value}, {root_self_label}), not (1, 1)"
             )
         for stale in list(self._nodes.values()):
             self._drop_label(stale)
         self._root = root
-        set_label = self._set_label
-        for node, (value, self_label) in zip(nodes, labels):
-            # The constructor validates each untrusted pair.
-            set_label(node, PrimeLabel(value, self_label))
+        mapped, nodes = self._labels, self._nodes
+        pairs = iter(labels)
+        stack: List[Tuple[XmlElement, int]] = [(root, 1)]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            node, parent_value = pop()
+            value, self_label = next(pairs)
+            if value != parent_value * self_label or self_label < 1:
+                raise LabelingError(_broken_chain(value, self_label, parent_value))
+            key = id(node)
+            mapped[key] = _trusted_label(value, self_label)
+            nodes[key] = node
+            children = node.child_list
+            if children:
+                push(zip(reversed(children), repeat(value)))
         self._generator = PrimeGenerator.from_state(generator_state)
         self._leaf_counter = dict(leaf_counters)
         return self
+
+
+def _broken_chain(value: int, self_label: int, parent_value: int) -> str:
+    """Why a restored ``(value, self_label)`` under ``parent_value`` fails."""
+    if self_label < 1 or value % self_label:
+        return f"self_label {self_label} does not divide label {value}"
+    return (
+        f"label {value} is not its parent's label {parent_value} "
+        f"times its self-label {self_label}"
+    )
 
 
 class BottomUpPrimeScheme(LabelingScheme):

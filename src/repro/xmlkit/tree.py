@@ -368,6 +368,12 @@ class XmlElement:
         ]
         return from_child_counts, (record,)
 
+    def __copy__(self) -> "XmlElement":
+        """``copy.copy`` is :meth:`copy`: the record :meth:`__reduce__` hands
+        :func:`from_child_counts` shares this tree's attribute dicts, which
+        a copy must not."""
+        return self.copy()
+
     def structurally_equal(self, other: "XmlElement") -> bool:
         """True iff both subtrees have the same shape, tags, attrs and text."""
         stack = [(self, other)]
@@ -393,11 +399,25 @@ def from_child_counts(rows: Sequence[Tuple[str, Dict[str, str], str, int]]) -> X
     last ``child_count`` subtrees built, so each one is linked and sized
     once, and no depth overflows the stack.  The caller guarantees the
     counts describe exactly one tree, as a reader that stops once no child
-    is owed does.
+    is owed does.  Each node is made without :class:`XmlElement`'s
+    defensive copy: it takes its row's non-empty attribute dict, which
+    the caller (a decoder that has just built it) hands over.  An
+    attribute-free node gets a fresh empty dict made beside it, so the
+    rows' own empty dicts die with the rows instead of staying scattered
+    among their freed memory, which raises the peak RSS of a recovery or
+    a shard-worker start.  An empty tag raises ``ValueError``, as the
+    constructor does.
     """
+    new = object.__new__
     built: List[XmlElement] = []
     for tag, attributes, text, child_count in reversed(rows):
-        node = XmlElement(tag, attributes, text)
+        if not tag:
+            raise ValueError("element tag must be a non-empty string")
+        node = new(XmlElement)
+        node.tag = tag
+        node.attributes = attributes or {}
+        node.text = text
+        node.parent = None
         if child_count:
             children = built[-child_count:]
             del built[-child_count:]
@@ -408,5 +428,8 @@ def from_child_counts(rows: Sequence[Tuple[str, Dict[str, str], str, int]]) -> X
                 size += child._size
             node._children = children
             node._size = size
+        else:
+            node._children = []
+            node._size = 1
         built.append(node)
     return built[0]

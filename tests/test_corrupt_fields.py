@@ -9,7 +9,12 @@ themselves must notice:
 * a prime label whose self-label does not divide its value.  The bulk
   labeling walk makes its labels without :class:`PrimeLabel`'s check,
   because it computes each value itself; every pair that comes from a
-  file goes through the checked constructor.
+  file is checked before its label is made;
+* a snapshot label that divides but is not its parent's label times its
+  self-label, or a root label other than ``(1, 1)``.  Such a label passes
+  the divisibility check, yet the ancestor test of a scan and the pre/size
+  windows then disagree about the restored document, so the restore
+  checks the whole chain.
 """
 
 import struct
@@ -18,8 +23,8 @@ import zlib
 import pytest
 
 from repro.durable.snapshot import read_snapshot, restore_collection, snapshot_bytes
-from repro.errors import QueryEvaluationError, SnapshotCorruptError
-from repro.labeling.prime import PrimeLabel
+from repro.errors import LabelingError, QueryEvaluationError, SnapshotCorruptError
+from repro.labeling.prime import PrimeLabel, PrimeScheme
 from repro.query.live import LiveCollection
 from repro.query.persist import load_store, save_store
 from repro.query.store import LabelStore
@@ -83,3 +88,52 @@ class TestUntrustedLabelsAreChecked:
         save_store(store, path)
         with pytest.raises(QueryEvaluationError, match="does not divide"):
             load_store(path)
+
+
+CHAIN_DOC = "<r><a><b/></a><c/></r>"
+
+
+def snapshot_with_label(tmp_path, preorder_index, label):
+    """A CRC-valid snapshot of CHAIN_DOC whose node at ``preorder_index``
+    carries ``label``: the writer checksums whatever it is handed."""
+    collection = LiveCollection([parse_document(CHAIN_DOC)])
+    scheme = collection.ordered_documents[0].scheme
+    node = list(collection.documents[0].iter_preorder())[preorder_index]
+    scheme._labels[id(node)] = label
+    path = tmp_path / "snap.rpsn"
+    path.write_bytes(snapshot_bytes(collection))
+    return path
+
+
+class TestParentChainIsChecked:
+    def test_the_untouched_labels_chain(self, tmp_path):
+        collection = LiveCollection([parse_document(CHAIN_DOC)])
+        scheme = collection.ordered_documents[0].scheme
+        labels = [
+            (scheme.label_of(node).value, scheme.label_of(node).self_label)
+            for node in collection.documents[0].iter_preorder()
+        ]
+        assert labels == [(1, 1), (2, 2), (6, 3), (5, 5)]
+        path = snapshot_with_label(tmp_path, 2, PrimeLabel(6, 3))
+        restore_collection(read_snapshot(path))
+
+    def test_a_dividing_label_off_its_parent_chain(self, tmp_path):
+        # 3 divides 303, so the pair passes the divisibility check, but b's
+        # parent a holds 2 and 2 * 3 is 6: a scan would miss a//b.
+        path = snapshot_with_label(tmp_path, 2, PrimeLabel(303, 3))
+        state = read_snapshot(path)
+        with pytest.raises(SnapshotCorruptError, match="parent's label 2"):
+            restore_collection(state)
+
+    def test_a_root_label_other_than_one(self, tmp_path):
+        path = snapshot_with_label(tmp_path, 0, PrimeLabel(7, 7))
+        state = read_snapshot(path)
+        with pytest.raises(SnapshotCorruptError, match=r"root's label is \(7, 7\)"):
+            restore_collection(state)
+
+    def test_a_zero_self_label_under_a_zero_value(self):
+        # 0 == 2 * 0, so only the self-label bound catches this pair.
+        scheme = PrimeScheme(reserved_primes=0, power2_leaves=False)
+        labels = [(1, 1), (2, 2), (0, 0), (5, 5)]
+        with pytest.raises(LabelingError, match="self_label 0 does not divide"):
+            scheme.restore_state(parse_document(CHAIN_DOC), labels, (0, 0, 3, 3))

@@ -254,6 +254,61 @@ class TestReaderStopsAtTheBody:
             read_snapshot(path)
         assert f"snapshot {path}" in str(caught.value)
 
+    def test_a_tag_running_into_the_footer_is_truncated(self, tmp_path):
+        collection = LiveCollection([parse_document("<r/>")])
+        body = snapshot_bytes(collection)[:-4]
+        strategy = collection.strategy.encode()
+        tree_start = 4 + 1 + 8 + 8 + 4 + 1 + len(strategy) + 4
+        # The root's tag claims 5 bytes, and only its 1 and the footer follow.
+        cut = body[:tree_start] + b"\x00\x05r"
+        path = tmp_path / "snap.rpsn"
+        path.write_bytes(_refooted(cut))
+        with pytest.raises(
+            SnapshotCorruptError, match=f"truncated: 5 bytes needed at byte {tree_start + 2}$"
+        ):
+            read_snapshot(path)
+
+    def test_a_child_count_cut_at_the_footer_is_truncated(self, tmp_path):
+        collection = LiveCollection([parse_document("<r/>")])
+        body = snapshot_bytes(collection)[:-4]
+        strategy = collection.strategy.encode()
+        tree_start = 4 + 1 + 8 + 8 + 4 + 1 + len(strategy) + 4
+        counts_start = tree_start + 3 + 4  # tag "r", then an empty text
+        assert body[counts_start : counts_start + 6] == bytes(6)
+        # Five of the root's six count bytes: the child count is cut short.
+        cut = body[: counts_start + 5]
+        path = tmp_path / "snap.rpsn"
+        path.write_bytes(_refooted(cut))
+        with pytest.raises(
+            SnapshotCorruptError, match=f"truncated: 4 bytes needed at byte {counts_start + 2}$"
+        ):
+            read_snapshot(path)
+
+    def test_invalid_utf8_is_reported_past_its_string(self, tmp_path):
+        root = XmlElement("r")
+        root.append(XmlElement("a", {"name": "bad"}))
+        body = bytearray(snapshot_bytes(LiveCollection([root]))[:-4])
+        at = body.index(b"bad")
+        body[at] = 0xFF
+        path = tmp_path / "snap.rpsn"
+        path.write_bytes(_refooted(bytes(body)))
+        with pytest.raises(SnapshotCorruptError, match=f"invalid UTF-8 string at byte {at + 3}$"):
+            read_snapshot(path)
+
+    def test_an_empty_tag_is_corrupt(self, tmp_path):
+        collection = LiveCollection([parse_document("<r/>")])
+        body = snapshot_bytes(collection)[:-4]
+        strategy = collection.strategy.encode()
+        tree_start = 4 + 1 + 8 + 8 + 4 + 1 + len(strategy) + 4
+        assert body[tree_start : tree_start + 3] == b"\x00\x01r"
+        # The root's tag claims no bytes; every field after it still reads.
+        cut = body[:tree_start] + b"\x00\x00" + body[tree_start + 3 :]
+        path = tmp_path / "snap.rpsn"
+        path.write_bytes(_refooted(cut))
+        with pytest.raises(SnapshotCorruptError, match="non-empty") as caught:
+            read_snapshot(path)
+        assert f"snapshot {path}" in str(caught.value)
+
     def test_a_tree_string_running_into_the_footer_is_truncated(self, tmp_path):
         collection = LiveCollection([parse_document("<r/>")])
         body = snapshot_bytes(collection)[:-4]

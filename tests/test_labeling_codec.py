@@ -1,6 +1,7 @@
 """Unit tests for the label codecs (fixed-width and varint)."""
 
 import random
+import time
 
 import pytest
 
@@ -412,6 +413,121 @@ class TestVarintBoundaries:
         with pytest.raises(LabelingError, match="truncated varint"):
             reader.uvarint()
         assert FieldReader(blob, LabelingError, "varint").uvarint() == 5 | 1 << 7
+
+
+class TestLongVarints:
+    """Past its byte-by-byte prefix the reader finds a run's end before it
+    accumulates anything, so every run, whatever its payload bits, costs
+    time linear in its length: a crafted run fails fast, a long value
+    still reads back."""
+
+    RUN = -(-(MAX_VARINT_FIELD_BYTES * 8) // 7)
+
+    def test_a_flood_of_full_payload_bytes_fails_fast(self):
+        # Each 0xFF byte carries seven set bits, so accumulating the run
+        # byte by byte builds a growing integer: minutes, not milliseconds.
+        started = time.monotonic()
+        with pytest.raises(LabelingError, match="bound"):
+            read_uvarint(b"\xff" * (self.RUN + 2), 0)
+        assert time.monotonic() - started < 10
+
+    def test_a_flood_cut_by_the_end_is_truncated(self):
+        with pytest.raises(LabelingError, match="truncated varint"):
+            read_uvarint(b"\xff" * (self.RUN // 2), 0)
+
+    def test_the_longest_full_payload_varint_reads_back(self):
+        started = time.monotonic()
+        value, end = read_uvarint(b"\xff" * (self.RUN - 1) + b"\x7f", 0)
+        assert value == (1 << 7 * self.RUN) - 1 and end == self.RUN
+        assert time.monotonic() - started < 10
+
+    @pytest.mark.parametrize("bits", [71, 77, 78, 500, 4093, 40_000, 80_001])
+    def test_a_multi_kilobyte_varint_round_trips(self, bits):
+        value = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+        out = FieldWriter()
+        out.uvarint(value)
+        out.uvarint(5)
+        assert bytes(out.buffer[:-1]) == _leb128(value)
+        reader = FieldReader(bytes(out.buffer), LabelingError, "varint")
+        assert reader.uvarint() == value
+        assert reader.uvarint() == 5
+        assert reader.remaining == 0
+
+
+#: One value at each varint width edge, up to past the ten bytes the pair
+#: methods code inline.
+EDGES = sorted({0, 1} | {(1 << 7 * width) + delta for width in range(1, 13) for delta in (-1, 0)})
+
+
+class TestVarintPairs:
+    """A section of pairs is the bytes of ``uvarint`` on each value in
+    turn, and reads back through the same bounds and errors."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(7)
+        values = EDGES + [rng.getrandbits(rng.randrange(1, 100)) for _ in range(200)]
+        rng.shuffle(values)
+        return list(zip(values[0::2], values[1::2]))
+
+    def test_the_bytes_are_one_uvarint_per_value(self):
+        pairs = self.pairs()
+        together = FieldWriter()
+        together.uvarint_pairs(pairs)
+        one_by_one = FieldWriter()
+        for first, second in pairs:
+            one_by_one.uvarint(first)
+            one_by_one.uvarint(second)
+        assert together.buffer == one_by_one.buffer
+        assert bytes(together.buffer) == b"".join(
+            _leb128(value) for pair in pairs for value in pair
+        )
+
+    def test_a_section_reads_back(self):
+        pairs = self.pairs()
+        out = FieldWriter()
+        out.uvarint(3)
+        out.uvarint_pairs(pairs)
+        out.uvarint_pairs([])
+        out.uvarint(9)
+        reader = FieldReader(bytes(out.buffer), LabelingError, "pairs")
+        assert reader.uvarint() == 3
+        assert reader.uvarint_pairs(len(pairs)) == pairs
+        assert reader.uvarint_pairs(0) == []
+        assert reader.uvarint() == 9
+        assert reader.remaining == 0
+
+    def test_every_cut_is_truncated_and_no_byte_past_end_is_read(self):
+        pairs = [(3, 1 << 20), (1 << 63, 1 << 90), (200, 0)]
+        out = FieldWriter()
+        out.uvarint_pairs(pairs)
+        body = bytes(out.buffer)
+        starts = [0]
+        for value in (value for pair in pairs for value in pair):
+            starts.append(starts[-1] + len(_leb128(value)))
+        for cut in range(len(body)):
+            # The bytes past ``end`` would complete any cut varint, so a
+            # reader that reads one reports a later byte, or none.
+            cut_start = max(start for start in starts if start <= cut)
+            reader = FieldReader(body[:cut] + b"\x01" * 16, LabelingError, "pairs", end=cut)
+            with pytest.raises(LabelingError, match=f"truncated varint at byte {cut_start}$"):
+                reader.uvarint_pairs(len(pairs))
+
+    def test_a_flood_inside_a_section_is_bounded(self):
+        blob = b"\x01\x02" + b"\xff" * (TestLongVarints.RUN + 2)
+        reader = FieldReader(blob, LabelingError, "pairs")
+        with pytest.raises(LabelingError, match="bound") as caught:
+            reader.uvarint_pairs(2)
+        assert "at byte 2" in str(caught.value)
+
+    @pytest.mark.parametrize("value", [-1, -200, -(2**80)])
+    def test_negative_values_are_refused(self, value):
+        with pytest.raises(LabelingError, match="unsigned"):
+            FieldWriter().uvarint_pairs([(1, value)])
+
+    def test_the_write_side_bound_holds(self):
+        with pytest.raises(LabelingError, match="bound"):
+            FieldWriter().uvarint_pairs([(1 << (MAX_VARINT_FIELD_BYTES * 8 + 1), 0)])
 
 
 class TestFixedWidthFormats:

@@ -1,5 +1,6 @@
 """Unit tests for repro.xmlkit.tree.XmlElement."""
 
+import copy
 import pickle
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xmlkit.builder import element
-from repro.xmlkit.tree import XmlElement
+from repro.xmlkit.tree import XmlElement, from_child_counts
 
 
 @pytest.fixture
@@ -182,6 +183,21 @@ class TestStatsCopy:
         assert clone.structurally_equal(root)
         assert clone._size == root._size == sys.getrecursionlimit() + 201
         assert clone.node_at(root._size - 1).depth == root._size - 1
+
+    def test_copies_never_share_attribute_dicts(self, sample):
+        sample[0].attributes["k"] = "v"
+        for clone in (
+            copy.copy(sample[0]),
+            copy.deepcopy(sample[0]),
+            pickle.loads(pickle.dumps(sample[0])),
+        ):
+            assert clone.structurally_equal(sample[0])
+            clone.attributes["k"] = "changed"
+            assert sample[0].attributes["k"] == "v"
+
+    def test_rows_with_an_empty_tag_are_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            from_child_counts([("r", {}, "", 1), ("", {}, "", 0)])
 
     def test_structurally_equal_checks_text_and_attrs(self):
         a = XmlElement("t", {"k": "v"}, text="x")
